@@ -156,7 +156,7 @@ let run_dag cfg =
 
 let run_fabric cfg =
   section "E15 - oversubscribed fabric (non-blocking assumption relaxed)";
-  print_string (Experiments.Exp_fabric.render ~jobs:!jobs cfg)
+  print_string (Experiments.Arena.render (Experiments.Exp_fabric.run ~jobs:!jobs cfg))
 
 let run_faults cfg =
   section "E16 - fault injection and degradation-aware rescheduling";
@@ -193,7 +193,7 @@ let run_tables cfg = List.iter (fun (_, f) -> f cfg) all_experiments
    `bench/main.exe arena`. *)
 let run_arena cfg =
   section "E19 - algorithm arena (every policy vs lower bounds)";
-  print_string (Experiments.Exp_arena.render (Experiments.Exp_arena.run ~jobs:!jobs cfg))
+  print_string (Experiments.Arena.render (Experiments.Exp_arena.run ~jobs:!jobs cfg))
 
 (* ---------- Bechamel kernel benchmarks ---------- *)
 

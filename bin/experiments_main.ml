@@ -7,11 +7,12 @@
    E6 randomized, E7 releases, E8 openshop is bench-only, E9 ablation,
    E10 orderings, E11 lpgrid, E12 online, E13 robust, E14 dag, E15 fabric,
    E16 faults, E17 soak, E18 scale (150 ports; --stretch adds the 10x
-   variant), E19 arena (every algorithm ranked vs lower bounds; --csv also
-   writes arena.json), E20 telemetry (fault windows vs raised alerts;
-   --csv also writes telemetry.json; --telemetry BASE writes the live
-   artifacts), E21 hetero (k parallel fabrics with rate skews vs the
-   rate-aware isolation bound; --csv also writes hetero.json). *)
+   variant), E19 arena (every algorithm ranked vs lower bounds), E20
+   telemetry (fault windows vs raised alerts; --csv also writes
+   telemetry.json; --telemetry BASE writes the live artifacts), E21 hetero
+   (k parallel fabrics with rate skews vs the rate-aware isolation bound).
+   E15, E18, E19 and E21 run on the arena harness; --csv also writes their
+   arena JSON as fabric.json, scale.json, arena.json and hetero.json. *)
 
 open Cmdliner
 
@@ -109,10 +110,13 @@ let run_all scale only csv_dir profile trace jobs stretch telemetry =
     print_string (Experiments.Exp_dag.render cfg);
     print_newline ()
   end;
-  if wants "E15" then begin
-    print_string (Experiments.Exp_fabric.render ~jobs cfg);
+  let arena experiment file legs =
+    print_string (Experiments.Arena.render legs);
+    save file (Experiments.Arena.json ~experiment legs);
     print_newline ()
-  end;
+  in
+  if wants "E15" then
+    arena "E15" "fabric.json" (Experiments.Exp_fabric.run ~jobs cfg);
   if wants "E16" then begin
     print_string (Experiments.Exp_faults.render cfg);
     print_newline ()
@@ -122,21 +126,16 @@ let run_all scale only csv_dir profile trace jobs stretch telemetry =
     print_newline ()
   end;
   if wants "E18" then begin
-    print_string (Experiments.Exp_scale.render ~stretch ~jobs cfg);
+    let t = Experiments.Exp_scale.run ~stretch ~jobs cfg in
+    print_string (Experiments.Exp_scale.render t);
+    save "scale.json"
+      (Experiments.Arena.json ~experiment:"E18" (Experiments.Exp_scale.legs t));
     print_newline ()
   end;
-  if wants "E19" then begin
-    let arena = Experiments.Exp_arena.run ~jobs cfg in
-    print_string (Experiments.Exp_arena.render arena);
-    save "arena.json" (Experiments.Exp_arena.json arena);
-    print_newline ()
-  end;
-  if wants "E21" then begin
-    let hetero = Experiments.Exp_hetero.run ~jobs cfg in
-    print_string (Experiments.Exp_hetero.render hetero);
-    save "hetero.json" (Experiments.Exp_hetero.json hetero);
-    print_newline ()
-  end;
+  if wants "E19" then
+    arena "E19" "arena.json" (Experiments.Exp_arena.run ~jobs cfg);
+  if wants "E21" then
+    arena "E21" "hetero.json" (Experiments.Exp_hetero.run ~jobs cfg);
   let telemetry_ok = ref true in
   if wants "E20" then begin
     let r = Experiments.Exp_telemetry.run ?telemetry cfg in

@@ -440,18 +440,52 @@ let solve_interval_base ?(solver = `Revised) ?max_iterations ?deadline
   end
 
 let solve_time_indexed ?(solver = `Revised) ?max_iterations ?deadline
-    ?warm_start ?(max_vars = 100_000) inst =
+    ?(max_vars = 100_000) inst =
   let n = Instance.num_coflows inst in
-  if n = 0 || Instance.total_units inst = 0 then trivial_result n
+  let t = Instance.horizon inst in
+  if Instance.total_units inst > 0 && n * t > max_vars then
+    raise
+      (Too_large
+         (Printf.sprintf
+            "LP-EXP would need %d variables (n=%d, T=%d) > max_vars=%d" (n * t)
+            n t max_vars));
+  (* A zero-demand coflow completes on arrival (C = r, as Engine.measure
+     reports it) but the grid has no tau = 0, so the model would charge
+     one released at 0 a full slot: keep such coflows out of the model
+     and charge each w * r. *)
+  let coflows = Instance.coflows inst in
+  let keep =
+    List.filter (fun k -> Mat.total coflows.(k).Instance.demand > 0)
+      (List.init n Fun.id)
+    |> Array.of_list
+  in
+  let sub =
+    Instance.make ~ports:(Instance.ports inst)
+      (Array.to_list (Array.map (fun k -> coflows.(k)) keep))
+  in
+  let r =
+    if keep = [||] then trivial_result 0
+    else
+      solve_on_grid ~solver ?max_iterations ?deadline
+        ~taus:(Array.init (Instance.horizon sub) (fun i -> i + 1))
+        ~obj_at:`Right sub
+  in
+  if Array.length keep = n then r
   else begin
-    let t = Instance.horizon inst in
-    if n * t > max_vars then
-      raise
-        (Too_large
-           (Printf.sprintf
-              "LP-EXP would need %d variables (n=%d, T=%d) > max_vars=%d" (n * t)
-              n t max_vars));
-    let taus = Array.init t (fun i -> i + 1) in
-    solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
-      ~obj_at:`Right inst
+    let cbar = Array.map (fun c -> float_of_int c.Instance.release) coflows in
+    Array.iteri (fun i k -> cbar.(k) <- r.cbar.(i)) keep;
+    let empty_cost =
+      Array.fold_left
+        (fun acc c ->
+          if Mat.total c.Instance.demand > 0 then acc
+          else acc +. (c.Instance.weight *. float_of_int c.Instance.release))
+        0.0 coflows
+    in
+    { r with
+      cbar;
+      order = order_of_cbar cbar;
+      lower_bound = r.lower_bound +. empty_cost;
+      values = List.map (fun (i, l, x) -> (keep.(i), l, x)) r.values;
+      warm = Option.map (remap_hints ~index_map:(fun i -> Some keep.(i))) r.warm;
+    }
   end

@@ -98,11 +98,12 @@ val solve_time_indexed :
   ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
-  ?warm_start:warm_hints ->
   ?max_vars:int ->
   Workload.Instance.t ->
   result
-(** Build and solve (LP-EXP); [max_vars] defaults to [100_000]. *)
+(** Build and solve (LP-EXP); [max_vars] defaults to [100_000].
+    Zero-demand coflows stay out of the model: each completes on arrival
+    and contributes exactly [w * r] to the bound. *)
 
 val interval_count : Workload.Instance.t -> int
 (** The [L] used by [solve_interval]: smallest [L] with

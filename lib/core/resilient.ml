@@ -40,6 +40,7 @@ type result = {
   lp_iterations : int;
   lp_refactors : int;
   audit : Audit.t;
+  engine : Engine.result;
 }
 
 (* The unfinished part of the run as a fresh instance: remaining demands,
@@ -133,10 +134,10 @@ let replan cfg inj inst ~warm ~lp_stats ~on_lp_failure =
     | None ->
       (Rho, Array.map (fun i -> keep.(i)) (Ordering.by_load_over_weight resid)))
 
-let run ?(config = default_config) ?topo ?net ?(plan = Fault_plan.empty) inst =
+let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   Obs.Span.with_ "resilient.run" @@ fun () ->
   let ports = Instance.ports inst in
-  let inj = Injector.create ?topo ?net ~plan ~ports (Instance.demands inst) in
+  let inj = Injector.create ?net ~plan ~ports (Instance.demands inst) in
   let sim = Injector.sim inj in
   let lp_failures = ref 0 and replans = ref 0 in
   let warm = ref None and lp_stats = ref (0, 0) in
@@ -211,4 +212,5 @@ let run ?(config = default_config) ?topo ?net ?(plan = Fault_plan.empty) inst =
     lp_iterations = fst !lp_stats;
     lp_refactors = snd !lp_stats;
     audit = Audit.make ~ports (List.rev !log);
+    engine = er;
   }

@@ -74,19 +74,23 @@ type result = {
       (** total basis factorizations across all successful LP re-plans *)
   audit : Faults.Audit.t;
       (** per-slot tier + transfers, ready for {!Faults.Audit.check} *)
+  engine : Engine.result;
+      (** the underlying engine run ([completion], [twct] and [slots] above
+          are its fields); the per-slot hooks keep it slot by slot, so it
+          took exactly [slots] decisions *)
 }
 
 val run :
   ?config:config ->
-  ?topo:Switchsim.Fabric.topology ->
   ?net:Switchsim.Net.t ->
   ?plan:Faults.Fault_plan.t ->
   Workload.Instance.t ->
   result
-(** Run to completion under the plan (default: no faults).  With [topo],
-    core degradation tightens the fabric budget and the greedy service
-    respects rack locality.  With [net] (exclusive with [topo]) service
-    runs on a multi-fabric topology: {!Faults.Fault_plan.Fabric_down}
-    boundaries trigger re-plans and the greedy service drains the residual
-    demand over the surviving fabrics.  @raise Failure when [max_slots] is
+(** Run to completion under the plan (default: no faults) on [net]
+    (default {!Switchsim.Net.single}).  On an oversubscribed fabric core
+    degradation tightens the inter-rack budget and the greedy service
+    respects rack locality; on a multi-fabric net
+    {!Faults.Fault_plan.Fabric_down} boundaries trigger re-plans and the
+    greedy service drains the residual demand over the surviving
+    fabrics.  @raise Failure when [max_slots] is
     exhausted (a plan that never lifts an outage). *)

@@ -360,11 +360,16 @@ let run_grouped ?(backfill = false) ?(aggressive = false) ?batch inst groups =
   in
   Engine.run ?batch inst (as_policy ~backfill ~aggressive ~describe groups)
 
-let run ?(case = Group) ?batch inst order =
+let case_policy ~case inst order =
   let groups =
     match case with
     | Base | Backfill -> Grouping.singletons order
     | Group | Group_backfill -> Grouping.deterministic inst order
   in
   let backfill = match case with Backfill | Group_backfill -> true | _ -> false in
-  run_grouped ~backfill ?batch inst groups
+  as_policy ~backfill
+    ~describe:(if backfill then "grouped+backfill" else "grouped")
+    groups
+
+let run ?(case = Group) ?batch inst order =
+  Engine.run ?batch inst (case_policy ~case inst order)

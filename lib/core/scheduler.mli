@@ -109,6 +109,9 @@ val as_policy :
     prepared run, matchings-built folded into the engine's result.  This is
     what {!run} / {!run_grouped} hand to {!Engine.run}. *)
 
+val case_policy : case:case -> Workload.Instance.t -> Ordering.t -> Policy.t
+(** The grouped policy of [case] over [order], as {!run} executes it. *)
+
 val run :
   ?case:case -> ?batch:bool -> Workload.Instance.t -> Ordering.t -> result
 (** Build the grouping for [case] (default [Group], the paper's algorithm),

@@ -1,124 +1,28 @@
 open Workload
 open Core
 
-(* E19: the algorithm arena.  See the interface for the layout; the code
-   below is in three parts — contender construction (a policy plus its
-   labels), the leg runner (race, rank, stats, gauges), and the ratio
-   assertions that make the arena a regression tripwire rather than a
-   table generator. *)
-
-type row = {
-  algo : string;
-  fallback : string option;
-  guarantee : float option;
-  twct : float;
-  ratio : float;
-  slots : int;
-  mean_c : float;
-  p95_c : int;
-  decisions : int;
-  decision_us : float;
-  seconds : float;
-}
-
-type leg = {
-  l_label : string;
-  l_ports : int;
-  l_coflows : int;
-  l_bound_name : string;
-  l_bound : float;
-  l_rows : row list;
-}
-
-type t = { small : leg; scale : leg }
-
-type contender = {
-  c_name : string;
-  c_fallback : string option;
-  c_guarantee : float option;
-  c_policy : Policy.t;
-}
-
-(* Wrap a policy so every stepper invocation (slot-by-slot or batched) is
-   counted, without disturbing which loop the engine picks: the batched
-   decision stays present iff the wrapped policy offered one. *)
-let counted (p : Policy.t) =
-  let count = ref 0 in
-  let policy =
-    Policy.make ~describe:(Policy.describe p) (fun sim ->
-        let s = p.Policy.prepare sim in
-        { s with
-          Policy.next_slot =
-            (fun sim ->
-              incr count;
-              s.Policy.next_slot sim);
-          next_batch =
-            Option.map
-              (fun f sim ~max_n ->
-                incr count;
-                f sim ~max_n)
-              s.Policy.next_batch;
-        })
-  in
-  (policy, count)
-
-let lp_free_contenders inst =
-  List.map
-    (fun (c_name, c_guarantee, c_policy) ->
-      { c_name; c_fallback = None; c_guarantee; c_policy })
-    (Harness.lp_free_arena inst)
+(* E19: every scheduler in the repo on two arena legs.  Contender
+   construction is all that lives here; racing, ranking, assertions and
+   output are {!Arena}'s. *)
 
 (* The paper's full H_LP stack (LP order + deterministic grouping +
    backfilling), affordable on the small leg only. *)
 let hlp_grouped_contender inst =
   let lp = Lp_relax.solve_interval inst in
-  let order = Ordering.by_lp lp in
-  let with_releases =
-    Array.exists (fun r -> r > 0) (Instance.releases inst)
-  in
-  { c_name = "H_LP (d)";
-    c_fallback = None;
-    c_guarantee = Some (Verify.deterministic_ratio_limit ~with_releases);
-    c_policy =
-      Scheduler.as_policy ~backfill:true ~describe:"HLP (d)"
-        (Grouping.deterministic inst order);
+  let with_releases = Array.exists (fun r -> r > 0) (Instance.releases inst) in
+  { (Arena.contender "H_LP (d)"
+       (Scheduler.as_policy ~backfill:true ~describe:"HLP (d)"
+          (Grouping.deterministic inst (Ordering.by_lp lp))))
+    with
+    Arena.guarantee = Some (Verify.deterministic_ratio_limit ~with_releases);
   }
-
-(* The budgeted H_LP of the scale leg: same pivot budget and degradation
-   as E18, but the fallback is baked into the label and the [fallback]
-   field — the ranked table can never attribute H_rho numbers to H_LP. *)
-let hlp_budgeted_contender ~lp_budget inst =
-  match Lp_relax.solve_interval ~max_iterations:lp_budget inst with
-  | lp ->
-    { c_name = "H_LP";
-      c_fallback = None;
-      c_guarantee = None;
-      c_policy = Baselines.greedy_policy (Ordering.by_lp lp);
-    }
-  | exception Failure _ ->
-    { c_name = "H_LP(fallback:H_rho)";
-      c_fallback = Some "H_rho";
-      c_guarantee = None;
-      c_policy = Baselines.greedy_policy (Ordering.by_load_over_weight inst);
-    }
 
 let slot_adaptive_contenders inst =
   let n = Instance.num_coflows inst in
-  [ { c_name = "SEBF+MADD";
-      c_fallback = None;
-      c_guarantee = None;
-      c_policy = Baselines.sebf_madd_policy ~coflows:n;
-    };
-    { c_name = "MaxWeight";
-      c_fallback = None;
-      c_guarantee = None;
-      c_policy = Baselines.max_weight_policy ~weights:(Instance.weights inst);
-    };
-    { c_name = "RR";
-      c_fallback = None;
-      c_guarantee = None;
-      c_policy = Baselines.round_robin_policy n;
-    };
+  [ Arena.contender "SEBF+MADD" (Baselines.sebf_madd_policy ~coflows:n);
+    Arena.contender "MaxWeight"
+      (Baselines.max_weight_policy ~weights:(Instance.weights inst));
+    Arena.contender "RR" (Baselines.round_robin_policy n);
   ]
 
 (* The small-leg instance: LP-EXP-sized fb-like flows (as E4) but with
@@ -137,265 +41,49 @@ let small_instance ?filter (cfg : Config.t) ~ports ~coflows =
   in
   match filter with None -> inst | Some f -> Instance.filter_m0 inst f
 
-(* [sum_k w_k (r_k + rho (D_k))]: every coflow needs [rho] slots alone on
-   its bottleneck port after release, so this is a certified lower bound
-   at any scale — the only one available where the LPs cannot run. *)
-let isolation_bound inst =
-  Array.fold_left
-    (fun acc c ->
-      acc
-      +. (c.Instance.weight
-         *. float_of_int (c.Instance.release + Matrix.Mat.load c.Instance.demand)))
-    0.0 (Instance.coflows inst)
-
-let gauge_slug name =
-  let b = Buffer.create (String.length name) in
-  let last_us = ref true in
-  String.iter
-    (fun ch ->
-      let ch = Char.lowercase_ascii ch in
-      if (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') then begin
-        Buffer.add_char b ch;
-        last_us := false
-      end
-      else if not !last_us then begin
-        Buffer.add_char b '_';
-        last_us := true
-      end)
-    name;
-  let s = Buffer.contents b in
-  if s <> "" && s.[String.length s - 1] = '_' then
-    String.sub s 0 (String.length s - 1)
-  else s
-
-let run_leg ~jobs ~label ~gauge_prefix ~bound_name ~bound inst contenders =
-  let results =
-    Engine.run_many ~jobs
-      (List.map
-         (fun c () ->
-           let policy, count = counted c.c_policy in
-           let r = Engine.run inst policy in
-           (c, r, !count))
-         contenders)
-  in
-  let rows =
-    List.map
-      (fun (c, r, decisions) ->
-        let what = Printf.sprintf "%s on %s" c.c_name label in
-        let mean_c = Metrics.mean ~what r.Engine.completion in
-        let p95_c = Metrics.percentile ~what 0.95 r.Engine.completion in
-        let slots = Metrics.max_completion ~what r.Engine.completion in
-        let decision_us =
-          if decisions > 0 then r.Engine.seconds /. float_of_int decisions *. 1e6
-          else 0.0
-        in
-        { algo = c.c_name;
-          fallback = c.c_fallback;
-          guarantee = c.c_guarantee;
-          twct = r.Engine.twct;
-          ratio = (if bound > 0.0 then r.Engine.twct /. bound else Float.nan);
-          slots;
-          mean_c;
-          p95_c;
-          decisions;
-          decision_us;
-          seconds = r.Engine.seconds;
-        })
-      results
-  in
-  let rows =
-    List.sort
-      (fun a b ->
-        match compare a.twct b.twct with 0 -> compare a.algo b.algo | c -> c)
-      rows
-  in
-  List.iter
-    (fun row ->
-      Obs.Counter.Gauge.set
-        (Obs.Counter.Gauge.make
-           (Printf.sprintf "arena.%s.%s.decision_us" gauge_prefix
-              (gauge_slug row.algo)))
-        row.decision_us)
-    rows;
-  { l_label = label;
-    l_ports = Instance.ports inst;
-    l_coflows = Instance.num_coflows inst;
-    l_bound_name = bound_name;
-    l_bound = bound;
-    l_rows = rows;
-  }
-
-(* Every row must dominate the leg's lower bound; every guaranteed row
-   must stay within its factor of [target] (the leg's reference for OPT:
-   the LP-EXP bound on the small leg, the best measured TWCT — itself an
-   upper bound on OPT — on the scale leg). *)
-let assert_ratios ~target_name ~target leg =
-  List.iter
-    (fun row ->
-      if leg.l_bound > 0.0 && row.twct +. 1e-6 < leg.l_bound then
-        failwith
-          (Printf.sprintf
-             "E19 %s: %s TWCT %.2f beats the %s lower bound %.2f — bound or \
-              scheduler is wrong"
-             leg.l_label row.algo row.twct leg.l_bound_name leg.l_bound);
-      match row.guarantee with
-      | Some g when target > 0.0 ->
-        if row.twct > (g *. target) +. 1e-6 then
-          failwith
-            (Printf.sprintf
-               "E19 %s: %s ratio %.3f vs %s exceeds its approximation factor \
-                %.2f"
-               leg.l_label row.algo (row.twct /. target) target_name g)
-      | _ -> ())
-    leg.l_rows
-
-let best_twct leg =
-  List.fold_left (fun acc r -> Float.min acc r.twct) Float.infinity leg.l_rows
-
-let run ?(jobs = 1) ?filter ?small ?scale ?(scale_lp_budget = 2_000)
-    (cfg : Config.t) =
+let run ?(jobs = 1) ?filter ?scale (cfg : Config.t) =
   Obs.Span.with_ "exp.arena" @@ fun () ->
-  let sp, sc =
-    match small with
-    | Some pc -> pc
-    | None -> (cfg.Config.lpexp_ports, cfg.Config.lpexp_coflows)
-  in
-  let small_inst = small_instance ?filter cfg ~ports:sp ~coflows:sc in
-  let small_contenders =
-    lp_free_contenders small_inst
-    @ (if Instance.num_coflows small_inst > 0 then
-         [ hlp_grouped_contender small_inst ]
-       else [])
-    @ slot_adaptive_contenders small_inst
+  let small_inst =
+    small_instance ?filter cfg ~ports:cfg.Config.lpexp_ports
+      ~coflows:cfg.Config.lpexp_coflows
   in
   let lpexp = Lp_relax.solve_time_indexed ~max_vars:400_000 small_inst in
   let small_leg =
-    run_leg ~jobs
-      ~label:
-        (Printf.sprintf "E19 small leg (%d ports, %d coflows%s)"
-           (Instance.ports small_inst)
-           (Instance.num_coflows small_inst)
-           (match filter with
-           | None -> ""
-           | Some f -> Printf.sprintf ", filter M0>=%d" f))
-      ~gauge_prefix:"small" ~bound_name:"LP-EXP"
-      ~bound:lpexp.Lp_relax.lower_bound small_inst small_contenders
+    { Arena.id = "small";
+      label =
+        Printf.sprintf "E19 small leg (%d ports, %d coflows%s)"
+          (Instance.ports small_inst)
+          (Instance.num_coflows small_inst)
+          (match filter with
+          | None -> ""
+          | Some f -> Printf.sprintf ", filter M0>=%d" f);
+      inst = small_inst;
+      net = Switchsim.Net.single ~ports:(Instance.ports small_inst);
+      bound_name = "LP-EXP";
+      bound = lpexp.Lp_relax.lower_bound;
+      target = Arena.Bound;
+      contenders =
+        Arena.lp_free small_inst
+        @ (if Instance.num_coflows small_inst > 0 then
+             [ hlp_grouped_contender small_inst ]
+           else [])
+        @ slot_adaptive_contenders small_inst;
+    }
   in
-  assert_ratios ~target_name:"LP-EXP" ~target:small_leg.l_bound small_leg;
-  let zp, zc =
-    match scale with
-    | Some pc -> pc
-    | None -> (Exp_scale.ports, Exp_scale.coflows)
-  in
+  let zp, zc = Option.value scale ~default:(Exp_scale.ports, Exp_scale.coflows) in
   let scale_inst = Exp_scale.instance ~ports:zp cfg ~coflows:zc in
-  let scale_contenders =
-    lp_free_contenders scale_inst
-    @ [ hlp_budgeted_contender ~lp_budget:scale_lp_budget scale_inst ]
+  let hlp_name, fallback, hlp_order =
+    Arena.budgeted_hlp ~lp_budget:Exp_scale.lp_budget scale_inst
   in
   let scale_leg =
-    run_leg ~jobs
+    Arena.isolation_leg ~id:"scale"
       ~label:(Printf.sprintf "E19 scale leg (%d ports, %d coflows)" zp zc)
-      ~gauge_prefix:"scale" ~bound_name:"sum w(r+rho)"
-      ~bound:(isolation_bound scale_inst)
-      scale_inst scale_contenders
+      ~net:(Switchsim.Net.single ~ports:zp)
+      scale_inst
+      (Arena.lp_free scale_inst
+      @ [ { (Arena.contender hlp_name (Baselines.greedy_policy hlp_order)) with
+            Arena.fallback
+          }
+        ])
   in
-  assert_ratios ~target_name:"best TWCT" ~target:(best_twct scale_leg)
-    scale_leg;
-  { small = small_leg; scale = scale_leg }
-
-let fmt_guarantee = function None -> "-" | Some g -> Printf.sprintf "%.2f" g
-
-let fmt_ratio r = if Float.is_nan r then "-" else Report.f4 r
-
-let render_leg leg =
-  Report.table
-    ~title:
-      (Printf.sprintf "%s — ranked vs %s = %.2f" leg.l_label leg.l_bound_name
-         leg.l_bound)
-    ~header:
-      [ "rank";
-        "algo";
-        "guar";
-        "TWCT";
-        "ratio";
-        "slots";
-        "mean C";
-        "p95 C";
-        "decisions";
-        "us/dec";
-        "seconds";
-      ]
-    (List.mapi
-       (fun i row ->
-         [ string_of_int (i + 1);
-           row.algo;
-           fmt_guarantee row.guarantee;
-           Report.f2 row.twct;
-           fmt_ratio row.ratio;
-           string_of_int row.slots;
-           Report.f2 row.mean_c;
-           string_of_int row.p95_c;
-           string_of_int row.decisions;
-           Printf.sprintf "%.1f" row.decision_us;
-           Printf.sprintf "%.3f" row.seconds;
-         ])
-       leg.l_rows)
-
-let render t =
-  render_leg t.small ^ "\n" ^ render_leg t.scale
-  ^ "note: ratios compare against each leg's lower bound (LP-EXP small, \
-     isolation bound at scale); guaranteed entries are asserted within \
-     their factors at run time.\n"
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
-
-let json_leg b leg =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"label\":\"%s\",\"ports\":%d,\"coflows\":%d,\"bound\":{\"name\":\"%s\",\"value\":%s},\"rows\":["
-       (json_escape leg.l_label) leg.l_ports leg.l_coflows
-       (json_escape leg.l_bound_name)
-       (json_float leg.l_bound));
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"rank\":%d,\"algo\":\"%s\",\"fallback\":%s,\"guarantee\":%s,\"twct\":%s,\"ratio\":%s,\"slots\":%d,\"mean_completion\":%s,\"p95_completion\":%d,\"decisions\":%d,\"decision_us\":%s,\"seconds\":%s}"
-           (i + 1) (json_escape row.algo)
-           (match row.fallback with
-           | None -> "null"
-           | Some f -> Printf.sprintf "\"%s\"" (json_escape f))
-           (match row.guarantee with
-           | None -> "null"
-           | Some g -> json_float g)
-           (json_float row.twct) (json_float row.ratio) row.slots
-           (json_float row.mean_c) row.p95_c row.decisions
-           (json_float row.decision_us)
-           (json_float row.seconds)))
-    leg.l_rows;
-  Buffer.add_string b "]}"
-
-let json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"experiment\":\"E19\",\"legs\":[";
-  json_leg b t.small;
-  Buffer.add_char b ',';
-  json_leg b t.scale;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  Arena.race ~jobs [ small_leg; { scale_leg with target = Arena.Best_twct } ]

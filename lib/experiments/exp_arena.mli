@@ -1,81 +1,31 @@
 (** E19: the algorithm arena — every scheduler in the repo raced on
-    shared seeds and ranked against a certified lower bound.
+    shared seeds and ranked against a certified lower bound, as two
+    {!Arena} legs.
 
-    Two legs:
-
-    - {b Small leg} (LP-EXP-sized, with release dates): the LP-free
-      contenders ({!Harness.lp_free_arena} — Shafiee–Ghaderi, Chen,
-      primal-dual, H_rho / H_size / H_A greedy), the paper's full
+    - {b Small leg} ([id "small"], LP-EXP-sized, with release dates):
+      the LP-free contenders ({!Arena.lp_free}), the paper's full
       [H_LP (d)] stack, and the slot-adaptive baselines (SEBF+MADD,
-      MaxWeight, round-robin), all measured against the time-indexed
-      LP-EXP lower bound.  The run {e asserts} that every
-      approximation-guaranteed entry keeps [TWCT / LP-EXP <= factor]
-      (stronger than the theorems, which bound against OPT — LP-EXP is
-      below OPT — but comfortably true in practice and a tight tripwire
-      for regressions).
-    - {b Scale leg} (the E18 instance, default 150 ports x 526
-      coflows): the LP-free contenders plus the budgeted [H_LP] — which
-      at this scale falls back to H_rho and is tagged
-      ["H_LP(fallback:H_rho)"] with {!row.fallback} set, never silently.
-      The bound is the isolation lower bound
-      [sum_k w_k (r_k + rho (D_k))] (cheap and certified, unlike the
-      LPs, which cannot run here); the run asserts every guaranteed
-      entry stays within [factor x best-TWCT], sound because the best
-      measured TWCT is itself an upper bound on OPT.
-
-    Each row carries a decision count and per-decision wall time,
-    published as [arena.<leg>.<algo>.decision_us] gauges (wall-time, so
-    informational in obs-diff). *)
-
-type row = {
-  algo : string;
-  fallback : string option;
-      (** substitute order actually used, as in {!Exp_scale.entry} *)
-  guarantee : float option;  (** proven (or claimed) approximation factor *)
-  twct : float;
-  ratio : float;  (** TWCT over the leg's lower bound; [nan] if bound 0 *)
-  slots : int;
-  mean_c : float;
-  p95_c : int;
-  decisions : int;  (** stepper invocations (batched or not) *)
-  decision_us : float;  (** wall microseconds per decision *)
-  seconds : float;
-}
-
-type leg = {
-  l_label : string;
-  l_ports : int;
-  l_coflows : int;
-  l_bound_name : string;
-  l_bound : float;
-  l_rows : row list;  (** ranked by ascending TWCT *)
-}
-
-type t = { small : leg; scale : leg }
+      MaxWeight, round-robin), ranked against the time-indexed LP-EXP
+      lower bound.  Guaranteed entries are asserted within
+      [factor x LP-EXP] (stronger than the theorems, which bound against
+      OPT — LP-EXP is below OPT — but comfortably true in practice and a
+      tight tripwire for regressions).
+    - {b Scale leg} ([id "scale"], the E18 instance, default 150 ports x
+      526 coflows): the LP-free contenders plus the budgeted H_LP of
+      {!Arena.budgeted_hlp}, which at this scale falls back to H_rho and
+      says so in its name and [fallback] field.  The bound is the
+      isolation bound [sum_k w_k (r_k + rho (D_k))]; guaranteed entries
+      are asserted within [factor x best-TWCT], sound because the best
+      measured TWCT is itself an upper bound on OPT. *)
 
 val run :
-  ?jobs:int ->
-  ?filter:int ->
-  ?small:int * int ->
-  ?scale:int * int ->
-  ?scale_lp_budget:int ->
-  Config.t ->
-  t
-(** [small] / [scale] are (ports, coflows) overrides — defaults
-    [(cfg.lpexp_ports, cfg.lpexp_coflows)] and
-    [({!Exp_scale.ports}, {!Exp_scale.coflows})]; tests shrink the scale
-    leg.  [scale_lp_budget] is the H_LP pivot budget on the scale leg
-    (default 2000, as in E18).  [filter] applies an M0 filter to the
-    small-leg instance before racing — an empty result makes every
-    completion set empty, and the first statistics call then raises an
-    [Invalid_argument] naming the algorithm and leg (see {!Core.Metrics}).
-    [jobs] distributes the per-algorithm simulations over domains.
-
-    @raise Failure when a ratio assertion fails, naming the algorithm,
-    measured ratio and permitted factor. *)
-
-val render : t -> string
-
-val json : t -> string
-(** The same content as {!render} as a single JSON object
-    ([{"experiment":"E19", "legs":[...]}]) for the CI artifact. *)
+  ?jobs:int -> ?filter:int -> ?scale:int * int -> Config.t -> Arena.leg list
+(** [[small; scale]].  The small leg is [cfg.lpexp_ports] x
+    [cfg.lpexp_coflows]; [scale] overrides the scale leg's (ports,
+    coflows), default [({!Exp_scale.ports}, {!Exp_scale.coflows})] — tests
+    shrink it.  The H_LP pivot budget is {!Exp_scale.lp_budget}.  [filter]
+    applies an M0 filter to the small-leg instance before racing — an
+    empty result makes the first statistics call raise an
+    [Invalid_argument] naming the algorithm and leg.  [jobs] distributes
+    the simulations over domains.
+    @raise Failure when an {!Arena.race} assertion fails. *)

@@ -4,20 +4,12 @@
     The Facebook cluster behind the paper's trace had a 10:1 core-to-rack
     oversubscription; the model (and this repo's other experiments) assume
     a non-blocking core.  This experiment sweeps the core capacity from
-    non-blocking down to 10:1 and measures how much the coflow schedule
-    degrades, using the capacity-aware greedy policy under the [H_rho]
-    priority. *)
+    non-blocking down to 10:1 — four {!Arena} legs on
+    {!Switchsim.Net.two_tier} with racks of [ports / 6] — and measures how
+    much greedy H_rho degrades.  The greedy sweep spends the core budget
+    only on inter-rack pairs, so rack-local traffic is never starved. *)
 
-type row = {
-  label : string;
-  core_capacity : int;
-  twct : float;
-  makespan : int;
-  utilization : float;
-}
-
-val run : ?jobs:int -> Config.t -> row list
-(** [jobs] (default 1) runs the sweep points on that many domains via
-    {!Core.Engine.run_many}; rows are identical at any job count. *)
-
-val render : ?jobs:int -> Config.t -> string
+val run : ?jobs:int -> Config.t -> Arena.leg list
+(** One single-contender leg per core capacity, labelled
+    ["non-blocking"], ["2:1 oversubscribed"], ["4:1 oversubscribed"],
+    ["10:1 oversubscribed"]; identical at any [jobs]. *)

@@ -17,12 +17,9 @@ let instance (cfg : Config.t) =
   let cfg =
     { cfg with Config.ports = min cfg.Config.ports 14; coflows = min cfg.Config.coflows 100 }
   in
-  let inst =
-    Instance.filter_m0 (Harness.base_instance cfg) (max 2 (cfg.Config.ports / 3))
-  in
-  let n = Instance.num_coflows inst in
-  let st = Random.State.make [| cfg.Config.seed; 0xFA17 |] in
-  Instance.with_weights inst (Weights.random_permutation st n)
+  Harness.random_weights cfg ~salt:0xFA17
+    (Instance.filter_m0 (Harness.base_instance cfg)
+       (max 2 (cfg.Config.ports / 3)))
 
 (* Fault windows are drawn against the expected busy span of the schedule,
    not the naive horizon (max release + total units), which is a factor

@@ -1,58 +1,23 @@
 (** E21: heterogeneous multi-fabric arena — the LP-free contenders plus
     {!Core.Chen_hetero} raced over [k] parallel fabrics ([k] in 1, 2, 4)
-    with rate skews 1:1, 4:1 and 10:1, each leg ranked against the
+    with rate skews 1:1, 4:1 and 10:1, seven {!Arena} legs labelled
+    ["k=1"], ["k=2 1:1"], ..., ["k=4 10:1"], each ranked against the
     rate-aware isolation lower bound
 
     {v sum_k w_k (r_k + ceil (rho (D_k) / S)),   S = sum of fabric rates v}
 
     (every coflow still needs [rho / S] slots alone on its bottleneck
-    port once released, whatever the routing).  The run {e asserts} that
-    no policy beats the bound on any leg.
+    port once released, whatever the routing).
 
-    A final fault leg takes the {e fast} fabric of a 4:1 two-fabric net
-    down mid-run ({!Faults.Fault_plan.Fabric_down}) and drains the
-    residual through {!Core.Resilient} on the surviving fabric: the run
-    asserts completion, a clean independent audit
-    ({!Faults.Audit.check} with per-fabric constraints), re-planning at
-    both outage boundaries, and that no slot inside the outage window
-    routed anything over the dead fabric. *)
+    An eighth, fault leg takes the {e fast} fabric of a 4:1 two-fabric
+    net down mid-run ({!Faults.Fault_plan.Fabric_down}) and drains the
+    residual through {!Core.Resilient} on the surviving fabric.  Its
+    verdicts are the leg's checks: [completed], [audit_ok] (a clean
+    independent {!Faults.Audit.check} with per-fabric constraints),
+    [outage_clean] (no slot inside the window routed anything over the
+    dead fabric), [served_during_outage], and re-planning at both outage
+    boundaries (the check name carries the replan count). *)
 
-type row = {
-  algo : string;
-  twct : float;
-  ratio : float;  (** TWCT over the leg's rate-aware isolation bound *)
-  slots : int;
-  seconds : float;
-}
-
-type leg = {
-  l_label : string;
-  l_rates : int list;  (** per-fabric rates, fabric 0 first *)
-  l_bound : float;
-  l_rows : row list;  (** ranked by ascending TWCT *)
-}
-
-type fault_result = {
-  f_window : int * int;  (** outage interval [from, until) *)
-  f_twct : float;
-  f_slots : int;
-  f_replans : int;
-  f_completed : bool;
-  f_audit_ok : bool;
-  f_outage_clean : bool;
-      (** no transfer inside the window rode the downed fabric *)
-  f_served_during_outage : bool;
-      (** the surviving fabric kept moving data inside the window *)
-}
-
-type t = { legs : leg list; fault : fault_result }
-
-val run : ?jobs:int -> Config.t -> t
-(** @raise Failure when a policy beats a leg's lower bound or the fault
-    leg fails any of its certification checks. *)
-
-val render : t -> string
-
-val json : t -> string
-(** [{"experiment":"E21", "legs":[...], "fault":{...}}] for the CI
-    artifact re-check. *)
+val run : ?jobs:int -> Config.t -> Arena.leg list
+(** @raise Failure when a policy beats a leg's lower bound or a fault-leg
+    check fails. *)

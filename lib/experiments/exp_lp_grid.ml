@@ -1,4 +1,3 @@
-open Workload
 open Core
 
 type row = {
@@ -13,11 +12,8 @@ type row = {
 
 let default_bases = [ 1.2; 1.5; 2.0; 3.0; 4.0 ]
 
-let workload (cfg : Config.t) =
-  let inst = Instance.filter_m0 (Harness.base_instance cfg) (List.nth cfg.Config.filters 0) in
-  let n = Instance.num_coflows inst in
-  let st = Random.State.make [| cfg.Config.seed; 0x96D |] in
-  Instance.with_weights inst (Weights.random_permutation st n)
+let workload cfg =
+  Harness.random_weights cfg ~salt:0x96D (Harness.first_filter cfg)
 
 let run ?(jobs = 1) ?(bases = default_bases) cfg =
   let inst = workload cfg in

@@ -12,9 +12,7 @@ let run ?(jobs = 1) (cfg : Config.t) =
       st
   in
   let inst = Instance.filter_m0 inst (List.nth cfg.Config.filters 0 / 2) in
-  let n = Instance.num_coflows inst in
-  let wst = Random.State.make [| cfg.Config.seed; 0x0A2 |] in
-  let inst = Instance.with_weights inst (Weights.random_permutation wst n) in
+  let inst = Harness.random_weights cfg ~salt:0x0A2 inst in
   let weights = Instance.weights inst in
   let releases = Instance.releases inst in
   let row name (r : Scheduler.result) =

@@ -39,13 +39,7 @@ let schedule_with_estimates inst estimated order_of =
   (Scheduler.run_grouped ~backfill:true inst groups).Scheduler.twct
 
 let run ?(noise_levels = [ 0.0; 0.5; 1.0; 3.0 ]) (cfg : Config.t) =
-  let inst =
-    Instance.filter_m0 (Harness.base_instance cfg)
-      (List.nth cfg.Config.filters 0)
-  in
-  let n = Instance.num_coflows inst in
-  let wst = Random.State.make [| cfg.Config.seed; 0x0B5 |] in
-  let inst = Instance.with_weights inst (Weights.random_permutation wst n) in
+  let inst = Harness.random_weights cfg ~salt:0x0B5 (Harness.first_filter cfg) in
   let hrho estimated = Ordering.by_load_over_weight estimated in
   let hlp estimated = Ordering.by_lp (Lp_relax.solve_interval estimated) in
   let base_hrho = schedule_with_estimates inst inst hrho in

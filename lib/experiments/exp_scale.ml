@@ -15,49 +15,20 @@ let coflows = 526
 
 let stretch_factor = 10
 
-type entry = {
-  order_name : string;
-  fallback : string option;
-      (** [Some order] when this row actually ran under a substitute
-          order (today: HLP rows under H_rho after LP budget
-          exhaustion); the substitute is also baked into [order_name]
-          (["HLP(fallback:Hrho)"]) so no table or JSON downstream can
-          attribute the numbers to the nominal algorithm *)
-  case : Scheduler.case;
-  twct : float;
-  slots : int;
-  matchings : int;
-  seconds : float;
-}
-
 type ab = {
   ab_label : string;
   ab_slots : int;
   unbatched_s : float;
   batched_s : float;
-  speedup : float;  (** unbatched wall time over batched wall time *)
-  batched_slots_per_sec : float;
-  decisions : int;  (** policy decisions the batched run needed *)
+  decisions : int;  (* policy decisions the batched run needed *)
 }
 
-type stretch_row = {
-  st_coflows : int;
-  st_twct : float;
-  st_slots : int;
-  st_seconds : float;
-  st_slots_per_sec : float;
-}
+type t = { legs : Arena.leg list; ab : ab list }
 
-type t = {
-  t_ports : int;
-  t_coflows : int;
-  lp_note : string option;
-      (** set when the HLP solve exhausted its pivot budget and the HLP
-          rows fell back to the H_rho order *)
-  grid : entry list;  (** 12 rows: {HA, Hrho, HLP} x {a, b, c, d} *)
-  ab : ab list;
-  stretch : stretch_row option;
-}
+let legs t = t.legs
+
+let per_sec slots seconds =
+  if seconds > 0.0 then float_of_int slots /. seconds else Float.infinity
 
 let g_batched_tp = Obs.Counter.Gauge.make "scale.batched_slots_per_sec"
 
@@ -76,65 +47,50 @@ let instance ?(ports = ports) (cfg : Config.t) ~coflows =
    coflows the interval LP has ~13k variables and a revised-simplex pivot
    costs milliseconds, so a full solve is far outside a CI budget; the
    budget is set to trip in a few seconds and the HLP rows then reuse
-   H_rho — the same degradation the resilient chain applies — with the
-   report carrying a note.  A future warm-started or decomposed solver
-   can raise this without touching the experiment. *)
+   H_rho — the same degradation the resilient chain applies — tagged in
+   the row names.  A future warm-started or decomposed solver can raise
+   this without touching the experiment. *)
 let lp_budget = 2_000
-
-let solve_order ~lp_budget inst =
-  match Lp_relax.solve_interval ~max_iterations:lp_budget inst with
-  | lp -> (Ordering.by_lp lp, None)
-  | exception Failure msg ->
-    ( Ordering.by_load_over_weight inst,
-      Some
-        (Printf.sprintf
-           "HLP order fell back to H_rho: LP budget (%d pivots) exhausted \
-            (%s)"
-           lp_budget msg) )
 
 let run ?(stretch = false) ?(jobs = 1) ?ports:(ports' = ports)
     ?(coflows = coflows) ?(lp_budget = lp_budget) (cfg : Config.t) =
   Obs.Span.with_ "exp.scale" @@ fun () ->
+  let net = Switchsim.Net.single ~ports:ports' in
+  let leg id label inst =
+    Arena.isolation_leg ~id ~net inst
+      ~label:
+        (Printf.sprintf "%s (%d ports, %d coflows)" label ports'
+           (Instance.num_coflows inst))
+  in
   let inst = instance ~ports:ports' cfg ~coflows in
-  let hlp_order, lp_note = solve_order ~lp_budget inst in
-  (* a fallback must be visible in the row label itself, not only in the
-     prose note: downstream ratio tables select rows by [order_name] *)
-  let hlp_name, hlp_fallback =
-    match lp_note with
-    | None -> ("HLP", None)
-    | Some _ -> ("HLP(fallback:Hrho)", Some "Hrho")
-  in
-  let orders =
-    [ ("HA", None, Ordering.arrival inst);
-      ("Hrho", None, Ordering.by_load_over_weight inst);
-      (hlp_name, hlp_fallback, hlp_order);
-    ]
-  in
+  let hlp_name, fallback, hlp_order = Arena.budgeted_hlp ~lp_budget inst in
+  let hrho = Ordering.by_load_over_weight inst in
   (* the 12-entry grid, batched; independent simulations, one job each *)
   let grid =
-    Engine.run_many ~jobs
+    leg "grid" "E18 scale grid" inst
       (List.concat_map
-         (fun (order_name, fallback, order) ->
+         (fun (name, fallback, order) ->
            List.map
-             (fun case () ->
-               let r = Scheduler.run ~case inst order in
-               { order_name;
-                 fallback;
-                 case;
-                 twct = r.Engine.twct;
-                 slots = r.Engine.slots;
-                 matchings = r.Engine.matchings;
-                 seconds = r.Engine.seconds;
+             (fun case ->
+               { (Arena.contender
+                    (Printf.sprintf "%s (%s)" name (Scheduler.case_name case))
+                    (Scheduler.case_policy ~case inst order))
+                 with
+                 Arena.fallback
                })
              Scheduler.all_cases)
-         orders)
+         [ ("H_A", None, Ordering.arrival inst);
+           ("H_rho", None, hrho);
+           (hlp_name, fallback, hlp_order);
+         ])
   in
+  let grid = Arena.race ~jobs [ grid ] in
   (* A/B: same policy, batch on vs off, sequentially (wall-clock must not
      share cores).  Greedy H_rho exercises Policy.of_priority's batcher;
      case (d) exercises the scheduler's BvN-queue batcher. *)
-  let hrho = Ordering.by_load_over_weight inst in
   let ab_specs =
-    [ ("greedy H_rho", fun batch -> Baselines.(Engine.run ~batch inst (greedy_policy hrho)));
+    [ ("greedy H_rho",
+       fun batch -> Engine.run ~batch inst (Baselines.greedy_policy hrho));
       ("grouped H_rho (d)",
        fun batch -> Scheduler.run ~case:Scheduler.Group_backfill ~batch inst hrho);
     ]
@@ -149,117 +105,57 @@ let run ?(stretch = false) ?(jobs = 1) ?ports:(ports' = ports)
         let decisions = Obs.Counter.value batch_steps - d0 in
         assert (batched.Engine.twct = unbatched.Engine.twct);
         assert (batched.Engine.slots = unbatched.Engine.slots);
-        let speedup =
-          if batched.Engine.seconds > 0.0 then
-            unbatched.Engine.seconds /. batched.Engine.seconds
-          else Float.infinity
-        in
-        let batched_slots_per_sec =
-          if batched.Engine.seconds > 0.0 then
-            float_of_int batched.Engine.slots /. batched.Engine.seconds
-          else Float.infinity
-        in
         if batched.Engine.seconds > 0.0 then
-          Obs.Counter.Gauge.set g_batched_tp batched_slots_per_sec;
+          Obs.Counter.Gauge.set g_batched_tp
+            (per_sec batched.Engine.slots batched.Engine.seconds);
         if unbatched.Engine.seconds > 0.0 then
           Obs.Counter.Gauge.set g_unbatched_tp
-            (float_of_int unbatched.Engine.slots /. unbatched.Engine.seconds);
+            (per_sec unbatched.Engine.slots unbatched.Engine.seconds);
         { ab_label;
           ab_slots = batched.Engine.slots;
           unbatched_s = unbatched.Engine.seconds;
           batched_s = batched.Engine.seconds;
-          speedup;
-          batched_slots_per_sec;
           decisions;
         })
       ab_specs
   in
+  (* the stretch runs alone, after the A/B, so its throughput is honest *)
   let stretch =
-    if not stretch then None
-    else begin
-      let n = coflows * stretch_factor in
-      let big = instance ~ports:ports' cfg ~coflows:n in
-      let order = Ordering.by_load_over_weight big in
-      let r = Baselines.(Engine.run big (greedy_policy order)) in
-      Some
-        { st_coflows = n;
-          st_twct = r.Engine.twct;
-          st_slots = r.Engine.slots;
-          st_seconds = r.Engine.seconds;
-          st_slots_per_sec =
-            (if r.Engine.seconds > 0.0 then
-               float_of_int r.Engine.slots /. r.Engine.seconds
-             else Float.infinity);
-        }
-    end
+    if not stretch then []
+    else
+      let big = instance ~ports:ports' cfg ~coflows:(coflows * stretch_factor) in
+      Arena.race ~jobs:1
+        [ leg "stretch"
+            (Printf.sprintf "E18 stretch: %dx the paper's coflow count"
+               stretch_factor)
+            big
+            [ Arena.contender "H_rho"
+                (Baselines.greedy_policy (Ordering.by_load_over_weight big))
+            ];
+        ]
   in
-  { t_ports = ports'; t_coflows = coflows; lp_note; grid; ab; stretch }
+  { legs = grid @ stretch; ab }
 
-let render ?stretch ?jobs ?ports ?coflows ?lp_budget cfg =
-  let t = run ?stretch ?jobs ?ports ?coflows ?lp_budget cfg in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Report.table
-       ~title:
-         (Printf.sprintf
-            "E18 scale grid: %d ports, %d coflows (paper scale), batched \
-             event-driven simulator"
-            t.t_ports t.t_coflows)
-       ~header:[ "order"; "case"; "TWCT"; "slots"; "matchings"; "seconds" ]
-       (List.map
-          (fun e ->
-            [ e.order_name;
-              Scheduler.case_name e.case;
-              Report.f2 e.twct;
-              string_of_int e.slots;
-              string_of_int e.matchings;
-              Printf.sprintf "%.3f" e.seconds;
-            ])
-          t.grid));
-  (match t.lp_note with
-  | Some note -> Buffer.add_string b (Printf.sprintf "note: %s\n" note)
-  | None -> ());
-  Buffer.add_char b '\n';
-  Buffer.add_string b
-    (Report.table
-       ~title:
-         "E18 A/B: event-driven batching vs slot-by-slot (identical \
-          schedules, wall clock only)"
-       ~header:
-         [ "policy";
-           "slots";
-           "decisions";
-           "slot-by-slot (s)";
-           "batched (s)";
-           "speedup";
-           "batched slots/sec";
-         ]
-       (List.map
-          (fun a ->
-            [ a.ab_label;
-              string_of_int a.ab_slots;
-              string_of_int a.decisions;
-              Printf.sprintf "%.3f" a.unbatched_s;
-              Printf.sprintf "%.3f" a.batched_s;
-              Printf.sprintf "%.1fx" a.speedup;
-              Printf.sprintf "%.0f" a.batched_slots_per_sec;
-            ])
-          t.ab));
-  (match t.stretch with
-  | None -> ()
-  | Some s ->
-    Buffer.add_char b '\n';
-    Buffer.add_string b
-      (Report.table
-         ~title:
-           (Printf.sprintf "E18 stretch: %dx the paper's coflow count"
-              stretch_factor)
-         ~header:[ "coflows"; "TWCT"; "slots"; "seconds"; "slots/sec" ]
-         [ [ string_of_int s.st_coflows;
-             Report.f2 s.st_twct;
-             string_of_int s.st_slots;
-             Printf.sprintf "%.3f" s.st_seconds;
-             Printf.sprintf "%.0f" s.st_slots_per_sec;
-           ]
-         ]));
-  Buffer.contents b
+let render t =
+  Arena.render t.legs ^ "\n"
+  ^ Report.table
+      ~title:
+        "E18 A/B: event-driven batching vs slot-by-slot (identical \
+         schedules, wall clock only)"
+      ~header:
+        [ "policy"; "slots"; "decisions"; "slot-by-slot (s)"; "batched (s)";
+          "speedup"; "batched slots/sec";
+        ]
+      (List.map
+         (fun a ->
+           [ a.ab_label;
+             string_of_int a.ab_slots;
+             string_of_int a.decisions;
+             Printf.sprintf "%.3f" a.unbatched_s;
+             Printf.sprintf "%.3f" a.batched_s;
+             Printf.sprintf "%.1fx"
+               (if a.batched_s > 0.0 then a.unbatched_s /. a.batched_s
+                else Float.infinity);
+             Printf.sprintf "%.0f" (per_sec a.ab_slots a.batched_s);
+           ])
+         t.ab)

@@ -1,71 +1,37 @@
 (** E18: the paper's evaluation scale — 150 ports, 526 coflows.
 
     Runs the full 12-algorithm grid ({H_A, H_rho, H_LP} x cases (a)-(d))
-    on an fb-like trace at exactly the paper's scale, which the dense
-    slot-by-slot simulator could not reach, and measures the win of the
-    sparse event-driven fabric directly: every grid row reports wall-clock
-    seconds, and an A/B section re-runs representative policies with
-    batching forced off on the same instance — same TWCT, slots and
-    matchings (asserted), only the wall clock differs.  The measured
-    batched throughput is published on the [scale.batched_slots_per_sec] /
-    [scale.unbatched_slots_per_sec] gauges (informational in obs-diff,
-    like all wall-time metrics).
+    on an fb-like trace at exactly the paper's scale as one {!Arena} leg
+    ([id "grid"], ranked against the isolation bound), and measures the
+    win of the sparse event-driven fabric directly: an A/B section re-runs
+    representative policies with batching forced off on the same
+    instance — same TWCT and slots (asserted), only the wall clock
+    differs.  The measured batched throughput is published on the
+    [scale.batched_slots_per_sec] / [scale.unbatched_slots_per_sec] gauges
+    (informational in obs-diff, like all wall-time metrics).
 
-    The H_LP order runs under a fixed deterministic pivot budget; if the
-    solve exhausts it the HLP rows fall back to H_rho and the report
-    carries a note — the experiment always completes.  Fallback rows are
-    also tagged structurally: their [order_name] becomes
-    ["HLP(fallback:Hrho)"] and [entry.fallback] names the substitute, so
-    downstream consumers (the E19 arena's ratio tables in particular)
-    can never mistake H_rho numbers for H_LP.
+    The H_LP order comes from {!Arena.budgeted_hlp} under a fixed
+    deterministic pivot budget; when the solve exhausts it the H_LP rows
+    run H_rho and are named ["H_LP(fallback:H_rho) (a)"] etc. with
+    [fallback = Some "H_rho"] — the experiment always completes and never
+    attributes H_rho numbers to H_LP.
 
-    The [stretch] flag adds a 10x-coflow-count run (5260 coflows, batched
-    greedy) — the scale the millions-of-coflows soak roadmap item needs. *)
+    The [stretch] flag adds a 10x-coflow-count leg (5260 coflows, batched
+    greedy H_rho, raced alone after the A/B) — the scale the
+    millions-of-coflows soak roadmap item needs. *)
 
 val ports : int
 
 val coflows : int
 
-val stretch_factor : int
+type t
 
-type entry = {
-  order_name : string;
-      (** ["HA"] | ["Hrho"] | ["HLP"] | ["HLP(fallback:Hrho)"] *)
-  fallback : string option;
-      (** the order actually used when the nominal one was unavailable *)
-  case : Core.Scheduler.case;
-  twct : float;
-  slots : int;
-  matchings : int;
-  seconds : float;
-}
+val legs : t -> Arena.leg list
+(** The 12-row grid leg ({H_A, H_rho, H_LP} x {a, b, c, d}, id ["grid"]),
+    then the greedy H_rho stretch leg (id ["stretch"]) when it ran. *)
 
-type ab = {
-  ab_label : string;
-  ab_slots : int;
-  unbatched_s : float;
-  batched_s : float;
-  speedup : float;  (** unbatched wall time over batched wall time *)
-  batched_slots_per_sec : float;
-  decisions : int;  (** policy decisions the batched run needed *)
-}
-
-type stretch_row = {
-  st_coflows : int;
-  st_twct : float;
-  st_slots : int;
-  st_seconds : float;
-  st_slots_per_sec : float;
-}
-
-type t = {
-  t_ports : int;
-  t_coflows : int;
-  lp_note : string option;
-  grid : entry list;
-  ab : ab list;
-  stretch : stretch_row option;
-}
+val lp_budget : int
+(** The H_LP pivot budget (2000), shared with the E19 scale leg. *)
 
 val instance : ?ports:int -> Config.t -> coflows:int -> Workload.Instance.t
 (** The paper-scale fb-like instance (deterministic in the seed;
@@ -87,11 +53,4 @@ val run :
     {!coflows}, 2000 pivots); tests shrink them to exercise both the
     full-solve and the budget-exhausted fallback paths cheaply. *)
 
-val render :
-  ?stretch:bool ->
-  ?jobs:int ->
-  ?ports:int ->
-  ?coflows:int ->
-  ?lp_budget:int ->
-  Config.t ->
-  string
+val render : t -> string

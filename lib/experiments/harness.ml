@@ -25,6 +25,14 @@ let base_instance (cfg : Config.t) =
   let st = Random.State.make [| cfg.Config.seed |] in
   Fb_like.generate ~ports:cfg.Config.ports ~coflows:cfg.Config.coflows st
 
+let first_filter (cfg : Config.t) =
+  Instance.filter_m0 (base_instance cfg) (List.nth cfg.Config.filters 0)
+
+let random_weights (cfg : Config.t) ~salt inst =
+  let st = Random.State.make [| cfg.Config.seed; salt |] in
+  Instance.with_weights inst
+    (Weights.random_permutation st (Instance.num_coflows inst))
+
 let block ?warm_start cfg ~filter ~weighting =
   Obs.Span.with_ "harness.block" @@ fun () ->
   let inst = Instance.filter_m0 (base_instance cfg) filter in
@@ -106,16 +114,3 @@ let normalized b entry =
 let lp_ratio b ~order case =
   let bound = b.lp.Lp_relax.lower_bound in
   if bound <= 0.0 then infinity else twct b ~order case /. bound
-
-(* The LP-free ordering-based contenders of the algorithm arena (E19),
-   all under the greedy backfilled list schedule so decision-time gauges
-   compare like with like.  SG and Chen carry proven (resp. claimed)
-   approximation factors; the rest are heuristics. *)
-let lp_free_arena inst =
-  [ ("SG", Some (Shafiee.guarantee_for inst), Shafiee.policy inst);
-    ("Chen", Some (Chen.guarantee_for inst), Chen.policy inst);
-    ("H_pd", None, Baselines.greedy_policy (Primal_dual.order inst));
-    ("H_rho", None, Baselines.greedy_policy (Ordering.by_load_over_weight inst));
-    ("H_size", None, Baselines.greedy_policy (Ordering.by_total_size inst));
-    ("H_A", None, Baselines.greedy_policy (Ordering.arrival inst));
-  ]

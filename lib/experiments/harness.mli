@@ -27,6 +27,14 @@ val base_instance : Config.t -> Workload.Instance.t
 (** The unfiltered fb-like trace for this configuration (deterministic in
     the seed). *)
 
+val first_filter : Config.t -> Workload.Instance.t
+(** {!base_instance} under the configuration's first M0 filter. *)
+
+val random_weights :
+  Config.t -> salt:int -> Workload.Instance.t -> Workload.Instance.t
+(** Paper-style random-permutation weights drawn from
+    [[| cfg.seed; salt |]]. *)
+
 val block :
   ?warm_start:Core.Lp_relax.warm_hints ->
   Config.t ->
@@ -57,12 +65,3 @@ val normalized : block -> entry -> float
 val lp_ratio : block -> order:string -> Core.Scheduler.case -> float
 (** TWCT over the LP lower bound (an upper bound on the true approximation
     ratio). *)
-
-val lp_free_arena :
-  Workload.Instance.t -> (string * float option * Core.Policy.t) list
-(** The LP-free ordering-based contenders of the algorithm arena (E19):
-    [(label, proven approximation factor if any, policy)].  All run the
-    greedy backfilled list schedule over their respective orders —
-    Shafiee–Ghaderi ([SG], factor 5 / 4), Chen ([Chen], claimed
-    4.36 / 3.61), the primal-dual order ([H_pd]), and the [H_rho] /
-    [H_size] / [H_A] heuristics. *)

@@ -31,9 +31,7 @@ let tier_slot_counts t =
    violation surfaces at the offending slot instead of at end-of-run, and
    the auditor's memory stays O(ports) no matter how long the run is. *)
 type checker = {
-  c_ports : int;
-  c_fabrics : int;
-  c_topo : Fabric.topology option;
+  c_net : Net.t;
   c_plan : Fault_plan.t;
   c_src : bool array;  (* scratch, fabric-major: ingress claims this slot *)
   c_dst : bool array;
@@ -42,16 +40,16 @@ type checker = {
   mutable c_error : string option;  (* first violation, sticky *)
 }
 
-let checker ?topo ?(fabrics = 1) ?(start_slot = 0) ~plan ~ports () =
+let checker ?net ?(start_slot = 0) ~plan ~ports () =
   if ports <= 0 then invalid_arg "Audit.checker: ports must be positive";
-  if fabrics < 1 then invalid_arg "Audit.checker: fabrics must be positive";
   if start_slot < 0 then invalid_arg "Audit.checker: negative start slot";
-  { c_ports = ports;
-    c_fabrics = fabrics;
-    c_topo = topo;
+  let net = match net with Some n -> n | None -> Net.single ~ports in
+  if Net.ports net <> ports then
+    invalid_arg "Audit.checker: net port count mismatch";
+  { c_net = net;
     c_plan = plan;
-    c_src = Array.make (fabrics * ports) false;
-    c_dst = Array.make (fabrics * ports) false;
+    c_src = Array.make (Net.k net * ports) false;
+    c_dst = Array.make (Net.k net * ports) false;
     c_base_slot = start_slot;
     c_next = 0;
     c_error = None;
@@ -65,7 +63,7 @@ let feed c { transfers; _ } =
   match c.c_error with
   | Some e -> Error e
   | None ->
-    let ports = c.c_ports and kf = c.c_fabrics in
+    let ports = Net.ports c.c_net and kf = Net.k c.c_net in
     let s = c.c_base_slot + c.c_next in
     c.c_next <- c.c_next + 1;
     Array.fill c.c_src 0 (kf * ports) false;
@@ -115,19 +113,7 @@ let feed c { transfers; _ } =
     let verdict =
       match matching_ok with
       | Error _ as e -> e
-      | Ok () ->
-        let capacity =
-          let base =
-            match c.c_topo with
-            | Some tp -> tp.Fabric.core_capacity
-            | None -> kf * ports
-          in
-          match Fault_plan.core_capacity c.c_plan ~slot:s with
-          | Some cap -> min base cap
-          | None -> base
-        in
-        Injector.check_slot ?topo:c.c_topo ~plan:c.c_plan ~ports ~capacity
-          ~slot:s transfers
+      | Ok () -> Injector.check_slot ~net:c.c_net ~plan:c.c_plan ~slot:s transfers
     in
     (match verdict with Error e -> c.c_error <- Some e | Ok () -> ());
     verdict
@@ -154,8 +140,8 @@ let rec feed_many c record ~slots:n =
     | Ok () -> feed_many c record ~slots:(n - 1)
   end
 
-let check ?topo ?fabrics ~plan t =
-  let c = checker ?topo ?fabrics ~plan ~ports:t.ports () in
+let check ?net ~plan t =
+  let c = checker ?net ~plan ~ports:t.ports () in
   Array.fold_left
     (fun acc record -> match acc with Error _ -> acc | Ok () -> feed c record)
     (Ok ()) t.slots

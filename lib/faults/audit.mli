@@ -31,17 +31,14 @@ val tier_slot_counts : t -> (string * int) list
 (** How many slots each tier served, sorted by tier name. *)
 
 val check :
-  ?topo:Switchsim.Fabric.topology ->
-  ?fabrics:int ->
-  plan:Fault_plan.t ->
-  t ->
-  (unit, string) result
-(** Certify the log against the plan: per-slot matching constraints plus
-    every fault constraint.  On a multi-fabric log pass [fabrics] (default
-    [1]) so port exclusivity is checked per fabric, fabric indices are
-    bounded, and no (coflow, src, dst) entry is served on two fabrics in
-    one slot.  [Error] carries the first violation with its slot
-    number. *)
+  ?net:Switchsim.Net.t -> plan:Fault_plan.t -> t -> (unit, string) result
+(** Certify the log against the plan on [net] (default
+    {!Switchsim.Net.single}): per-slot matching constraints plus every
+    fault constraint.  On a multi-fabric net port exclusivity is checked
+    per fabric, fabric indices are bounded, and no (coflow, src, dst)
+    entry may be served on two fabrics in one slot; on an oversubscribed
+    fabric only core-crossing transfers count against a degraded core.
+    [Error] carries the first violation with its slot number. *)
 
 (** {2 Incremental certification}
 
@@ -56,8 +53,7 @@ val check :
 type checker
 
 val checker :
-  ?topo:Switchsim.Fabric.topology ->
-  ?fabrics:int ->
+  ?net:Switchsim.Net.t ->
   ?start_slot:int ->
   plan:Fault_plan.t ->
   ports:int ->
@@ -65,10 +61,9 @@ val checker :
   checker
 (** [start_slot] (default 0) is the plan-time of the first record fed —
     an epoch-based service audits each epoch against the epoch's plan
-    starting at the epoch's first slot.  [fabrics] (default [1]) as in
-    {!check}.
-    @raise Invalid_argument on non-positive ports, fabrics or negative
-    start slot. *)
+    starting at the epoch's first slot.  [net] as in {!check}.
+    @raise Invalid_argument on non-positive ports, a negative start slot,
+    or a net over a different port count. *)
 
 val feed : checker -> slot_record -> (unit, string) result
 (** Certify the next slot.  [Error] carries the first violation (this

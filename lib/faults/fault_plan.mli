@@ -3,9 +3,9 @@
     A plan is a list of timed events describing runtime degradation of the
     [m x m] switch and of the workload information the scheduler relies on:
     port outages, per-link slowdowns, core-capacity degradation (see
-    {!Switchsim.Fabric}), straggler coflows whose remaining demand inflates
-    mid-run, delayed releases, and solver outages that knock out tiers of
-    the scheduling stack.
+    {!Faults.Injector.effective_capacity}), straggler coflows whose
+    remaining demand inflates mid-run, delayed releases, and solver
+    outages that knock out tiers of the scheduling stack.
 
     Slot indexing matches [Switchsim.Simulator.now] {e before} a step: an
     event with interval [[from_, until)] affects exactly the slots whose
@@ -25,9 +25,10 @@ type event =
       (** Link [(src, dst)] carries at most one unit every [period >= 2]
           slots (usable only when [slot mod period = 0]). *)
   | Core_degraded of { from_ : int; until : int; capacity : int }
-      (** The fabric core carries at most [capacity] transfers per slot:
-          inter-rack transfers when a {!Switchsim.Fabric.topology} is in
-          play, all transfers otherwise (aggregate switch degradation). *)
+      (** The core carries at most [capacity] transfers per slot:
+          inter-rack transfers on an oversubscribed
+          ({!Switchsim.Net.two_tier}) fabric, every transfer on a
+          non-blocking one (aggregate switch degradation). *)
   | Straggler of { coflow : int; at : int; factor : int }
       (** At slot [at], the remaining demand of [coflow] is multiplied by
           [factor >= 2] (skipped if the coflow already completed). *)

@@ -2,7 +2,6 @@ open Switchsim
 
 type t = {
   plan : Fault_plan.t;
-  topo : Fabric.topology option;
   sim : Simulator.t;
   stragglers : (int * int * int) array; (* (at, coflow, factor), by slot *)
   mutable next_straggler : int;
@@ -17,22 +16,33 @@ let pair_ok t ~slot ~src ~dst =
   && (not (Fault_plan.port_down t.plan ~slot dst))
   && Fault_plan.link_usable t.plan ~slot ~src ~dst
 
-let counts_toward_core t tr =
-  match t.topo with Some topo -> Fabric.crosses_core topo tr | None -> true
+(* A degraded core caps inter-rack transfers on an oversubscribed fabric
+   and every transfer on a non-blocking one (aggregate switch
+   degradation); the undegraded budget sums the fabrics' own caps. *)
+let core_counts net ~fabric ~src ~dst =
+  match Net.core_capacity net fabric with
+  | None -> true
+  | Some _ -> Net.crosses_core net ~fabric ~src ~dst
+
+let capacity ~net ~plan ~slot =
+  let base = ref 0 in
+  for f = 0 to Net.k net - 1 do
+    base :=
+      !base
+      + match Net.core_capacity net f with Some c -> c | None -> Net.ports net
+  done;
+  match Fault_plan.core_capacity plan ~slot with
+  | Some c -> min !base c
+  | None -> !base
 
 let effective_capacity t ~slot =
-  let base =
-    match t.topo with
-    | Some topo -> topo.Fabric.core_capacity
-    | None -> Simulator.num_fabrics t.sim * Simulator.ports t.sim
-  in
-  match Fault_plan.core_capacity t.plan ~slot with
-  | Some c -> min base c
-  | None -> base
+  capacity ~net:(Simulator.net t.sim) ~plan:t.plan ~slot
 
 (* Shared by the simulator's validate hook and by {!Audit.check}: the fault
    constraints one slot must satisfy, independent of demand state. *)
-let check_slot ?topo ~plan ~ports ~capacity ~slot transfers =
+let check_slot ~net ~plan ~slot transfers =
+  let ports = Net.ports net in
+  let capacity = capacity ~net ~plan ~slot in
   let rec scan used = function
     | [] -> if used > capacity then
         Error
@@ -40,9 +50,11 @@ let check_slot ?topo ~plan ~ports ~capacity ~slot transfers =
              "slot %d: %d transfers exceed degraded capacity %d" slot used
              capacity)
       else Ok ()
-    | ({ Simulator.src; dst; fabric; _ } as tr) :: rest ->
+    | { Simulator.src; dst; fabric; _ } :: rest ->
       if src < 0 || src >= ports || dst < 0 || dst >= ports then
         Error (Printf.sprintf "slot %d: port out of range %d->%d" slot src dst)
+      else if fabric < 0 || fabric >= Net.k net then
+        Error (Printf.sprintf "slot %d: fabric %d out of range" slot fabric)
       else if Fault_plan.fabric_down plan ~slot fabric then
         Error (Printf.sprintf "slot %d: fabric %d is down" slot fabric)
       else if Fault_plan.port_down plan ~slot src then
@@ -54,30 +66,13 @@ let check_slot ?topo ~plan ~ports ~capacity ~slot transfers =
           (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" slot
              src dst
              (Fault_plan.link_period plan ~slot ~src ~dst))
-      else begin
-        let core =
-          match topo with
-          | Some t -> if Fabric.crosses_core t tr then 1 else 0
-          | None -> 1
-        in
-        scan (used + core) rest
-      end
+      else
+        scan (if core_counts net ~fabric ~src ~dst then used + 1 else used) rest
   in
   scan 0 transfers
 
-let create ?topo ?net ~plan ~ports demands =
-  (match topo with
-  | Some t when t.Fabric.ports <> ports ->
-    invalid_arg "Injector.create: topology port count mismatch"
-  | _ -> ());
-  let net =
-    match (net, topo) with
-    | Some _, Some _ ->
-      invalid_arg "Injector.create: pass a topology or a net, not both"
-    | Some n, None -> n
-    | None, Some t -> Fabric.to_net t
-    | None, None -> Net.single ~ports
-  in
+let create ?net ~plan ~ports demands =
+  let net = match net with Some n -> n | None -> Net.single ~ports in
   Fault_plan.validate_exn ~fabrics:(Net.k net) ~ports
     ~coflows:(List.length demands) plan;
   (* delayed releases are known at admission time: fold them into the
@@ -91,24 +86,11 @@ let create ?topo ?net ~plan ~ports demands =
   let validate transfers =
     match !sim_cell with
     | None -> Ok ()
-    | Some sim ->
-      let slot = Simulator.now sim in
-      let capacity =
-        let base =
-          match topo with
-          | Some t -> t.Fabric.core_capacity
-          | None -> Net.k net * ports
-        in
-        match Fault_plan.core_capacity plan ~slot with
-        | Some c -> min base c
-        | None -> base
-      in
-      check_slot ?topo ~plan ~ports ~capacity ~slot transfers
+    | Some sim -> check_slot ~net ~plan ~slot:(Simulator.now sim) transfers
   in
   let sim = Simulator.create ~validate ~net ~ports demands in
   sim_cell := Some sim;
   { plan;
-    topo;
     sim;
     stragglers = Array.of_list (Fault_plan.stragglers plan);
     next_straggler = 0;
@@ -147,6 +129,7 @@ let greedy_policy t priority sim =
      are swept fastest first, skipping any fabric the plan has down *)
   let src_used = Array.make (kf * m) false
   and dst_used = Array.make (kf * m) false in
+  let net = Simulator.net sim in
   let core_left = ref (effective_capacity t ~slot) in
   let taken = if kf > 1 then Some (Hashtbl.create 64) else None in
   let transfers = ref [] in
@@ -169,7 +152,7 @@ let greedy_policy t priority sim =
                     let tr =
                       { Simulator.src = i; dst = j; coflow = k; fabric = f }
                     in
-                    let core = counts_toward_core t tr in
+                    let core = core_counts net ~fabric:f ~src:i ~dst:j in
                     if (not core) || !core_left > 0 then begin
                       src_used.(off + i) <- true;
                       dst_used.(off + j) <- true;
@@ -181,7 +164,7 @@ let greedy_policy t priority sim =
                     end
                   end))
           priority)
-    (Simulator.net sim |> Net.by_rate);
+    (Net.by_rate net);
   !transfers
 
 let run ?(max_slots = 10_000_000) t ~priority =

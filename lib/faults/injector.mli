@@ -18,22 +18,18 @@
 type t
 
 val create :
-  ?topo:Switchsim.Fabric.topology ->
   ?net:Switchsim.Net.t ->
   plan:Fault_plan.t ->
   ports:int ->
   (int * Matrix.Mat.t) list ->
   t
-(** Build the faulted simulator.  With [topo], core-capacity degradation
-    tightens the fabric's inter-rack budget; without it, a degraded core
-    caps the total transfers of a slot (aggregate switch degradation).
-    With [net] (mutually exclusive with [topo]) the simulator runs on the
-    given multi-fabric topology and the plan may contain
+(** Build the faulted simulator on [net] (default
+    {!Switchsim.Net.single}).  Core-capacity degradation tightens the
+    per-slot core budget (see {!effective_capacity}); the plan may contain
     {!Fault_plan.Fabric_down} events, which the validate hook enforces and
     {!greedy_policy} routes around.
-    @raise Invalid_argument if the plan fails {!Fault_plan.validate}, the
-    topology geometry disagrees with [ports], or both [topo] and [net] are
-    given. *)
+    @raise Invalid_argument if the plan fails {!Fault_plan.validate} or
+    the net's port count disagrees with [ports]. *)
 
 val sim : t -> Switchsim.Simulator.t
 
@@ -46,17 +42,16 @@ val tick : t -> unit
 val pair_ok : t -> slot:int -> src:int -> dst:int -> bool
 (** Both ports up and the link on its duty cycle. *)
 
-val counts_toward_core : t -> Switchsim.Simulator.transfer -> bool
-
 val effective_capacity : t -> slot:int -> int
-(** Core budget for the slot: topology capacity (or [ports]) tightened by
-    any active {!Fault_plan.Core_degraded} event. *)
+(** Core budget for the slot: the sum over fabrics of each fabric's core
+    capacity (its port count when non-blocking), tightened by any active
+    {!Fault_plan.Core_degraded} event.  A transfer counts against it iff
+    it crosses the core of an oversubscribed fabric, or rides a
+    non-blocking one (aggregate switch degradation). *)
 
 val check_slot :
-  ?topo:Switchsim.Fabric.topology ->
+  net:Switchsim.Net.t ->
   plan:Fault_plan.t ->
-  ports:int ->
-  capacity:int ->
   slot:int ->
   Switchsim.Simulator.transfer list ->
   (unit, string) result

@@ -328,7 +328,8 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
   if total < 0 then invalid_arg "Epoch_loop.run: coflows must be >= 0";
   Obs.Span.with_ "service.run" @@ fun () ->
   let ports = Arrivals.ports src in
-  let fabrics = match cfg.net with None -> 1 | Some net -> Net.k net in
+  let net = match cfg.net with Some n -> n | None -> Net.single ~ports in
+  let fabrics = Net.k net in
   (match cfg.net with
   | Some net when Net.ports net <> ports ->
     invalid_arg "Epoch_loop.run: net ports disagree with the arrival source"
@@ -477,13 +478,13 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
                | _ -> true)
              (Fault_plan.events raw))
     in
-    let inj = Injector.create ?net:cfg.net ~plan ~ports (Instance.demands inst) in
+    let inj = Injector.create ~net ~plan ~ports (Instance.demands inst) in
     let sim = Injector.sim inj in
     let tier, order = plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst in
     let tname = Resilient.tier_name tier in
     Fingerprint.str fp "T";
     Fingerprint.int fp (tier_index tier);
-    let checker = Audit.checker ~fabrics ~plan ~ports () in
+    let checker = Audit.checker ~net ~plan ~ports () in
     let recorded = Array.make n false in
     let record_completion k c_abs =
       recorded.(k) <- true;

@@ -1,7 +1,7 @@
 (** Multi-fabric network topology: [k] parallel switches over the same
     [ports] ingress/egress ports, each fabric with its own link rate and
-    an optional two-tier oversubscription (the {!Fabric} model, per
-    fabric).
+    an optional two-tier oversubscription: ports grouped into racks, at
+    most [core_capacity] inter-rack transfers per slot.
 
     Chen (arXiv:2312.16413) studies coflow scheduling on exactly this
     model — heterogeneous parallel networks, where every port pair is
@@ -39,8 +39,10 @@ val single : ports:int -> t
 (** One fabric, rate 1, non-blocking: the paper's model. *)
 
 val two_tier : ports:int -> rack_size:int -> core_capacity:int -> t
-(** One rate-1 fabric with the {!Fabric} oversubscription — the E15
-    sweep's topology expressed as a [Net]. *)
+(** One rate-1 fabric with racks of [rack_size] ports and at most
+    [core_capacity] inter-rack transfers per slot — the E15 sweep's
+    topology.  [core_capacity = ports] is non-blocking in effect; a 10:1
+    oversubscription is [ports / 10]. *)
 
 val uniform : ports:int -> rates:int list -> t
 (** [k = length rates] non-blocking fabrics with the given rates. *)

@@ -103,7 +103,7 @@ let test_experiments_hetero_smoke () =
       0
   in
   Alcotest.(check bool) "fault leg drained on the survivor" true
-    (contains "outage-clean=true" t && contains "audit=true" t);
+    (contains "outage_clean=true" t && contains "audit_ok=true" t);
   let json = Filename.concat dir "hetero.json" in
   Alcotest.(check bool) "hetero.json written" true (Sys.file_exists json)
 

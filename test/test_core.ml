@@ -133,6 +133,27 @@ let test_time_indexed_guard () =
      Alcotest.fail "expected Too_large"
    with Lp_relax.Too_large _ -> ())
 
+let test_time_indexed_empty_coflow () =
+  (* Regression (QCHECK_SEED=1 of the SG/Chen property): a zero-demand
+     coflow released at slot 0 completes at C = 0, so LP-EXP must charge
+     it w * r = 0, not one full slot — else the "lower bound" (17) beat a
+     real schedule's TWCT (16). *)
+  let busy = Mat.of_arrays [| [| 6; 0 |]; [| 0; 0 |] |] in
+  let inst =
+    Instance.make ~ports:2
+      [ mk_coflow ~id:0 ~release:2 ~weight:2.0 busy;
+        mk_coflow ~id:1 ~release:0 ~weight:1.0 (Mat.make 2);
+      ]
+  in
+  let lp = Lp_relax.solve_time_indexed inst in
+  let r = Shafiee.run inst in
+  Alcotest.(check (float 0.0)) "TWCT" 16.0 r.Engine.twct;
+  Alcotest.(check (float 1e-6)) "LP-EXP = w * (r + rho) + w * r" 16.0
+    lp.Lp_relax.lower_bound;
+  Alcotest.(check (float 0.0)) "empty coflow completes on arrival" 0.0
+    lp.Lp_relax.cbar.(1);
+  Alcotest.(check (array int)) "empty coflow first" [| 1; 0 |] lp.Lp_relax.order
+
 let test_lp_budget_threaded_through_variants () =
   (* solve_interval_base and solve_time_indexed must forward the pivot and
      wall-clock budgets to the solver; a dropped argument shows up as a
@@ -1333,6 +1354,8 @@ let () =
           Alcotest.test_case "LP-EXP tighter" `Quick
             test_time_indexed_at_least_interval;
           Alcotest.test_case "LP-EXP size guard" `Quick test_time_indexed_guard;
+          Alcotest.test_case "LP-EXP charges an empty coflow w * r" `Quick
+            test_time_indexed_empty_coflow;
           Alcotest.test_case "budgets threaded through variants" `Quick
             test_lp_budget_threaded_through_variants;
           Alcotest.test_case "warm start reuses basis" `Quick

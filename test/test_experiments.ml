@@ -364,72 +364,87 @@ let test_dag_rows () =
         && r.Exp_dag.sink_completion_sum > 0))
     rows
 
+(* ---------- arena legs ---------- *)
+
+let label (leg : Arena.leg) = leg.Arena.spec.Arena.label
+
+let bound (leg : Arena.leg) = leg.Arena.spec.Arena.bound
+
+let find_leg legs l = List.find (fun leg -> label leg = l) legs
+
+let find_row (leg : Arena.leg) algo =
+  List.find (fun (r : Arena.row) -> r.Arena.algo = algo) leg.Arena.rows
+
 (* ---------- E16: fabric ---------- *)
 
 let test_fabric_rows () =
-  let rows = Exp_fabric.run tiny_cfg in
-  check_int "four capacities" 4 (List.length rows);
-  let first = List.hd rows and last = List.nth rows 3 in
+  let legs = Exp_fabric.run tiny_cfg in
+  check_int "four capacities" 4 (List.length legs);
+  let row leg = List.hd leg.Arena.rows in
+  let first = row (List.hd legs) and last = row (List.nth legs 3) in
   Alcotest.(check bool) "oversubscription hurts (this seed)" true
-    (last.Exp_fabric.twct >= first.Exp_fabric.twct);
+    (last.Arena.twct >= first.Arena.twct);
   List.iter
-    (fun r ->
+    (fun leg ->
+      let r = row leg in
       Alcotest.(check bool) "utilization sane" true
-        (r.Exp_fabric.utilization > 0.0 && r.Exp_fabric.utilization <= 1.0))
-    rows
+        (r.Arena.utilization > 0.0 && r.Arena.utilization <= 1.0))
+    legs
 
 let test_fabric_regression () =
   (* Golden values captured when the E15 sweep moved onto the Net path
      (k = 1 with a core budget): any drift in the oversubscribed special
      case — demand routing, core accounting, batching — shifts these. *)
-  let rows = Exp_fabric.run tiny_cfg in
+  let legs = Exp_fabric.run tiny_cfg in
   List.iter2
-    (fun (label, twct, makespan) r ->
-      Alcotest.(check string) "label" label r.Exp_fabric.label;
-      Alcotest.(check (float 0.0)) (label ^ " twct") twct r.Exp_fabric.twct;
-      check_int (label ^ " makespan") makespan r.Exp_fabric.makespan)
+    (fun (l, twct, makespan) leg ->
+      let r = List.hd leg.Arena.rows in
+      Alcotest.(check string) "label" l (label leg);
+      Alcotest.(check (float 0.0)) (l ^ " twct") twct r.Arena.twct;
+      check_int (l ^ " makespan") makespan r.Arena.slots)
     [ ("non-blocking", 20904.0, 894);
       ("2:1 oversubscribed", 25275.0, 1046);
       ("4:1 oversubscribed", 38804.0, 1689);
       ("10:1 oversubscribed", 70503.0, 3255);
     ]
-    rows
+    legs
 
 (* ---------- E21: heterogeneous fabrics ---------- *)
 
+let hetero = lazy (Exp_hetero.run tiny_cfg)
+
 let test_hetero_legs_and_fault () =
-  let t = Exp_hetero.run tiny_cfg in
-  check_int "seven legs" 7 (List.length t.Exp_hetero.legs);
+  let legs = Lazy.force hetero in
+  check_int "seven net legs plus the fault leg" 8 (List.length legs);
   (* run already asserts no policy beats each leg's bound and that the
      fault leg drained on the survivor; re-check the shape here *)
+  let net_legs = List.filteri (fun i _ -> i < 7) legs in
   List.iter
     (fun leg ->
       Alcotest.(check bool)
-        (leg.Exp_hetero.l_label ^ " has the arena plus Chen-hetero")
+        (label leg ^ " has the arena plus Chen-hetero")
         true
-        (List.length leg.Exp_hetero.l_rows >= 2);
-      Alcotest.(check bool) (leg.Exp_hetero.l_label ^ " bound positive") true
-        (leg.Exp_hetero.l_bound > 0.0))
-    t.Exp_hetero.legs;
+        (List.length leg.Arena.rows >= 2
+        && (find_row leg "Chen-hetero").Arena.twct
+           <= (find_row leg "Chen").Arena.twct +. 1e-6);
+      Alcotest.(check bool) (label leg ^ " bound positive") true (bound leg > 0.0))
+    net_legs;
   (* more aggregate rate = smaller rate-aware isolation bound *)
-  let bound label =
-    let leg =
-      List.find (fun l -> l.Exp_hetero.l_label = label) t.Exp_hetero.legs
-    in
-    leg.Exp_hetero.l_bound
-  in
+  let b l = bound (find_leg legs l) in
   Alcotest.(check bool) "bound shrinks with capacity" true
-    (bound "k=2 1:1" < bound "k=1" && bound "k=4 1:1" < bound "k=2 1:1"
-    && bound "k=2 10:1" < bound "k=2 4:1");
-  let f = t.Exp_hetero.fault in
+    (b "k=2 1:1" < b "k=1" && b "k=4 1:1" < b "k=2 1:1"
+    && b "k=2 10:1" < b "k=2 4:1");
+  let fault = List.nth legs 7 in
+  let checks = fault.Arena.checks in
+  List.iter
+    (fun name ->
+      Alcotest.(check (option bool)) name (Some true) (List.assoc_opt name checks))
+    [ "completed"; "audit_ok"; "outage_clean"; "served_during_outage" ];
   Alcotest.(check bool) "fault leg certified" true
-    (f.Exp_hetero.f_completed && f.Exp_hetero.f_audit_ok
-    && f.Exp_hetero.f_outage_clean && f.Exp_hetero.f_served_during_outage
-    && f.Exp_hetero.f_replans >= 2)
+    (List.length checks = 5 && List.for_all snd checks)
 
 let test_hetero_json () =
-  let t = Exp_hetero.run tiny_cfg in
-  let j = Exp_hetero.json t in
+  let j = Arena.json ~experiment:"E21" (Lazy.force hetero) in
   (match Obs.Json.parse (String.trim j) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "E21 json unparseable: %s" e);
@@ -440,98 +455,101 @@ let test_hetero_json () =
 
 (* ---------- E18 scale: structural fallback labels ---------- *)
 
+let grid_rows t = (List.hd (Exp_scale.legs t)).Arena.rows
+
+let hlp_rows ~prefix t =
+  List.filter
+    (fun (r : Arena.row) -> Astring.String.is_prefix ~affix:prefix r.Arena.algo)
+    (grid_rows t)
+
 let test_scale_fallback_is_labeled () =
   (* a 1-pivot budget cannot prove optimality, so HLP must fall back —
      and the fallback must be structural, not prose *)
   let t = Exp_scale.run ~ports:6 ~coflows:8 ~lp_budget:1 tiny_cfg in
-  Alcotest.(check bool) "note present" true (t.Exp_scale.lp_note <> None);
-  let hlp_rows =
-    List.filter (fun e -> e.Exp_scale.fallback <> None) t.Exp_scale.grid
-  in
-  check_int "4 fallback rows" 4 (List.length hlp_rows);
+  check_int "12 grid rows" 12 (List.length (grid_rows t));
+  (* the label carries the substitute *)
+  let rows = hlp_rows ~prefix:"H_LP(fallback:H_rho) (" t in
+  check_int "4 fallback rows" 4 (List.length rows);
+  check_int "no plain H_LP row" 0 (List.length (hlp_rows ~prefix:"H_LP (" t));
   List.iter
-    (fun e ->
-      Alcotest.(check string) "label carries the substitute"
-        "HLP(fallback:Hrho)" e.Exp_scale.order_name;
-      Alcotest.(check (option string)) "fallback field" (Some "Hrho")
-        e.Exp_scale.fallback)
-    hlp_rows;
-  let rendered = Exp_scale.render ~ports:6 ~coflows:8 ~lp_budget:1 tiny_cfg in
+    (fun (r : Arena.row) ->
+      Alcotest.(check (option string)) "fallback field" (Some "H_rho")
+        r.Arena.fallback)
+    rows;
   Alcotest.(check bool) "report rows use the tagged name" true
-    (Astring.String.is_infix ~affix:"HLP(fallback:Hrho)" rendered)
+    (Astring.String.is_infix ~affix:"H_LP(fallback:H_rho)" (Exp_scale.render t))
 
 let test_scale_no_fallback_keeps_plain_label () =
   (* same tiny instance under a generous budget: the LP solves and the
      rows stay plain HLP *)
   let t = Exp_scale.run ~ports:6 ~coflows:8 ~lp_budget:100_000 tiny_cfg in
-  Alcotest.(check bool) "no note" true (t.Exp_scale.lp_note = None);
   Alcotest.(check bool) "no fallback rows" true
-    (List.for_all (fun e -> e.Exp_scale.fallback = None) t.Exp_scale.grid);
-  check_int "4 plain HLP rows" 4
-    (List.length
-       (List.filter (fun e -> e.Exp_scale.order_name = "HLP") t.Exp_scale.grid))
+    (List.for_all (fun (r : Arena.row) -> r.Arena.fallback = None) (grid_rows t));
+  check_int "4 plain HLP rows" 4 (List.length (hlp_rows ~prefix:"H_LP (" t))
 
 (* ---------- E19 arena ---------- *)
 
 let arena = lazy (Exp_arena.run ~jobs:2 ~scale:(6, 10) tiny_cfg)
 
+let small_and_scale () =
+  match Lazy.force arena with
+  | [ small; scale ] -> (small, scale)
+  | legs -> Alcotest.failf "expected two legs, got %d" (List.length legs)
+
 let test_arena_shape () =
-  let t = Lazy.force arena in
+  let small, scale = small_and_scale () in
   (* 6 LP-free contenders + H_LP (d) + SEBF+MADD + MaxWeight + RR *)
-  check_int "small rows" 10 (List.length t.Exp_arena.small.Exp_arena.l_rows);
+  check_int "small rows" 10 (List.length small.Arena.rows);
   (* 6 LP-free contenders + budgeted H_LP *)
-  check_int "scale rows" 7 (List.length t.Exp_arena.scale.Exp_arena.l_rows);
+  check_int "scale rows" 7 (List.length scale.Arena.rows);
   List.iter
-    (fun (leg : Exp_arena.leg) ->
-      Alcotest.(check bool) "bound positive" true (leg.Exp_arena.l_bound > 0.0);
-      let twcts = List.map (fun r -> r.Exp_arena.twct) leg.Exp_arena.l_rows in
+    (fun (leg : Arena.leg) ->
+      Alcotest.(check bool) "bound positive" true (bound leg > 0.0);
+      let twcts = List.map (fun (r : Arena.row) -> r.Arena.twct) leg.Arena.rows in
       Alcotest.(check bool) "ranked ascending" true
         (List.sort compare twcts = twcts);
       List.iter
-        (fun r ->
+        (fun twct ->
           Alcotest.(check bool) "dominates the lower bound" true
-            (r.Exp_arena.twct +. 1e-6 >= leg.Exp_arena.l_bound))
-        leg.Exp_arena.l_rows)
-    [ t.Exp_arena.small; t.Exp_arena.scale ]
+            (twct +. 1e-6 >= bound leg))
+        twcts)
+    [ small; scale ]
 
 let test_arena_guaranteed_entries () =
-  let t = Lazy.force arena in
-  let find leg name =
-    List.find (fun r -> r.Exp_arena.algo = name) leg.Exp_arena.l_rows
-  in
+  let small, scale = small_and_scale () in
   List.iter
     (fun leg ->
-      let sg = find leg "SG" and chen = find leg "Chen" in
-      Alcotest.(check bool) "SG has a factor" true (sg.Exp_arena.guarantee <> None);
+      let sg = find_row leg "SG" and chen = find_row leg "Chen" in
+      Alcotest.(check bool) "SG has a factor" true (sg.Arena.guarantee <> None);
       Alcotest.(check bool) "Chen's factor is tighter" true
-        (Option.get chen.Exp_arena.guarantee < Option.get sg.Exp_arena.guarantee))
-    [ t.Exp_arena.small; t.Exp_arena.scale ];
+        (Option.get chen.Arena.guarantee < Option.get sg.Arena.guarantee))
+    [ small; scale ];
   (* the small leg's ratio assertions already ran inside [run]; check the
      published ratios once more from the outside *)
   List.iter
-    (fun (r : Exp_arena.row) ->
-      match r.Exp_arena.guarantee with
+    (fun (r : Arena.row) ->
+      match r.Arena.guarantee with
       | Some g ->
         Alcotest.(check bool)
-          (r.Exp_arena.algo ^ " within factor of LP-EXP")
+          (r.Arena.algo ^ " within factor of LP-EXP")
           true
-          (r.Exp_arena.ratio <= g +. 1e-9)
+          (r.Arena.ratio <= g +. 1e-9)
       | None -> ())
-    t.Exp_arena.small.Exp_arena.l_rows
+    small.Arena.rows
 
 let test_arena_decision_gauges () =
-  let t = Lazy.force arena in
+  let small, scale = small_and_scale () in
   List.iter
-    (fun (r : Exp_arena.row) ->
-      Alcotest.(check bool) "decisions counted" true (r.Exp_arena.decisions > 0))
-    (t.Exp_arena.small.Exp_arena.l_rows @ t.Exp_arena.scale.Exp_arena.l_rows);
+    (fun (r : Arena.row) ->
+      Alcotest.(check bool) "decisions counted" true (r.Arena.decisions > 0))
+    (small.Arena.rows @ scale.Arena.rows);
   let g = Obs.Counter.Gauge.make "arena.small.sg.decision_us" in
   Alcotest.(check bool) "SG gauge published" true
     (Obs.Counter.Gauge.value g >= 0.0)
 
 let test_arena_json () =
-  let t = Lazy.force arena in
-  let s = Exp_arena.json t in
+  let small, _ = small_and_scale () in
+  let s = Arena.json ~experiment:"E19" (Lazy.force arena) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) needle true
@@ -543,11 +561,10 @@ let test_arena_json () =
       "\"bound\":{\"name\":\"LP-EXP\"";
     ];
   (* the SG rows carry their factor as a JSON number *)
-  let sg = List.find (fun r -> r.Exp_arena.algo = "SG") t.Exp_arena.small.Exp_arena.l_rows in
+  let sg = find_row small "SG" in
   Alcotest.(check bool) "SG guarantee serialized" true
     (Astring.String.is_infix
-       ~affix:
-         (Printf.sprintf "\"guarantee\":%g" (Option.get sg.Exp_arena.guarantee))
+       ~affix:(Printf.sprintf "\"guarantee\":%g" (Option.get sg.Arena.guarantee))
        s)
 
 let test_arena_empty_filter_names_algorithm () =
@@ -564,6 +581,69 @@ let test_arena_empty_filter_names_algorithm () =
       (contains " on E19 small leg");
     Alcotest.(check bool) ("names the filter: " ^ msg) true
       (contains "filter M0>=10000")
+
+(* ---------- the shared arena JSON schema ---------- *)
+
+let arena_docs ~jobs =
+  [ ("E15", Exp_fabric.run ~jobs tiny_cfg);
+    ("E19", Exp_arena.run ~jobs ~scale:(6, 10) tiny_cfg);
+    ("E21", Exp_hetero.run ~jobs tiny_cfg);
+  ]
+  |> List.map (fun (experiment, legs) ->
+         (experiment, Obs.Json.parse_exn (Arena.json ~experiment legs)))
+
+(* wall-time fields are the only ones allowed to differ between runs *)
+let rec deterministic = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "seconds" || k = "decision_us" then None
+           else Some (k, deterministic v))
+         fields)
+  | Obs.Json.Arr items -> Obs.Json.Arr (List.map deterministic items)
+  | v -> v
+
+let test_arena_jobs_invariant () =
+  List.iter2
+    (fun (e, one) (_, two) ->
+      Alcotest.(check bool) (e ^ " identical at jobs 1 and 2") true
+        (deterministic one = deterministic two))
+    (arena_docs ~jobs:1) (arena_docs ~jobs:2)
+
+let test_arena_schema () =
+  let get k v =
+    match Obs.Json.member k v with
+    | Some x -> x
+    | None -> Alcotest.failf "missing %S" k
+  in
+  let has keys v = List.iter (fun k -> ignore (get k v)) keys in
+  let items k v = Option.get (Obs.Json.to_list (get k v)) in
+  List.iter
+    (fun (e, doc) ->
+      Alcotest.(check (option string)) "experiment" (Some e)
+        (Obs.Json.to_string (get "experiment" doc));
+      List.iter
+        (fun leg ->
+          has [ "id"; "label"; "ports"; "coflows"; "target" ] leg;
+          has [ "name"; "value" ] (get "bound" leg);
+          List.iter (has [ "rate"; "rack_size"; "core_capacity" ]) (items "net" leg);
+          List.iter
+            (has
+               [ "rank"; "algo"; "fallback"; "guarantee"; "twct"; "ratio";
+                 "slots"; "mean_completion"; "p95_completion"; "utilization";
+                 "matchings"; "decisions"; "decision_us"; "seconds";
+               ])
+            (items "rows" leg);
+          match get "checks" leg with
+          | Obs.Json.Obj checks ->
+            List.iter
+              (fun (k, v) ->
+                Alcotest.(check bool) (e ^ " " ^ k) true (v = Obs.Json.Bool true))
+              checks
+          | _ -> Alcotest.failf "%s: checks is not an object" e)
+        (items "legs" doc))
+    (arena_docs ~jobs:1)
 
 (* ---------- bench argv parsing ---------- *)
 
@@ -760,6 +840,9 @@ let () =
         ] );
       ( "arena",
         [ Alcotest.test_case "leg shapes and ranking" `Quick test_arena_shape;
+          Alcotest.test_case "jobs-invariant JSON" `Quick
+            test_arena_jobs_invariant;
+          Alcotest.test_case "JSON schema round-trip" `Quick test_arena_schema;
           Alcotest.test_case "guaranteed entries" `Quick
             test_arena_guaranteed_entries;
           Alcotest.test_case "decision gauges" `Quick

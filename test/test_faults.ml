@@ -151,6 +151,9 @@ let test_plan_random () =
 
 let tf i j k f = { Simulator.src = i; dst = j; coflow = k; fabric = f }
 
+(* the two-fabric net the hand-written multi-fabric audit logs run on *)
+let net2 = Net.uniform ~ports:2 ~rates:[ 1; 1 ]
+
 let down ~fabric ~from_ ~until =
   Fault_plan.make [ Fault_plan.Fabric_down { fabric; from_; until } ]
 
@@ -232,13 +235,11 @@ let test_injector_fabric_down () =
     (List.exists (fun { Simulator.fabric; _ } -> fabric = 0) ts);
   Simulator.step sim ts
 
-let test_injector_net_topo_exclusive () =
-  let net = Net.uniform ~ports:2 ~rates:[ 1 ] in
-  let topo = Fabric.topology ~ports:2 ~rack_size:1 ~core_capacity:1 in
-  expect_invalid_arg "both net and topo" (fun () ->
+let test_injector_net_port_mismatch () =
+  let net = Net.uniform ~ports:3 ~rates:[ 1 ] in
+  expect_invalid_arg "net over other ports" (fun () ->
       ignore
-        (Injector.create ~net ~topo ~plan:Fault_plan.empty ~ports:2
-           [ (0, fig1 ()) ]))
+        (Injector.create ~net ~plan:Fault_plan.empty ~ports:2 [ (0, fig1 ()) ]))
 
 let test_audit_fabric_roundtrip () =
   (* the 4th transfer token appears only for nonzero fabrics, so
@@ -260,7 +261,7 @@ let test_audit_fabric_constraints () =
   let bad =
     Audit.make ~ports:2 [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan bad with
+  (match Audit.check ~net:net2 ~plan bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "downed-fabric transfer certified");
   (* the same pair on two fabrics in one slot is double service *)
@@ -268,7 +269,7 @@ let test_audit_fabric_constraints () =
     Audit.make ~ports:2
       [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0; tf 0 1 0 1 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan:Fault_plan.empty dup with
+  (match Audit.check ~net:net2 ~plan:Fault_plan.empty dup with
   | Error m ->
     Alcotest.(check bool) "names the double service" true
       (Astring.String.is_infix ~affix:"two fabrics" m)
@@ -277,7 +278,7 @@ let test_audit_fabric_constraints () =
   let oob =
     Audit.make ~ports:2 [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 5 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan:Fault_plan.empty oob with
+  (match Audit.check ~net:net2 ~plan:Fault_plan.empty oob with
   | Error m ->
     Alcotest.(check bool) "names the range" true
       (Astring.String.is_infix ~affix:"out of range" m)
@@ -287,7 +288,7 @@ let test_audit_fabric_constraints () =
     Audit.make ~ports:2
       [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0; tf 1 0 0 1 ] } ]
   in
-  match Audit.check ~fabrics:2 ~plan:Fault_plan.empty ok with
+  match Audit.check ~net:net2 ~plan:Fault_plan.empty ok with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("clean two-fabric slot rejected: " ^ m)
 
@@ -308,7 +309,7 @@ let test_resilient_fabric_down_replans () =
     (Array.for_all (fun c -> c >= 0) r.Core.Resilient.completion);
   Alcotest.(check bool) "replanned at both boundaries" true
     (r.Core.Resilient.replans >= 2);
-  (match Audit.check ~fabrics:2 ~plan r.Core.Resilient.audit with
+  (match Audit.check ~net ~plan r.Core.Resilient.audit with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("audit rejected: " ^ m));
   (* nothing rode fabric 0 inside the window *)
@@ -378,9 +379,9 @@ let test_injector_aggregate_core_cap () =
   check_int "single transfer fine" 5 (Simulator.remaining_total sim 0)
 
 let test_injector_fabric_core_cap () =
-  (* topology core capacity 2, plan degrades it to 1: two inter-rack
+  (* two-tier core capacity 2, plan degrades it to 1: two inter-rack
      transfers must be rejected, intra-rack traffic is unaffected *)
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:2 in
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:2 in
   let plan =
     Fault_plan.make
       [ Fault_plan.Core_degraded { from_ = 0; until = 5; capacity = 1 } ]
@@ -389,7 +390,7 @@ let test_injector_fabric_core_cap () =
   Mat.set d 0 2 1;
   Mat.set d 1 3 1;
   Mat.set d 2 3 2;
-  let inj = Injector.create ~topo ~plan ~ports:4 [ (0, d) ] in
+  let inj = Injector.create ~net ~plan ~ports:4 [ (0, d) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
   expect_invalid_slot "inter-rack over degraded cap" (fun () ->
@@ -587,6 +588,8 @@ let test_audit_checker_validation () =
     [ ("bad ports", fun () -> Audit.checker ~plan ~ports:0 ());
       ( "negative start",
         fun () -> Audit.checker ~start_slot:(-1) ~plan ~ports:2 () );
+      ( "net over other ports",
+        fun () -> Audit.checker ~net:net2 ~plan ~ports:3 () );
     ]
 
 let test_audit_core_cap_violation () =
@@ -600,7 +603,18 @@ let test_audit_core_cap_violation () =
   in
   (match Audit.check ~plan a with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "core-cap violation not caught")
+  | Ok () -> Alcotest.fail "core-cap violation not caught");
+  (* on a two-tier net only core-crossing transfers count: one inter-rack
+     plus one rack-local transfer fits a degraded core of 1, two
+     inter-rack transfers do not *)
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:2 in
+  let log transfers = Audit.make ~ports:4 [ { Audit.tier = "lp"; transfers } ] in
+  (match Audit.check ~net ~plan (log [ t 0 2 0; t 2 3 0 ]) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("rack-local transfer charged to the core: " ^ m));
+  match Audit.check ~net ~plan (log [ t 0 2 0; t 1 3 0 ]) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "two-tier core-cap violation not caught"
 
 (* ---------- resilient scheduling ---------- *)
 
@@ -810,8 +824,8 @@ let () =
             test_injector_run_completes;
           Alcotest.test_case "run budget" `Quick test_injector_run_budget;
           Alcotest.test_case "fabric down" `Quick test_injector_fabric_down;
-          Alcotest.test_case "net/topo exclusive" `Quick
-            test_injector_net_topo_exclusive;
+          Alcotest.test_case "net port mismatch" `Quick
+            test_injector_net_port_mismatch;
         ] );
       ( "audit",
         [ Alcotest.test_case "roundtrip" `Quick test_audit_roundtrip;

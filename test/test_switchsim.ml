@@ -248,35 +248,42 @@ let test_validate_hook () =
   Simulator.step sim [ t 0 0 0 ];
   check_int "single ok" 1 (Simulator.now sim)
 
-(* ---------- fabric ---------- *)
+(* ---------- fabric: the two-tier oversubscribed Net ---------- *)
+
+let greedy priority sim = Core.Policy.greedy_matching sim ~priority
 
 let test_fabric_topology () =
-  let topo = Fabric.topology ~ports:6 ~rack_size:2 ~core_capacity:2 in
-  check_int "rack of 0" 0 (Fabric.rack_of topo 0);
-  check_int "rack of 3" 1 (Fabric.rack_of topo 3);
-  Alcotest.(check bool) "intra" false
-    (Fabric.crosses_core topo (t 0 1 0));
-  Alcotest.(check bool) "inter" true (Fabric.crosses_core topo (t 0 2 0));
-  check_int "usage" 1 (Fabric.core_usage topo [ t 0 1 0; t 1 2 0 ])
+  let net = Net.two_tier ~ports:6 ~rack_size:2 ~core_capacity:2 in
+  check_int "rack of 0" 0 (Net.rack_of net ~fabric:0 0);
+  check_int "rack of 3" 1 (Net.rack_of net ~fabric:0 3);
+  let crosses { Simulator.src; dst; fabric; _ } =
+    Net.crosses_core net ~fabric ~src ~dst
+  in
+  Alcotest.(check bool) "intra" false (crosses (t 0 1 0));
+  Alcotest.(check bool) "inter" true (crosses (t 0 2 0));
+  check_int "usage" 1 (List.length (List.filter crosses [ t 0 1 0; t 1 2 0 ]))
 
 let test_fabric_topology_validation () =
   (try
-     ignore (Fabric.topology ~ports:4 ~rack_size:0 ~core_capacity:1);
+     ignore (Net.two_tier ~ports:4 ~rack_size:0 ~core_capacity:1);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ());
   (try
-     ignore (Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:(-1));
+     ignore (Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:(-1));
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
+
+let two_tier_sim ~core_capacity d =
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity in
+  Simulator.create ~net ~ports:4 [ (0, d) ]
 
 let test_fabric_enforces_core () =
   (* 4 ports, racks of 2, core capacity 1: two simultaneous inter-rack
      transfers must be rejected *)
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:1 in
   let d = Mat.make 4 in
   Mat.set d 0 2 1;
   Mat.set d 1 3 1;
-  let sim = Fabric.create topo [ (0, d) ] in
+  let sim = two_tier_sim ~core_capacity:1 d in
   (try
      Simulator.step sim [ t 0 2 0; t 1 3 0 ];
      Alcotest.fail "expected Invalid_slot"
@@ -285,20 +292,18 @@ let test_fabric_enforces_core () =
   check_int "one unit moved" 1 (Simulator.units_moved sim)
 
 let test_fabric_greedy_respects_core () =
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:1 in
   let st = Random.State.make [| 5 |] in
   let d = Mat.random ~density:0.8 ~max_entry:3 st 4 in
-  let sim = Fabric.create topo [ (0, d) ] in
-  Simulator.run sim ~policy:(Fabric.greedy_policy topo [| 0 |]);
+  let sim = two_tier_sim ~core_capacity:1 d in
+  Simulator.run sim ~policy:(greedy [| 0 |]);
   Alcotest.(check bool) "completes" true (Simulator.all_complete sim)
 
 let test_fabric_nonblocking_equals_plain_greedy () =
   (* with core capacity = ports the fabric constraint is vacuous *)
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:4 in
   let st = Random.State.make [| 6 |] in
   let d = Mat.random ~density:0.6 ~max_entry:3 st 4 in
-  let sim = Fabric.create topo [ (0, d) ] in
-  Simulator.run sim ~policy:(Fabric.greedy_policy topo [| 0 |]);
+  let sim = two_tier_sim ~core_capacity:4 d in
+  Simulator.run sim ~policy:(greedy [| 0 |]);
   (* a single coflow under greedy completes in at most total units slots
      and at least rho slots *)
   let c = Simulator.completion_time_exn sim 0 in
@@ -397,12 +402,11 @@ let test_multi_fabric_batch_rate_aware () =
   Alcotest.(check bool) "complete" true (Simulator.all_complete sim);
   check_int "three slots" 3 (Simulator.now sim)
 
-(* Regression (suspected ordering hole, now pinned): the core-budget
-   early-stop in Fabric.greedy_policy must not starve a rack-local pair
-   that the scan reaches after rejecting a core-crossing pair — the
-   budget only gates inter-rack claims, never the scan itself. *)
+(* Regression (suspected ordering hole, now pinned): the fault-aware
+   greedy sweep's core budget must not starve a rack-local pair that the
+   scan reaches after rejecting a core-crossing pair — the budget only
+   gates inter-rack claims, never the scan itself. *)
 let test_fabric_greedy_no_rack_local_starvation () =
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:1 in
   let d = Mat.make 4 in
   Mat.set d 0 2 1;
   (* inter-rack: claims the whole core budget *)
@@ -410,8 +414,13 @@ let test_fabric_greedy_no_rack_local_starvation () =
   (* inter-rack: must be rejected, ports 1 and 3 stay free *)
   Mat.set d 2 3 1;
   (* rack-local, scanned after the rejection: must still be served *)
-  let sim = Fabric.create topo [ (0, d) ] in
-  let ts = Fabric.greedy_policy topo [| 0 |] sim in
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:1 in
+  let inj =
+    Faults.Injector.create ~net ~plan:Faults.Fault_plan.empty ~ports:4
+      [ (0, d) ]
+  in
+  let sim = Faults.Injector.sim inj in
+  let ts = Faults.Injector.greedy_policy inj [| 0 |] sim in
   Alcotest.(check bool) "rack-local pair served" true
     (List.exists
        (fun { Simulator.src; dst; _ } -> src = 2 && dst = 3)
