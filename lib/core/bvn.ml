@@ -3,21 +3,14 @@ open Matching
 
 type schedule = (Bipartite.matching * int) list
 
-(* Both steps of Algorithm 1 run on the sparse representation: the demand
-   aggregates the scheduler hands over are built sparsely, and at the
-   paper's 150 ports the dense O(m^2) walks (support scans, argmin passes
-   over materialized sum arrays) dominated the whole simulation.  The dense
-   entry points below convert and delegate, so either representation yields
-   the exact same schedule (Smat iterates row-major like Mat). *)
-
 (* Step 1 of Algorithm 1.  Repeatedly add p units at (argmin row, argmin
    column); each step saturates at least one more row or column at rho, so at
    most 2m - 1 iterations run. *)
-let augment_sparse d =
-  let m = Smat.dim d in
-  let rho = Smat.load d in
-  let t = Smat.copy d in
-  let rows = Smat.row_sums t and cols = Smat.col_sums t in
+let augment d =
+  let m = Mat.dim d in
+  let rho = Mat.load d in
+  let t = Mat.copy d in
+  let rows = Mat.row_sums t and cols = Mat.col_sums t in
   let argmin a =
     let best = ref 0 in
     for i = 1 to m - 1 do
@@ -30,7 +23,7 @@ let augment_sparse d =
     let i = argmin rows and j = argmin cols in
     let p = min (rho - rows.(i)) (rho - cols.(j)) in
     (* p > 0: both the minimum row and the minimum column are below rho *)
-    Smat.add_entry t i j p;
+    Mat.add_entry t i j p;
     rows.(i) <- rows.(i) + p;
     cols.(j) <- cols.(j) + p
   done;
@@ -44,24 +37,24 @@ let augment_sparse d =
    DFS over the current support.  Correctness is unchanged — Hall's theorem
    guarantees the augmentations succeed on a doubly-balanced matrix — and
    large fabrics (the paper's 150 ports) become practical. *)
-let decompose_sparse d =
-  let m = Smat.dim d in
-  let rho = Smat.load d in
+let decompose d =
+  let m = Mat.dim d in
+  let rho = Mat.load d in
   for p = 0 to m - 1 do
-    if Smat.row_sum d p <> rho || Smat.col_sum d p <> rho then
+    if Mat.row_sum d p <> rho || Mat.col_sum d p <> rho then
       invalid_arg "Bvn.decompose: matrix is not doubly balanced"
   done;
   if rho = 0 then []
   else begin
-    let t = Smat.copy d in
+    let t = Mat.copy d in
     (* row -> matched column and back; -1 = unmatched *)
     let match_col = Array.make m (-1) in
     let match_row = Array.make m (-1) in
     let visited = Array.make m 0 in
     let stamp = ref 0 in
     (* Kuhn augmentation over the support of [t]: each row offers only its
-       nonzero columns (ascending, the same order the dense scan visited
-       them in), so a DFS costs the live support, not m^2 *)
+       nonzero columns, ascending, so a DFS costs the live support, not
+       m^2 *)
     let rec augment i =
       let rec scan s =
         match s () with
@@ -78,7 +71,7 @@ let decompose_sparse d =
           end
           else scan rest
       in
-      scan (Smat.row_seq t i)
+      scan (Mat.row_seq t i)
     in
     let rematch i =
       incr stamp;
@@ -94,7 +87,7 @@ let decompose_sparse d =
     while !remaining > 0 do
       let q = ref max_int in
       for i = 0 to m - 1 do
-        let v = Smat.get t i match_col.(i) in
+        let v = Mat.get t i match_col.(i) in
         if v < !q then q := v
       done;
       let q = !q in
@@ -105,8 +98,8 @@ let decompose_sparse d =
       let broken = ref [] in
       for i = 0 to m - 1 do
         let j = match_col.(i) in
-        Smat.add_entry t i j (-q);
-        if Smat.get t i j = 0 then broken := i :: !broken
+        Mat.add_entry t i j (-q);
+        if Mat.get t i j = 0 then broken := i :: !broken
       done;
       if !remaining > 0 then
         List.iter
@@ -124,18 +117,12 @@ let c_matchings = Obs.Counter.make "bvn.matchings"
 
 let h_build = Obs.Histogram.make "bvn.build_size"
 
-let schedule_sparse d =
+let schedule d =
   Obs.Span.with_ "bvn.schedule" @@ fun () ->
-  let s = decompose_sparse (augment_sparse d) in
+  let s = decompose (augment d) in
   Obs.Counter.incr c_matchings ~by:(List.length s);
   Obs.Histogram.observe h_build (List.length s);
   s
-
-let augment d = Smat.to_dense (augment_sparse (Smat.of_dense d))
-
-let decompose d = decompose_sparse (Smat.of_dense d)
-
-let schedule d = schedule_sparse (Smat.of_dense d)
 
 let duration s = List.fold_left (fun acc (_, q) -> acc + q) 0 s
 

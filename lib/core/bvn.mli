@@ -24,16 +24,6 @@ val decompose : Matrix.Mat.t -> schedule
 val schedule : Matrix.Mat.t -> schedule
 (** [augment] followed by [decompose]: the full Algorithm 1. *)
 
-val augment_sparse : Matrix.Smat.t -> Matrix.Smat.t
-
-val decompose_sparse : Matrix.Smat.t -> schedule
-
-val schedule_sparse : Matrix.Smat.t -> schedule
-(** Sparse counterparts — the implementation; the dense entry points above
-    convert and delegate.  [Smat] iterates row-major exactly like [Mat], so
-    both representations produce the identical schedule (same matchings, in
-    the same order, with the same durations). *)
-
 val duration : schedule -> int
 
 val matchings_used : schedule -> int

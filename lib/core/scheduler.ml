@@ -59,13 +59,13 @@ let group_complete sim group =
 let group_released sim group =
   Array.for_all (fun k -> Simulator.released sim k) group
 
-(* Aggregate remaining demand of a group, assembled sparsely: O(group
-   nonzeros), never O(ports^2). *)
+(* Aggregate remaining demand of a group: O(group nonzeros), never
+   O(ports^2). *)
 let aggregate_remaining sim group =
-  let d = Smat.make (Simulator.ports sim) in
+  let d = Mat.make (Simulator.ports sim) in
   Array.iter
     (fun k ->
-      Simulator.iter_remaining sim k (fun i j v -> Smat.add_entry d i j v))
+      Simulator.iter_remaining sim k (fun i j v -> Mat.add_entry d i j v))
     group;
   d
 
@@ -201,7 +201,7 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
           ([], Policy.skip_bound sim [] ~max_n)
       end
       else begin
-        let schedule = Bvn.schedule_sparse (aggregate_remaining sim group) in
+        let schedule = Bvn.schedule (aggregate_remaining sim group) in
         let built = List.length schedule in
         state.matchings_built <- state.matchings_built + built;
         meta.m_built <- meta.m_built + built;

@@ -1,6 +1,6 @@
 (** Helpers for bitsets packed into native OCaml ints, 62 payload bits
     per word (the sign bit is never used, so words are safe under
-    [land]/[lor]/[lnot] and [<> 0] tests).  {!Smat} maintains per-row
+    [land]/[lor]/[lnot] and [<> 0] tests).  {!Mat} maintains per-row
     column-support bitsets and a live-row bitset in this layout; matching
     loops intersect them with free-port bitsets so one [land] replaces a
     scan over up to 62 ports. *)

@@ -11,7 +11,7 @@ type t = {
   rates : int array; (* per-fabric rate, indexed by fabric *)
   validate : transfer list -> (unit, string) result;
   releases : int array;
-  demand : Smat.t array; (* mutated in place as units move *)
+  demand : Mat.t array; (* private copies, mutated in place as units move *)
   left : int array; (* remaining units per coflow *)
   completed : int array; (* completion slot, -1 if unfinished *)
   first_served : int array; (* slot of the first transfer, -1 if never *)
@@ -41,7 +41,7 @@ let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
   let kf = Net.k net in
   let n = List.length demands in
   let releases = Array.make n 0 in
-  let demand = Array.make n (Smat.make ports) in
+  let demand = Array.make n (Mat.make ports) in
   let left = Array.make n 0 in
   List.iteri
     (fun k (r, d) ->
@@ -49,8 +49,8 @@ let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
       if Mat.dim d <> ports then
         invalid_arg "Simulator.create: demand dimension mismatch";
       releases.(k) <- r;
-      demand.(k) <- Smat.of_dense d;
-      left.(k) <- Smat.total demand.(k))
+      demand.(k) <- Mat.copy d;
+      left.(k) <- Mat.total d)
     demands;
   let completed = Array.make n (-1) in
   let unfinished = ref 0 in
@@ -146,54 +146,50 @@ let next_release_gap t =
 
 let remaining t k =
   check_coflow t k;
-  Smat.to_dense t.demand.(k)
-
-let remaining_sparse t k =
-  check_coflow t k;
-  Smat.copy t.demand.(k)
+  Mat.copy t.demand.(k)
 
 let remaining_load t k =
   check_coflow t k;
-  Smat.load t.demand.(k)
+  Mat.load t.demand.(k)
 
 let remaining_nonzeros t k =
   check_coflow t k;
-  Smat.nonzero_count t.demand.(k)
+  Mat.nonzero_count t.demand.(k)
 
 let iter_remaining t k f =
   check_coflow t k;
-  Smat.iter_nonzero (fun i j v -> f i j v) t.demand.(k)
+  Mat.iter_nonzero f t.demand.(k)
 
 let iter_remaining_rows t k f =
   check_coflow t k;
   let d = t.demand.(k) in
   for i = 0 to t.ports - 1 do
-    if Smat.row_sum d i > 0 then f i (Smat.row_seq d i)
+    if Mat.row_sum d i > 0 then f i (Mat.row_seq d i)
   done
 
 let remaining_in_row t k i =
   check_coflow t k;
-  Smat.row_sum t.demand.(k) i
+  Mat.row_sum t.demand.(k) i
 
 let remaining_next_row t k ~min_src =
   check_coflow t k;
-  Smat.next_row t.demand.(k) ~min_row:min_src
+  Mat.next_row t.demand.(k) ~min_row:min_src
 
 let remaining_live_mask t k w =
   check_coflow t k;
-  Smat.live_mask t.demand.(k) w
+  Mat.live_mask t.demand.(k) w
 
 let remaining_row_mask t k i w =
   check_coflow t k;
-  Smat.row_mask t.demand.(k) i w
+  Mat.row_mask t.demand.(k) i w
 
 let remaining_next_in_row t k ~src ~min_dst =
   check_coflow t k;
-  Smat.row_next t.demand.(k) src ~min_col:min_dst
+  Mat.row_next t.demand.(k) src ~min_col:min_dst
 
 let remaining_at t k i j =
   check_coflow t k;
-  Smat.get t.demand.(k) i j
+  Mat.get t.demand.(k) i j
 
 let remaining_total t k =
   check_coflow t k;
@@ -210,7 +206,7 @@ let add_demand t k ~src ~dst units =
   if units <= 0 then invalid_arg "Simulator.add_demand: units must be positive";
   if t.left.(k) = 0 then
     invalid_arg "Simulator.add_demand: coflow already complete";
-  Smat.add_entry t.demand.(k) src dst units;
+  Mat.add_entry t.demand.(k) src dst units;
   t.left.(k) <- t.left.(k) + units
 
 let all_complete t = t.unfinished = 0
@@ -348,7 +344,7 @@ let step_n t transfers n =
           (Invalid_slot
              (Printf.sprintf "coflow %d served before release %d at time %d"
                 coflow t.releases.(coflow) t.clock));
-      let have = Smat.get t.demand.(coflow) src dst in
+      let have = Mat.get t.demand.(coflow) src dst in
       if have <= 0 then
         raise
           (Invalid_slot
@@ -373,9 +369,9 @@ let step_n t transfers n =
   if transfers <> [] then t.busy <- t.busy + n;
   List.iter
     (fun { src; dst; coflow; fabric } ->
-      let have = Smat.get t.demand.(coflow) src dst in
+      let have = Mat.get t.demand.(coflow) src dst in
       let moved = min (n * t.rates.(fabric)) have in
-      Smat.add_entry t.demand.(coflow) src dst (-moved);
+      Mat.add_entry t.demand.(coflow) src dst (-moved);
       t.left.(coflow) <- t.left.(coflow) - moved;
       t.moved <- t.moved + moved;
       if t.first_served.(coflow) < 0 then begin

@@ -32,6 +32,8 @@ val create :
   t
 (** [create ~ports demands] with [demands = [(release_k, d_k); ...]]; coflow
     [k] (0-based, in list order) becomes serviceable at time [release_k].
+    Each [d_k] is copied, so the caller's matrices (typically an
+    [Instance] reused across runs) are never mutated.
 
     [net] is the topology (default [Net.single ~ports], the paper's
     model); its port count must equal [ports].  Per-fabric core budgets
@@ -76,12 +78,9 @@ val released : t -> int -> bool
     (its release time is [<= now sim]). *)
 
 val remaining : t -> int -> Matrix.Mat.t
-(** Dense copy of coflow [k]'s remaining demand.  Costs O(ports^2) to
-    materialize — hot paths should use {!iter_remaining},
-    {!remaining_sparse} or the O(1) aggregate queries below instead. *)
-
-val remaining_sparse : t -> int -> Matrix.Smat.t
-(** Sparse copy of coflow [k]'s remaining demand: O(ports + nonzeros). *)
+(** Copy of coflow [k]'s remaining demand, O(ports + words * ports)
+    ({!Matrix.Mat.copy}).  Per-slot paths should use {!iter_remaining} or
+    the aggregate queries below, which copy nothing. *)
 
 val remaining_load : t -> int -> int
 (** [rho] of coflow [k]'s remaining demand (max row/col sum), O(ports) from

@@ -1,24 +1,26 @@
-(* Dense-vs-sparse golden equivalence and the event-driven batch step.
+(* The sparse demand matrix against a plain reference, and the
+   event-driven batch step.
 
-   The sparse demand substrate (Matrix.Smat) claims to be a drop-in for
-   Mat in every scheduling hot path: same values, same aggregates, same
-   row-major iteration order, plus incrementally maintained bitset views
-   (live rows, per-row column support) the matching kernels intersect
-   with free-port masks.  These tests drive both representations through
-   random operation sequences and check every view against a dense
-   recompute, check the BvN decomposition is bit-identical over either
-   representation, pin the batch step's equivalence and error contract,
-   and A/B the batched engine loop against the slot-by-slot one across
-   policies, arrivals and mid-run demand growth. *)
+   [Matrix.Mat] keeps one ordered map per row plus incrementally
+   maintained aggregates and bitset views (live rows, per-row column
+   support) that the matching kernels intersect with free-port masks.
+   These tests drive it and a test-local [int array array] through random
+   operation sequences and check every view against a recompute, pin its
+   footprint and copy isolation, pin the batch step's equivalence and
+   error contract, and A/B the batched engine loop against the
+   slot-by-slot one across policies, arrivals and mid-run demand
+   growth. *)
 
 open Matrix
 open Switchsim
 
 let check_int = Alcotest.(check int)
 
-(* ---------- Smat mirrors Mat under random operation sequences ---------- *)
+(* ---------- Mat against an int array array reference ---------- *)
 
-(* Dimensions up to 70 cross the 62-bit word boundary, so every property
+type op = Set of int * int * int | Add of int * int * int
+
+(* Dimensions up to 70 cross the 62-bit word boundary, so every check
    also exercises multi-word masks. *)
 let ops_gen =
   QCheck.Gen.(
@@ -29,10 +31,11 @@ let ops_gen =
     let ops =
       List.init n_ops (fun _ ->
           let i = Random.State.int st m and j = Random.State.int st m in
-          (* bias towards re-touching entries so 0 -> v -> 0 transitions
-             (the bitset clear paths) actually happen *)
-          let v = if Random.State.bool st then 0 else Random.State.int st 9 in
-          (i, j, v))
+          (* bias towards zeros so 0 -> v -> 0 transitions (the bitset
+             clear paths) actually happen; adds may go negative *)
+          if Random.State.bool st then
+            Set (i, j, if Random.State.bool st then 0 else Random.State.int st 9)
+          else Add (i, j, Random.State.int st 13 - 4))
     in
     return (m, ops))
 
@@ -41,165 +44,206 @@ let arb_ops =
     ~print:(fun (m, ops) ->
       Printf.sprintf "m=%d ops=[%s]" m
         (String.concat "; "
-           (List.map (fun (i, j, v) -> Printf.sprintf "(%d,%d)<-%d" i j v) ops)))
+           (List.map
+              (function
+                | Set (i, j, v) -> Printf.sprintf "(%d,%d)<-%d" i j v
+                | Add (i, j, v) -> Printf.sprintf "(%d,%d)+=%d" i j v)
+              ops)))
     ops_gen
 
+(* Applies [ops] to both; a rejected add must leave [Mat] untouched. *)
 let apply_ops m ops =
-  let dense = Mat.make m and sparse = Smat.make m in
+  let r = Array.make_matrix m m 0 and d = Mat.make m in
   List.iter
-    (fun (i, j, v) ->
-      Mat.set dense i j v;
-      Smat.set sparse i j v)
+    (function
+      | Set (i, j, v) ->
+        r.(i).(j) <- v;
+        Mat.set d i j v
+      | Add (i, j, v) -> (
+        if r.(i).(j) + v >= 0 then r.(i).(j) <- r.(i).(j) + v;
+        try Mat.add_entry d i j v with Invalid_argument _ -> ()))
     ops;
-  (dense, sparse)
+  (r, d)
 
-let entries_of_mat d =
-  let acc = ref [] in
-  Mat.iter_nonzero (fun i j v -> acc := (i, j, v) :: !acc) d;
-  List.rev !acc
+let bit mask b = mask land (1 lsl Bits.bit_of b) <> 0
 
-let entries_of_smat s =
-  let acc = ref [] in
-  Smat.iter_nonzero (fun i j v -> acc := (i, j, v) :: !acc) s;
-  List.rev !acc
+let row_sum r i = Array.fold_left ( + ) 0 r.(i)
 
-let prop_mirror =
-  QCheck.Test.make ~name:"Smat mirrors Mat (values, aggregates, order)"
+(* The reference's nonzeros in row-major, column-ascending order. *)
+let entries_of r =
+  let m = Array.length r in
+  let entries = ref [] in
+  for i = m - 1 downto 0 do
+    for j = m - 1 downto 0 do
+      if r.(i).(j) > 0 then entries := (i, j, r.(i).(j)) :: !entries
+    done
+  done;
+  !entries
+
+(* Runs [checks] with an [expect] that records any failure. *)
+let all_hold checks =
+  let ok = ref true in
+  checks (fun b -> if not b then ok := false);
+  !ok
+
+let prop_values =
+  QCheck.Test.make ~name:"Mat agrees with an array reference"
     ~count:300 arb_ops (fun (m, ops) ->
-      let dense, sparse = apply_ops m ops in
-      let ok = ref true in
-      for i = 0 to m - 1 do
-        for j = 0 to m - 1 do
-          if Mat.get dense i j <> Smat.get sparse i j then ok := false
-        done
-      done;
-      !ok
-      && Mat.row_sums dense = Smat.row_sums sparse
-      && Mat.col_sums dense = Smat.col_sums sparse
-      && Mat.total dense = Smat.total sparse
-      && Mat.load dense = Smat.load sparse
-      && Mat.nonzero_count dense = Smat.nonzero_count sparse
-      && Mat.is_zero dense = Smat.is_zero sparse
-      (* iteration order is the drop-in contract: row-major, column
-         ascending, exactly the dense array's order *)
-      && entries_of_mat dense = entries_of_smat sparse
-      && Mat.equal dense (Smat.to_dense sparse)
-      && Smat.equal sparse (Smat.of_dense dense))
+      let r, d = apply_ops m ops in
+      let col_sum j = Array.fold_left (fun acc row -> acc + row.(j)) 0 r in
+      let row_sums = Array.init m (row_sum r) in
+      let sums = Array.append row_sums (Array.init m col_sum) in
+      let entries = entries_of r in
+      let seen = ref [] in
+      Mat.iter_nonzero (fun i j v -> seen := (i, j, v) :: !seen) d;
+      all_hold (fun expect ->
+          for i = 0 to m - 1 do
+            for j = 0 to m - 1 do
+              expect (Mat.get d i j = r.(i).(j))
+            done
+          done;
+          expect (Mat.row_sums d = row_sums);
+          expect (Mat.col_sums d = Array.init m col_sum);
+          expect (Mat.total d = Array.fold_left ( + ) 0 row_sums);
+          expect (Mat.load d = Array.fold_left max 0 sums);
+          expect (Mat.nonzero_count d = List.length entries);
+          expect (Mat.is_zero d = (entries = []));
+          (* the iteration-order contract: row-major, column ascending *)
+          expect (List.rev !seen = entries)))
 
 let prop_bitset_views =
-  QCheck.Test.make
-    ~name:"Smat bitset views agree with a dense recompute" ~count:300 arb_ops
-    (fun (m, ops) ->
-      let dense, sparse = apply_ops m ops in
-      let row_sum i =
-        Array.fold_left ( + ) 0 (Array.init m (fun j -> Mat.get dense i j))
-      in
-      let ok = ref true in
-      let words = Smat.bit_words sparse in
-      (* live-row mask: bit i <-> row i has remaining demand *)
-      for i = 0 to m - 1 do
-        let bit =
-          Smat.live_mask sparse (Bits.word_of i)
-          land (1 lsl Bits.bit_of i)
-          <> 0
-        in
-        if bit <> (row_sum i > 0) then ok := false;
-        (* column-support mask of row i: bit j <-> entry (i, j) > 0 *)
-        for j = 0 to m - 1 do
-          let rbit =
-            Smat.row_mask sparse i (Bits.word_of j)
-            land (1 lsl Bits.bit_of j)
-            <> 0
-          in
-          if rbit <> (Mat.get dense i j > 0) then ok := false
-        done;
-        (* no stray bits above the dimension *)
-        for w = 0 to words - 1 do
-          let valid = Bits.low_mask (min Bits.bits_per_word (m - (w * Bits.bits_per_word))) in
-          if Smat.row_mask sparse i w land lnot valid <> 0 then ok := false
-        done
-      done;
-      (* successor queries against a linear scan *)
-      for start = 0 to m - 1 do
-        let naive_row =
-          let r = ref None in
-          for i = m - 1 downto start do
-            if row_sum i > 0 then r := Some i
+  QCheck.Test.make ~name:"Mat bitset views match a recompute" ~count:300
+    arb_ops (fun (m, ops) ->
+      let r, d = apply_ops m ops in
+      let words = Bits.words_for m in
+      all_hold (fun expect ->
+          (* no stray bits above m in any word of any view *)
+          for w = 0 to words - 1 do
+            let valid =
+              Bits.low_mask
+                (min Bits.bits_per_word (m - (w * Bits.bits_per_word)))
+            in
+            expect (Mat.live_mask d w land lnot valid = 0);
+            for i = 0 to m - 1 do
+              expect (Mat.row_mask d i w land lnot valid = 0)
+            done
           done;
-          !r
-        in
-        if Smat.next_row sparse ~min_row:start <> naive_row then ok := false
-      done;
-      let live = ref 0 in
-      for i = 0 to m - 1 do
-        if row_sum i > 0 then incr live
-      done;
-      !ok && Smat.live_rows sparse = !live)
+          (* live rows and their successors, built by one backward scan *)
+          let next_row = ref None in
+          for i = m - 1 downto 0 do
+            let live = row_sum r i > 0 in
+            expect (bit (Mat.live_mask d (Bits.word_of i)) i = live);
+            if live then next_row := Some i;
+            expect (Mat.next_row d ~min_row:i = !next_row);
+            for j = 0 to m - 1 do
+              expect
+                (bit (Mat.row_mask d i (Bits.word_of j)) j = (r.(i).(j) > 0))
+            done
+          done;
+          expect (Mat.next_row d ~min_row:m = None)))
 
 let prop_row_next =
-  QCheck.Test.make ~name:"Smat.row_next equals a linear row scan" ~count:200
-    arb_ops (fun (m, ops) ->
-      let dense, sparse = apply_ops m ops in
-      let ok = ref true in
-      for i = 0 to m - 1 do
-        for start = 0 to m - 1 do
-          let naive =
-            let r = ref None in
-            for j = m - 1 downto start do
-              let v = Mat.get dense i j in
-              if v > 0 then r := Some (j, v)
+  QCheck.Test.make ~name:"Mat.row_next equals a row scan" ~count:200 arb_ops
+    (fun (m, ops) ->
+      let r, d = apply_ops m ops in
+      let entries = entries_of r in
+      all_hold (fun expect ->
+          for i = 0 to m - 1 do
+            (* successors, built by one backward scan over the row *)
+            let next = ref None in
+            for j = m - 1 downto 0 do
+              if r.(i).(j) > 0 then next := Some (j, r.(i).(j));
+              expect (Mat.row_next d i ~min_col:j = !next)
             done;
-            !r
-          in
-          if Smat.row_next sparse i ~min_col:start <> naive then ok := false
-        done
-      done;
-      !ok)
+            expect (Mat.row_next d i ~min_col:m = None);
+            expect
+              (List.of_seq (Mat.row_seq d i)
+              = List.filter_map
+                  (fun (i', j, v) -> if i' = i then Some (j, v) else None)
+                  entries)
+          done))
 
 let test_copy_isolated () =
-  let s = Smat.make 70 in
-  Smat.set s 65 3 4;
-  let c = Smat.copy s in
-  Smat.set c 65 3 0;
-  Smat.set c 2 69 7;
-  check_int "original value" 4 (Smat.get s 65 3);
-  check_int "original nnz" 1 (Smat.nonzero_count s);
+  let s = Mat.make 70 in
+  Mat.set s 65 3 4;
+  let c = Mat.copy s in
+  Mat.set c 65 3 0;
+  Mat.set c 2 69 7;
+  check_int "original value" 4 (Mat.get s 65 3);
+  check_int "original nnz" 1 (Mat.nonzero_count s);
+  check_int "original row sum" 4 (Mat.row_sum s 65);
+  check_int "original column-support word" (1 lsl 3) (Mat.row_mask s 65 0);
   Alcotest.(check (option int))
     "original live row" (Some 65)
-    (Smat.next_row s ~min_row:0);
-  check_int "copy diverged" 7 (Smat.get c 2 69)
+    (Mat.next_row s ~min_row:0);
+  check_int "copy diverged" 7 (Mat.get c 2 69)
 
 let test_next_row_word_boundary () =
-  let s = Smat.make 70 in
-  Smat.set s 0 0 1;
-  Smat.set s 61 5 1;
-  Smat.set s 62 6 1;
-  Smat.set s 69 7 1;
-  let next mr = Smat.next_row s ~min_row:mr in
+  let s = Mat.make 70 in
+  Mat.set s 0 0 1;
+  Mat.set s 61 5 1;
+  Mat.set s 62 6 1;
+  Mat.set s 69 7 1;
+  let next mr = Mat.next_row s ~min_row:mr in
   Alcotest.(check (option int)) "from 0" (Some 0) (next 0);
   Alcotest.(check (option int)) "from 1" (Some 61) (next 1);
   Alcotest.(check (option int)) "from 62 (word 2)" (Some 62) (next 62);
   Alcotest.(check (option int)) "from 63" (Some 69) (next 63);
   Alcotest.(check (option int)) "past the end" None (next 70);
-  Smat.set s 69 7 0;
+  Mat.set s 69 7 0;
   Alcotest.(check (option int)) "cleared row skipped" None (next 63)
 
-(* ---------- BvN over either representation ---------- *)
+(* ---------- footprint ---------- *)
 
-let mat_gen =
-  QCheck.Gen.(
-    let* m = int_range 1 12 in
-    let* seed = int_range 0 1_000_000 in
-    let st = Random.State.make [| seed |] in
-    return (Mat.random ~density:0.5 ~max_entry:9 st m))
+(* Heap words reachable from each demand, summed.  The bounds catch a
+   dense copy or a per-row bitset array creeping back into [Mat]. *)
+let demand_words demands =
+  List.fold_left (fun acc d -> acc + Obj.reachable_words (Obj.repr d)) 0 demands
 
-let arb_mat = QCheck.make ~print:Mat.to_string mat_gen
+let test_footprint_paper_scale () =
+  let inst =
+    Experiments.Exp_scale.instance Experiments.Config.default
+      ~coflows:Experiments.Exp_scale.coflows
+  in
+  let m = Workload.Instance.ports inst in
+  let demands = List.map snd (Workload.Instance.demands inst) in
+  let dense = List.length demands * m * m in
+  let words = demand_words demands in
+  if 10 * words > 4 * dense then
+    Alcotest.failf "E18 demands take %d words, over 40%% of dense %d" words
+      dense
 
-let prop_bvn_sparse_equiv =
-  QCheck.Test.make
-    ~name:"Bvn.schedule_sparse (of_dense d) = Bvn.schedule d" ~count:150
-    arb_mat (fun d ->
-      Core.Bvn.schedule d = Core.Bvn.schedule_sparse (Smat.of_dense d))
+let test_footprint_soak_ports () =
+  let m = Service.Soak.ports Service.Soak.default_config and n = 2000 in
+  let params = Workload.Fb_like.default_params ~ports:m ~coflows:n in
+  let st = Random.State.make [| 17 |] in
+  let demands = List.init n (fun _ -> Workload.Fb_like.draw_demand params st) in
+  let words = demand_words demands in
+  let bound = 1.05 *. float_of_int (n * ((m * m) + 4)) in
+  if float_of_int words > bound then
+    Alcotest.failf "%d-port demands take %.1f words each, over %.1f" m
+      (float_of_int words /. float_of_int n)
+      (bound /. float_of_int n)
+
+(* ---------- runs leave their inputs alone ---------- *)
+
+let test_run_keeps_instance () =
+  let inst =
+    Workload.Fb_like.generate_with_arrivals ~mean_gap:3 ~ports:10 ~coflows:24
+      (Random.State.make [| 5 |])
+  in
+  let demands () = List.map snd (Workload.Instance.demands inst) in
+  let before = List.map Mat.copy (demands ()) in
+  let order = Core.Ordering.by_load_over_weight inst in
+  let grouped =
+    Core.Scheduler.case_policy ~case:Core.Scheduler.Group_backfill inst order
+  in
+  ignore (Core.Engine.run inst (Core.Baselines.greedy_policy order));
+  ignore (Core.Engine.run inst grouped);
+  List.iter2
+    (fun b d ->
+      Alcotest.(check bool) "demand unchanged by the run" true (Mat.equal b d))
+    before (demands ())
 
 (* ---------- the batch step's contract ---------- *)
 
@@ -323,17 +367,21 @@ let test_batch_ab_grown_demand () =
     (Core.Engine.run ~sim:(grown ()) ~batch:false inst p)
     (Core.Engine.run ~sim:(grown ()) ~batch:true inst p)
 
-let properties =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_mirror; prop_bitset_views; prop_row_next; prop_bvn_sparse_equiv ]
-
 let () =
   Alcotest.run "sparse"
-    [ ("smat", properties);
-      ( "smat_unit",
+    [ ( "mat",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_values; prop_bitset_views; prop_row_next ] );
+      ( "mat_unit",
         [ Alcotest.test_case "copy isolates bitsets" `Quick test_copy_isolated;
           Alcotest.test_case "next_row across word boundary" `Quick
             test_next_row_word_boundary;
+          Alcotest.test_case "footprint at 150 ports" `Quick
+            test_footprint_paper_scale;
+          Alcotest.test_case "footprint at the soak's ports" `Quick
+            test_footprint_soak_ports;
+          Alcotest.test_case "Engine.run leaves demands intact" `Quick
+            test_run_keeps_instance;
         ] );
       ( "step_batch",
         [ Alcotest.test_case "batch = repeated step" `Quick
