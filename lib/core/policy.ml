@@ -29,8 +29,6 @@ let stateless ~describe next_slot =
    scan coflows in priority order, claim still-free port pairs from their
    remaining demand.  [init] seeds the claimed ports (work-conserving
    top-ups extend a partial slot); new transfers are consed onto it.
-   Iteration is over the simulator's sparse per-coflow views, so a slot
-   costs O(sum of live nonzeros), not O(coflows * ports^2).
 
    The sweep runs once per fabric, fastest first ([Net.by_rate]), so the
    head of the priority order lands on the fastest links; each fabric has
@@ -38,7 +36,7 @@ let stateless ~describe next_slot =
    budget, and the same (coflow, src, dst) entry is never claimed on two
    fabrics in one slot.  On [Net.single] this is exactly the classic
    single-switch sweep. *)
-exception Saturated
+let c_visited = Obs.Counter.make "policy.coflows_visited"
 
 let greedy_matching ?(init = []) sim ~priority =
   let m = Simulator.ports sim in
@@ -48,47 +46,42 @@ let greedy_matching ?(init = []) sim ~priority =
   let bpw = Matrix.Bits.bits_per_word in
   (* free ports as bitsets: word w starts with every valid bit set;
      fabric f's word w lives at [f * words + w] *)
-  let free_word w = Matrix.Bits.low_mask (min bpw (m - (w * bpw))) in
-  let free_src = Array.init (kf * words) (fun i -> free_word (i mod words)) in
-  let free_dst = Array.init (kf * words) (fun i -> free_word (i mod words)) in
+  let free_src =
+    Array.init (kf * words) (fun i ->
+        Matrix.Bits.low_mask (min bpw (m - (i mod words * bpw))))
+  in
+  let free_dst = Array.copy free_src in
   let n_src = Array.make kf 0 and n_dst = Array.make kf 0 in
   (* per-fabric inter-rack budget; [max_int] marks a non-blocking fabric *)
   let core_left =
     Array.init kf (fun f ->
         match Net.core_capacity net f with None -> max_int | Some c -> c)
   in
-  (* cross-fabric dedupe of (coflow, src, dst); only needed when k > 1 *)
+  (* cross-fabric dedupe of (coflow, src, dst), keyed by one int; only
+     needed when k > 1 *)
   let taken = if kf > 1 then Some (Hashtbl.create 64) else None in
-  let claim_src f i =
-    let w = (f * words) + Matrix.Bits.word_of i in
-    free_src.(w) <- free_src.(w) land lnot (1 lsl Matrix.Bits.bit_of i);
-    n_src.(f) <- n_src.(f) + 1
-  and claim_dst f j =
-    let w = (f * words) + Matrix.Bits.word_of j in
-    free_dst.(w) <- free_dst.(w) land lnot (1 lsl Matrix.Bits.bit_of j);
-    n_dst.(f) <- n_dst.(f) + 1
+  let key k i j = (((k * m) + i) * m) + j in
+  let claim f k i j =
+    let ws = (f * words) + Matrix.Bits.word_of i
+    and wd = (f * words) + Matrix.Bits.word_of j in
+    let bs = 1 lsl Matrix.Bits.bit_of i and bd = 1 lsl Matrix.Bits.bit_of j in
+    if free_src.(ws) land bs <> 0 then begin
+      free_src.(ws) <- free_src.(ws) lxor bs;
+      n_src.(f) <- n_src.(f) + 1
+    end;
+    if free_dst.(wd) land bd <> 0 then begin
+      free_dst.(wd) <- free_dst.(wd) lxor bd;
+      n_dst.(f) <- n_dst.(f) + 1
+    end;
+    if core_left.(f) <> max_int && Net.crosses_core net ~fabric:f ~src:i ~dst:j
+    then core_left.(f) <- core_left.(f) - 1;
+    match taken with
+    | Some tbl -> Hashtbl.replace tbl (key k i j) ()
+    | None -> ()
   in
   List.iter
-    (fun { Simulator.src; dst; coflow; fabric = f } ->
-      if
-        free_src.((f * words) + Matrix.Bits.word_of src)
-        land (1 lsl Matrix.Bits.bit_of src)
-        <> 0
-      then claim_src f src;
-      if
-        free_dst.((f * words) + Matrix.Bits.word_of dst)
-        land (1 lsl Matrix.Bits.bit_of dst)
-        <> 0
-      then claim_dst f dst;
-      if
-        core_left.(f) <> max_int
-        && Net.crosses_core net ~fabric:f ~src ~dst
-      then core_left.(f) <- core_left.(f) - 1;
-      match taken with
-      | Some tbl -> Hashtbl.replace tbl (coflow, src, dst) ()
-      | None -> ())
+    (fun { Simulator.src; dst; coflow; fabric } -> claim fabric coflow src dst)
     init;
-  let transfers = ref init in
   (* The scan claims at most one pair per (coflow, src) row per fabric —
      a claimed source blocks the rest of its row — and works wholesale on
      bitset words: a coflow's candidate sources are
@@ -101,100 +94,83 @@ let greedy_matching ?(init = []) sim ~priority =
      order, so the result is the very matching the naive entry-by-entry
      greedy scan produces.  Once every src (or every dst) of a fabric is
      claimed no later coflow can add a transfer there and the scan moves
-     to the next fabric — at scale the head of the priority order
-     saturates each fabric and the long tail is never touched. *)
-  Array.iter
-    (fun f ->
-      let fw = f * words in
-      try
-        Array.iter
-          (fun k ->
-            if n_src.(f) = m || n_dst.(f) = m then raise Saturated;
-            if Simulator.released sim k && not (Simulator.is_complete sim k)
-            then
-              for w = 0 to words - 1 do
-                (* candidate srcs: rows with demand whose port is free.
-                   Claims inside this word only ever clear the bit being
-                   iterated, so the snapshot stays valid. *)
-                let cand =
-                  ref
-                    (Simulator.remaining_live_mask sim k w
-                    land free_src.(fw + w))
+     to the next fabric.
+
+     Every loop below keeps its state in local ints: no closure, captured
+     ref or tuple is built per coflow or per candidate, so a call
+     allocates the returned transfers and the O(k * words) scratch
+     above, nothing else. *)
+  let transfers = ref init and visited = ref 0 in
+  let order = Net.by_rate net in
+  for o = 0 to kf - 1 do
+    let f = order.(o) in
+    let fw = f * words in
+    let rack =
+      match (Net.fabric_of net f).Net.rack_size with Some rs -> rs | None -> m
+    in
+    let p = ref 0 in
+    while !p < Array.length priority && n_src.(f) < m && n_dst.(f) < m do
+      let k = priority.(!p) in
+      incr p;
+      if Simulator.released sim k && not (Simulator.is_complete sim k) then
+        for w = 0 to words - 1 do
+          (* candidate srcs: rows with demand whose port is free.  Claims
+             inside this word only ever clear the bit being iterated, so
+             the snapshot stays valid. *)
+          let cand =
+            ref (Simulator.remaining_live_mask sim k w land free_src.(fw + w))
+          in
+          while !cand <> 0 do
+            let b = !cand land - !cand in
+            cand := !cand lxor b;
+            let i = (w * bpw) + Matrix.Bits.ntz b in
+            (* admissible dsts [lo, hi): the whole row, or the source's
+               rack once this fabric's core budget is exhausted *)
+            let lo = if core_left.(f) > 0 then 0 else i / rack * rack in
+            let hi = if core_left.(f) > 0 then m else min m (lo + rack) in
+            let w2 = ref (lo / bpw) and last = (hi - 1) / bpw in
+            while !w2 <= last do
+              let base = !w2 * bpw in
+              let in_range =
+                (if hi - base >= bpw then -1
+                 else Matrix.Bits.low_mask (hi - base))
+                land lnot
+                       (if lo <= base then 0
+                        else Matrix.Bits.low_mask (lo - base))
+              in
+              let rb =
+                ref
+                  (Simulator.remaining_row_mask sim k i !w2
+                  land free_dst.(fw + !w2)
+                  land in_range)
+              in
+              while !rb <> 0 do
+                let db = !rb land - !rb in
+                rb := !rb lxor db;
+                let j = base + Matrix.Bits.ntz db in
+                let dup =
+                  match taken with
+                  | Some tbl -> Hashtbl.mem tbl (key k i j)
+                  | None -> false
                 in
-                while !cand <> 0 do
-                  let b = !cand land - !cand in
-                  cand := !cand land lnot b;
-                  let i = (w * bpw) + Matrix.Bits.ntz b in
-                  (* admissible dst range: the whole row, or the source's
-                     rack once this fabric's core budget is exhausted *)
-                  let lo, hi =
-                    if core_left.(f) > 0 then (0, m)
-                    else
-                      match (Net.fabric_of net f).Net.rack_size with
-                      | None -> (0, m)
-                      | Some rs ->
-                        let r = i / rs in
-                        (r * rs, min m ((r + 1) * rs))
-                  in
-                  let range_mask w2 =
-                    let base = w2 * bpw in
-                    if hi <= base || lo >= base + bpw then 0
-                    else
-                      (if hi - base >= bpw then -1
-                       else Matrix.Bits.low_mask (hi - base))
-                      land lnot
-                            (if lo <= base then 0
-                             else Matrix.Bits.low_mask (lo - base))
-                  in
-                  let claimed = ref false in
-                  let rec row_scan w2 =
-                    if (not !claimed) && w2 < words then begin
-                      let rb =
-                        ref
-                          (Simulator.remaining_row_mask sim k i w2
-                          land free_dst.(fw + w2)
-                          land range_mask w2)
-                      in
-                      while (not !claimed) && !rb <> 0 do
-                        let db = !rb land - !rb in
-                        rb := !rb land lnot db;
-                        let j = (w2 * bpw) + Matrix.Bits.ntz db in
-                        let dup =
-                          match taken with
-                          | Some tbl -> Hashtbl.mem tbl (k, i, j)
-                          | None -> false
-                        in
-                        if not dup then begin
-                          claim_src f i;
-                          claim_dst f j;
-                          if
-                            core_left.(f) <> max_int
-                            && Net.crosses_core net ~fabric:f ~src:i ~dst:j
-                          then core_left.(f) <- core_left.(f) - 1;
-                          (match taken with
-                          | Some tbl -> Hashtbl.replace tbl (k, i, j) ()
-                          | None -> ());
-                          transfers :=
-                            { Simulator.src = i;
-                              dst = j;
-                              coflow = k;
-                              fabric = f;
-                            }
-                            :: !transfers;
-                          claimed := true;
-                          if n_src.(f) = m || n_dst.(f) = m then
-                            raise Saturated
-                        end
-                      done;
-                      row_scan (w2 + 1)
-                    end
-                  in
-                  row_scan 0
-                done
-              done)
-          priority
-      with Saturated -> ())
-    (Net.by_rate net);
+                if not dup then begin
+                  claim f k i j;
+                  transfers :=
+                    { Simulator.src = i; dst = j; coflow = k; fabric = f }
+                    :: !transfers;
+                  (* the row is served: stop scanning it *)
+                  rb := 0;
+                  w2 := last
+                end
+              done;
+              incr w2
+            done
+          done
+        done
+    done;
+    visited := !visited + !p
+  done;
+  Obs.Counter.incr c_visited ~by:!visited;
   !transfers
 
 (* How many consecutive slots [transfers] may be replayed for without any
@@ -231,13 +207,56 @@ let skip_bound sim transfers ~max_n =
     transfers;
   max 1 !bound
 
+(* The released, unfinished entries of [priority], in order: the only
+   coflows a greedy decision can serve, so deciding over them gives the
+   same transfers as deciding over the whole array.  The view is rebuilt,
+   in O(priority), only when the simulator's released or unfinished count
+   has moved since the last decision.  The released set only grows and
+   the unfinished set only shrinks ([set_release] moves only unreleased
+   coflows and never before [now]; [add_demand] refuses finished ones),
+   so equal counts mean equal sets: the rebuild runs once per release or
+   completion event, never per decision. *)
+type live_view = {
+  mutable released : int; (* counts at the last rebuild; -1 before it *)
+  mutable unfinished : int;
+  mutable live : int array;
+}
+
+let live_priority v priority sim =
+  let released = Simulator.released_count sim
+  and unfinished = Simulator.unfinished_count sim in
+  if released <> v.released || unfinished <> v.unfinished then begin
+    let is_live k =
+      Simulator.released sim k && not (Simulator.is_complete sim k)
+    in
+    let count =
+      Array.fold_left (fun n k -> if is_live k then n + 1 else n) 0 priority
+    in
+    let live = Array.make count 0 and n = ref 0 in
+    Array.iter
+      (fun k ->
+        if is_live k then begin
+          live.(!n) <- k;
+          incr n
+        end)
+      priority;
+    v.released <- released;
+    v.unfinished <- unfinished;
+    v.live <- live
+  end;
+  v.live
+
 let of_priority ~describe priority =
   { describe;
     prepare =
       (fun _ ->
+        let v = { released = -1; unfinished = -1; live = [||] } in
+        let decide sim =
+          greedy_matching sim ~priority:(live_priority v priority sim)
+        in
         stepper
           ~next_batch:(fun sim ~max_n ->
-            let transfers = greedy_matching sim ~priority in
+            let transfers = decide sim in
             (transfers, skip_bound sim transfers ~max_n))
-          (fun sim -> greedy_matching sim ~priority));
+          decide);
   }

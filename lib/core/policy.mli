@@ -76,9 +76,25 @@ val greedy_matching :
 (** Order-respecting greedy maximal matching: scan released, unfinished
     coflows in [priority] order and claim free port pairs from their
     remaining demand.  [init] (default empty) marks already-claimed pairs —
-    work-conserving extensions pass the partial slot and get it extended.
-    This is the shared core of {!Baselines.greedy}, the scheduler's
-    backfill paths and the online rules. *)
+    work-conserving extensions pass the partial slot and get it extended;
+    new transfers are consed onto it.  This is the shared core of
+    {!Baselines.greedy}, the scheduler's backfill paths and the online
+    rules.
+
+    The result is exactly the entry-by-entry scan: fabrics in
+    [Net.by_rate] order, then [priority], then source ascending, then
+    destination ascending; one claim per (coflow, src) row per fabric; no
+    (coflow, src, dst) entry on two fabrics; once a fabric's core budget
+    is spent, rack-local pairs only.  A fabric's scan stops when all its
+    sources or destinations are claimed.
+
+    Cost: O(entries examined + candidate sources · words).  A call
+    allocates its transfers (8 words each) and O(k · words) scratch,
+    nothing per coflow or candidate.  The [policy.coflows_visited]
+    counter grows by the number of [priority] entries examined, summed
+    over fabrics.  Entries that are unreleased or finished still count,
+    so callers that can should pass only live coflows (see
+    {!of_priority}). *)
 
 val skip_bound :
   Switchsim.Simulator.t ->
@@ -99,4 +115,12 @@ val skip_bound :
 
 val of_priority : describe:string -> int array -> t
 (** The simplest policy: greedy matching under one fixed priority, batched
-    via {!skip_bound}. *)
+    via {!skip_bound}.  Each run's stepper decides over a live view, the
+    released and unfinished entries of the priority in order.  The
+    transfers are those of {!greedy_matching} over the whole array.  The
+    view is rebuilt, in O(priority), only when
+    {!Switchsim.Simulator.released_count} or
+    {!Switchsim.Simulator.unfinished_count} has changed since the last
+    decision, so a decision costs O(live coflows + candidates).  The
+    priority array is read at those rebuilds and must not be mutated
+    during a run. *)

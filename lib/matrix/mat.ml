@@ -85,6 +85,11 @@ let add_entry d i j dv =
   if old + dv < 0 then invalid_arg "Mat.add_entry: entry would become negative";
   put d i j ~old (old + dv)
 
+let replace d i j ~old v =
+  check_index d i j;
+  if v < 0 then invalid_arg "Mat.replace: negative entry";
+  put d i j ~old v
+
 let of_arrays rows =
   let m = Array.length rows in
   if m = 0 then invalid_arg "Mat.of_arrays: empty matrix";
@@ -142,36 +147,15 @@ let map f d =
     d;
   r
 
-let check_row d i name =
-  if i < 0 || i >= d.m then invalid_arg ("Mat." ^ name ^ ": index out of range")
-
 let row_seq d i =
-  check_row d i "row_seq";
+  if i < 0 || i >= d.m then invalid_arg "Mat.row_seq: index out of range";
   Imap.to_seq d.rows.(i)
-
-let row_next d i ~min_col =
-  check_row d i "row_next";
-  Imap.find_first_opt (fun j -> j >= min_col) d.rows.(i)
 
 (* Unchecked beyond the array bound: the matching loops call these once
    per coflow and word on every decision. *)
 let live_mask d w = d.aux.((2 * d.m) + w)
 
 let row_mask d i w = d.aux.(row_base d i + w)
-
-let next_row d ~min_row =
-  if min_row >= d.m then None
-  else begin
-    let rec go w mask =
-      if w >= d.words then None
-      else begin
-        let bits = live_mask d w land mask in
-        if bits = 0 then go (w + 1) (lnot 0)
-        else Some ((w * Bits.bits_per_word) + Bits.ntz (bits land -bits))
-      end
-    in
-    go (Bits.word_of min_row) (lnot (Bits.low_mask (Bits.bit_of min_row)))
-  end
 
 (* Map shapes depend on insertion order, so equality must compare the
    bindings, never the trees: polymorphic [=] on [t] is wrong. *)

@@ -46,6 +46,13 @@ val add_entry : t -> int -> int -> int -> unit
 (** [add_entry d i j v] adds [v] (possibly negative) to entry [(i, j)].
     @raise Invalid_argument if the result would be negative. *)
 
+val replace : t -> int -> int -> old:int -> int -> unit
+(** [replace d i j ~old v] stores [v] at [(i, j)], which must hold [old]
+    now: one map write and no lookup, for a caller that has just read the
+    entry (the simulator's commit).  A wrong [old] corrupts the sums and
+    bitsets.  @raise Invalid_argument on out-of-range indices or
+    [v < 0]. *)
+
 val row_sum : t -> int -> int
 (** Total demand departing ingress port [i]; O(1). *)
 
@@ -80,13 +87,6 @@ val iter_nonzero : (int -> int -> int -> unit) -> t -> unit
 
 val row_seq : t -> int -> (int * int) Seq.t
 (** Row [i]'s [(column, value)] nonzeros, column ascending. *)
-
-val row_next : t -> int -> min_col:int -> (int * int) option
-(** First nonzero of row [i] in a column [>= min_col]; O(log row
-    nonzeros). *)
-
-val next_row : t -> min_row:int -> int option
-(** First row [>= min_row] holding a nonzero, from the live-row bitset. *)
 
 val live_mask : t -> int -> int
 (** Word [w] ([0 <= w < Bits.words_for m]) of the live-row bitset: bit

@@ -16,9 +16,7 @@ type t = {
   completed : int array; (* completion slot, -1 if unfinished *)
   first_served : int array; (* slot of the first transfer, -1 if never *)
   mutable unfinished : int;
-  mutable release_cache : int array option;
-      (* distinct release dates, sorted ascending; invalidated by
-         [set_release] *)
+  dates : int array; (* every release date, sorted ascending *)
   mutable clock : int;
   mutable busy : int;
   mutable moved : int;
@@ -26,6 +24,10 @@ type t = {
      index [f * ports + p], so one fill clears every fabric *)
   src_used : bool array;
   dst_used : bool array;
+  have : int array;
+      (* the served entries' demand as validation read it, by position in
+         the slot's transfer list: a valid slot has at most [kf * ports]
+         transfers *)
 }
 
 let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
@@ -68,12 +70,16 @@ let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
     completed;
     first_served = Array.make n (-1);
     unfinished = !unfinished;
-    release_cache = None;
+    dates =
+      (let d = Array.copy releases in
+       Array.sort compare d;
+       d);
     clock = 0;
     busy = 0;
     moved = 0;
     src_used = Array.make (kf * ports) false;
     dst_used = Array.make (kf * ports) false;
+    have = Array.make (kf * ports) 0;
   }
 
 let ports t = t.ports
@@ -105,44 +111,46 @@ let set_release t k r =
     invalid_arg "Simulator.set_release: coflow already released";
   if r < t.clock then
     invalid_arg "Simulator.set_release: cannot release in the past";
-  t.releases.(k) <- r;
-  t.release_cache <- None
+  (* move one copy of the old date to [r] in the sorted [dates], O(n):
+     start at the first copy and shift the dates in between by one *)
+  let d = t.dates and old = t.releases.(k) in
+  let p = ref 0 in
+  while d.(!p) < old do
+    incr p
+  done;
+  while !p + 1 < Array.length d && d.(!p + 1) < r do
+    d.(!p) <- d.(!p + 1);
+    incr p
+  done;
+  while !p > 0 && d.(!p - 1) > r do
+    d.(!p) <- d.(!p - 1);
+    decr p
+  done;
+  d.(!p) <- r;
+  t.releases.(k) <- r
 
 let released t k =
   check_coflow t k;
   t.releases.(k) <= t.clock
 
-(* Slots until the next still-pending release becomes serviceable; [None]
-   when every coflow is already released.  Batched policies ask once per
-   decision, so the distinct release dates are kept sorted in a cache
-   (invalidated by [set_release]) and the answer is one binary search. *)
-let next_release_gap t =
-  let dates =
-    match t.release_cache with
-    | Some d -> d
-    | None ->
-      let sorted = Array.copy t.releases in
-      Array.sort compare sorted;
-      let out = Array.make (Array.length sorted) 0 in
-      let distinct = ref 0 in
-      Array.iteri
-        (fun idx r ->
-          if idx = 0 || sorted.(idx - 1) <> r then begin
-            out.(!distinct) <- r;
-            incr distinct
-          end)
-        sorted;
-      let d = Array.sub out 0 !distinct in
-      t.release_cache <- Some d;
-      d
-  in
-  (* first date strictly after the clock *)
-  let lo = ref 0 and hi = ref (Array.length dates) in
+(* Index of the first release date strictly after the clock: the number
+   of released coflows, and where the next pending release sits.  One
+   binary search over the sorted dates. *)
+let first_pending t =
+  let lo = ref 0 and hi = ref (Array.length t.dates) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if dates.(mid) > t.clock then hi := mid else lo := mid + 1
+    if t.dates.(mid) > t.clock then hi := mid else lo := mid + 1
   done;
-  if !lo >= Array.length dates then None else Some (dates.(!lo) - t.clock)
+  !lo
+
+let released_count t = first_pending t
+
+let unfinished_count t = t.unfinished
+
+let next_release_gap t =
+  let p = first_pending t in
+  if p >= Array.length t.dates then None else Some (t.dates.(p) - t.clock)
 
 let remaining t k =
   check_coflow t k;
@@ -152,28 +160,9 @@ let remaining_load t k =
   check_coflow t k;
   Mat.load t.demand.(k)
 
-let remaining_nonzeros t k =
-  check_coflow t k;
-  Mat.nonzero_count t.demand.(k)
-
 let iter_remaining t k f =
   check_coflow t k;
   Mat.iter_nonzero f t.demand.(k)
-
-let iter_remaining_rows t k f =
-  check_coflow t k;
-  let d = t.demand.(k) in
-  for i = 0 to t.ports - 1 do
-    if Mat.row_sum d i > 0 then f i (Mat.row_seq d i)
-  done
-
-let remaining_in_row t k i =
-  check_coflow t k;
-  Mat.row_sum t.demand.(k) i
-
-let remaining_next_row t k ~min_src =
-  check_coflow t k;
-  Mat.next_row t.demand.(k) ~min_row:min_src
 
 let remaining_live_mask t k w =
   check_coflow t k;
@@ -182,10 +171,6 @@ let remaining_live_mask t k w =
 let remaining_row_mask t k i w =
   check_coflow t k;
   Mat.row_mask t.demand.(k) i w
-
-let remaining_next_in_row t k ~src ~min_dst =
-  check_coflow t k;
-  Mat.row_next t.demand.(k) src ~min_col:min_dst
 
 let remaining_at t k i j =
   check_coflow t k;
@@ -306,8 +291,8 @@ let step_n t transfers n =
     if t.kf > 1 then Some (Hashtbl.create (2 * List.length transfers))
     else None
   in
-  List.iter
-    (fun { src; dst; coflow; fabric } ->
+  List.iteri
+    (fun idx { src; dst; coflow; fabric } ->
       if fabric < 0 || fabric >= t.kf then
         raise (Invalid_slot (Printf.sprintf "fabric out of range: %d" fabric));
       if src < 0 || src >= t.ports || dst < 0 || dst >= t.ports then
@@ -359,7 +344,9 @@ let step_n t transfers n =
                  a zero"
                 coflow have
                 (((n - 1) * rate) + 1)
-                src dst)))
+                src dst));
+      (* the ingress check above bounds [idx] by [kf * ports] *)
+      t.have.(idx) <- have)
     transfers;
   (* commit *)
   let tracing = Obs.Trace.enabled () in
@@ -367,11 +354,13 @@ let step_n t transfers n =
   let start = t.clock in
   t.clock <- t.clock + n;
   if transfers <> [] then t.busy <- t.busy + n;
-  List.iter
-    (fun { src; dst; coflow; fabric } ->
-      let have = Mat.get t.demand.(coflow) src dst in
+  List.iteri
+    (fun idx { src; dst; coflow; fabric } ->
+      (* no two transfers share an entry, so validation's read is still
+         current: one write per served pair, no second lookup *)
+      let have = t.have.(idx) in
       let moved = min (n * t.rates.(fabric)) have in
-      Mat.add_entry t.demand.(coflow) src dst (-moved);
+      Mat.replace t.demand.(coflow) src dst ~old:have (have - moved);
       t.left.(coflow) <- t.left.(coflow) - moved;
       t.moved <- t.moved + moved;
       if t.first_served.(coflow) < 0 then begin

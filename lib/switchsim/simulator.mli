@@ -71,11 +71,24 @@ val set_release : t -> int -> int -> unit
     when its predecessors finish.  Only a release still in the future may be
     changed, and only to a time [>= now sim] (history cannot be
     rewritten).  Use [max_int] at {!create} for "pending until released
-    explicitly".  @raise Invalid_argument otherwise. *)
+    explicitly".  O(coflows): the sorted release dates are updated in
+    place.  @raise Invalid_argument otherwise. *)
 
 val released : t -> int -> bool
 (** [released sim k] iff coflow [k] may be served in the next slot
     (its release time is [<= now sim]). *)
+
+val released_count : t -> int
+(** Number of released coflows, finished ones included; one binary search
+    over the sorted release dates.  The released set only grows —
+    {!set_release} moves only unreleased coflows, never before [now] —
+    so two equal counts mean the same set. *)
+
+val unfinished_count : t -> int
+(** Number of coflows with remaining demand; O(1).  The unfinished set
+    only shrinks — {!add_demand} refuses finished coflows — so two equal
+    counts mean the same set.  Together with {!released_count} this tells
+    a cached view of the live coflows whether it is still current. *)
 
 val remaining : t -> int -> Matrix.Mat.t
 (** Copy of coflow [k]'s remaining demand, O(ports + words * ports)
@@ -86,43 +99,10 @@ val remaining_load : t -> int -> int
 (** [rho] of coflow [k]'s remaining demand (max row/col sum), O(ports) from
     the incrementally maintained port loads — never walks the matrix. *)
 
-val remaining_nonzeros : t -> int -> int
-(** Number of strictly positive remaining entries of coflow [k]; O(1). *)
-
 val iter_remaining : t -> int -> (int -> int -> int -> unit) -> unit
 (** [iter_remaining sim k f] applies [f i j units] to every strictly
     positive remaining entry of coflow [k] without copying — the fast path
     for per-slot policies.  The callback must not call {!step}. *)
-
-val iter_remaining_rows :
-  t -> int -> (int -> (int * int) Seq.t -> unit) -> unit
-(** [iter_remaining_rows sim k f] applies [f i row] to every source port
-    [i] with positive remaining demand for coflow [k]; [row] lazily
-    enumerates that row's [(dst, units)] nonzeros in ascending column
-    order.  Matching loops use this to skip an already-claimed source
-    port without visiting any of its entries, and to stop scanning a row
-    at the first usable destination.  The callback must not call
-    {!step}. *)
-
-val remaining_in_row : t -> int -> int -> int
-(** [remaining_in_row sim k i] — total remaining units coflow [k] still
-    owes on source port [i]; constant time (the sparse row loads are
-    maintained incrementally). *)
-
-val remaining_next_row : t -> int -> min_src:int -> int option
-(** [remaining_next_row sim k ~min_src] — the first source port
-    [>= min_src] on which coflow [k] still owes demand, or [None];
-    O(log m) over the incrementally maintained live-row set.  Lets a
-    matching scan over a nearly-drained coflow jump between its few
-    remaining rows instead of probing every port. *)
-
-val remaining_next_in_row : t -> int -> src:int -> min_dst:int -> (int * int) option
-(** [remaining_next_in_row sim k ~src ~min_dst] — the first remaining
-    [(dst, units)] nonzero of coflow [k] on source [src] with
-    [dst >= min_dst], or [None]; O(log row nonzeros).  Matching loops
-    alternate this with a free-port successor query to find the first
-    usable destination in a row without visiting the entries in
-    between. *)
 
 val remaining_live_mask : t -> int -> int -> int
 (** [remaining_live_mask sim k w] — word [w] of coflow [k]'s live-row
@@ -139,7 +119,7 @@ val remaining_row_mask : t -> int -> int -> int -> int
 
 val remaining_at : t -> int -> int -> int -> int
 (** [remaining_at sim k i j] — remaining units of coflow [k] on pair
-    [(i, j)]; constant time. *)
+    [(i, j)]; O(log row nonzeros). *)
 
 val remaining_total : t -> int -> int
 
@@ -162,8 +142,8 @@ val completion_time_exn : t -> int -> int
 val next_release_gap : t -> int option
 (** Slots until the next still-pending release becomes serviceable ([None]
     when every coflow is released).  The release-boundary half of the batch
-    bound used by event-driven policies; one binary search over a sorted
-    release cache (rebuilt after {!set_release}). *)
+    bound used by event-driven policies; the same binary search as
+    {!released_count}. *)
 
 val first_service_time : t -> int -> int option
 (** Slot in which coflow [k]'s first unit moved, if any has — together
@@ -177,7 +157,9 @@ val step : t -> transfer list -> unit
     served coflow is released, (iv) every fabric index is in range and no
     (coflow, src, dst) entry is drained by two fabrics in the same slot,
     (v) each oversubscribed fabric's inter-rack transfers fit its core
-    budget.  Each transfer moves [min (rate fabric) remaining] units.  Advances the clock even when the list is empty (idle slot).
+    budget.  Each transfer moves [min (rate fabric) remaining] units.
+    Advances the clock even when the list is empty (idle slot).  Each
+    served entry is looked up once, by validation, and written once.
 
     When {!Obs.Trace} is enabled, every step additionally emits the
     per-coflow lifecycle events (release opens a ["wait"] slice, first

@@ -1,7 +1,9 @@
 (* Tests for the Policy/Engine layer: golden equivalence against the
    pre-refactor slot loops (values captured at the parent commit on a fixed
    fb-like instance), jobs-count determinism of Engine.run_many, and the
-   shared greedy-matching helper's invariants. *)
+   shared greedy-matching helper: its invariants, its exact transfers
+   against an entry-by-entry scan, the live priority view, its allocation
+   and its work counter. *)
 
 open Workload
 open Core
@@ -170,6 +172,231 @@ let prop_greedy_matching_valid_and_maximal =
         priority;
       true)
 
+(* The greedy sweep spelled out entry by entry: fabrics fastest first,
+   then priority order, then source ascending, then destination
+   ascending; one claim per (coflow, src) row per fabric, no entry
+   claimed on two fabrics, and once a fabric's core budget is spent only
+   rack-local pairs.  New transfers are consed onto [init]. *)
+let naive_greedy ?(init = []) sim ~priority =
+  let open Switchsim in
+  let m = Simulator.ports sim and net = Simulator.net sim in
+  let kf = Net.k net in
+  let src_used = Array.make_matrix kf m false in
+  let dst_used = Array.make_matrix kf m false in
+  let core_left =
+    Array.init kf (fun f ->
+        match Net.core_capacity net f with None -> max_int | Some c -> c)
+  in
+  let taken = Hashtbl.create 16 in
+  let claim ({ Simulator.src; dst; coflow; fabric = f } : Simulator.transfer)
+      =
+    src_used.(f).(src) <- true;
+    dst_used.(f).(dst) <- true;
+    if Net.crosses_core net ~fabric:f ~src ~dst then
+      core_left.(f) <- core_left.(f) - 1;
+    Hashtbl.replace taken (coflow, src, dst) ()
+  in
+  List.iter claim init;
+  let acc = ref init in
+  Array.iter
+    (fun f ->
+      Array.iter
+        (fun k ->
+          if Simulator.released sim k && not (Simulator.is_complete sim k)
+          then
+            for i = 0 to m - 1 do
+              for j = 0 to m - 1 do
+                if
+                  (not src_used.(f).(i))
+                  && (not dst_used.(f).(j))
+                  && Simulator.remaining_at sim k i j > 0
+                  && (core_left.(f) > 0
+                     || not (Net.crosses_core net ~fabric:f ~src:i ~dst:j))
+                  && not (Hashtbl.mem taken (k, i, j))
+                then begin
+                  let t =
+                    { Simulator.src = i; dst = j; coflow = k; fabric = f }
+                  in
+                  claim t;
+                  acc := t :: !acc
+                end
+              done
+            done)
+        priority)
+    (Net.by_rate net);
+  !acc
+
+let shuffled st n =
+  let a = Array.init n (fun k -> k) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+(* Nets the sweep must handle: one switch, two fabrics at different rates,
+   and oversubscribed cores whose budget binds. *)
+let random_net st m =
+  let rack_size = 1 + Random.State.int st m in
+  let core_capacity = Random.State.int st (1 + (m / 4)) in
+  match Random.State.int st 4 with
+  | 0 -> Switchsim.Net.single ~ports:m
+  | 1 -> Switchsim.Net.uniform ~ports:m ~rates:[ 2; 1 ]
+  | 2 -> Switchsim.Net.two_tier ~ports:m ~rack_size ~core_capacity
+  | _ ->
+    Switchsim.Net.make ~ports:m
+      [ Switchsim.Net.fabric 1;
+        Switchsim.Net.fabric ~rack_size ~core_capacity 2;
+      ]
+
+(* Up to 70 ports, across the 62-bit word; staggered releases, some empty
+   coflows, and a few slots already served so rows are partly drained. *)
+let random_state seed =
+  let st = Random.State.make [| seed |] in
+  let m = 1 + Random.State.int st 70 and n = 1 + Random.State.int st 8 in
+  let density = 0.02 +. Random.State.float st 0.3 in
+  let demands =
+    List.init n (fun _ ->
+        let d =
+          if Random.State.int st 8 = 0 then Matrix.Mat.make m
+          else Matrix.Mat.random ~density ~max_entry:3 st m
+        in
+        (Random.State.int st 3, d))
+  in
+  let net = random_net st m in
+  let sim = Switchsim.Simulator.create ~net ~ports:m demands in
+  let priority = shuffled st n in
+  for _ = 1 to Random.State.int st 4 do
+    Switchsim.Simulator.step sim (naive_greedy sim ~priority)
+  done;
+  (st, sim, priority)
+
+let prop_greedy_matching_is_naive_scan =
+  QCheck.Test.make ~name:"Policy.greedy_matching equals the naive scan"
+    ~count:300 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let st, sim, priority = random_state seed in
+      let n = Array.length priority in
+      (* a partial slot to extend: what the scan claims for a random
+         sub-order *)
+      let sub = Array.sub (shuffled st n) 0 (Random.State.int st (n + 1)) in
+      let init = naive_greedy sim ~priority:sub in
+      Policy.greedy_matching sim ~priority = naive_greedy sim ~priority
+      && Policy.greedy_matching ~init sim ~priority
+         = naive_greedy ~init sim ~priority)
+
+(* The of_priority stepper decides over its live view; the full array must
+   give the same transfers at every slot, while releases arrive on their
+   own, [set_release] moves pending coflows to now or later, and
+   [add_demand] grows coflows mid-run. *)
+let prop_live_view_is_full_sweep =
+  QCheck.Test.make ~name:"of_priority's live view decides as the full array"
+    ~count:150 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let open Switchsim in
+      let st = Random.State.make [| seed |] in
+      let m = 2 + Random.State.int st 9 and n = 1 + Random.State.int st 12 in
+      let demands =
+        List.init n (fun _ ->
+            let release =
+              match Random.State.int st 4 with
+              | 0 -> max_int (* pending until set_release *)
+              | 1 -> 0
+              | _ -> Random.State.int st 30
+            in
+            (release, Matrix.Mat.random ~density:0.3 ~max_entry:4 st m))
+      in
+      let sim =
+        Simulator.create ~net:(random_net st m) ~ports:m demands
+      in
+      let priority = shuffled st n in
+      let stepper =
+        (Policy.of_priority ~describe:"live" priority).Policy.prepare sim
+      in
+      let pick pred =
+        match List.filter pred (List.init n (fun k -> k)) with
+        | [] -> None
+        | ks -> Some (List.nth ks (Random.State.int st (List.length ks)))
+      in
+      let ok = ref true and budget = ref 300 in
+      while !ok && !budget > 0 && not (Simulator.all_complete sim) do
+        decr budget;
+        (match Random.State.int st 6 with
+        | 0 -> (
+          match pick (fun k -> not (Simulator.released sim k)) with
+          | Some k ->
+            Simulator.set_release sim k
+              (if Random.State.bool st then Simulator.now sim
+               else Simulator.now sim + 1 + Random.State.int st 5)
+          | None -> ())
+        | 1 -> (
+          match pick (fun k -> not (Simulator.is_complete sim k)) with
+          | Some k ->
+            Simulator.add_demand sim k ~src:(Random.State.int st m)
+              ~dst:(Random.State.int st m)
+              (1 + Random.State.int st 3)
+          | None -> ())
+        | _ -> ());
+        let full = Policy.greedy_matching sim ~priority in
+        let live, slots =
+          match stepper.Policy.next_batch with
+          | Some decide when Random.State.bool st ->
+            decide sim ~max_n:(1 + Random.State.int st 4)
+          | _ -> (stepper.Policy.next_slot sim, 1)
+        in
+        if live <> full then ok := false
+        else Simulator.step_batch sim live ~slots
+      done;
+      !ok)
+
+(* One decision on a 64-port, 600-coflow state allocates its transfers
+   (a 3-word cons and a 5-word record each) and a constant: nothing per
+   coflow visited or per candidate source probed. *)
+let test_greedy_allocation () =
+  let inst =
+    Fb_like.generate ~ports:64 ~coflows:600 (Random.State.make [| 7 |])
+  in
+  let sim = Switchsim.Simulator.create ~ports:64 (Instance.demands inst) in
+  let priority = Ordering.by_load_over_weight inst in
+  for _ = 1 to 5 do
+    Switchsim.Simulator.step sim (Policy.greedy_matching sim ~priority)
+  done;
+  let before = Gc.minor_words () in
+  let ts = Policy.greedy_matching sim ~priority in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  let bound = (8 * List.length ts) + 64 in
+  if List.length ts < 32 then
+    Alcotest.failf "only %d transfers" (List.length ts);
+  if words > bound then
+    Alcotest.failf "%d transfers allocated %d words, over %d" (List.length ts)
+      words bound
+
+(* 999 of 1,000 coflows are released at 10^6: each decision of the
+   of_priority stepper examines the one live entry and nothing else. *)
+let test_coflows_visited_live () =
+  let n = 1000 and live = 500 in
+  let d = Matrix.Mat.of_arrays [| [| 4; 0 |]; [| 0; 4 |] |] in
+  let sim =
+    Switchsim.Simulator.create ~ports:2
+      (List.init n (fun k -> ((if k = live then 0 else 1_000_000), d)))
+  in
+  let stepper =
+    (Policy.of_priority ~describe:"one live" (Array.init n (fun k -> k)))
+      .Policy.prepare sim
+  in
+  let visited = Obs.Counter.make "policy.coflows_visited" in
+  for slot = 1 to 4 do
+    let before = Obs.Counter.value visited in
+    let ts = stepper.Policy.next_slot sim in
+    check_int
+      (Printf.sprintf "entries examined in slot %d" slot)
+      1
+      (Obs.Counter.value visited - before);
+    Switchsim.Simulator.step sim ts
+  done;
+  Alcotest.(check bool) "live coflow done" true
+    (Switchsim.Simulator.is_complete sim live)
+
 (* ---------- k=1 / rate=1 Net equivalence ---------- *)
 
 (* The multi-fabric refactor claims [Net.single] recovers the paper's
@@ -237,8 +464,14 @@ let () =
             test_run_many_reraises;
         ] );
       ( "policy",
-        [ QCheck_alcotest.to_alcotest prop_greedy_matching_valid_and_maximal ]
-      );
+        [ QCheck_alcotest.to_alcotest prop_greedy_matching_valid_and_maximal;
+          QCheck_alcotest.to_alcotest prop_greedy_matching_is_naive_scan;
+          QCheck_alcotest.to_alcotest prop_live_view_is_full_sweep;
+          Alcotest.test_case "greedy_matching allocates per transfer" `Quick
+            test_greedy_allocation;
+          Alcotest.test_case "coflows_visited counts live entries" `Quick
+            test_coflows_visited_live;
+        ] );
       ( "net-equivalence",
         [ Alcotest.test_case "goldens through Net.single" `Quick
             test_golden_through_explicit_net;

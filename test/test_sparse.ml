@@ -128,34 +128,22 @@ let prop_bitset_views =
               expect (Mat.row_mask d i w land lnot valid = 0)
             done
           done;
-          (* live rows and their successors, built by one backward scan *)
-          let next_row = ref None in
-          for i = m - 1 downto 0 do
-            let live = row_sum r i > 0 in
-            expect (bit (Mat.live_mask d (Bits.word_of i)) i = live);
-            if live then next_row := Some i;
-            expect (Mat.next_row d ~min_row:i = !next_row);
+          for i = 0 to m - 1 do
+            expect
+              (bit (Mat.live_mask d (Bits.word_of i)) i = (row_sum r i > 0));
             for j = 0 to m - 1 do
               expect
                 (bit (Mat.row_mask d i (Bits.word_of j)) j = (r.(i).(j) > 0))
             done
-          done;
-          expect (Mat.next_row d ~min_row:m = None)))
+          done))
 
-let prop_row_next =
-  QCheck.Test.make ~name:"Mat.row_next equals a row scan" ~count:200 arb_ops
+let prop_row_seq =
+  QCheck.Test.make ~name:"Mat.row_seq equals a row scan" ~count:200 arb_ops
     (fun (m, ops) ->
       let r, d = apply_ops m ops in
       let entries = entries_of r in
       all_hold (fun expect ->
           for i = 0 to m - 1 do
-            (* successors, built by one backward scan over the row *)
-            let next = ref None in
-            for j = m - 1 downto 0 do
-              if r.(i).(j) > 0 then next := Some (j, r.(i).(j));
-              expect (Mat.row_next d i ~min_col:j = !next)
-            done;
-            expect (Mat.row_next d i ~min_col:m = None);
             expect
               (List.of_seq (Mat.row_seq d i)
               = List.filter_map
@@ -173,25 +161,9 @@ let test_copy_isolated () =
   check_int "original nnz" 1 (Mat.nonzero_count s);
   check_int "original row sum" 4 (Mat.row_sum s 65);
   check_int "original column-support word" (1 lsl 3) (Mat.row_mask s 65 0);
-  Alcotest.(check (option int))
-    "original live row" (Some 65)
-    (Mat.next_row s ~min_row:0);
+  check_int "original live rows" (1 lsl (65 - Bits.bits_per_word))
+    (Mat.live_mask s 1);
   check_int "copy diverged" 7 (Mat.get c 2 69)
-
-let test_next_row_word_boundary () =
-  let s = Mat.make 70 in
-  Mat.set s 0 0 1;
-  Mat.set s 61 5 1;
-  Mat.set s 62 6 1;
-  Mat.set s 69 7 1;
-  let next mr = Mat.next_row s ~min_row:mr in
-  Alcotest.(check (option int)) "from 0" (Some 0) (next 0);
-  Alcotest.(check (option int)) "from 1" (Some 61) (next 1);
-  Alcotest.(check (option int)) "from 62 (word 2)" (Some 62) (next 62);
-  Alcotest.(check (option int)) "from 63" (Some 69) (next 63);
-  Alcotest.(check (option int)) "past the end" None (next 70);
-  Mat.set s 69 7 0;
-  Alcotest.(check (option int)) "cleared row skipped" None (next 63)
 
 (* ---------- footprint ---------- *)
 
@@ -294,14 +266,57 @@ let test_batch_size_positive () =
 
 let test_release_cache_invalidation () =
   let s = two_coflow_sim () in
-  (* first query builds the sorted release cache *)
+  (* one binary search over the sorted release dates answers both *)
   Alcotest.(check (option int)) "initial gap" (Some 2) (Simulator.next_release_gap s);
+  check_int "released at 0" 1 (Simulator.released_count s);
   Simulator.set_release s 1 7;
   Alcotest.(check (option int))
     "gap reflects the moved release" (Some 7) (Simulator.next_release_gap s);
   Simulator.step s transfers_0;
   Alcotest.(check (option int)) "gap follows the clock" (Some 6)
+    (Simulator.next_release_gap s);
+  Simulator.set_release s 1 (Simulator.now s);
+  check_int "released by set_release to now" 2 (Simulator.released_count s);
+  Alcotest.(check (option int)) "nothing pending" None
     (Simulator.next_release_gap s)
+
+(* The sorted dates are moved in place by [set_release]; both answers
+   must match a recount over the release times after any mix of moves
+   (earlier, later, to now, to max_int) and clock advances. *)
+let prop_release_counts =
+  QCheck.Test.make ~name:"release counts track set_release" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int st 12 in
+      let s =
+        Simulator.create ~ports:1
+          (List.init n (fun _ ->
+               (Random.State.int st 10, Mat.of_arrays [| [| 1 |] |])))
+      in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        let now = Simulator.now s in
+        let k = Random.State.int st n in
+        if not (Simulator.released s k) then
+          Simulator.set_release s k
+            (match Random.State.int st 4 with
+            | 0 -> now
+            | 1 -> max_int
+            | _ -> now + Random.State.int st 10);
+        if Random.State.bool st then Simulator.step s [];
+        let now = Simulator.now s in
+        let dates = List.init n (Simulator.release_time s) in
+        let pending = List.filter (fun r -> r > now) dates in
+        ok :=
+          !ok
+          && Simulator.released_count s = n - List.length pending
+          && Simulator.next_release_gap s
+             = (match pending with
+               | [] -> None
+               | _ -> Some (List.fold_left min max_int pending - now))
+      done;
+      !ok)
 
 (* ---------- batched engine loop vs slot-by-slot, across policies ---------- *)
 
@@ -371,17 +386,15 @@ let () =
   Alcotest.run "sparse"
     [ ( "mat",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_values; prop_bitset_views; prop_row_next ] );
+          [ prop_values; prop_bitset_views; prop_row_seq ] );
       ( "mat_unit",
         [ Alcotest.test_case "copy isolates bitsets" `Quick test_copy_isolated;
-          Alcotest.test_case "next_row across word boundary" `Quick
-            test_next_row_word_boundary;
+          Alcotest.test_case "Engine.run leaves demands intact" `Quick
+            test_run_keeps_instance;
           Alcotest.test_case "footprint at 150 ports" `Quick
             test_footprint_paper_scale;
           Alcotest.test_case "footprint at the soak's ports" `Quick
             test_footprint_soak_ports;
-          Alcotest.test_case "Engine.run leaves demands intact" `Quick
-            test_run_keeps_instance;
         ] );
       ( "step_batch",
         [ Alcotest.test_case "batch = repeated step" `Quick
@@ -392,6 +405,7 @@ let () =
             test_batch_size_positive;
           Alcotest.test_case "release cache tracks set_release" `Quick
             test_release_cache_invalidation;
+          QCheck_alcotest.to_alcotest prop_release_counts;
         ] );
       ( "batch_ab",
         [ Alcotest.test_case "greedy, arrivals" `Quick test_batch_ab_greedy;
