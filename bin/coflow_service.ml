@@ -10,7 +10,8 @@
 
    Exit status: 0 when every gate passes, 1 when any gate fails (audit
    violation, undrained live set, live-ceiling breach, SLO miss, replay
-   divergence), 124 on CLI misuse. *)
+   divergence), 123 on an unreadable or malformed --replay trace, 124 on
+   CLI misuse. *)
 
 open Cmdliner
 
@@ -35,9 +36,21 @@ let process_conv =
   in
   Arg.conv (parse, print)
 
+(* A malformed replay trace is reported by name, not as an uncaught
+   exception. *)
+let load_replay = function
+  | None -> Ok None
+  | Some path -> (
+    try Ok (Some (Workload.Trace.load path))
+    with Failure msg | Sys_error msg ->
+      Error (Printf.sprintf "%s: %s" path msg))
+
+let ( let* ) = Result.bind
+
 let run process mean_gap dwell replay coflows ports seed plan_seed epoch
     max_live deadline_factor intensity lp_deadline degrade_above p99_slo
     verify_replay profile trace telemetry =
+  let* replay = load_replay replay in
   if profile <> None || trace <> None then begin
     Obs.Events.set_enabled true;
     Obs.Histogram.set_enabled true
@@ -45,7 +58,7 @@ let run process mean_gap dwell replay coflows ports seed plan_seed epoch
   if trace <> None then Obs.Trace.set_enabled true;
   let process =
     match replay with
-    | Some path -> Service.Arrivals.Replay (Workload.Trace.load path)
+    | Some inst -> Service.Arrivals.Replay inst
     | None -> (
       match process with
       | `Poisson -> Service.Arrivals.Poisson { mean_gap }
@@ -122,7 +135,7 @@ let run process mean_gap dwell replay coflows ports seed plan_seed epoch
   | Some path ->
     Obs.Trace.write path;
     Format.printf "(wrote %s: %d trace events)@." path (Obs.Trace.length ()));
-  if Service.Soak.failed report = [] then 0 else 1
+  Ok (if Service.Soak.failed report = [] then 0 else 1)
 
 let process_arg =
   Arg.(
@@ -256,4 +269,4 @@ let cmd =
       $ degrade_above_arg $ p99_slo_arg $ verify_replay_arg $ profile_arg
       $ trace_arg $ telemetry_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval_result' cmd)

@@ -9,44 +9,47 @@ open Cmdliner
 open Workload
 open Core
 
-let run_sim trace_path order_name case_name baseline verbose record_path
-    audit =
-  let inst = Trace.load trace_path in
+let orders =
+  [ ("ha", `Ha); ("hrho", `Hrho); ("hsize", `Hsize); ("hlp", `Hlp) ]
+
+let cases =
+  [ ("a", Scheduler.Base);
+    ("b", Scheduler.Backfill);
+    ("c", Scheduler.Group);
+    ("d", Scheduler.Group_backfill);
+  ]
+
+let baselines =
+  [ ("fifo", `Fifo); ("rr", `Rr); ("mwm", `Mwm); ("varys", `Varys) ]
+
+let name_of alts v = fst (List.find (fun (_, v') -> v' = v) alts)
+
+(* A malformed trace is reported by name, not as an uncaught exception. *)
+let load_trace path =
+  try Ok (Trace.load path)
+  with Failure msg | Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+
+let ( let* ) = Result.bind
+
+let run_sim trace_path order_kind case baseline verbose record_path audit =
+  let* inst = load_trace trace_path in
   Format.printf "loaded %a@." Instance.pp_summary inst;
   let audit_order = ref None in
   let result, label =
     match baseline with
-    | Some "fifo" -> (Baselines.fifo inst, "FIFO greedy")
-    | Some "rr" -> (Baselines.round_robin inst, "round robin")
-    | Some "mwm" -> (Baselines.max_weight inst, "MaxWeight matching")
-    | Some "varys" -> (Baselines.sebf_madd inst, "SEBF + MADD (Varys-style)")
-    | Some other ->
-      Format.eprintf "unknown baseline %S (use fifo | rr | mwm | varys)@."
-        other;
-      exit 2
+    | Some `Fifo -> (Baselines.fifo inst, "FIFO greedy")
+    | Some `Rr -> (Baselines.round_robin inst, "round robin")
+    | Some `Mwm -> (Baselines.max_weight inst, "MaxWeight matching")
+    | Some `Varys -> (Baselines.sebf_madd inst, "SEBF + MADD (Varys-style)")
     | None ->
       let order =
-        match order_name with
-        | "ha" -> Ordering.arrival inst
-        | "hrho" -> Ordering.by_load_over_weight inst
-        | "hsize" -> Ordering.by_total_size inst
-        | "hlp" ->
+        match order_kind with
+        | `Ha -> Ordering.arrival inst
+        | `Hrho -> Ordering.by_load_over_weight inst
+        | `Hsize -> Ordering.by_total_size inst
+        | `Hlp ->
           Format.printf "solving the interval-indexed LP relaxation...@.";
           Ordering.by_lp (Lp_relax.solve_interval inst)
-        | other ->
-          Format.eprintf "unknown order %S (use ha | hrho | hsize | hlp)@."
-            other;
-          exit 2
-      in
-      let case =
-        match case_name with
-        | "a" -> Scheduler.Base
-        | "b" -> Scheduler.Backfill
-        | "c" -> Scheduler.Group
-        | "d" -> Scheduler.Group_backfill
-        | other ->
-          Format.eprintf "unknown case %S (use a | b | c | d)@." other;
-          exit 2
       in
       audit_order := Some order;
       (match record_path with
@@ -76,7 +79,8 @@ let run_sim trace_path order_name case_name baseline verbose record_path
         Switchsim.Recorder.save path recording;
         Format.printf "recorded schedule written to %s (replayable)@." path);
       ( Scheduler.run ~case inst order,
-        Printf.sprintf "%s / case (%s)" order_name case_name )
+        Printf.sprintf "%s / case (%s)" (name_of orders order_kind)
+          (name_of cases case) )
   in
   Format.printf "algorithm: %s@." label;
   Format.printf "total weighted completion time: %.2f@."
@@ -110,18 +114,32 @@ let run_sim trace_path order_name case_name baseline verbose record_path
           cf.Instance.id cf.Instance.weight cf.Instance.release c)
       result.Scheduler.completion
   end;
-  0
+  Ok 0
 
 let trace_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE")
 
 let order_arg =
-  Arg.(value & opt string "hlp" & info [ "order" ] ~docv:"ORDER")
+  Arg.(
+    value & opt (enum orders) `Hlp
+    & info [ "order" ] ~docv:"ORDER"
+        ~doc:(Printf.sprintf "Ordering, %s" (doc_alts_enum orders)))
 
-let case_arg = Arg.(value & opt string "d" & info [ "case" ] ~docv:"CASE")
+let case_arg =
+  Arg.(
+    value
+    & opt (enum cases) Scheduler.Group_backfill
+    & info [ "case" ] ~docv:"CASE"
+        ~doc:(Printf.sprintf "Scheduling case, %s" (doc_alts_enum cases)))
 
 let baseline_arg =
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"NAME")
+  Arg.(
+    value
+    & opt (some (enum baselines)) None
+    & info [ "baseline" ] ~docv:"NAME"
+        ~doc:
+          (Printf.sprintf "Run a baseline instead of an ordering, %s"
+             (doc_alts_enum baselines)))
 
 let verbose_arg = Arg.(value & flag & info [ "verbose"; "v" ])
 
@@ -138,4 +156,4 @@ let cmd =
       const run_sim $ trace_arg $ order_arg $ case_arg $ baseline_arg
       $ verbose_arg $ record_arg $ audit_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval_result' cmd)

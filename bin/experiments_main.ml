@@ -1,10 +1,12 @@
-(* Regenerate every table and figure of the paper's evaluation section.
+(* Regenerate every table and figure of the paper's evaluation section:
+   the one driver for experiments.
 
    Usage:  experiments_main [--scale quick|default|large] [--only E1,E2,...]
-           [--csv DIR]
+           [--csv DIR] [--jobs N] [--profile [PATH]] [--trace [PATH]]
+           [--stretch] [--telemetry [PATH]]
 
    Experiment ids: E1 table1, E2 fig2a, E3 fig2b, E4 lowerbound, E5 audit,
-   E6 randomized, E7 releases, E8 openshop is bench-only, E9 ablation,
+   E6 randomized, E7 releases, E8 openshop, E9 ablation,
    E10 orderings, E11 lpgrid, E12 online, E13 robust, E14 dag, E15 fabric,
    E16 faults, E17 soak, E18 scale (150 ports; --stretch adds the 10x
    variant), E19 arena (every algorithm ranked vs lower bounds), E20
@@ -84,6 +86,10 @@ let run_all scale only csv_dir profile trace jobs stretch telemetry =
   if wants "E7" then begin
     print_string (Experiments.Exp_releases.render
                     (Experiments.Exp_releases.run cfg));
+    print_newline ()
+  end;
+  if wants "E8" then begin
+    print_string (Experiments.Exp_openshop.render cfg);
     print_newline ()
   end;
   if wants "E9" then begin

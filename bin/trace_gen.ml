@@ -6,23 +6,31 @@
 open Cmdliner
 open Workload
 
+let kinds = [ ("fb", `Fb); ("uniform", `Uniform); ("mapreduce", `Mapreduce) ]
+
+let ( let* ) = Result.bind
+
 let generate out kind ports coflows seed mean_gap stats =
   let st = Random.State.make [| seed |] in
-  let inst =
-    match kind with
-    | "fb" ->
-      if mean_gap > 0 then
-        Fb_like.generate_with_arrivals ~mean_gap ~ports ~coflows st
-      else Fb_like.generate ~ports ~coflows st
-    | "uniform" -> Synthetic.uniform ~ports ~coflows st
-    | "mapreduce" ->
-      Synthetic.mapreduce_instance ~arrival_spacing:mean_gap ~ports ~coflows
-        st
-    | other ->
-      Format.eprintf "unknown kind %S (use fb | uniform | mapreduce)@." other;
-      exit 2
+  (* the generators reject impossible shapes (e.g. --ports 0) and OUT may
+     be unwritable: both are reported, not raised *)
+  let* inst =
+    try
+      let inst =
+        match kind with
+        | `Fb ->
+          if mean_gap > 0 then
+            Fb_like.generate_with_arrivals ~mean_gap ~ports ~coflows st
+          else Fb_like.generate ~ports ~coflows st
+        | `Uniform -> Synthetic.uniform ~ports ~coflows st
+        | `Mapreduce ->
+          Synthetic.mapreduce_instance ~arrival_spacing:mean_gap ~ports
+            ~coflows st
+      in
+      Trace.save out inst;
+      Ok inst
+    with Invalid_argument msg | Sys_error msg -> Error msg
   in
-  Trace.save out inst;
   Format.printf "wrote %s: %a@." out Instance.pp_summary inst;
   if stats then begin
     Format.printf "@.%a@." Stats.pp (Stats.summarize inst);
@@ -33,11 +41,15 @@ let generate out kind ports coflows seed mean_gap stats =
         else Format.printf "  <= %4d: %d@." bound count)
       (Stats.width_histogram inst)
   end;
-  0
+  Ok 0
 
 let out_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"OUT")
 
-let kind_arg = Arg.(value & opt string "fb" & info [ "kind" ] ~docv:"KIND")
+let kind_arg =
+  Arg.(
+    value & opt (enum kinds) `Fb
+    & info [ "kind" ] ~docv:"KIND"
+        ~doc:(Printf.sprintf "Workload family, %s" (doc_alts_enum kinds)))
 
 let ports_arg = Arg.(value & opt int 24 & info [ "ports" ] ~docv:"N")
 
@@ -57,4 +69,4 @@ let cmd =
       const generate $ out_arg $ kind_arg $ ports_arg $ coflows_arg $ seed_arg
       $ gap_arg $ stats_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval_result' cmd)

@@ -223,7 +223,7 @@ let stats red =
   Printf.sprintf "%d rows dropped, %d variables fixed, %d kept"
     red.rows_dropped (List.length red.fixed) (Array.length red.kept)
 
-let solve ?(solver = `Revised) model =
+let solve model =
   match reduce model with
   | Infeasible _ ->
     { Solution.status = Solution.Infeasible;
@@ -245,10 +245,4 @@ let solve ?(solver = `Revised) model =
       duals = None;
       basis = None;
     }
-  | Reduced (reduced, red) ->
-    let sol =
-      match solver with
-      | `Revised -> Revised_simplex.solve reduced
-      | `Dense -> Dense_simplex.solve reduced
-    in
-    restore red sol
+  | Reduced (reduced, red) -> restore red (Revised_simplex.solve reduced)

@@ -29,7 +29,7 @@ val restore : reduction -> Solution.t -> Solution.t
 val stats : reduction -> string
 (** Human-readable summary: rows dropped, variables fixed. *)
 
-val solve :
-  ?solver:[ `Revised | `Dense ] -> Model.t -> Solution.t
-(** [reduce] + back-end solve + [restore]; the convenience entry point.
+val solve : Model.t -> Solution.t
+(** [reduce] + {!Revised_simplex.solve} + [restore]; the convenience entry
+    point.
     Duals are not propagated through the reductions ([duals = None]). *)

@@ -14,6 +14,16 @@ let bench_exe = exe "bench" "main.exe"
 
 let service_exe = exe "bin" "coflow_service.exe"
 
+let sim_exe = exe "bin" "coflow_sim.exe"
+
+let trace_gen_exe = exe "bin" "trace_gen.exe"
+
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
 (* Run [exe args], return (exit code, combined stdout+stderr). *)
 let run exe args =
   let out = Filename.temp_file "cli_exit" ".out" in
@@ -23,10 +33,7 @@ let run exe args =
       (Filename.quote out)
   in
   let code = Sys.command cmd in
-  let ic = open_in_bin out in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
+  let text = read_file out in
   Sys.remove out;
   (code, text)
 
@@ -41,6 +48,21 @@ let check_exit exe args expected =
 
 let contains affix text = Astring.String.is_infix ~affix text
 
+(* Run [f path] on a temporary file holding [contents]. *)
+let with_file contents f =
+  let path = Filename.temp_file "cli_exit" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  f path
+
+(* a one-coflow trace every driver accepts *)
+let good_trace = "coflow-trace v1\n2 1\n0 0 1.0 1\n0 1 3\n"
+
+(* line 4 names port 5 on a 2-port fabric *)
+let bad_trace = "coflow-trace v1\n2 1\n0 0 1.0 1\n0 5 3\n"
+
 (* cmdliner misuse exits 124 and points at usage *)
 
 let test_experiments_misuse () =
@@ -53,7 +75,15 @@ let test_experiments_misuse () =
   ignore (check_exit experiments_exe [ "--scale"; "sideways" ] 124);
   ignore (check_exit experiments_exe [ "--csv"; "/no/such/dir" ] 124);
   (* the term takes no positional arguments: trailing garbage is misuse *)
-  ignore (check_exit experiments_exe [ "--scale"; "quick"; "leftover" ] 124)
+  ignore (check_exit experiments_exe [ "--scale"; "quick"; "leftover" ] 124);
+  (* an omitted optional PATH never swallows the next flag: --only still
+     reaches its own parser, which rejects the id *)
+  List.iter
+    (fun flag ->
+      let t = check_exit experiments_exe [ flag; "--only"; "E99" ] 124 in
+      Alcotest.(check bool) (flag ^ " left --only alone") true
+        (contains "E99" t))
+    [ "--profile"; "--trace" ]
 
 let test_service_misuse () =
   let t = check_exit service_exe [ "--bogus" ] 124 in
@@ -63,16 +93,104 @@ let test_service_misuse () =
   ignore (check_exit service_exe [ "--process"; "bursty" ] 124);
   ignore (check_exit service_exe [ "--coflows"; "5"; "extra" ] 124)
 
-(* the bench driver's hand-rolled parser exits 2 with its own usage *)
-
 let test_bench_misuse () =
-  let t = check_exit bench_exe [ "--jobs"; "0" ] 2 in
-  Alcotest.(check bool) "prints usage" true (contains "usage:" t);
-  let t = check_exit bench_exe [ "--trace"; "T.json"; "garbage" ] 2 in
-  Alcotest.(check bool) "trailing garbage rejected with usage" true
-    (contains "usage:" t);
-  ignore (check_exit bench_exe [ "no-such-mode" ] 2);
-  ignore (check_exit bench_exe [ "--scale"; "enormous" ] 2)
+  let t = check_exit bench_exe [] 124 in
+  Alcotest.(check bool) "names both subcommands" true
+    (contains "kernels" t && contains "obs-diff" t);
+  List.iter
+    (fun args -> ignore (check_exit bench_exe args 124))
+    [ [ "no-such-mode" ];
+      (* the experiments run under experiments_main only *)
+      [ "tables"; "--scale"; "quick" ];
+      [ "kernels"; "--json" ];
+      [ "obs-diff"; "a.json" ];
+      [ "obs-diff"; "a"; "b"; "c" ];
+      [ "obs-diff"; "a"; "b"; "--threshold"; "x" ];
+      [ "obs-diff"; "a"; "b"; "--threshold"; "-1" ];
+      [ "obs-diff"; "a"; "b"; "--threshold=-1" ];
+      [ "obs-diff"; "a"; "b"; "--json" ];
+    ];
+  let t = check_exit bench_exe [ "obs-diff"; "a"; "b"; "--bogus" ] 124 in
+  Alcotest.(check bool) "unknown flag named" true (contains "bogus" t)
+
+let test_sim_misuse () =
+  with_file good_trace @@ fun trace ->
+  List.iter
+    (fun (flag, choice) ->
+      let t = check_exit sim_exe [ trace; flag; "bogus" ] 124 in
+      Alcotest.(check bool) (flag ^ " lists its choices") true
+        (contains choice t))
+    [ ("--order", "hrho"); ("--case", "'d'"); ("--baseline", "varys") ];
+  ignore (check_exit sim_exe [ trace; "--order"; "hrho"; "--case"; "b" ] 0)
+
+let test_trace_gen_misuse () =
+  let t = check_exit trace_gen_exe [ "out.trace"; "--kind"; "zipf" ] 124 in
+  Alcotest.(check bool) "lists the kinds" true (contains "mapreduce" t)
+
+(* hostile input gets a named error and exit 123, never an uncaught
+   exception (125) *)
+
+let test_sim_bad_trace () =
+  with_file bad_trace @@ fun trace ->
+  let t = check_exit sim_exe [ trace ] 123 in
+  Alcotest.(check bool) "names file and line" true
+    (contains trace t && contains "line 4" t);
+  Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
+
+let test_service_bad_replay () =
+  with_file bad_trace @@ fun trace ->
+  let t = check_exit service_exe [ "--replay"; trace ] 123 in
+  Alcotest.(check bool) "names file and line" true
+    (contains trace t && contains "line 4" t)
+
+let test_trace_gen_bad_shape () =
+  let out = Filename.temp_file "cli_exit" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let t = check_exit trace_gen_exe [ out; "--ports"; "0" ] 123 in
+  Alcotest.(check bool) "generator message" true (contains "ports" t);
+  let missing = Filename.concat out "sub.trace" in
+  let t = check_exit trace_gen_exe [ missing ] 123 in
+  Alcotest.(check bool) "names the unwritable path" true (contains missing t)
+
+(* obs-diff: 0 when no gated metric moved, 1 on a regression, 2 when a
+   profile cannot be read *)
+
+let profile counter =
+  Printf.sprintf
+    "{\"counters\": {\"sim.slots\": %d}, \"gauges\": {\"sched.utilization\": \
+     0.5}}"
+    counter
+
+let test_obs_diff_pass () =
+  with_file (profile 100) @@ fun p ->
+  let verdict = Filename.temp_file "cli_exit" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove verdict) @@ fun () ->
+  let t =
+    check_exit bench_exe
+      [ "obs-diff"; p; p; "--threshold"; "5"; "--time-threshold"; "50";
+        "--json"; verdict;
+      ]
+      0
+  in
+  Alcotest.(check bool) "verdict line" true (contains "obs-diff: OK" t);
+  Alcotest.(check bool) "verdict JSON agrees" true
+    (contains "\"ok\": true" (read_file verdict))
+
+let test_obs_diff_regression () =
+  with_file (profile 100) @@ fun old_p ->
+  with_file (profile 200) @@ fun new_p ->
+  let t = check_exit bench_exe [ "obs-diff"; old_p; new_p ] 1 in
+  Alcotest.(check bool) "names the counter" true
+    (contains "sim.slots" t && contains "obs-diff: FAIL" t)
+
+let test_obs_diff_malformed () =
+  with_file (profile 100) @@ fun good ->
+  with_file "{\"counters\": " @@ fun bad ->
+  let t = check_exit bench_exe [ "obs-diff"; good; bad ] 2 in
+  Alcotest.(check bool) "names the file" true (contains bad t);
+  let missing = good ^ ".missing" in
+  let t = check_exit bench_exe [ "obs-diff"; missing; good ] 2 in
+  Alcotest.(check bool) "names the missing file" true (contains missing t)
 
 (* a tiny real soak must pass all gates and exit 0 *)
 
@@ -107,16 +225,43 @@ let test_experiments_hetero_smoke () =
   let json = Filename.concat dir "hetero.json" in
   Alcotest.(check bool) "hetero.json written" true (Sys.file_exists json)
 
+(* E8 runs under the one experiment driver *)
+
+let test_experiments_openshop_smoke () =
+  let t = check_exit experiments_exe [ "--only"; "E8"; "--scale"; "quick" ] 0 in
+  Alcotest.(check bool) "renders the open-shop table" true
+    (contains "Diagonal-coflow equivalence" t)
+
 let () =
   Alcotest.run "cli-exit"
     [ ( "misuse",
         [ Alcotest.test_case "experiments_main" `Quick test_experiments_misuse;
           Alcotest.test_case "coflow_service" `Quick test_service_misuse;
           Alcotest.test_case "bench main" `Quick test_bench_misuse;
+          Alcotest.test_case "coflow_sim" `Quick test_sim_misuse;
+          Alcotest.test_case "trace_gen" `Quick test_trace_gen_misuse;
+        ] );
+      ( "hostile-input",
+        [ Alcotest.test_case "coflow_sim malformed trace" `Quick
+            test_sim_bad_trace;
+          Alcotest.test_case "coflow_service malformed replay" `Quick
+            test_service_bad_replay;
+          Alcotest.test_case "trace_gen impossible shape" `Quick
+            test_trace_gen_bad_shape;
+        ] );
+      ( "obs-diff",
+        [ Alcotest.test_case "identical profiles pass" `Quick
+            test_obs_diff_pass;
+          Alcotest.test_case "doubled counter fails" `Quick
+            test_obs_diff_regression;
+          Alcotest.test_case "unreadable profile exits 2" `Quick
+            test_obs_diff_malformed;
         ] );
       ( "smoke",
         [ Alcotest.test_case "coflow_service passes" `Quick test_service_smoke;
           Alcotest.test_case "E21 hetero quick run" `Quick
             test_experiments_hetero_smoke;
+          Alcotest.test_case "E8 open shop quick run" `Quick
+            test_experiments_openshop_smoke;
         ] );
     ]

@@ -297,6 +297,29 @@ let test_releases_run () =
         (row.Exp_releases.lp_ratio >= 1.0 -. 1e-9))
     r.Exp_releases.rows
 
+(* ---------- E8: concurrent open shop ---------- *)
+
+(* The shop is 10 x 40 at every scale, so these are the values at quick
+   and at default scale alike. *)
+let test_openshop_twct () =
+  let lines = String.split_on_char '\n' (Exp_openshop.render tiny_cfg) in
+  let twct algo =
+    List.find_map
+      (fun l ->
+        match List.map String.trim (String.split_on_char '|' l) with
+        | [ ""; a; v; "" ] when a = algo -> Some v
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun (algo, v) ->
+      Alcotest.(check (option string)) algo (Some v) (twct algo))
+    [ ("primal-dual (2-approx) permutation", "15234.00");
+      ("LP-ordered permutation", "15198.00");
+      ("LP-ordered coflow schedule (case d)", "15198.00");
+      ("single-machine WSPT lower bound", "8724.00");
+    ]
+
 (* ---------- E10: ordering portfolio ---------- *)
 
 let test_orderings_rows () =
@@ -645,137 +668,6 @@ let test_arena_schema () =
         (items "legs" doc))
     (arena_docs ~jobs:1)
 
-(* ---------- bench argv parsing ---------- *)
-
-(* The mode predicate bench/main.exe passes in, reduced to what the tests
-   need. *)
-let is_mode m = List.mem m [ "tables"; "kernels"; "table1"; "faults" ]
-
-let parse args = Bench_cli.parse ~is_mode args
-
-let ok args =
-  match parse args with
-  | Ok cli -> cli
-  | Error e -> Alcotest.failf "expected parse, got error: %s" e
-
-let err name args =
-  match parse args with
-  | Ok _ -> Alcotest.failf "%s: expected an error" name
-  | Error _ -> ()
-
-let test_cli_profile_must_not_eat_flags () =
-  (* the historic bug class: "--profile --json out.json" must profile to
-     the default path, not write the profile to "--json" *)
-  let cli = ok [ "--profile"; "--json"; "out.json" ] in
-  Alcotest.(check (option string)) "profile defaults"
-    (Some Bench_cli.default_profile_path) cli.Bench_cli.profile;
-  Alcotest.(check (option string)) "json kept" (Some "out.json")
-    cli.Bench_cli.json;
-  (* same guard for a mode name after the flag *)
-  let cli = ok [ "--profile"; "table1" ] in
-  Alcotest.(check (option string)) "mode not eaten"
-    (Some Bench_cli.default_profile_path) cli.Bench_cli.profile;
-  Alcotest.(check (list string)) "mode survives" [ "table1" ]
-    cli.Bench_cli.modes;
-  (* but a real path is consumed *)
-  let cli = ok [ "--profile"; "p.json"; "table1" ] in
-  Alcotest.(check (option string)) "explicit path" (Some "p.json")
-    cli.Bench_cli.profile
-
-let test_cli_trace_flag () =
-  let cli = ok [ "table1"; "--trace" ] in
-  Alcotest.(check (option string)) "trace defaults"
-    (Some Bench_cli.default_trace_path) cli.Bench_cli.trace;
-  let cli = ok [ "--trace"; "t.json"; "faults" ] in
-  Alcotest.(check (option string)) "trace path" (Some "t.json")
-    cli.Bench_cli.trace;
-  Alcotest.(check (list string)) "modes in order" [ "faults" ]
-    cli.Bench_cli.modes
-
-let test_cli_scale_and_modes () =
-  let cli = ok [ "tables"; "--scale"; "quick"; "kernels" ] in
-  Alcotest.(check bool) "scale parsed" true
-    (cli.Bench_cli.scale = Config.Quick);
-  Alcotest.(check (list string)) "argv order kept" [ "tables"; "kernels" ]
-    cli.Bench_cli.modes;
-  err "missing scale" [ "--scale" ];
-  err "bad scale" [ "--scale"; "bogus" ];
-  err "scale eats no flag" [ "--scale"; "--json" ];
-  err "unknown mode" [ "notamode" ];
-  err "unknown flag" [ "--frobnicate" ];
-  err "missing json" [ "--json" ];
-  err "json eats no flag" [ "--json"; "--profile" ]
-
-let test_cli_jobs () =
-  Alcotest.(check int) "default 1" 1 (ok []).Bench_cli.jobs;
-  Alcotest.(check int) "parsed" 4
-    (ok [ "--jobs"; "4"; "tables" ]).Bench_cli.jobs;
-  err "missing jobs" [ "--jobs" ];
-  err "jobs eats no flag" [ "--jobs"; "--json" ];
-  err "zero jobs" [ "--jobs"; "0" ];
-  err "negative jobs" [ "--jobs"; "-2" ];
-  err "non-numeric jobs" [ "--jobs"; "many" ]
-
-let test_cli_obs_diff () =
-  let cli = ok [ "obs-diff"; "a.json"; "b.json" ] in
-  (match cli.Bench_cli.diff with
-  | None -> Alcotest.fail "expected a diff"
-  | Some d ->
-    Alcotest.(check string) "old" "a.json" d.Bench_cli.old_path;
-    Alcotest.(check string) "new" "b.json" d.Bench_cli.new_path;
-    Alcotest.(check (float 0.0)) "default threshold" 10.0
-      d.Bench_cli.threshold;
-    Alcotest.(check bool) "time threshold absent" true
-      (d.Bench_cli.time_threshold = None));
-  let cli =
-    ok
-      [ "obs-diff"; "old.json"; "new.json"; "--threshold"; "5";
-        "--time-threshold"; "50"; "--json"; "verdict.json";
-      ]
-  in
-  (match cli.Bench_cli.diff with
-  | None -> Alcotest.fail "expected a diff"
-  | Some d ->
-    Alcotest.(check (float 0.0)) "threshold" 5.0 d.Bench_cli.threshold;
-    Alcotest.(check (option (float 0.0))) "time threshold" (Some 50.0)
-      d.Bench_cli.time_threshold;
-    Alcotest.(check (option string)) "diff json" (Some "verdict.json")
-      d.Bench_cli.diff_json);
-  (match (ok [ "obs-diff"; "a.json"; "b.json" ]).Bench_cli.diff with
-  | Some d ->
-    Alcotest.(check (option string)) "diff json absent" None d.Bench_cli.diff_json
-  | None -> Alcotest.fail "expected a diff");
-  err "one path" [ "obs-diff"; "a.json" ];
-  err "diff json eats no flag" [ "obs-diff"; "a"; "b"; "--json"; "--threshold" ];
-  err "three paths" [ "obs-diff"; "a"; "b"; "c" ];
-  err "negative threshold" [ "obs-diff"; "a"; "b"; "--threshold"; "-1" ];
-  err "non-numeric threshold" [ "obs-diff"; "a"; "b"; "--threshold"; "x" ];
-  err "unknown diff flag" [ "obs-diff"; "a"; "b"; "--bogus" ]
-
-let test_cli_trailing_garbage () =
-  (* anything after "--trace PATH" that is not a recognised mode or flag
-     must be an error, not silently ignored *)
-  err "garbage after trace path" [ "--trace"; "t.json"; "garbage" ];
-  err "garbage after profile path" [ "--profile"; "p.json"; "nonsense" ];
-  err "garbage after modes" [ "table1"; "kernels"; "leftovers" ];
-  (* a real mode in the same position still parses *)
-  let cli = ok [ "--trace"; "t.json"; "faults" ] in
-  Alcotest.(check (list string)) "mode accepted" [ "faults" ]
-    cli.Bench_cli.modes
-
-let test_cli_usage_text () =
-  (* the usage string the drivers print on misuse names every flag the
-     parser accepts, so the two cannot drift silently *)
-  List.iter
-    (fun flag ->
-      Alcotest.(check bool)
-        (Printf.sprintf "usage mentions %s" flag)
-        true
-        (Astring.String.is_infix ~affix:flag Bench_cli.usage))
-    [ "--scale"; "--jobs"; "--json"; "--profile"; "--trace"; "obs-diff";
-      "--threshold"; "--time-threshold";
-    ]
-
 let () =
   Alcotest.run "experiments"
     [ ( "report",
@@ -816,6 +708,7 @@ let () =
       ( "randomized",
         [ Alcotest.test_case "results" `Quick test_randomized_results ] );
       ("releases", [ Alcotest.test_case "run" `Quick test_releases_run ]);
+      ("openshop-exp", [ Alcotest.test_case "TWCT" `Quick test_openshop_twct ]);
       ("ablation", [ Alcotest.test_case "rows" `Quick test_ablation_rows ]);
       ("orderings", [ Alcotest.test_case "rows" `Quick test_orderings_rows ]);
       ("lp-grid", [ Alcotest.test_case "rows" `Quick test_lp_grid_rows ]);
@@ -850,17 +743,5 @@ let () =
           Alcotest.test_case "json artifact" `Quick test_arena_json;
           Alcotest.test_case "empty filter names algorithm" `Quick
             test_arena_empty_filter_names_algorithm;
-        ] );
-      ( "bench-cli",
-        [ Alcotest.test_case "--profile never eats flags/modes" `Quick
-            test_cli_profile_must_not_eat_flags;
-          Alcotest.test_case "--trace" `Quick test_cli_trace_flag;
-          Alcotest.test_case "scale and modes" `Quick test_cli_scale_and_modes;
-          Alcotest.test_case "--jobs" `Quick test_cli_jobs;
-          Alcotest.test_case "obs-diff" `Quick test_cli_obs_diff;
-          Alcotest.test_case "trailing garbage rejected" `Quick
-            test_cli_trailing_garbage;
-          Alcotest.test_case "usage names every flag" `Quick
-            test_cli_usage_text;
         ] );
     ]
