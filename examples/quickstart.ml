@@ -26,7 +26,7 @@ let () =
   List.iter
     (fun (matching, q) ->
       Format.printf "  %a for %d slot(s)@." Matching.Bipartite.pp_matching
-        matching q)
+        (Bvn.pairs matching) q)
     schedule;
 
   (* Execute against the switch simulator, which enforces the matching

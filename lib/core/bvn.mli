@@ -8,9 +8,11 @@
     distinct matchings are needed, so the schedule description is
     polynomial even when [rho (D)] is huge. *)
 
-type schedule = (Matching.Bipartite.matching * int) list
+type schedule = (int array * int) list
 (** Matchings with multiplicities: play each matching for its slot count, in
-    order.  Durations are positive; total duration is [rho] of the input. *)
+    order.  A matching is a perfect matching of the ports, destination per
+    source: [matching.(i)] is the egress port matched to ingress [i].
+    Durations are positive; total duration is [rho] of the input. *)
 
 val augment : Matrix.Mat.t -> Matrix.Mat.t
 (** Step 1: a matrix [D'] with [D <= D'] entrywise and every row and column
@@ -18,8 +20,12 @@ val augment : Matrix.Mat.t -> Matrix.Mat.t
 
 val decompose : Matrix.Mat.t -> schedule
 (** Step 2: decompose a doubly-balanced matrix into weighted permutation
-    matrices.  @raise Invalid_argument if some row or column sum differs
-    from [rho]. *)
+    matrices.  The first matching is Kuhn's on the support, rows ascending
+    and each row's columns ascending; after each peel the rows whose matched
+    entry vanished are re-augmented, highest row first.  A matching costs
+    O(m) words and time plus that repair, and one map write per entry that
+    leaves the matching.  The input is not modified.
+    @raise Invalid_argument if some row or column sum differs from [rho]. *)
 
 val schedule : Matrix.Mat.t -> schedule
 (** [augment] followed by [decompose]: the full Algorithm 1. *)
@@ -27,6 +33,9 @@ val schedule : Matrix.Mat.t -> schedule
 val duration : schedule -> int
 
 val matchings_used : schedule -> int
+
+val pairs : int array -> Matching.Bipartite.matching
+(** A matching as [(src, dst)] pairs, source ascending. *)
 
 val restore : int -> schedule -> Matrix.Mat.t
 (** [restore m s] rebuilds the (augmented) matrix the schedule clears —

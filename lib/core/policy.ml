@@ -207,39 +207,51 @@ let skip_bound sim transfers ~max_n =
     transfers;
   max 1 !bound
 
-(* The released, unfinished entries of [priority], in order: the only
-   coflows a greedy decision can serve, so deciding over them gives the
-   same transfers as deciding over the whole array.  The view is rebuilt,
-   in O(priority), only when the simulator's released or unfinished count
-   has moved since the last decision.  The released set only grows and
-   the unfinished set only shrinks ([set_release] moves only unreleased
-   coflows and never before [now]; [add_demand] refuses finished ones),
-   so equal counts mean equal sets: the rebuild runs once per release or
+(* The released, unfinished entries of a priority slice, in order: the
+   only coflows a greedy decision can serve, so deciding over them gives
+   the same transfers as deciding over the whole slice.  The view is
+   rebuilt, in O(slice), only when the slice (the array, physically, and
+   its start) or the simulator's released or unfinished count has moved
+   since the last call.  The released set only grows and the unfinished
+   set only shrinks ([set_release] moves only unreleased coflows and never
+   before [now]; [add_demand] refuses finished ones), so equal counts mean
+   equal sets: for a fixed slice the rebuild runs once per release or
    completion event, never per decision. *)
 type live_view = {
-  mutable released : int; (* counts at the last rebuild; -1 before it *)
+  mutable src : int array; (* the slice at the last rebuild *)
+  mutable pos : int; (* -1 before the first rebuild *)
+  mutable released : int;
   mutable unfinished : int;
   mutable live : int array;
 }
 
-let live_priority v priority sim =
+let live_view () =
+  { src = [||]; pos = -1; released = -1; unfinished = -1; live = [||] }
+
+let live_slice v sim priority ~pos =
   let released = Simulator.released_count sim
   and unfinished = Simulator.unfinished_count sim in
-  if released <> v.released || unfinished <> v.unfinished then begin
+  if
+    priority != v.src || pos <> v.pos || released <> v.released
+    || unfinished <> v.unfinished
+  then begin
     let is_live k =
       Simulator.released sim k && not (Simulator.is_complete sim k)
     in
-    let count =
-      Array.fold_left (fun n k -> if is_live k then n + 1 else n) 0 priority
-    in
-    let live = Array.make count 0 and n = ref 0 in
-    Array.iter
-      (fun k ->
-        if is_live k then begin
-          live.(!n) <- k;
-          incr n
-        end)
-      priority;
+    let count = ref 0 in
+    for p = pos to Array.length priority - 1 do
+      if is_live priority.(p) then incr count
+    done;
+    let live = Array.make !count 0 and n = ref 0 in
+    for p = pos to Array.length priority - 1 do
+      let k = priority.(p) in
+      if is_live k then begin
+        live.(!n) <- k;
+        incr n
+      end
+    done;
+    v.src <- priority;
+    v.pos <- pos;
     v.released <- released;
     v.unfinished <- unfinished;
     v.live <- live
@@ -250,9 +262,9 @@ let of_priority ~describe priority =
   { describe;
     prepare =
       (fun _ ->
-        let v = { released = -1; unfinished = -1; live = [||] } in
+        let v = live_view () in
         let decide sim =
-          greedy_matching sim ~priority:(live_priority v priority sim)
+          greedy_matching sim ~priority:(live_slice v sim priority ~pos:0)
         in
         stepper
           ~next_batch:(fun sim ~max_n ->

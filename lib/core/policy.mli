@@ -113,14 +113,29 @@ val skip_bound :
     idle slot ([transfers = []]) while releases are pending this
     degenerates to the classic event jump straight to the next release. *)
 
+type live_view
+(** A per-run memo of the live part of a priority slice — see
+    {!live_slice}.  Not shared between runs or domains. *)
+
+val live_view : unit -> live_view
+(** An empty view; its first {!live_slice} builds it. *)
+
+val live_slice :
+  live_view -> Switchsim.Simulator.t -> int array -> pos:int -> int array
+(** [live_slice v sim priority ~pos] — the released, unfinished entries of
+    [priority.(pos) ..], in order: the candidates {!greedy_matching} can
+    serve, so it decides over them exactly as over the whole slice.  The
+    result is rebuilt, in O(slice), only when [priority] (physically),
+    [pos], {!Switchsim.Simulator.released_count} or
+    {!Switchsim.Simulator.unfinished_count} differ from the previous
+    call's; otherwise the previous array is returned.  Both sets are
+    monotone within a run, so for a fixed slice that is once per release
+    or completion event.  The result and the arrays read at rebuilds must
+    not be mutated during a run. *)
+
 val of_priority : describe:string -> int array -> t
 (** The simplest policy: greedy matching under one fixed priority, batched
-    via {!skip_bound}.  Each run's stepper decides over a live view, the
-    released and unfinished entries of the priority in order.  The
-    transfers are those of {!greedy_matching} over the whole array.  The
-    view is rebuilt, in O(priority), only when
-    {!Switchsim.Simulator.released_count} or
-    {!Switchsim.Simulator.unfinished_count} has changed since the last
-    decision, so a decision costs O(live coflows + candidates).  The
-    priority array is read at those rebuilds and must not be mutated
-    during a run. *)
+    via {!skip_bound}.  Each run's stepper decides over a {!live_slice} of
+    the whole priority, so a decision costs O(live coflows + candidates)
+    while the transfers are those of {!greedy_matching} over the whole
+    array. *)

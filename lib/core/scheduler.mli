@@ -34,18 +34,28 @@ type result = Engine.result = {
 (** Re-export of {!Engine.result}: the engine assembles it for every
     policy; this alias keeps the historical name every caller uses. *)
 
+type scratch
+(** Per-run buffers of the matching replay (pair owners, the dedupe table,
+    the live candidate views), sized on first use. *)
+
 type state = {
-  groups : int array array;  (** the grouping being executed, in order *)
-  suffix : int array array;
-      (** [suffix.(u)]: coflows after group [u] in schedule order — the
-          backfill candidates *)
+  order : int array;
+      (** the grouping being executed, flattened: the schedule order *)
+  start : int array;
+      (** group [u] is [order.(start.(u)) .. order.(start.(u+1) - 1)]; its
+          suffix, the backfill candidates, runs from [start.(u+1)] to the
+          end *)
   mutable current : int;  (** index of the active group *)
-  mutable queue : ((int * int) array * int ref * int) list;
-      (** remaining BvN matchings of the active group: (matching, remaining
-          slot budget, initial budget) *)
+  mutable queue : Bvn.schedule;
+      (** remaining BvN matchings of the active group, as {!Bvn.schedule}
+          built them *)
+  mutable spent : int array;
+      (** [spent.(p)]: slot budget already used by the [p]-th queue entry,
+          for the first [k] entries (one per fabric) — the ones served *)
   mutable matchings_built : int;
   mutable matchings_reused : int;
       (** slots served from a matching that had already served a slot *)
+  scratch : scratch;
 }
 (** The mutable policy state, exposed concretely so observability tooling
     can read the active group / queue depth and white-box tests can
@@ -54,6 +64,7 @@ type state = {
     {!policy} / {!run_grouped}. *)
 
 val make_state : Grouping.t -> state
+(** O(coflows + groups) words: the flat order and the group offsets. *)
 
 val next_slot :
   state ->
@@ -65,8 +76,18 @@ val next_slot :
     the active group's aggregate demand has vanished while members are
     still marked unfinished, the group is skipped (never idles).  Once all
     groups are done, any coflows the grouping did not cover are served
-    greedily instead of idling until the slot budget trips.  Records a
-    {!Obs.Events.slot_event} per call when the event stream is enabled. *)
+    greedily, in index order, instead of idling until the slot budget
+    trips.  Records a {!Obs.Events.slot_event} per call when the event
+    stream is enabled.
+
+    Each fabric serves one queued matching; a pair goes to the first
+    released coflow that owes it, the group before (with [backfill]) its
+    suffix.  On a fabric with a core budget at most that many inter-rack
+    pairs are served per slot — the group's first, then the backfill
+    pairs, each source ascending; rack-local pairs always are.  The greedy
+    paths (leftovers, the suffix while the next group is gated by a
+    release, the [aggressive] top-up) decide over {!Policy.live_slice}
+    views, so a decision costs O(ports + live candidates). *)
 
 val next_slot_batched :
   state ->

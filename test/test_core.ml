@@ -93,8 +93,137 @@ let prop_bvn_matchings_valid =
     (fun d ->
       List.for_all
         (fun (matching, q) ->
-          q > 0 && Matching.Bipartite.is_matching (Mat.dim d) matching)
+          q > 0
+          && Matching.Bipartite.is_matching (Mat.dim d) (Bvn.pairs matching))
         (Bvn.schedule d))
+
+(* The list-and-[Seq] decomposition [Bvn.decompose] replaced, kept as its
+   oracle: Kuhn augmentation over each row's nonzeros (column ascending,
+   visited columns stamped), every matched entry peeled in the matrix,
+   vanished rows re-augmented highest first.  The kernel must return its
+   exact (matching, q) sequence. *)
+let oracle_decompose d =
+  let m = Mat.dim d in
+  let rho = Mat.load d in
+  if rho = 0 then []
+  else begin
+    let t = Mat.copy d in
+    let match_col = Array.make m (-1) and match_row = Array.make m (-1) in
+    let visited = Array.make m 0 and stamp = ref 0 in
+    let rec augment i =
+      let rec scan s =
+        match s () with
+        | Seq.Nil -> false
+        | Seq.Cons ((j, _), rest) ->
+          if visited.(j) <> !stamp then begin
+            visited.(j) <- !stamp;
+            if match_row.(j) = -1 || augment match_row.(j) then begin
+              match_col.(i) <- j;
+              match_row.(j) <- i;
+              true
+            end
+            else scan rest
+          end
+          else scan rest
+      in
+      scan (Mat.row_seq t i)
+    in
+    let rematch i =
+      incr stamp;
+      if not (augment i) then failwith "oracle: no perfect matching"
+    in
+    for i = 0 to m - 1 do
+      rematch i
+    done;
+    let remaining = ref rho and acc = ref [] in
+    while !remaining > 0 do
+      let q = ref max_int in
+      for i = 0 to m - 1 do
+        q := min !q (Mat.get t i match_col.(i))
+      done;
+      let q = !q in
+      acc := (Bvn.pairs match_col, q) :: !acc;
+      remaining := !remaining - q;
+      let broken = ref [] in
+      for i = 0 to m - 1 do
+        let j = match_col.(i) in
+        Mat.add_entry t i j (-q);
+        if Mat.get t i j = 0 then broken := i :: !broken
+      done;
+      if !remaining > 0 then
+        List.iter
+          (fun i ->
+            let j = match_col.(i) in
+            if match_row.(j) = i then match_row.(j) <- -1;
+            match_col.(i) <- -1;
+            rematch i)
+          !broken
+    done;
+    List.rev !acc
+  end
+
+(* Augmented random demands from 1 to 70 ports, weighted to the 62-bit
+   word boundary (61-64), at densities from a permutation to full. *)
+let bvn_oracle_arb =
+  let gen =
+    QCheck.Gen.(
+      let* m =
+        frequency
+          [ (3, int_range 1 12); (2, int_range 13 60); (3, int_range 61 64);
+            (1, int_range 65 70);
+          ]
+      in
+      let* shape = int_range 0 3 in
+      let* max_entry = oneofl [ 1; 3; 9 ] in
+      let* seed = int_range 0 1_000_000 in
+      let st = Random.State.make [| seed |] in
+      let d =
+        match shape with
+        | 0 ->
+          (* a weighted permutation: the sparsest balanced support *)
+          let perm = Array.init m Fun.id in
+          for i = m - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let x = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- x
+          done;
+          let d = Mat.make m in
+          Array.iteri
+            (fun i j -> Mat.set d i j (1 + Random.State.int st max_entry))
+            perm;
+          d
+        | 1 -> Mat.random ~density:(2.0 /. float_of_int m) ~max_entry st m
+        | 2 -> Mat.random ~density:0.3 ~max_entry st m
+        | _ -> Mat.random ~density:1.0 ~max_entry st m
+      in
+      return (Bvn.augment d))
+  in
+  QCheck.make ~print:Mat.to_string gen
+
+let prop_bvn_matches_oracle =
+  QCheck.Test.make ~name:"BvN kernel = list decomposition oracle" ~count:60
+    bvn_oracle_arb (fun a ->
+      List.map (fun (mt, q) -> (Bvn.pairs mt, q)) (Bvn.decompose a)
+      = oracle_decompose a)
+
+(* Words [f ()] allocates, on the minor and the major heap. *)
+let allocated_words f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
+
+(* A matching costs O(m) words: its array, the schedule's cons and pair,
+   and a map write per entry that leaves it — nothing per DFS step. *)
+let test_bvn_allocation () =
+  let m = 64 in
+  let st = Random.State.make [| 64 |] in
+  let a = Bvn.augment (Mat.random ~density:1.0 ~max_entry:100 st m) in
+  let s, words = allocated_words (fun () -> Bvn.decompose a) in
+  let per_matching = words /. float_of_int (Bvn.matchings_used s) in
+  if per_matching > float_of_int (32 * m) then
+    Alcotest.failf "%.0f words per matching over %d matchings, above 32 m = %d"
+      per_matching (Bvn.matchings_used s) (32 * m)
 
 (* ---------- LP relaxation ---------- *)
 
@@ -1250,6 +1379,181 @@ let test_scheduler_vanished_group_demand_advances () =
   Alcotest.(check bool) "progress, not a spin" true
     (Switchsim.Simulator.all_complete sim)
 
+(* The flat schedule order: O(n) words for any grouping, where copying
+   every suffix cost n (n - 1) / 2 for singleton groupings. *)
+let test_make_state_linear () =
+  let n = 20_000 in
+  let groups = Grouping.singletons (Array.init n Fun.id) in
+  let state, words = allocated_words (fun () -> Scheduler.make_state groups) in
+  check_int "flat order" n (Array.length state.Scheduler.order);
+  if words > float_of_int ((4 * n) + 64) then
+    Alcotest.failf "make_state on %d singletons allocated %.0f words, over %d"
+      n words ((4 * n) + 64)
+
+(* Goldens for paths no other golden reaches, captured before the BvN
+   kernel and the matching replay were rewritten: TWCT, slots, matchings
+   and a digest of the completion vector. *)
+let golden_digest completion =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map string_of_int completion))))
+
+let check_golden name ~twct ~slots ~matchings ~digest (r : Scheduler.result) =
+  Alcotest.(check (float 0.0)) (name ^ " twct") twct r.Scheduler.twct;
+  check_int (name ^ " slots") slots r.Scheduler.slots;
+  check_int (name ^ " matchings") matchings r.Scheduler.matchings;
+  Alcotest.(check string) (name ^ " completions") digest
+    (golden_digest r.Scheduler.completion)
+
+let golden_fb ?(gap = 0) ~ports ~coflows seed =
+  let st = Random.State.make [| seed |] in
+  let inst =
+    if gap = 0 then Fb_like.generate ~ports ~coflows st
+    else Fb_like.generate_with_arrivals ~mean_gap:gap ~ports ~coflows st
+  in
+  let wst = Random.State.make [| seed; 1 |] in
+  Instance.with_weights inst
+    (Weights.random_permutation wst (Instance.num_coflows inst))
+
+let run_on_net net inst policy =
+  let sim =
+    Switchsim.Simulator.create ~net ~ports:(Instance.ports inst)
+      (Instance.demands inst)
+  in
+  Engine.run ~sim inst policy
+
+let test_golden_case_d_64_ports () =
+  let inst = golden_fb ~ports:64 ~coflows:40 1603 in
+  check_golden "d at 64 ports" ~twct:1783780.0 ~slots:13921 ~matchings:4036
+    ~digest:"897bac64a2ef867a410a4e1a639e23f6"
+    (Scheduler.run ~case:Scheduler.Group_backfill inst
+       (Ordering.by_load_over_weight inst))
+
+let staggered = lazy (golden_fb ~gap:6 ~ports:16 ~coflows:60 2015)
+
+let test_golden_staggered () =
+  let inst = Lazy.force staggered in
+  let order = Ordering.by_load_over_weight inst in
+  check_golden "b staggered" ~twct:1267871.0 ~slots:5166 ~matchings:281
+    ~digest:"a1aa8c40db08b7aad4d4481c0bf5e735"
+    (Scheduler.run ~case:Scheduler.Backfill inst order);
+  check_golden "d staggered" ~twct:1035121.0 ~slots:2938 ~matchings:282
+    ~digest:"4c3a4ecf9144d0b5f3503d3527f74f24"
+    (Scheduler.run ~case:Scheduler.Group_backfill inst order)
+
+let test_golden_aggressive () =
+  let inst = Lazy.force staggered in
+  let groups =
+    Grouping.deterministic inst (Ordering.by_load_over_weight inst)
+  in
+  check_golden "d aggressive" ~twct:921046.0 ~slots:2524 ~matchings:114
+    ~digest:"8f136b322da32b2fb147e508fa61c8b6"
+    (Scheduler.run_grouped ~backfill:true ~aggressive:true inst groups)
+
+let test_golden_two_fabrics () =
+  let inst = Lazy.force staggered in
+  check_golden "d on rates [2; 1]" ~twct:549240.0 ~slots:1145 ~matchings:238
+    ~digest:"6a45f09c6a43d7e796d6cc358ab466a2"
+    (run_on_net
+       (Switchsim.Net.uniform ~ports:16 ~rates:[ 2; 1 ])
+       inst
+       (Scheduler.case_policy ~case:Scheduler.Group_backfill inst
+          (Ordering.by_load_over_weight inst)))
+
+(* half the groups: the rest is served by the leftover path *)
+let test_golden_leftovers () =
+  let inst = Lazy.force staggered in
+  let groups =
+    Grouping.deterministic inst (Ordering.by_load_over_weight inst)
+  in
+  check_golden "d leftovers" ~twct:1934461.0 ~slots:2817 ~matchings:5
+    ~digest:"2d55a116f9e37cefa98fa882da9e1e0a"
+    (Scheduler.run_grouped ~backfill:true inst
+       (Array.sub groups 0 (Array.length groups / 2)))
+
+(* Every case on an oversubscribed two-tier net: the replay used to serve
+   every owned pair and trip the simulator's core-capacity check.  With one
+   rack the budget is vacuous and the schedule is Net.single's. *)
+let test_cases_on_oversubscribed_net () =
+  let inst = golden_fb ~ports:12 ~coflows:30 7 in
+  let order = Ordering.by_load_over_weight inst in
+  List.iter
+    (fun case ->
+      let name = Scheduler.case_name case in
+      let policy () = Scheduler.case_policy ~case inst order in
+      let r =
+        run_on_net
+          (Switchsim.Net.two_tier ~ports:12 ~rack_size:4 ~core_capacity:2)
+          inst (policy ())
+      in
+      Alcotest.(check bool)
+        ("case " ^ name ^ " completes") true
+        (Array.for_all (fun c -> c > 0) r.Scheduler.completion);
+      let single =
+        run_on_net (Switchsim.Net.single ~ports:12) inst (policy ())
+      in
+      let vacuous =
+        run_on_net
+          (Switchsim.Net.two_tier ~ports:12 ~rack_size:12 ~core_capacity:2)
+          inst (policy ())
+      in
+      check_golden ("case " ^ name ^ " one rack") ~twct:single.Scheduler.twct
+        ~slots:single.Scheduler.slots ~matchings:single.Scheduler.matchings
+        ~digest:(golden_digest single.Scheduler.completion) vacuous)
+    Scheduler.all_cases
+
+(* Racks {0,1} and {2,3}, one inter-rack transfer per slot.  The group's
+   only demand, 0->2, augments to the matching 0->2, 1->0, 2->1, 3->3; the
+   suffix coflow owes 2->1 (inter-rack) and 3->3 (rack-local).  The group's
+   pair takes the core budget, the backfill pair 2->1 idles, and the
+   rack-local 3->3 is served. *)
+let test_core_budget_order () =
+  let sim =
+    Switchsim.Simulator.create
+      ~net:(Switchsim.Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:1)
+      ~ports:4
+      [ (0, Mat.of_arrays [| [| 0; 0; 1; 0 |]; [| 0; 0; 0; 0 |];
+                             [| 0; 0; 0; 0 |]; [| 0; 0; 0; 0 |] |]);
+        (0, Mat.of_arrays [| [| 0; 0; 0; 0 |]; [| 0; 0; 0; 0 |];
+                             [| 0; 1; 0; 0 |]; [| 0; 0; 0; 1 |] |]);
+      ]
+  in
+  let state = Scheduler.make_state [| [| 0 |]; [| 1 |] |] in
+  let served =
+    List.sort compare
+      (List.map
+         (fun t -> Switchsim.Simulator.(t.src, t.dst, t.coflow))
+         (Scheduler.next_slot state ~backfill:true sim))
+  in
+  Alcotest.(check (list (triple int int int)))
+    "group's inter-rack pair, then rack-local backfill" [ (0, 2, 0); (3, 3, 1) ]
+    served
+
+(* Singleton groups, the first gated by a release at slot 50, and 998 of
+   the other 999 coflows pending until 10^6: while the gate holds, each
+   backfill decision examines the one live suffix entry. *)
+let test_gated_backfill_visits_live () =
+  let n = 1000 and live = 500 in
+  let d = Mat.of_arrays [| [| 40; 0 |]; [| 0; 40 |] |] in
+  let sim =
+    Switchsim.Simulator.create ~ports:2
+      (List.init n (fun k ->
+           ((if k = 0 then 50 else if k = live then 0 else 1_000_000), d)))
+  in
+  let state =
+    Scheduler.make_state (Grouping.singletons (Array.init n Fun.id))
+  in
+  let visited = Obs.Counter.make "policy.coflows_visited" in
+  for slot = 1 to 4 do
+    let before = Obs.Counter.value visited in
+    let ts = Scheduler.next_slot state ~backfill:true sim in
+    check_int (Printf.sprintf "entries examined in slot %d" slot) 1
+      (Obs.Counter.value visited - before);
+    Alcotest.(check (list int)) "serves the live coflow" [ live; live ]
+      (List.map (fun t -> t.Switchsim.Simulator.coflow) ts);
+    Switchsim.Simulator.step sim ts
+  done
+
 (* ---------- Counterexample (Appendix B) ---------- *)
 
 let test_counterexample () =
@@ -1320,6 +1624,7 @@ let qprops =
       prop_baselines_lemma2;
       prop_brute_below_heuristics;
       prop_brute_above_lp;
+      prop_bvn_matches_oracle;
     ]
 
 let () =
@@ -1340,6 +1645,8 @@ let () =
             test_decompose_unbalanced_rejected;
           Alcotest.test_case "restore = augmented" `Quick
             test_restore_equals_augmented;
+          Alcotest.test_case "allocation per matching" `Quick
+            test_bvn_allocation;
         ] );
       ( "lp",
         [ Alcotest.test_case "values partition" `Quick
@@ -1414,6 +1721,26 @@ let () =
             test_scheduler_non_covering_grouping_completes;
           Alcotest.test_case "vanished group demand advances" `Quick
             test_scheduler_vanished_group_demand_advances;
+          Alcotest.test_case "make_state is linear" `Quick
+            test_make_state_linear;
+          Alcotest.test_case "all cases on an oversubscribed net" `Quick
+            test_cases_on_oversubscribed_net;
+          Alcotest.test_case "core budget: group first, rack-local kept" `Quick
+            test_core_budget_order;
+          Alcotest.test_case "gated backfill visits live coflows" `Quick
+            test_gated_backfill_visits_live;
+        ] );
+      ( "grouped golden",
+        [ Alcotest.test_case "case (d) at 64 ports" `Quick
+            test_golden_case_d_64_ports;
+          Alcotest.test_case "cases (b) and (d), staggered releases" `Quick
+            test_golden_staggered;
+          Alcotest.test_case "case (d), aggressive" `Quick
+            test_golden_aggressive;
+          Alcotest.test_case "case (d) on rates [2; 1]" `Quick
+            test_golden_two_fabrics;
+          Alcotest.test_case "case (d), leftovers" `Quick
+            test_golden_leftovers;
         ] );
       ( "baselines",
         [ Alcotest.test_case "baselines complete" `Quick

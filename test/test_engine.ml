@@ -349,6 +349,37 @@ let prop_live_view_is_full_sweep =
       done;
       !ok)
 
+(* One view asked for slices of two arrays at random starts, while
+   releases arrive and coflows finish, always answers the live entries of
+   the slice asked for: a memo hit only when the same slice comes back
+   with the same released and unfinished counts. *)
+let prop_live_slice_is_filtered_slice =
+  QCheck.Test.make ~name:"live_slice answers the live part of its slice"
+    ~count:150 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let open Switchsim in
+      let st, sim, priority = random_state seed in
+      let n = Array.length priority in
+      let other = shuffled st n in
+      let v = Policy.live_view () in
+      let ok = ref true and budget = ref 60 in
+      while !ok && !budget > 0 && not (Simulator.all_complete sim) do
+        decr budget;
+        for _ = 1 to 3 do
+          let src = if Random.State.bool st then priority else other in
+          let pos = Random.State.int st (n + 1) in
+          let want =
+            List.filter
+              (fun k ->
+                Simulator.released sim k && not (Simulator.is_complete sim k))
+              (Array.to_list (Array.sub src pos (n - pos)))
+          in
+          if Array.to_list (Policy.live_slice v sim src ~pos) <> want then
+            ok := false
+        done;
+        Simulator.step sim (naive_greedy sim ~priority)
+      done;
+      !ok)
+
 (* One decision on a 64-port, 600-coflow state allocates its transfers
    (a 3-word cons and a 5-word record each) and a constant: nothing per
    coflow visited or per candidate source probed. *)
@@ -409,6 +440,59 @@ let run_on ?net inst policy =
   let ports = Instance.ports inst in
   let sim = Switchsim.Simulator.create ?net ~ports (Instance.demands inst) in
   Engine.run ~sim inst policy
+
+(* The grouped replay on nets with two fabrics at different rates and
+   oversubscribed cores whose budget binds: every case (and the aggressive
+   top-up) completes, and the batched loop decides exactly what the
+   slot-by-slot loop decides, core-budget drops included. *)
+let prop_grouped_on_nets =
+  QCheck.Test.make
+    ~name:"grouped cases on any net complete, batched = slot loop" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let open Switchsim in
+      let st = Random.State.make [| seed |] in
+      let m = 2 + Random.State.int st 7 and n = 1 + Random.State.int st 6 in
+      let inst =
+        Instance.make ~ports:m
+          (List.init n (fun id ->
+               { Instance.id;
+                 release = Random.State.int st 6;
+                 weight = float_of_int (1 + Random.State.int st 4);
+                 demand = Matrix.Mat.random ~density:0.4 ~max_entry:4 st m;
+               }))
+      in
+      let rack_size = 1 + Random.State.int st m in
+      let core_capacity = 1 + Random.State.int st (1 + (m / 4)) in
+      let net =
+        match Random.State.int st 3 with
+        | 0 -> Net.uniform ~ports:m ~rates:[ 2; 1 ]
+        | 1 -> Net.two_tier ~ports:m ~rack_size ~core_capacity
+        | _ ->
+          Net.make ~ports:m
+            [ Net.fabric 1; Net.fabric ~rack_size ~core_capacity 2 ]
+      in
+      let order = Ordering.by_load_over_weight inst in
+      let policies =
+        Scheduler.as_policy ~backfill:true ~aggressive:true
+          ~describe:"aggressive"
+          (Grouping.deterministic inst order)
+        :: List.map
+             (fun case -> Scheduler.case_policy ~case inst order)
+             Scheduler.all_cases
+      in
+      List.for_all
+        (fun policy ->
+          let run batch =
+            let sim = Simulator.create ~net ~ports:m (Instance.demands inst) in
+            Engine.run ~sim ~batch inst policy
+          in
+          let a = run true and b = run false in
+          a.Engine.completion = b.Engine.completion
+          && a.Engine.twct = b.Engine.twct
+          && a.Engine.slots = b.Engine.slots
+          && a.Engine.matchings = b.Engine.matchings)
+        policies)
 
 let test_golden_through_explicit_net () =
   let inst = Lazy.force golden_instance in
@@ -471,10 +555,12 @@ let () =
             test_greedy_allocation;
           Alcotest.test_case "coflows_visited counts live entries" `Quick
             test_coflows_visited_live;
+          QCheck_alcotest.to_alcotest prop_live_slice_is_filtered_slice;
         ] );
       ( "net-equivalence",
         [ Alcotest.test_case "goldens through Net.single" `Quick
             test_golden_through_explicit_net;
           QCheck_alcotest.to_alcotest prop_single_net_equivalence;
+          QCheck_alcotest.to_alcotest prop_grouped_on_nets;
         ] );
     ]
