@@ -38,7 +38,28 @@ let stateless ~describe next_slot =
    single-switch sweep. *)
 let c_visited = Obs.Counter.make "policy.coflows_visited"
 
-let greedy_matching ?(init = []) sim ~priority =
+(* how many of [transfers] spend a fault plan's pooled core budget *)
+let rec pooled_spend net acc = function
+  | [] -> acc
+  | { Simulator.src; dst; fabric; _ } :: rest ->
+    pooled_spend net
+      (if Faults.Fault_plan.core_counts net ~fabric ~src ~dst then acc + 1
+       else acc)
+      rest
+
+(* An empty pool admits no transfer that spends it: a fabric without a
+   core cap loses every destination, the others keep rack-local pairs
+   only, exactly as when their own budget is spent. *)
+let close_pool net ~words ~m free_dst n_dst core_left =
+  for f = 0 to Net.k net - 1 do
+    if core_left.(f) = max_int then begin
+      Array.fill free_dst (f * words) words 0;
+      n_dst.(f) <- m
+    end
+    else core_left.(f) <- 0
+  done
+
+let greedy_matching ?(init = []) ?faults sim ~priority =
   let m = Simulator.ports sim in
   let net = Simulator.net sim in
   let kf = Simulator.num_fabrics sim in
@@ -82,6 +103,32 @@ let greedy_matching ?(init = []) sim ~priority =
   List.iter
     (fun { Simulator.src; dst; coflow; fabric } -> claim fabric coflow src dst)
     init;
+  (* Under a fault plan the plan's state is folded into the claims before
+     the scan: down ports start out claimed, a dead fabric has every port
+     claimed, and one pooled budget sits on top of the per-fabric ones
+     ([close_pool] once it is spent).  Without a plan the pool is
+     [max_int] and never read again, so the scan below runs as it always
+     did, plus the off-duty word per row word. *)
+  let pool = ref max_int in
+  (match faults with
+  | None -> ()
+  | Some st ->
+    Faults.Fault_plan.refresh st ~slot:(Simulator.now sim);
+    for f = 0 to kf - 1 do
+      let dead = Faults.Fault_plan.fabric_dead st f in
+      for w = 0 to words - 1 do
+        let up = if dead then 0 else Faults.Fault_plan.port_up_word st w in
+        let fw = (f * words) + w in
+        n_src.(f) <-
+          n_src.(f) + Matrix.Bits.popcount (free_src.(fw) land lnot up);
+        n_dst.(f) <-
+          n_dst.(f) + Matrix.Bits.popcount (free_dst.(fw) land lnot up);
+        free_src.(fw) <- free_src.(fw) land up;
+        free_dst.(fw) <- free_dst.(fw) land up
+      done
+    done;
+    pool := Faults.Fault_plan.core_budget st - pooled_spend net 0 init;
+    if !pool <= 0 then close_pool net ~words ~m free_dst n_dst core_left);
   (* The scan claims at most one pair per (coflow, src) row per fabric —
      a claimed source blocks the rest of its row — and works wholesale on
      bitset words: a coflow's candidate sources are
@@ -138,11 +185,16 @@ let greedy_matching ?(init = []) sim ~priority =
                        (if lo <= base then 0
                         else Matrix.Bits.low_mask (lo - base))
               in
+              let off_duty =
+                match faults with
+                | None -> 0
+                | Some st -> Faults.Fault_plan.off_duty_word st ~src:i !w2
+              in
               let rb =
                 ref
                   (Simulator.remaining_row_mask sim k i !w2
                   land free_dst.(fw + !w2)
-                  land in_range)
+                  land in_range land lnot off_duty)
               in
               while !rb <> 0 do
                 let db = !rb land - !rb in
@@ -155,6 +207,15 @@ let greedy_matching ?(init = []) sim ~priority =
                 in
                 if not dup then begin
                   claim f k i j;
+                  if
+                    !pool <> max_int
+                    && Faults.Fault_plan.core_counts net ~fabric:f ~src:i
+                         ~dst:j
+                  then begin
+                    decr pool;
+                    if !pool = 0 then
+                      close_pool net ~words ~m free_dst n_dst core_left
+                  end;
                   transfers :=
                     { Simulator.src = i; dst = j; coflow = k; fabric = f }
                     :: !transfers;

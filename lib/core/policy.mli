@@ -70,6 +70,7 @@ val stateless :
 
 val greedy_matching :
   ?init:Switchsim.Simulator.transfer list ->
+  ?faults:Faults.Fault_plan.state ->
   Switchsim.Simulator.t ->
   priority:int array ->
   Switchsim.Simulator.transfer list
@@ -78,8 +79,8 @@ val greedy_matching :
     remaining demand.  [init] (default empty) marks already-claimed pairs —
     work-conserving extensions pass the partial slot and get it extended;
     new transfers are consed onto it.  This is the shared core of
-    {!Baselines.greedy}, the scheduler's backfill paths and the online
-    rules.
+    {!Baselines.greedy}, the scheduler's backfill paths, the online
+    rules and fault-aware service.
 
     The result is exactly the entry-by-entry scan: fabrics in
     [Net.by_rate] order, then [priority], then source ascending, then
@@ -87,6 +88,17 @@ val greedy_matching :
     (coflow, src, dst) entry on two fabrics; once a fabric's core budget
     is spent, rack-local pairs only.  A fabric's scan stops when all its
     sources or destinations are claimed.
+
+    [faults] serves under a compiled fault plan, refreshed here at
+    [Simulator.now sim]: down ports start out claimed, a dead fabric has
+    every port claimed, off-duty links are masked out of each row, and
+    the pooled {!Faults.Fault_plan.core_budget} caps, on top of the
+    per-fabric budgets, every transfer that
+    {!Faults.Fault_plan.core_counts} names ([init] spends it too); once
+    it is spent, fabrics without a core cap take nothing more and the
+    others rack-local pairs only.  The result is then the entry-by-entry
+    scan that skips every pair the plan's list queries forbid.  Without
+    [faults] nothing is masked.
 
     Cost: O(entries examined + candidate sources · words).  A call
     allocates its transfers (8 words each) and O(k · words) scratch,

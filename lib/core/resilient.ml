@@ -196,10 +196,13 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     tier_counts.(tier_index !tier) <- tier_counts.(tier_index !tier) + 1;
     log := { Audit.tier = tier_name !tier; transfers } :: !log
   in
+  let faults = Injector.faults inj in
   let policy =
     Policy.make ~describe:"resilient" (fun _ ->
+        let view = Policy.live_view () in
         Policy.stepper ~pre_slot ~on_decided (fun s ->
-            Injector.greedy_policy inj !order s))
+            Policy.greedy_matching ~faults s
+              ~priority:(Policy.live_slice view s !order ~pos:0)))
   in
   let er = Engine.run ~max_slots:config.max_slots ~sim inst policy in
   if Obs.Trace.enabled () then close_plan ~slot:(Simulator.now sim);

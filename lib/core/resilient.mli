@@ -21,10 +21,11 @@
     statistics plane is gone).  Which tier served each slot is recorded in
     the audit log and summed in [tier_slots].
 
-    Service itself is the fault-aware greedy priority matching of
-    {!Faults.Injector}, so every emitted slot is also checked by the
-    simulator's validate hook; the returned {!Faults.Audit.t} can be
-    re-certified independently with {!Faults.Audit.check}.
+    Service itself is {!Policy.greedy_matching} over the injector's
+    compiled fault state, one slot at a time, so every emitted slot is
+    also checked by the simulator's validate hook; the returned
+    {!Faults.Audit.t} can be re-certified independently with
+    {!Faults.Audit.check}.
 
     Determinism: with [lp_deadline = None] (or a deadline the solves never
     approach) the whole run is a pure function of instance, plan and

@@ -2,10 +2,12 @@
 
     One record per slot: which policy tier produced the slot and the exact
     transfers committed.  {!check} re-derives the fault constraints from the
-    plan (via {!Injector.check_slot}) and certifies that no transfer ever
-    used a dead port, rode a degraded link off its duty cycle, or exceeded
-    the degraded (core) capacity — independently of the simulator that
-    produced the log, so a buggy injector cannot certify itself.
+    plan's raw event list (the {!Fault_plan} list queries, never the
+    compiled {!Fault_plan.state} the injector enforces) and certifies that
+    no transfer ever used a dead port or fabric, rode a degraded link off
+    its duty cycle, or exceeded the degraded (core) capacity —
+    independently of the simulator and the injector that produced the
+    log, so a buggy injector cannot certify itself.
 
     The text format is canonical: the same run serialises to the same bytes,
     which is how determinism-under-injection is asserted in the tests. *)
@@ -47,8 +49,9 @@ val check :
     offending slot, and the log would grow without bound.  A {!checker}
     certifies one {!slot_record} at a time in O(ports) memory; the first
     violation is reported at the slot that committed it and latched, so
-    every later {!feed} returns the same error.  {!check} is itself
-    implemented as a fold over a checker. *)
+    every later {!feed} returns the same error.  A certified slot
+    allocates nothing.  {!check} is itself implemented as a fold over a
+    checker. *)
 
 type checker
 

@@ -85,23 +85,28 @@ let validate_exn ?(fabrics = 1) ~ports ~coflows t =
 
 (* ---------- per-slot queries ---------- *)
 
-let port_down t ~slot p =
-  List.exists
-    (function
-      | Port_down { port; from_; until } ->
-        port = p && active ~from_ ~until slot
-      | _ -> false)
-    t.events
+(* The boolean and period queries are top-level recursions over the event
+   list: no closure, option or tuple per call, so the audit can evaluate
+   the raw plan on every slot without allocating. *)
+let rec port_down_in events ~slot p =
+  match events with
+  | [] -> false
+  | Port_down { port; from_; until } :: _
+    when port = p && active ~from_ ~until slot ->
+    true
+  | _ :: rest -> port_down_in rest ~slot p
 
-let link_period t ~slot ~src ~dst =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Link_degraded { src = s; dst = d; from_; until; period }
-        when s = src && d = dst && active ~from_ ~until slot ->
-        max acc period
-      | _ -> acc)
-    1 t.events
+let port_down t ~slot p = port_down_in t.events ~slot p
+
+let rec link_period_in events ~slot ~src ~dst acc =
+  match events with
+  | [] -> acc
+  | Link_degraded { src = s; dst = d; from_; until; period } :: rest
+    when s = src && d = dst && active ~from_ ~until slot ->
+    link_period_in rest ~slot ~src ~dst (max acc period)
+  | _ :: rest -> link_period_in rest ~slot ~src ~dst acc
+
+let link_period t ~slot ~src ~dst = link_period_in t.events ~slot ~src ~dst 1
 
 (* A link degraded to period [p] carries at most one unit every [p] slots;
    the usable slots are the multiples of [p] so two plans composed by [max]
@@ -122,13 +127,15 @@ let core_capacity t ~slot =
       | _ -> acc)
     None t.events
 
-let fabric_down t ~slot f =
-  List.exists
-    (function
-      | Fabric_down { fabric; from_; until } ->
-        fabric = f && active ~from_ ~until slot
-      | _ -> false)
-    t.events
+let rec fabric_down_in events ~slot f =
+  match events with
+  | [] -> false
+  | Fabric_down { fabric; from_; until } :: _
+    when fabric = f && active ~from_ ~until slot ->
+    true
+  | _ :: rest -> fabric_down_in rest ~slot f
+
+let fabric_down t ~slot f = fabric_down_in t.events ~slot f
 
 let solver_outage t ~slot =
   List.fold_left
@@ -174,6 +181,128 @@ let boundaries t =
       [] t.events
   in
   List.sort_uniq compare slots
+
+(* ---------- compiled state ---------- *)
+
+(* The serving-relevant part of the plan at one slot, as bitsets a
+   matching kernel can [land] with its free-port words, plus the window
+   [slot, until) over which none of it changes.  Recomputed from the event
+   list only when a query leaves that window, so a run pays O(events +
+   ports * words) per fault-state change instead of an event-list scan
+   per candidate pair. *)
+type state = {
+  plan : t;
+  ports : int;
+  words : int;
+  base : int; (* sum over fabrics of core capacity, ports if non-blocking *)
+  up : int array; (* ports-up bitset, [words] words *)
+  off : int array; (* row [src]'s off-duty destinations at [src * words] *)
+  dead : bool array; (* per fabric *)
+  mutable budget : int;
+  mutable slot : int;
+  mutable until : int;
+}
+
+let compile t net =
+  let ports = Switchsim.Net.ports net and fabrics = Switchsim.Net.k net in
+  (match validate ~fabrics ~ports ~coflows:max_int t with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Fault_plan.compile: " ^ msg));
+  let words = Matrix.Bits.words_for ports in
+  let base = ref 0 in
+  for f = 0 to fabrics - 1 do
+    base :=
+      !base
+      +
+      match Switchsim.Net.core_capacity net f with
+      | Some c -> c
+      | None -> ports
+  done;
+  (* [until = slot = 0]: an empty window, so the first refresh computes *)
+  { plan = t;
+    ports;
+    words;
+    base = !base;
+    up = Array.make words 0;
+    off = Array.make (ports * words) 0;
+    dead = Array.make fabrics false;
+    budget = !base;
+    slot = 0;
+    until = 0;
+  }
+
+(* A degraded core caps inter-rack transfers on an oversubscribed fabric
+   and every transfer on a non-blocking one (aggregate switch
+   degradation). *)
+let core_counts net ~fabric ~src ~dst =
+  match Switchsim.Net.core_capacity net fabric with
+  | None -> true
+  | Some _ -> Switchsim.Net.crosses_core net ~fabric ~src ~dst
+
+(* a change point after [slot] ends the window early *)
+let edge st ~slot x = if x > slot && x < st.until then st.until <- x
+
+let rec apply st ~slot = function
+  | [] -> ()
+  | e :: rest ->
+    (match e with
+    | Port_down { port; from_; until } ->
+      edge st ~slot from_;
+      edge st ~slot until;
+      if active ~from_ ~until slot then begin
+        let w = Matrix.Bits.word_of port in
+        st.up.(w) <- st.up.(w) land lnot (1 lsl Matrix.Bits.bit_of port)
+      end
+    | Link_degraded { src; dst; from_; until; period = _ } ->
+      edge st ~slot from_;
+      edge st ~slot until;
+      if active ~from_ ~until slot then begin
+        (* the pair's duty cycle follows its largest active period: usable
+           at that period's multiples, so it flips at the next multiple,
+           or right after this slot when this slot is one *)
+        let p = link_period st.plan ~slot ~src ~dst in
+        let r = slot mod p in
+        edge st ~slot (if r = 0 then slot + 1 else slot + p - r);
+        if r <> 0 then begin
+          let w = (src * st.words) + Matrix.Bits.word_of dst in
+          st.off.(w) <- st.off.(w) lor (1 lsl Matrix.Bits.bit_of dst)
+        end
+      end
+    | Core_degraded { from_; until; capacity } ->
+      edge st ~slot from_;
+      edge st ~slot until;
+      if active ~from_ ~until slot then st.budget <- min st.budget capacity
+    | Fabric_down { fabric; from_; until } ->
+      edge st ~slot from_;
+      edge st ~slot until;
+      if active ~from_ ~until slot then st.dead.(fabric) <- true
+    | Straggler { at; _ } -> edge st ~slot at
+    | Release_delay _ | Solver_outage _ -> ());
+    apply st ~slot rest
+
+let refresh st ~slot =
+  if slot < st.slot || slot >= st.until then begin
+    let bpw = Matrix.Bits.bits_per_word in
+    for w = 0 to st.words - 1 do
+      st.up.(w) <- Matrix.Bits.low_mask (min bpw (st.ports - (w * bpw)))
+    done;
+    Array.fill st.off 0 (Array.length st.off) 0;
+    Array.fill st.dead 0 (Array.length st.dead) false;
+    st.budget <- st.base;
+    st.slot <- slot;
+    st.until <- max_int;
+    apply st ~slot st.plan.events
+  end
+
+let stable_until st = st.until
+
+let port_up_word st w = st.up.(w)
+
+let off_duty_word st ~src w = st.off.((src * st.words) + w)
+
+let fabric_dead st f = st.dead.(f)
+
+let core_budget st = st.budget
 
 (* ---------- text format ---------- *)
 

@@ -9,8 +9,9 @@
 
     Slot indexing matches [Switchsim.Simulator.now] {e before} a step: an
     event with interval [[from_, until)] affects exactly the slots whose
-    pre-step clock lies in the interval.  All queries are pure, so a plan
-    can be replayed or audited independently of any simulator. *)
+    pre-step clock lies in the interval.  The per-slot list queries are
+    pure, so a plan can be replayed or audited independently of any
+    simulator; serving reads a {!state} compiled from the plan instead. *)
 
 type event =
   | Port_down of { port : int; from_ : int; until : int }
@@ -76,7 +77,9 @@ val core_capacity : t -> slot:int -> int option
 
 val fabric_down : t -> slot:int -> int -> bool
 (** [fabric_down t ~slot f] iff some event takes fabric [f] down at
-    [slot]. *)
+    [slot].  [port_down], [link_period], [link_usable] and [fabric_down]
+    allocate nothing, so the audit can evaluate them on every slot it
+    certifies. *)
 
 val solver_outage : t -> slot:int -> [ `None | `Lp_only | `Full ]
 
@@ -89,6 +92,62 @@ val stragglers : t -> (int * int * int) list
 val boundaries : t -> int list
 (** Sorted slots at which any fault begins, ends or fires — the re-planning
     triggers of {!Core.Resilient}. *)
+
+(** {2 Compiled state}
+
+    The serving part of a plan at one slot, compiled against a
+    {!Switchsim.Net} into bitsets a matching kernel reads word by word:
+    which ports are up, which links are off their duty cycle, which
+    fabrics are dead, and the pooled core budget.  The kernel is
+    {!Core.Policy.greedy_matching} [?faults]; the injector's validate
+    hook reads the same state.  A state describes every slot of a window
+    [[slot, stable_until)].  {!refresh} recomputes it, in O(events +
+    ports * words), only for a slot outside that window, so queries in
+    any slot order stay correct and a run pays once per fault-state
+    change.  Solver outages and release delays are not serving state. *)
+
+type state
+
+val compile : t -> Switchsim.Net.t -> state
+(** A fresh per-run state; the first {!refresh} computes it.
+    @raise Invalid_argument if the plan fails {!validate} against the
+    net's ports and fabrics (coflow indices are not checked). *)
+
+val refresh : state -> slot:int -> unit
+(** Make the state describe [slot]; a no-op while [slot] stays in the
+    current window.  The readers below describe the last refreshed
+    slot. *)
+
+val stable_until : state -> int
+(** The first slot after the refreshed one at which the state can
+    change: an interval edge of a port, link, core or fabric event, an
+    active slow link's next duty flip (by the pair's largest period, as
+    in {!link_period}), or a straggler's [at].  [max_int] when nothing is
+    left to change, which is always the case for the empty plan. *)
+
+val port_up_word : state -> int -> int
+(** Word [w] ({!Matrix.Bits} layout) of the ports-up bitset: bit [p] is
+    set iff [not (port_down plan ~slot p)]. *)
+
+val off_duty_word : state -> src:int -> int -> int
+(** Word [w] of source [src]'s off-duty destinations: bit [d] is set iff
+    [not (link_usable plan ~slot ~src ~dst:d)]. *)
+
+val fabric_dead : state -> int -> bool
+(** [fabric_down plan ~slot f]. *)
+
+val core_budget : state -> int
+(** The pooled core budget [min (sum_f base_f) cap]: [base_f] is fabric
+    [f]'s core capacity, or its port count when it is non-blocking, and
+    [cap] the tightest active {!Core_degraded} capacity (the sum alone
+    when there is none).  The transfers that spend it are those
+    {!core_counts} names. *)
+
+val core_counts :
+  Switchsim.Net.t -> fabric:int -> src:int -> dst:int -> bool
+(** Whether a transfer spends the pooled core budget: it crosses the core
+    of an oversubscribed fabric, or rides a fabric without a core cap
+    (aggregate switch degradation). *)
 
 (** {2 Text format}
 

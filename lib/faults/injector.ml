@@ -2,6 +2,7 @@ open Switchsim
 
 type t = {
   plan : Fault_plan.t;
+  faults : Fault_plan.state;
   sim : Simulator.t;
   stragglers : (int * int * int) array; (* (at, coflow, factor), by slot *)
   mutable next_straggler : int;
@@ -11,70 +12,78 @@ let sim t = t.sim
 
 let plan t = t.plan
 
+let faults t = t.faults
+
+let port_up st p =
+  Fault_plan.port_up_word st (Matrix.Bits.word_of p)
+  land (1 lsl Matrix.Bits.bit_of p)
+  <> 0
+
+let link_on_duty st ~src ~dst =
+  Fault_plan.off_duty_word st ~src (Matrix.Bits.word_of dst)
+  land (1 lsl Matrix.Bits.bit_of dst)
+  = 0
+
 let pair_ok t ~slot ~src ~dst =
-  (not (Fault_plan.port_down t.plan ~slot src))
-  && (not (Fault_plan.port_down t.plan ~slot dst))
-  && Fault_plan.link_usable t.plan ~slot ~src ~dst
-
-(* A degraded core caps inter-rack transfers on an oversubscribed fabric
-   and every transfer on a non-blocking one (aggregate switch
-   degradation); the undegraded budget sums the fabrics' own caps. *)
-let core_counts net ~fabric ~src ~dst =
-  match Net.core_capacity net fabric with
-  | None -> true
-  | Some _ -> Net.crosses_core net ~fabric ~src ~dst
-
-let capacity ~net ~plan ~slot =
-  let base = ref 0 in
-  for f = 0 to Net.k net - 1 do
-    base :=
-      !base
-      + match Net.core_capacity net f with Some c -> c | None -> Net.ports net
-  done;
-  match Fault_plan.core_capacity plan ~slot with
-  | Some c -> min !base c
-  | None -> !base
+  Fault_plan.refresh t.faults ~slot;
+  port_up t.faults src && port_up t.faults dst
+  && link_on_duty t.faults ~src ~dst
 
 let effective_capacity t ~slot =
-  capacity ~net:(Simulator.net t.sim) ~plan:t.plan ~slot
+  Fault_plan.refresh t.faults ~slot;
+  Fault_plan.core_budget t.faults
 
-(* Shared by the simulator's validate hook and by {!Audit.check}: the fault
-   constraints one slot must satisfy, independent of demand state. *)
-let check_slot ~net ~plan ~slot transfers =
-  let ports = Net.ports net in
-  let capacity = capacity ~net ~plan ~slot in
-  let rec scan used = function
-    | [] -> if used > capacity then
-        Error
-          (Printf.sprintf
-             "slot %d: %d transfers exceed degraded capacity %d" slot used
-             capacity)
-      else Ok ()
-    | { Simulator.src; dst; fabric; _ } :: rest ->
-      if src < 0 || src >= ports || dst < 0 || dst >= ports then
-        Error (Printf.sprintf "slot %d: port out of range %d->%d" slot src dst)
-      else if fabric < 0 || fabric >= Net.k net then
-        Error (Printf.sprintf "slot %d: fabric %d out of range" slot fabric)
-      else if Fault_plan.fabric_down plan ~slot fabric then
-        Error (Printf.sprintf "slot %d: fabric %d is down" slot fabric)
-      else if Fault_plan.port_down plan ~slot src then
-        Error (Printf.sprintf "slot %d: ingress %d is down" slot src)
-      else if Fault_plan.port_down plan ~slot dst then
-        Error (Printf.sprintf "slot %d: egress %d is down" slot dst)
-      else if not (Fault_plan.link_usable plan ~slot ~src ~dst) then
-        Error
-          (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" slot
-             src dst
-             (Fault_plan.link_period plan ~slot ~src ~dst))
-      else
-        scan (if core_counts net ~fabric ~src ~dst then used + 1 else used) rest
-  in
-  scan 0 transfers
+(* The validate hook's per-transfer scan over the compiled state, checks
+   and messages in the order the audit uses; a top-level recursion, so a
+   slot allocates nothing unless it is rejected. *)
+let rec scan net plan st ~slot used = function
+  | [] ->
+    let capacity = Fault_plan.core_budget st in
+    if used > capacity then
+      Error
+        (Printf.sprintf "slot %d: %d transfers exceed degraded capacity %d"
+           slot used capacity)
+    else Ok ()
+  | { Simulator.src; dst; fabric; _ } :: rest ->
+    let ports = Net.ports net in
+    if src < 0 || src >= ports || dst < 0 || dst >= ports then
+      Error (Printf.sprintf "slot %d: port out of range %d->%d" slot src dst)
+    else if fabric < 0 || fabric >= Net.k net then
+      Error (Printf.sprintf "slot %d: fabric %d out of range" slot fabric)
+    else if Fault_plan.fabric_dead st fabric then
+      Error (Printf.sprintf "slot %d: fabric %d is down" slot fabric)
+    else if not (port_up st src) then
+      Error (Printf.sprintf "slot %d: ingress %d is down" slot src)
+    else if not (port_up st dst) then
+      Error (Printf.sprintf "slot %d: egress %d is down" slot dst)
+    else if not (link_on_duty st ~src ~dst) then
+      Error
+        (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" slot src
+           dst
+           (Fault_plan.link_period plan ~slot ~src ~dst))
+    else
+      scan net plan st ~slot
+        (if Fault_plan.core_counts net ~fabric ~src ~dst then used + 1
+         else used)
+        rest
+
+(* [slots] consecutive slots from [slot] may commit [transfers] only if
+   the fault state holds still over all of them *)
+let check net plan st ~slot ~slots transfers =
+  Fault_plan.refresh st ~slot;
+  let until = Fault_plan.stable_until st in
+  if slots > until - slot then
+    Error
+      (Printf.sprintf
+         "slot %d: batch of %d slots crosses the fault-state change at slot %d"
+         slot slots until)
+  else scan net plan st ~slot 0 transfers
 
 let create ?net ~plan ~ports demands =
   let net = match net with Some n -> n | None -> Net.single ~ports in
   Fault_plan.validate_exn ~fabrics:(Net.k net) ~ports
     ~coflows:(List.length demands) plan;
+  let faults = Fault_plan.compile plan net in
   (* delayed releases are known at admission time: fold them into the
      release dates before the simulator is built *)
   let demands =
@@ -83,14 +92,16 @@ let create ?net ~plan ~ports demands =
       demands
   in
   let sim_cell = ref None in
-  let validate transfers =
+  let validate ~slots transfers =
     match !sim_cell with
     | None -> Ok ()
-    | Some sim -> check_slot ~net ~plan ~slot:(Simulator.now sim) transfers
+    | Some sim ->
+      check net plan faults ~slot:(Simulator.now sim) ~slots transfers
   in
   let sim = Simulator.create ~validate ~net ~ports demands in
   sim_cell := Some sim;
   { plan;
+    faults;
     sim;
     stragglers = Array.of_list (Fault_plan.stragglers plan);
     next_straggler = 0;
@@ -98,6 +109,7 @@ let create ?net ~plan ~ports demands =
 
 let tick t =
   let slot = Simulator.now t.sim in
+  Fault_plan.refresh t.faults ~slot;
   while
     t.next_straggler < Array.length t.stragglers
     && (let at, _, _ = t.stragglers.(t.next_straggler) in
@@ -119,59 +131,4 @@ let tick t =
           Simulator.add_demand t.sim k ~src:i ~dst:j ((factor - 1) * v))
         !entries
     end
-  done
-
-let greedy_policy t priority sim =
-  let slot = Simulator.now sim in
-  let m = Simulator.ports sim in
-  let kf = Simulator.num_fabrics sim in
-  (* fabric [f]'s port claims live at [f * m + port]; surviving fabrics
-     are swept fastest first, skipping any fabric the plan has down *)
-  let src_used = Array.make (kf * m) false
-  and dst_used = Array.make (kf * m) false in
-  let net = Simulator.net sim in
-  let core_left = ref (effective_capacity t ~slot) in
-  let taken = if kf > 1 then Some (Hashtbl.create 64) else None in
-  let transfers = ref [] in
-  Array.iter
-    (fun f ->
-      if not (Fault_plan.fabric_down t.plan ~slot f) then
-        let off = f * m in
-        Array.iter
-          (fun k ->
-            if Simulator.released sim k && not (Simulator.is_complete sim k)
-            then
-              Simulator.iter_remaining sim k (fun i j _ ->
-                  if
-                    (not (src_used.(off + i) || dst_used.(off + j)))
-                    && pair_ok t ~slot ~src:i ~dst:j
-                    && (match taken with
-                       | Some tbl -> not (Hashtbl.mem tbl (k, i, j))
-                       | None -> true)
-                  then begin
-                    let tr =
-                      { Simulator.src = i; dst = j; coflow = k; fabric = f }
-                    in
-                    let core = core_counts net ~fabric:f ~src:i ~dst:j in
-                    if (not core) || !core_left > 0 then begin
-                      src_used.(off + i) <- true;
-                      dst_used.(off + j) <- true;
-                      if core then decr core_left;
-                      (match taken with
-                      | Some tbl -> Hashtbl.replace tbl (k, i, j) ()
-                      | None -> ());
-                      transfers := tr :: !transfers
-                    end
-                  end))
-          priority)
-    (Net.by_rate net);
-  !transfers
-
-let run ?(max_slots = 10_000_000) t ~priority =
-  let budget = ref max_slots in
-  while not (Simulator.all_complete t.sim) do
-    if !budget <= 0 then failwith "Injector.run: slot budget exhausted";
-    decr budget;
-    tick t;
-    Simulator.step t.sim (greedy_policy t priority t.sim)
   done

@@ -511,12 +511,15 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
       Fingerprint.int dfp c_abs
     in
     let serving = ref true in
-    (* Event-driven serving is only safe when the epoch's plan is empty:
-       every fault constraint (duty cycles, outage windows, stragglers) is
-       slot-dependent, and in-epoch releases are all 0, so with no plan the
-       greedy decision is a pure function of the residual demand structure
-       and {!Core.Policy.skip_bound} applies verbatim. *)
-    let batchable = batch && Fault_plan.is_empty plan in
+    (* Event-driven serving: the greedy decision is a pure function of the
+       released and completed sets, the residual demand structure and the
+       compiled fault state.  {!Core.Policy.skip_bound} covers the first
+       three (releases move only through the plan's release delays); the
+       fault state, stragglers included, holds still until
+       [stable_until], so the batch stops there too.  An empty plan never
+       changes state ([stable_until = max_int]). *)
+    let faults = Injector.faults inj in
+    let view = Policy.live_view () in
     let units_served = ref 0 in
     while
       !serving
@@ -524,12 +527,17 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
       && Simulator.now sim < cfg.epoch_length
     do
       Injector.tick inj;
-      let transfers = Injector.greedy_policy inj order sim in
+      let transfers =
+        Policy.greedy_matching ~faults sim
+          ~priority:(Policy.live_slice view sim order ~pos:0)
+      in
       let start = Simulator.now sim in
       let slots =
-        if batchable then
-          Core.Policy.skip_bound sim transfers
-            ~max_n:(cfg.epoch_length - start)
+        if batch then
+          Policy.skip_bound sim transfers
+            ~max_n:
+              (min (cfg.epoch_length - start)
+                 (Fault_plan.stable_until faults - start))
         else 1
       in
       Simulator.step_batch sim transfers ~slots;

@@ -24,7 +24,8 @@
       counted ([service.degradations], per-cause counters) and emitted as
       a trace instant;
     + serves up to [epoch_length] slots of fault-aware greedy matching in
-      the chosen order, feeding every slot to an incremental
+      the chosen order, batched up to each fault-state change, feeding
+      every slot to an incremental
       {!Faults.Audit.checker} (a violation stops the run at the offending
       slot) and folding admissions, completions and tiers into a rolling
       {!Fingerprint};
@@ -198,12 +199,15 @@ val run :
     decisions, stats and fingerprint are identical with or without it
     (E20 asserts this byte-for-byte).
 
-    [batch] (default on) enables event-driven serving inside fault-free
-    epochs: when the greedy matching cannot change before the next demand
-    zero (releases are all 0 in-epoch), the clock jumps the whole run of
-    identical slots in one batch step, and the incremental auditor
-    certifies the batch via {!Faults.Audit.feed_many}.  Epochs with a
-    non-empty fault plan always serve slot-by-slot (fault constraints are
-    slot-dependent).  Stats and fingerprint are identical either way —
-    [batch:false] is the A/B lever the equivalence tests use.
+    Each epoch is served by {!Core.Policy.greedy_matching} over a
+    {!Core.Policy.live_slice} of its order and the injector's compiled
+    fault state.  [batch] (default on) enables event-driven serving: when
+    the greedy matching cannot change before the next demand zero,
+    release or fault-state change ({!Faults.Fault_plan.stable_until}),
+    the clock jumps the whole run of identical slots in one batch step,
+    and the incremental auditor certifies it via
+    {!Faults.Audit.feed_many}, slot by slot under a non-empty plan.
+    Stats, epoch views and fingerprint are identical either way —
+    [batch:false] is the slot-by-slot reference the equivalence tests
+    use.
     @raise Failure when [max_slots] is exhausted. *)

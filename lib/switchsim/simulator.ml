@@ -9,7 +9,7 @@ type t = {
   net : Net.t;
   kf : int; (* Net.k net *)
   rates : int array; (* per-fabric rate, indexed by fabric *)
-  validate : transfer list -> (unit, string) result;
+  validate : slots:int -> transfer list -> (unit, string) result;
   releases : int array;
   demand : Mat.t array; (* private copies, mutated in place as units move *)
   left : int array; (* remaining units per coflow *)
@@ -30,7 +30,7 @@ type t = {
          transfers *)
 }
 
-let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
+let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
   if ports <= 0 then invalid_arg "Simulator.create: ports must be positive";
   let net =
     match net with
@@ -250,7 +250,7 @@ let trace_completion t k =
 let step_n t transfers n =
   if n < 1 then invalid_arg "Simulator.step: batch size must be >= 1";
   (* validate without mutating *)
-  (match t.validate transfers with
+  (match t.validate ~slots:n transfers with
   | Ok () -> ()
   | Error msg -> raise (Invalid_slot msg));
   (* per-fabric core budgets from the topology (the two-tier

@@ -25,7 +25,7 @@ exception Invalid_slot of string
     simulator state is unchanged in that case. *)
 
 val create :
-  ?validate:(transfer list -> (unit, string) result) ->
+  ?validate:(slots:int -> transfer list -> (unit, string) result) ->
   ?net:Net.t ->
   ports:int ->
   (int * Matrix.Mat.t) list ->
@@ -41,8 +41,12 @@ val create :
 
     [validate] adds extra feasibility on top of the matching and topology
     constraints — e.g. the fault injector restricts slots to the live
-    ports of its fault plan.  A [Error msg] result makes {!step} raise
-    [Invalid_slot msg] without mutating state.
+    ports of its fault plan.  It receives the number of consecutive
+    slots the transfers are about to serve ([1] from {!step}, the batch
+    length from {!step_batch}), so a hook whose constraints vary with
+    time can reject a batch that would outlive them.  A [Error msg]
+    result makes {!step} raise [Invalid_slot msg] without mutating
+    state.
 
     @raise Invalid_argument on dimension mismatch or negative release. *)
 

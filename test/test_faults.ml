@@ -221,16 +221,20 @@ let test_injector_fabric_down () =
   expect_invalid_slot "downed fabric rejected" (fun () ->
       Simulator.step sim [ tf 0 1 0 0 ]);
   (* the survivor carries the slot, and greedy routes onto it *)
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let greedy () =
+    Core.Policy.greedy_matching ~faults:(Injector.faults inj) sim
+      ~priority:[| 0 |]
+  in
+  let ts = greedy () in
   Alcotest.(check bool) "greedy avoids the dead fabric" true
     (ts <> [] && List.for_all (fun { Simulator.fabric; _ } -> fabric = 1) ts);
   Simulator.step sim ts;
   (* outage lifts at slot 2: the fast fabric serves again *)
   Injector.tick inj;
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let ts = greedy () in
   Simulator.step sim ts;
   Injector.tick inj;
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let ts = greedy () in
   Alcotest.(check bool) "fast fabric back in rotation" true
     (List.exists (fun { Simulator.fabric; _ } -> fabric = 0) ts);
   Simulator.step sim ts
@@ -429,12 +433,23 @@ let test_injector_rejects_bad_plan () =
   expect_invalid_arg "plan outside geometry" (fun () ->
       ignore (Injector.create ~plan ~ports:2 [ (0, fig1 ()) ]))
 
+(* fig1 coflows released at slot 0, served in arrival order: the fault
+   loop with nothing but the greedy service in it *)
+let fig1_instance n =
+  Workload.Instance.make ~ports:2
+    (List.init n (fun id ->
+         { Workload.Instance.id; release = 0; weight = 1.0; demand = fig1 () }))
+
+let arrival_config =
+  { Core.Resilient.default_config with
+    Core.Resilient.primary = Core.Resilient.Arrival
+  }
+
 let test_injector_run_completes () =
   let plan = sample_plan () in
-  let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()); (0, fig1 ()) ] in
-  Injector.run inj ~priority:[| 0; 1 |];
+  let r = Core.Resilient.run ~config:arrival_config ~plan (fig1_instance 2) in
   Alcotest.(check bool) "all complete" true
-    (Simulator.all_complete (Injector.sim inj))
+    (Array.for_all (fun c -> c > 0) r.Core.Resilient.completion)
 
 let test_injector_run_budget () =
   (* every port dead for a long stretch: the greedy policy can only idle *)
@@ -444,9 +459,11 @@ let test_injector_run_budget () =
         Fault_plan.Port_down { port = 1; from_ = 0; until = 1000 };
       ]
   in
-  let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()) ] in
   (try
-     Injector.run ~max_slots:5 inj ~priority:[| 0 |];
+     ignore
+       (Core.Resilient.run
+          ~config:{ arrival_config with Core.Resilient.max_slots = 5 }
+          ~plan (fig1_instance 1));
      Alcotest.fail "expected Failure"
    with Failure _ -> ())
 
@@ -774,6 +791,366 @@ let test_resilient_max_slots () =
      Alcotest.fail "expected Failure"
    with Failure _ -> ())
 
+(* ---------- the one greedy kernel under faults ---------- *)
+
+(* The fault-aware greedy kernel the injector used to carry, kept as the
+   oracle: an entry-by-entry scan of every released, unfinished coflow
+   that asks the plan's list queries about each pair and spends one
+   pooled core budget across fabrics, fastest fabric first.  Wherever its
+   output is a valid slot, [Policy.greedy_matching ~faults] must return
+   exactly the same list. *)
+let oracle_greedy ~plan sim priority =
+  let slot = Simulator.now sim in
+  let m = Simulator.ports sim in
+  let net = Simulator.net sim in
+  let kf = Net.k net in
+  let src_used = Array.make (kf * m) false
+  and dst_used = Array.make (kf * m) false in
+  let core_counts f i j =
+    match Net.core_capacity net f with
+    | None -> true
+    | Some _ -> Net.crosses_core net ~fabric:f ~src:i ~dst:j
+  in
+  let base = ref 0 in
+  for f = 0 to kf - 1 do
+    base :=
+      !base + match Net.core_capacity net f with Some c -> c | None -> m
+  done;
+  let core_left =
+    ref
+      (match Fault_plan.core_capacity plan ~slot with
+      | Some c -> min !base c
+      | None -> !base)
+  in
+  let taken = Hashtbl.create 64 in
+  let transfers = ref [] in
+  Array.iter
+    (fun f ->
+      if not (Fault_plan.fabric_down plan ~slot f) then
+        let off = f * m in
+        Array.iter
+          (fun k ->
+            if Simulator.released sim k && not (Simulator.is_complete sim k)
+            then
+              Simulator.iter_remaining sim k (fun i j _ ->
+                  if
+                    (not (src_used.(off + i) || dst_used.(off + j)))
+                    && (not (Fault_plan.port_down plan ~slot i))
+                    && (not (Fault_plan.port_down plan ~slot j))
+                    && Fault_plan.link_usable plan ~slot ~src:i ~dst:j
+                    && not (Hashtbl.mem taken (k, i, j))
+                  then begin
+                    let core = core_counts f i j in
+                    if (not core) || !core_left > 0 then begin
+                      src_used.(off + i) <- true;
+                      dst_used.(off + j) <- true;
+                      if core then decr core_left;
+                      Hashtbl.replace taken (k, i, j) ();
+                      transfers :=
+                        { Simulator.src = i; dst = j; coflow = k; fabric = f }
+                        :: !transfers
+                    end
+                  end))
+          priority)
+    (Net.by_rate net);
+  !transfers
+
+let shuffled st n =
+  let a = Array.init n (fun k -> k) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+(* ports 1-20, or 61-64 across the 62-bit word boundary *)
+let random_ports st =
+  if Random.State.int st 4 = 0 then 61 + Random.State.int st 4
+  else 1 + Random.State.int st 20
+
+(* one switch, uniform fabrics, a two-tier fabric whose core binds, and
+   mixed nets of up to three fabrics, blocking or not *)
+let random_fault_net st m =
+  let oversubscribed () =
+    Net.fabric
+      ~rack_size:(1 + Random.State.int st m)
+      ~core_capacity:(Random.State.int st (1 + (m / 3)))
+      (1 + Random.State.int st 3)
+  in
+  match Random.State.int st 4 with
+  | 0 -> Net.single ~ports:m
+  | 1 -> Net.uniform ~ports:m ~rates:[ 2; 1 ]
+  | 2 ->
+    Net.two_tier ~ports:m
+      ~rack_size:(1 + Random.State.int st m)
+      ~core_capacity:(Random.State.int st (1 + (m / 3)))
+  | _ ->
+    Net.make ~ports:m
+      (List.init
+         (1 + Random.State.int st 3)
+         (fun _ ->
+           if Random.State.bool st then oversubscribed ()
+           else Net.fabric (1 + Random.State.int st 3)))
+
+let prop_kernel_is_oracle =
+  QCheck.Test.make ~name:"greedy_matching ~faults = the list-query oracle"
+    ~count:200 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = random_ports st and n = 1 + Random.State.int st 8 in
+      let net = random_fault_net st m in
+      let horizon = 4 + Random.State.int st 30 in
+      let plan =
+        Fault_plan.random
+          ~intensity:(Random.State.float st 2.5)
+          ~fabrics:(Net.k net) ~ports:m ~coflows:n ~horizon st
+      in
+      let density = 0.05 +. Random.State.float st 0.3 in
+      let demands =
+        List.init n (fun _ ->
+            ( Random.State.int st 4,
+              Mat.random ~density ~max_entry:3 st m ))
+      in
+      let inj = Injector.create ~net ~plan ~ports:m demands in
+      let sim = Injector.sim inj and faults = Injector.faults inj in
+      let priority = shuffled st n in
+      let ok = ref true and budget = ref 150 in
+      while !ok && !budget > 0 && not (Simulator.all_complete sim) do
+        decr budget;
+        Injector.tick inj;
+        let want = oracle_greedy ~plan sim priority in
+        let got = Core.Policy.greedy_matching ~faults sim ~priority in
+        match Simulator.step sim want with
+        | () -> if got <> want then ok := false
+        | exception Simulator.Invalid_slot _ ->
+          (* the oracle overfilled a fabric's core: the kernel's own slot
+             must still be valid *)
+          Simulator.step sim got
+      done;
+      !ok)
+
+(* Truth table of the list queries at one slot, in the compiled state's
+   shapes: ports-up words, off-duty words per row, dead fabrics, pooled
+   budget. *)
+let list_queries plan net slot =
+  let m = Net.ports net in
+  let words = Bits.words_for m in
+  let bit b = 1 lsl Bits.bit_of b in
+  let up = Array.make words 0 and off = Array.make (m * words) 0 in
+  for p = 0 to m - 1 do
+    if not (Fault_plan.port_down plan ~slot p) then
+      up.(Bits.word_of p) <- up.(Bits.word_of p) lor bit p
+  done;
+  for i = 0 to m - 1 do
+    for j = 0 to m - 1 do
+      if not (Fault_plan.link_usable plan ~slot ~src:i ~dst:j) then
+        off.((i * words) + Bits.word_of j) <-
+          off.((i * words) + Bits.word_of j) lor bit j
+    done
+  done;
+  let base = ref 0 in
+  for f = 0 to Net.k net - 1 do
+    base :=
+      !base + match Net.core_capacity net f with Some c -> c | None -> m
+  done;
+  ( up,
+    off,
+    Array.init (Net.k net) (fun f -> Fault_plan.fabric_down plan ~slot f),
+    match Fault_plan.core_capacity plan ~slot with
+    | Some c -> min !base c
+    | None -> !base )
+
+let snapshot state net =
+  let m = Net.ports net in
+  let words = Bits.words_for m in
+  ( Array.init words (Fault_plan.port_up_word state),
+    Array.init (m * words) (fun x ->
+        Fault_plan.off_duty_word state ~src:(x / words) (x mod words)),
+    Array.init (Net.k net) (Fault_plan.fabric_dead state),
+    Fault_plan.core_budget state )
+
+let prop_compiled_state_is_list_queries =
+  QCheck.Test.make ~name:"compiled fault state = the list queries"
+    ~count:100 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = random_ports st in
+      let net = random_fault_net st m in
+      (* [Fault_plan.random] draws over at least 8 slots *)
+      let horizon = 8 + Random.State.int st 24 in
+      let plan =
+        Fault_plan.random
+          ~intensity:(Random.State.float st 2.5)
+          ~fabrics:(Net.k net) ~ports:m ~coflows:5 ~horizon st
+      in
+      let last = 2 * horizon in
+      let truth = Array.init (last + 1) (list_queries plan net) in
+      let state = Fault_plan.compile plan net in
+      let stragglers = Fault_plan.stragglers plan in
+      (* every slot, in random order: the state matches the queries there
+         and at every later slot of its window, and no straggler fires
+         strictly inside the window *)
+      Array.for_all
+        (fun slot ->
+          Fault_plan.refresh state ~slot;
+          let snap = snapshot state net in
+          let until = Fault_plan.stable_until state in
+          let rec same q =
+            q >= min until (last + 1) || (truth.(q) = snap && same (q + 1))
+          in
+          until > slot && same slot
+          && List.for_all
+               (fun (at, _, _) -> at <= slot || at >= until)
+               stragglers)
+        (shuffled st (last + 1))
+      (* nothing is left to change once every fault has ended *)
+      && (Fault_plan.refresh state ~slot:last;
+          Fault_plan.stable_until state = max_int))
+
+let test_plan_compiled_overlap () =
+  (* two slowdowns of link (0, 1): the larger period rules, as in
+     [link_period], from the slot the second one starts *)
+  let plan =
+    Fault_plan.make
+      [ Fault_plan.Link_degraded
+          { src = 0; dst = 1; from_ = 0; until = 12; period = 2 };
+        Fault_plan.Link_degraded
+          { src = 0; dst = 1; from_ = 4; until = 12; period = 3 };
+      ]
+  in
+  let st = Fault_plan.compile plan (Net.single ~ports:2) in
+  for slot = 0 to 13 do
+    Fault_plan.refresh st ~slot;
+    Alcotest.(check bool)
+      (Printf.sprintf "slot %d off duty" slot)
+      (not (Fault_plan.link_usable plan ~slot ~src:0 ~dst:1))
+      (Fault_plan.off_duty_word st ~src:0 0 land 0b10 <> 0)
+  done;
+  Fault_plan.refresh st ~slot:4;
+  check_int "off at 4 until the next multiple of 3" 6
+    (Fault_plan.stable_until st)
+
+let test_injector_batch_crossing () =
+  let rejected label sim transfers ~slots =
+    match Simulator.step_batch sim transfers ~slots with
+    | () -> Alcotest.failf "%s: batch accepted" label
+    | exception Simulator.Invalid_slot m ->
+      Alcotest.(check bool) (label ^ ": names the fault-state change") true
+        (Astring.String.is_infix ~affix:"crosses the fault-state change" m)
+  in
+  (* port 0 goes down at slot 3 *)
+  let plan =
+    Fault_plan.make [ Fault_plan.Port_down { port = 0; from_ = 3; until = 5 } ]
+  in
+  let d = Mat.of_arrays [| [| 9; 0 |]; [| 0; 9 |] |] in
+  let inj = Injector.create ~plan ~ports:2 [ (0, d) ] in
+  let sim = Injector.sim inj in
+  Injector.tick inj;
+  check_int "stable until the outage" 3
+    (Fault_plan.stable_until (Injector.faults inj));
+  rejected "batch over the outage's start" sim [ t 0 0 0 ] ~slots:4;
+  check_int "clock unchanged" 0 (Simulator.now sim);
+  Simulator.step_batch sim [ t 0 0 0 ] ~slots:3;
+  Injector.tick inj;
+  expect_invalid_slot "port down at its start" (fun () ->
+      Simulator.step sim [ t 0 0 0 ]);
+  (* link (0, 1) on a period-3 duty cycle: usable at 0, off at 1 and 2 *)
+  let plan =
+    Fault_plan.make
+      [ Fault_plan.Link_degraded
+          { src = 0; dst = 1; from_ = 0; until = 9; period = 3 };
+      ]
+  in
+  let d = Mat.of_arrays [| [| 0; 9 |]; [| 0; 0 |] |] in
+  let inj = Injector.create ~plan ~ports:2 [ (0, d) ] in
+  let sim = Injector.sim inj in
+  Injector.tick inj;
+  rejected "batch over an off-duty slot" sim [ t 0 1 0 ] ~slots:2;
+  Simulator.step sim [ t 0 1 0 ];
+  Injector.tick inj;
+  check_int "off duty until the next multiple" 3
+    (Fault_plan.stable_until (Injector.faults inj));
+  Simulator.step_batch sim [] ~slots:2;
+  Injector.tick inj;
+  rejected "batch from an on-duty slot" sim [ t 0 1 0 ] ~slots:2;
+  Simulator.step sim [ t 0 1 0 ];
+  check_int "two units moved" 7 (Simulator.remaining_total sim 0)
+
+(* Two oversubscribed fabrics with one core crossing each: a single pooled
+   budget of 2 would put both crossings on the first fabric. *)
+let test_resilient_per_fabric_core_budget () =
+  let net =
+    Net.make ~ports:8
+      [ Net.fabric ~rack_size:2 ~core_capacity:1 1;
+        Net.fabric ~rack_size:2 ~core_capacity:1 1;
+      ]
+  in
+  let d = Mat.make 8 in
+  for i = 0 to 7 do
+    for j = 0 to 7 do
+      if i / 2 <> j / 2 then Mat.set d i j 1
+    done
+  done;
+  let inst =
+    Workload.Instance.make ~ports:8
+      [ { Workload.Instance.id = 0; release = 0; weight = 1.0; demand = d } ]
+  in
+  let config =
+    { Core.Resilient.default_config with
+      Core.Resilient.primary = Core.Resilient.Rho
+    }
+  in
+  List.iter
+    (fun (label, plan) ->
+      let r = Core.Resilient.run ~config ~net ~plan inst in
+      Alcotest.(check bool) (label ^ ": completed") true
+        (r.Core.Resilient.completion.(0) > 0);
+      match Audit.check ~net ~plan r.Core.Resilient.audit with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: audit rejected: %s" label m)
+    [ ("no faults", Fault_plan.empty);
+      ( "random plan",
+        Fault_plan.random ~intensity:1.0 ~fabrics:2 ~ports:8 ~coflows:1
+          ~horizon:24 (Random.State.make [| 3 |]) );
+    ]
+
+let test_audit_feed_allocates_nothing () =
+  (* ten events, none of which touches the four transfers at slot 0.. *)
+  let plan =
+    Fault_plan.make
+      [ Fault_plan.Port_down { port = 7; from_ = 0; until = 5000 };
+        Fault_plan.Port_down { port = 6; from_ = 2000; until = 3000 };
+        Fault_plan.Link_degraded
+          { src = 5; dst = 6; from_ = 0; until = 5000; period = 2 };
+        Fault_plan.Link_degraded
+          { src = 0; dst = 1; from_ = 4000; until = 5000; period = 3 };
+        Fault_plan.Core_degraded { from_ = 0; until = 5000; capacity = 6 };
+        Fault_plan.Straggler { coflow = 0; at = 9; factor = 2 };
+        Fault_plan.Release_delay { coflow = 0; delay = 3 };
+        Fault_plan.Solver_outage { from_ = 0; until = 5000; full = false };
+        Fault_plan.Core_degraded { from_ = 3000; until = 4000; capacity = 2 };
+        Fault_plan.Port_down { port = 5; from_ = 1500; until = 1600 };
+      ]
+  in
+  let record =
+    { Audit.tier = "lp"; transfers = [ t 0 1 0; t 1 2 0; t 2 3 1; t 3 0 1 ] }
+  in
+  let c = Audit.checker ~plan ~ports:8 () in
+  let feed () =
+    match Audit.feed c record with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "valid slot rejected: %s" m
+  in
+  feed ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    feed ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 feeds allocate %.0f < 1000 words" words)
+    true (words < 1000.0)
+
 (* ---------- lp deadline plumbing ---------- *)
 
 let test_simplex_zero_deadline () =
@@ -805,6 +1182,9 @@ let () =
           Alcotest.test_case "fabric down" `Quick test_plan_fabric_down;
           Alcotest.test_case "random fabric outages" `Quick
             test_plan_random_fabrics;
+          QCheck_alcotest.to_alcotest prop_compiled_state_is_list_queries;
+          Alcotest.test_case "compiled overlapping slowdowns" `Quick
+            test_plan_compiled_overlap;
         ] );
       ( "injector",
         [ Alcotest.test_case "dead port" `Quick test_injector_dead_port;
@@ -826,6 +1206,9 @@ let () =
           Alcotest.test_case "fabric down" `Quick test_injector_fabric_down;
           Alcotest.test_case "net port mismatch" `Quick
             test_injector_net_port_mismatch;
+          Alcotest.test_case "batch crossing a fault change" `Quick
+            test_injector_batch_crossing;
+          QCheck_alcotest.to_alcotest prop_kernel_is_oracle;
         ] );
       ( "audit",
         [ Alcotest.test_case "roundtrip" `Quick test_audit_roundtrip;
@@ -846,6 +1229,8 @@ let () =
             test_audit_fabric_roundtrip;
           Alcotest.test_case "fabric constraints" `Quick
             test_audit_fabric_constraints;
+          Alcotest.test_case "feed allocates nothing" `Quick
+            test_audit_feed_allocates_nothing;
         ] );
       ( "resilient",
         [ Alcotest.test_case "fault-free all-lp" `Quick
@@ -865,6 +1250,8 @@ let () =
           Alcotest.test_case "max_slots" `Quick test_resilient_max_slots;
           Alcotest.test_case "fabric down replans" `Quick
             test_resilient_fabric_down_replans;
+          Alcotest.test_case "per-fabric core budget" `Quick
+            test_resilient_per_fabric_core_budget;
         ] );
       ( "lp-deadline",
         [ Alcotest.test_case "zero deadline" `Quick test_simplex_zero_deadline ]

@@ -303,6 +303,55 @@ let test_max_slots_exhaustion () =
   | _ -> Alcotest.fail "expected max_slots failure"
   | exception Failure _ -> ()
 
+(* Batched serving in faulted epochs is a pure speed-up: every stats
+   field, every epoch view and the fingerprint match the slot-by-slot
+   reference, on one switch and on two fabrics at different rates. *)
+let test_batch_equals_slot_by_slot () =
+  let batched = Obs.Counter.make "service.batched_slots" in
+  let nets =
+    [ ("single", None);
+      ("uniform [2; 1]", Some (Switchsim.Net.uniform ~ports:8 ~rates:[ 2; 1 ]));
+    ]
+  in
+  List.iter
+    (fun (label, net) ->
+      List.iter
+        (fun fault_intensity ->
+          List.iter
+            (fun seed ->
+              let cfg = soak_cfg ~coflows:300 ~seed () in
+              let loop =
+                { cfg.Soak.loop with Epoch_loop.fault_intensity; net }
+              in
+              let run batch =
+                let views = ref [] in
+                let src = mk_stream ~seed ~ports:8 cfg.Soak.process in
+                let stats =
+                  Epoch_loop.run ~plan_seed:cfg.Soak.plan_seed ~batch
+                    ~observer:(fun v -> views := v :: !views)
+                    loop src ~coflows:cfg.Soak.coflows
+                in
+                (stats, List.rev !views)
+              in
+              let case =
+                Printf.sprintf "%s, intensity %.1f, seed %d" label
+                  fault_intensity seed
+              in
+              let before = Obs.Counter.value batched in
+              let sb, vb = run true in
+              Alcotest.(check bool) (case ^ ": faulted epochs batched") true
+                (Obs.Counter.value batched > before);
+              let ss, vs = run false in
+              Alcotest.(check string) (case ^ ": fingerprint")
+                ss.Epoch_loop.fingerprint sb.Epoch_loop.fingerprint;
+              Alcotest.(check bool) (case ^ ": stats") true (sb = ss);
+              Alcotest.(check int) (case ^ ": epochs viewed")
+                (List.length vs) (List.length vb);
+              Alcotest.(check bool) (case ^ ": epoch views") true (vb = vs))
+            [ 5; 6; 7 ])
+        [ 1.0; 2.0 ])
+    nets
+
 (* ---------- E17 ---------- *)
 
 let test_exp_soak_rows () =
@@ -348,6 +397,8 @@ let () =
           Alcotest.test_case "replay source" `Quick test_soak_replay_source;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "max_slots" `Quick test_max_slots_exhaustion;
+          Alcotest.test_case "batched = slot by slot" `Quick
+            test_batch_equals_slot_by_slot;
         ] );
       ( "exp-soak",
         [ Alcotest.test_case "rows and gates" `Quick test_exp_soak_rows ] );

@@ -235,10 +235,13 @@ let test_set_release_validation () =
   Simulator.set_release sim 1 1 (* = now; fine *)
 
 let test_validate_hook () =
-  let validate transfers =
-    if List.length transfers > 1 then Error "one at a time" else Ok ()
+  let validate ~slots transfers =
+    if List.length transfers > 1 then Error "one at a time"
+    else if slots > 2 then Error "batches of at most 2"
+    else Ok ()
   in
-  let sim = Simulator.create ~validate ~ports:2 [ (0, fig1 ()) ] in
+  let d = Mat.of_arrays [| [| 5; 2 |]; [| 2; 1 |] |] in
+  let sim = Simulator.create ~validate ~ports:2 [ (0, d) ] in
   (try
      Simulator.step sim [ t 0 0 0; t 1 1 0 ];
      Alcotest.fail "expected Invalid_slot"
@@ -246,7 +249,18 @@ let test_validate_hook () =
      Alcotest.(check string) "hook message" "one at a time" m);
   check_int "state unchanged" 0 (Simulator.now sim);
   Simulator.step sim [ t 0 0 0 ];
-  check_int "single ok" 1 (Simulator.now sim)
+  check_int "single ok" 1 (Simulator.now sim);
+  (* the hook sees the batch length: [step] passes 1, [step_batch] its
+     [slots] *)
+  (try
+     Simulator.step_batch sim [ t 0 0 0 ] ~slots:3;
+     Alcotest.fail "expected Invalid_slot"
+   with Simulator.Invalid_slot m ->
+     Alcotest.(check string) "batch length reached the hook"
+       "batches of at most 2" m);
+  check_int "rejected batch left the clock" 1 (Simulator.now sim);
+  Simulator.step_batch sim [ t 0 0 0 ] ~slots:2;
+  check_int "batch of 2 ok" 3 (Simulator.now sim)
 
 (* ---------- fabric: the two-tier oversubscribed Net ---------- *)
 
@@ -420,7 +434,10 @@ let test_fabric_greedy_no_rack_local_starvation () =
       [ (0, d) ]
   in
   let sim = Faults.Injector.sim inj in
-  let ts = Faults.Injector.greedy_policy inj [| 0 |] sim in
+  let ts =
+    Core.Policy.greedy_matching ~faults:(Faults.Injector.faults inj) sim
+      ~priority:[| 0 |]
+  in
   Alcotest.(check bool) "rack-local pair served" true
     (List.exists
        (fun { Simulator.src; dst; _ } -> src = 2 && dst = 3)
