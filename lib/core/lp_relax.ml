@@ -108,24 +108,16 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
   let model = Lp.Model.create ~name:"coflow-relaxation" () in
   (* variables x[k][l], l in [first_l.(k) .. L]; [var_meta] maps the raw
      column index back to (k, l) for basis export *)
-  let vars = Array.make n [||] in
-  let var_meta = ref [] in
-  let nvars = ref 0 in
-  for k = 0 to n - 1 do
-    vars.(k) <-
-      Array.init
-        (big_l - first_l.(k) + 1)
-        (fun off ->
-          let l = first_l.(k) + off in
-          let v = Lp.Model.add_var ~name:(Printf.sprintf "x_%d_%d" k l) model in
-          var_meta := (k, l) :: !var_meta;
-          incr nvars;
-          v)
-  done;
-  let var_meta =
-    let a = Array.make !nvars (0, 0) in
-    List.iteri (fun i kl -> a.(!nvars - 1 - i) <- kl) !var_meta;
-    a
+  let nvars = Array.fold_left (fun acc f -> acc + big_l - f + 1) 0 first_l in
+  let var_meta = Array.make nvars (0, 0) in
+  let vars =
+    Array.init n (fun k ->
+        Array.init
+          (big_l - first_l.(k) + 1)
+          (fun off ->
+            let v = Lp.Model.add_var model in
+            var_meta.((v :> int)) <- (k, first_l.(k) + off);
+            v))
   in
   let var k l =
     if l < first_l.(k) then None else Some vars.(k).(l - first_l.(k))
@@ -137,45 +129,45 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
      rebuilt per row, so construction is O(m*L*n) instead of O(m*L^2*n). *)
   let row_ids = ref [] in
   let nrows = ref 0 in
-  let add_load_rows side_load is_input label =
+  let add_load_rows side_load is_input =
     for p = 0 to m - 1 do
       let total = ref 0 in
       for k = 0 to n - 1 do
         total := !total + side_load.(k).(p)
       done;
-      if !total > 0 then begin
-        let expr = ref [] in
-        for l = 1 to big_l do
-          (* terms new at l: each eligible coflow's x[k][l] *)
-          for k = 0 to n - 1 do
-            if first_l.(k) <= l then begin
-              let w = side_load.(k).(p) in
-              if w > 0 then
-                expr := (float_of_int w, vars.(k).(l - first_l.(k))) :: !expr
-            end
-          done;
-          if tau l < !total && !expr <> [] then begin
-            ignore
-              (Lp.Model.add_constraint
-                 ~name:(Printf.sprintf "%s_%d_%d" label p l)
-                 model !expr Lp.Model.Le
-                 (float_of_int (tau l)));
-            row_ids := Load (is_input, p, l) :: !row_ids;
-            incr nrows
+      (* taus increase, so the rows stop at the first grid point whose tau
+         fits the whole side load *)
+      let expr = ref [] in
+      let l = ref 1 in
+      while !l <= big_l && tau !l < !total do
+        let l' = !l in
+        (* terms new at l: each eligible coflow's x[k][l] *)
+        for k = 0 to n - 1 do
+          if first_l.(k) <= l' then begin
+            let w = side_load.(k).(p) in
+            if w > 0 then
+              expr := (float_of_int w, vars.(k).(l' - first_l.(k))) :: !expr
           end
-        done
-      end
+        done;
+        (match !expr with
+        | [] -> ()
+        | e ->
+          ignore
+            (Lp.Model.add_constraint model e Lp.Model.Le
+               (float_of_int (tau l')));
+          row_ids := Load (is_input, p, l') :: !row_ids;
+          incr nrows);
+        incr l
+      done
     done
   in
-  add_load_rows row_load true "in";
-  add_load_rows col_load false "out";
+  add_load_rows row_load true;
+  add_load_rows col_load false;
   (* assignment rows: sum_l x[k][l] = 1; crash basis puts x[k][L] basic *)
   let assign_row = Array.make n (-1) in
   for k = 0 to n - 1 do
     let expr = Array.to_list (Array.map (fun v -> (1.0, v)) vars.(k)) in
-    ignore
-      (Lp.Model.add_constraint ~name:(Printf.sprintf "assign_%d" k) model expr
-         Lp.Model.Eq 1.0);
+    ignore (Lp.Model.add_constraint model expr Lp.Model.Eq 1.0);
     assign_row.(k) <- !nrows;
     row_ids := Assign k :: !row_ids;
     incr nrows
@@ -200,7 +192,7 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
     done
   done;
   Lp.Model.minimize model !objective;
-  let crash_basis =
+  let crash_basis () =
     Array.map
       (function
         | Load _ -> -1
@@ -215,28 +207,32 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
     in
     find 1
   in
+  (* Load rows are looked up by (side, port, l) in flat arrays indexed by
+     [load_slot]. *)
+  let load_slot side p l = (((if side then p else m + p) * big_l) + l - 1) in
   (* Translate time-based warm hints back into a concrete basis proposal on
      this grid.  Best effort: the solver validates the proposal and falls
      back to the crash proposal if it is singular or infeasible. *)
   let basis_of_hints h =
     let wb = Array.make !nrows min_int in
-    let used = Hashtbl.create 64 in
+    let used = Array.make nvars false in
     let extras = ref [] in
     List.iter
       (fun (k, t) ->
         if k >= 0 && k < n then begin
           let l = max first_l.(k) (l_of_time t) in
           let v = (vars.(k).(l - first_l.(k)) :> int) in
-          if not (Hashtbl.mem used v) then begin
-            Hashtbl.add used v ();
+          if not used.(v) then begin
+            used.(v) <- true;
             if wb.(assign_row.(k)) = min_int then wb.(assign_row.(k)) <- v
             else extras := v :: !extras
           end
         end)
       h.h_basics;
-    let slack_rows = Hashtbl.create 64 in
+    let slack = Array.make (2 * m * big_l) false in
     List.iter
-      (fun (side, p, t) -> Hashtbl.replace slack_rows (side, p, l_of_time t) ())
+      (fun (side, p, t) ->
+        if p >= 0 && p < m then slack.(load_slot side p (l_of_time t)) <- true)
       h.h_slacks;
     let extras = ref (List.rev !extras) in
     Array.iteri
@@ -246,13 +242,13 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
           | Assign k ->
             (* coflow without a basic hint: crash default x[k][L] *)
             let v = (vars.(k).(big_l - first_l.(k)) :> int) in
-            if Hashtbl.mem used v then wb.(r) <- -1 (* rejected by solver *)
+            if used.(v) then wb.(r) <- -1 (* rejected by solver *)
             else begin
-              Hashtbl.add used v ();
+              used.(v) <- true;
               wb.(r) <- v
             end
           | Load (side, p, l) ->
-            if Hashtbl.mem slack_rows (side, p, l) then wb.(r) <- -1
+            if slack.(load_slot side p l) then wb.(r) <- -1
             else begin
               (* a load row that was tight: house one of the extra basic
                  variables here if any remain, else fall back to the slack *)
@@ -273,10 +269,11 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
      encodes the previous solve's timing — useful when the exact basis map
      is stale (e.g. a residual re-plan after demands changed). *)
   let greedy_basis_of_hints h =
-    let row_at = Hashtbl.create !nrows in
+    (* the row index, or -1 where the row was omitted *)
+    let row_at = Array.make (2 * m * big_l) (-1) in
     Array.iteri
       (fun r -> function
-        | Load (side, p, l) -> Hashtbl.replace row_at (side, p, l) r
+        | Load (side, p, l) -> row_at.(load_slot side p l) <- r
         | Assign _ -> ())
       row_ids;
     let used = Array.make !nrows 0 in
@@ -304,9 +301,8 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
               (fun p w ->
                 if w > 0 then
                   for l' = l to big_l do
-                    match Hashtbl.find_opt row_at (side, p, l') with
-                    | Some r -> if used.(r) + w > tau l' then ok := false
-                    | None -> ()
+                    let r = row_at.(load_slot side p l') in
+                    if r >= 0 && used.(r) + w > tau l' then ok := false
                   done)
               load;
             !ok
@@ -321,9 +317,8 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
             (fun p w ->
               if w > 0 then
                 for l' = l to big_l do
-                  match Hashtbl.find_opt row_at (side, p, l') with
-                  | Some r -> used.(r) <- used.(r) + w
-                  | None -> ()
+                  let r = row_at.(load_slot side p l') in
+                  if r >= 0 then used.(r) <- used.(r) + w
                 done)
             load
         in
@@ -339,11 +334,13 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
   let solution =
     match solver with
     | `Revised ->
+      (* the fallback start is built only if the warm proposal is
+         rejected *)
       let warm_basis = Option.map basis_of_hints warm_start in
       let crash_basis =
         match warm_start with
-        | Some h -> greedy_basis_of_hints h
-        | None -> crash_basis
+        | Some h -> lazy (greedy_basis_of_hints h)
+        | None -> lazy (crash_basis ())
       in
       Lp.Revised_simplex.solve ?max_iterations ?deadline ?warm_basis
         ~crash_basis model

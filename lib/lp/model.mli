@@ -8,7 +8,11 @@
     constraints.
 
     Models are write-once containers: build, then hand to a solver
-    ({!Dense_simplex} or {!Revised_simplex}). *)
+    ({!Dense_simplex} or {!Revised_simplex}).  Rows are kept in a growable
+    array, so {!constraint_row} is O(1) and lowering a model is linear in
+    its size.  Names are optional and cost nothing when omitted: a model
+    stores only the names it is given and renders the defaults ([x<i>] for
+    variable [i], [c<r>] for row [r]) on demand. *)
 
 type t
 
@@ -28,7 +32,7 @@ val create : ?name:string -> unit -> t
 val name : t -> string
 
 val add_var : ?name:string -> t -> var
-(** Fresh non-negative variable. *)
+(** Fresh non-negative variable, named [name] if given. *)
 
 val add_vars : t -> int -> var array
 
@@ -37,19 +41,27 @@ val var_of_int : t -> int -> var
     range. *)
 
 val var_name : t -> var -> string
+(** The variable's name, or [x<i>] if it was added without one. *)
 
 val num_vars : t -> int
 
 val add_constraint : ?name:string -> t -> expr -> sense -> float -> int
-(** [add_constraint m e s b] posts [e s b] and returns the row index. *)
+(** [add_constraint m e s b] posts [e s b] and returns the row index; an
+    unnamed row prints as [c<r>].  @raise Invalid_argument
+    ["Model: non-finite right-hand side"] if [b] is NaN or infinite, or if
+    [e] has a non-finite coefficient or an unknown variable. *)
 
 val num_constraints : t -> int
 
 val constraint_row : t -> int -> expr * sense * float
+(** O(1).  @raise Invalid_argument if out of range. *)
 
 val minimize : t -> ?constant:float -> expr -> unit
 
 val maximize : t -> ?constant:float -> expr -> unit
+(** [minimize]/[maximize] set the objective.  @raise Invalid_argument
+    ["Model: non-finite objective constant"] if [constant] is NaN or
+    infinite, or if the expression has a non-finite coefficient. *)
 
 val objective : t -> [ `Minimize | `Maximize ] * expr * float
 (** Direction, expression and additive constant; minimizing the zero

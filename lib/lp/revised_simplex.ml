@@ -39,55 +39,56 @@ type problem = {
   flipped : bool array; (* rows negated during normalisation *)
 }
 
+(* Rows with a negative right-hand side are negated.  When none is, the
+   problem shares the standard form's column, objective and right-hand-side
+   arrays: the solver only reads them. *)
 let normalise (std : Std_form.t) =
   let nrows = std.Std_form.nrows and ncols = std.Std_form.ncols in
-  let flip = Array.make nrows false in
-  let rhs = Array.copy std.Std_form.rhs in
-  let slack_sign = Array.make nrows 0.0 in
-  for r = 0 to nrows - 1 do
-    if rhs.(r) < 0.0 then begin
-      flip.(r) <- true;
-      rhs.(r) <- -.rhs.(r)
-    end;
-    let sense = std.Std_form.senses.(r) in
-    let sign =
-      match sense with
-      | Std_form.Le -> 1.0
-      | Std_form.Ge -> -1.0
-      | Std_form.Eq -> 0.0
-    in
-    slack_sign.(r) <- (if flip.(r) then -.sign else sign)
-  done;
-  let col_rows = Array.map Array.copy std.Std_form.col_rows in
-  let col_vals = Array.map Array.copy std.Std_form.col_vals in
-  Array.iteri
-    (fun c rows ->
-      Array.iteri
-        (fun k r -> if flip.(r) then col_vals.(c).(k) <- -.col_vals.(c).(k))
-        rows)
-    col_rows;
+  let flip = Array.map (fun b -> b < 0.0) std.Std_form.rhs in
+  let slack_sign =
+    Array.init nrows (fun r ->
+        let sign =
+          match std.Std_form.senses.(r) with
+          | Std_form.Le -> 1.0
+          | Std_form.Ge -> -1.0
+          | Std_form.Eq -> 0.0
+        in
+        if flip.(r) then -.sign else sign)
+  in
+  let any_flip = Array.exists Fun.id flip in
+  let rhs, col_vals =
+    if not any_flip then (std.Std_form.rhs, std.Std_form.col_vals)
+    else
+      ( Array.mapi (fun r b -> if flip.(r) then -.b else b) std.Std_form.rhs,
+        Array.mapi
+          (fun c vals ->
+            let rows = std.Std_form.col_rows.(c) in
+            Array.mapi (fun k v -> if flip.(rows.(k)) then -.v else v) vals)
+          std.Std_form.col_vals )
+  in
   { nrows;
     ncols;
-    col_rows;
+    col_rows = std.Std_form.col_rows;
     col_vals;
     rhs;
     slack_sign;
-    obj = Array.copy std.Std_form.obj;
+    obj = std.Std_form.obj;
     flipped = flip;
   }
+
+(* A slack or artificial column ([c >= ncols]) is a single entry: its row
+   and its value. *)
+let[@inline] unit_row p c =
+  if c < p.ncols + p.nrows then c - p.ncols else c - p.ncols - p.nrows
+
+let[@inline] unit_val p c =
+  if c < p.ncols + p.nrows then p.slack_sign.(c - p.ncols) else 1.0
 
 (* Sparse representation of an arbitrary (structural / slack / artificial)
    column. *)
 let column p c =
   if c < p.ncols then (p.col_rows.(c), p.col_vals.(c))
-  else if c < p.ncols + p.nrows then begin
-    let r = c - p.ncols in
-    ([| r |], [| p.slack_sign.(r) |])
-  end
-  else begin
-    let r = c - p.ncols - p.nrows in
-    ([| r |], [| 1.0 |])
-  end
+  else ([| unit_row p c |], [| unit_val p c |])
 
 (* ---------- sparse LU factors and the eta file ----------
 
@@ -107,36 +108,44 @@ type eta = {
   e_val : float array;
 }
 
-(* LU factors as the pivot sequence of the elimination.  Step [k] pivoted on
-   constraint row [piv_row.(k)] and basis position [piv_pos.(k)] with pivot
-   value [piv_val.(k)]; [l_rows]/[l_vals] are the below-pivot multipliers (by
-   constraint row), [u_pos]/[u_vals] the remaining entries of the pivot row
-   (by basis position, pivoted at later steps).  [ut_steps]/[ut_vals] index U
-   by column for the transposed solve: entry [i] of step [j] says that step
-   [ut_steps.(j).(i) < j] has coefficient [ut_vals.(j).(i)] at position
-   [piv_pos.(j)]. *)
+(* LU factors as the pivot sequence of the elimination, stored flat.  Step
+   [k] pivoted on constraint row [piv_row.(k)] and basis position
+   [piv_pos.(k)] with pivot value [piv_val.(k)].  Its below-pivot
+   multipliers (by constraint row, ascending) are entries
+   [l_ptr.(k) .. l_ptr.(k+1) - 1] of [l_idx]/[l_val]; the remaining entries
+   of its pivot row (by basis position, ascending, pivoted at later steps)
+   are entries [u_ptr.(k) .. u_ptr.(k+1) - 1] of [u_idx]/[u_val].  [ut_*]
+   index U by column for the transposed solve: entry [i] of step [j] says
+   that step [ut_idx.(i) < j] has coefficient [ut_val.(i)] at position
+   [piv_pos.(j)], ascending by step. *)
 type lu = {
   piv_row : int array;
   piv_pos : int array;
   piv_val : float array;
-  l_rows : int array array;
-  l_vals : float array array;
-  u_pos : int array array;
-  u_vals : float array array;
-  ut_steps : int array array;
-  ut_vals : float array array;
+  l_ptr : int array;
+  l_idx : int array;
+  l_val : float array;
+  u_ptr : int array;
+  u_idx : int array;
+  u_val : float array;
+  ut_ptr : int array;
+  ut_idx : int array;
+  ut_val : float array;
 }
 
 let empty_lu =
   { piv_row = [||];
     piv_pos = [||];
     piv_val = [||];
-    l_rows = [||];
-    l_vals = [||];
-    u_pos = [||];
-    u_vals = [||];
-    ut_steps = [||];
-    ut_vals = [||];
+    l_ptr = [| 0 |];
+    l_idx = [||];
+    l_val = [||];
+    u_ptr = [| 0 |];
+    u_idx = [||];
+    u_val = [||];
+    ut_ptr = [| 0 |];
+    ut_idx = [||];
+    ut_val = [||];
   }
 
 type state = {
@@ -172,26 +181,25 @@ let push_eta st eta =
 (* Forward L solve, in place on a dense constraint-row vector. *)
 let lu_apply_l lu w =
   let n = Array.length lu.piv_row in
+  let idx = lu.l_idx and vals = lu.l_val in
   for k = 0 to n - 1 do
     let t = Array.unsafe_get w (Array.unsafe_get lu.piv_row k) in
-    if t <> 0.0 then begin
-      let rows = lu.l_rows.(k) and vals = lu.l_vals.(k) in
-      for i = 0 to Array.length rows - 1 do
-        let r = Array.unsafe_get rows i in
+    if t <> 0.0 then
+      for i = lu.l_ptr.(k) to lu.l_ptr.(k + 1) - 1 do
+        let r = Array.unsafe_get idx i in
         Array.unsafe_set w r
           (Array.unsafe_get w r -. (Array.unsafe_get vals i *. t))
       done
-    end
   done
 
 (* Backward U solve: reads the L-solved row vector [w], writes every basis
    position of [d]. *)
 let lu_apply_u lu w d =
   let n = Array.length lu.piv_row in
+  let pos = lu.u_idx and uv = lu.u_val in
   for k = n - 1 downto 0 do
     let s = ref (Array.unsafe_get w lu.piv_row.(k)) in
-    let pos = lu.u_pos.(k) and uv = lu.u_vals.(k) in
-    for i = 0 to Array.length pos - 1 do
+    for i = lu.u_ptr.(k) to lu.u_ptr.(k + 1) - 1 do
       s :=
         !s
         -. (Array.unsafe_get uv i
@@ -240,10 +248,10 @@ let btran st cb y =
     done;
     v.(eta.e_pos) <- !acc /. eta.e_piv
   done;
+  let us = lu.ut_idx and uv = lu.ut_val in
   for k = 0 to n - 1 do
     let s = ref v.(lu.piv_pos.(k)) in
-    let us = lu.ut_steps.(k) and uv = lu.ut_vals.(k) in
-    for i = 0 to Array.length us - 1 do
+    for i = lu.ut_ptr.(k) to lu.ut_ptr.(k + 1) - 1 do
       s :=
         !s
         -. (Array.unsafe_get uv i
@@ -251,190 +259,413 @@ let btran st cb y =
     done;
     y.(lu.piv_row.(k)) <- !s /. lu.piv_val.(k)
   done;
+  let rows = lu.l_idx and vals = lu.l_val in
   for k = n - 1 downto 0 do
-    let rows = lu.l_rows.(k) and vals = lu.l_vals.(k) in
     let acc = ref y.(lu.piv_row.(k)) in
-    for i = 0 to Array.length rows - 1 do
+    for i = lu.l_ptr.(k) to lu.l_ptr.(k + 1) - 1 do
       acc := !acc -. (Array.unsafe_get vals i *. Array.unsafe_get y (Array.unsafe_get rows i))
     done;
     y.(lu.piv_row.(k)) <- !acc
   done
 
+(* [cost] holds the phase's cost of every column; a slack or artificial
+   column is read in place rather than built. *)
 let reduced_cost st cost y c =
-  let rows, vals = column st.p c in
-  let acc = ref (cost c) in
-  for k = 0 to Array.length rows - 1 do
-    acc := !acc -. (Array.unsafe_get y (Array.unsafe_get rows k)
-                    *. Array.unsafe_get vals k)
-  done;
-  !acc
+  let p = st.p in
+  if c < p.ncols then begin
+    let rows = p.col_rows.(c) and vals = p.col_vals.(c) in
+    let acc = ref cost.(c) in
+    for k = 0 to Array.length rows - 1 do
+      acc := !acc -. (Array.unsafe_get y (Array.unsafe_get rows k)
+                      *. Array.unsafe_get vals k)
+    done;
+    !acc
+  end
+  else cost.(c) -. (y.(unit_row p c) *. unit_val p c)
+
+(* Scratch for [factorize], kept per domain and reused by every
+   factorization there; a larger basis replaces it with a larger one.  The
+   active submatrix lives here: column [j] is [cr.(j)]/[cv.(j)] (row, value)
+   with exactly [cn.(j)] live entries, row [r] lists in [rp.(r)] the
+   positions that have, or once had, an entry in it ([rpn.(r)] listed).  The
+   stamp arrays are never cleared: each factorization step and each column
+   sweep takes fresh stamps from [stamp]. *)
+type entries = { mutable idx : int array; mutable vals : float array }
+
+type work = {
+  cap : int;
+  cr : int array array;
+  cv : float array array;
+  cn : int array;
+  rp : int array array;
+  rpn : int array;
+  rowcnt : int array; (* exact active entries per row *)
+  active : bool array; (* column not yet pivoted *)
+  lmark : int array; (* row stamped: on the current pivot column *)
+  lmul : float array; (* ... with this multiplier *)
+  ustamp : int array; (* position stamped: read for the current U row *)
+  uval : float array; (* ... with this pivot-row value *)
+  seen : int array; (* row stamped: updated by the current sweep *)
+  ubuf : int array; (* the current U row's positions *)
+  lbuf : int array; (* the current L column's rows *)
+  step_of : int array;
+  next : int array;
+  mutable stamp : int;
+  l_out : entries; (* factor entries as they are written *)
+  u_out : entries;
+}
+
+let make_work cap =
+  { cap;
+    cr = Array.make cap [||];
+    cv = Array.make cap [||];
+    cn = Array.make cap 0;
+    rp = Array.make cap [||];
+    rpn = Array.make cap 0;
+    rowcnt = Array.make cap 0;
+    active = Array.make cap false;
+    lmark = Array.make cap (-1);
+    lmul = Array.make cap 0.0;
+    ustamp = Array.make cap (-1);
+    uval = Array.make cap 0.0;
+    seen = Array.make cap (-1);
+    ubuf = Array.make cap 0;
+    lbuf = Array.make cap 0;
+    step_of = Array.make cap 0;
+    next = Array.make cap 0;
+    stamp = 0;
+    l_out = { idx = Array.make cap 0; vals = Array.make cap 0.0 };
+    u_out = { idx = Array.make cap 0; vals = Array.make cap 0.0 };
+  }
+
+let work_key = Domain.DLS.new_key (fun () -> make_work 0)
+
+let work_for n =
+  let w = Domain.DLS.get work_key in
+  if w.cap >= n then w
+  else begin
+    let w = make_work (max n (2 * w.cap)) in
+    Domain.DLS.set work_key w;
+    w
+  end
+
+(* Room for [need] entries in column [j], keeping its [cn.(j)] live ones. *)
+let reserve_col w j need =
+  if Array.length w.cr.(j) < need then begin
+    let cap = max 4 (2 * need) in
+    let rs = Array.make cap 0 and vs = Array.make cap 0.0 in
+    Array.blit w.cr.(j) 0 rs 0 w.cn.(j);
+    Array.blit w.cv.(j) 0 vs 0 w.cn.(j);
+    w.cr.(j) <- rs;
+    w.cv.(j) <- vs
+  end
+
+let list_in_row w r pos =
+  let k = w.rpn.(r) in
+  if k = Array.length w.rp.(r) then begin
+    let a = Array.make (max 4 (2 * k)) 0 in
+    Array.blit w.rp.(r) 0 a 0 k;
+    w.rp.(r) <- a
+  end;
+  w.rp.(r).(k) <- pos;
+  w.rpn.(r) <- k + 1
+
+(* Room for [need] entries in a factor being written. *)
+let reserve_entries (f : entries) need =
+  let cap = Array.length f.idx in
+  if cap < need then begin
+    let idx = Array.make (max need (2 * cap)) 0 in
+    let vals = Array.make (max need (2 * cap)) 0.0 in
+    Array.blit f.idx 0 idx 0 cap;
+    Array.blit f.vals 0 vals 0 cap;
+    f.idx <- idx;
+    f.vals <- vals
+  end
+
+(* Sort the first [len] entries of [a]: insertion sort for the short index
+   lists of one elimination step, the library heap sort beyond that. *)
+let sort_prefix (a : int array) len =
+  if len > 16 then begin
+    let b = Array.sub a 0 len in
+    Array.sort Int.compare b;
+    Array.blit b 0 a 0 len
+  end
+  else
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
 (* Refactorize: Markowitz-ordered sparse LU of the current basis matrix,
    eta file cleared, xb recomputed from scratch.  Returns [false] when the
    basis matrix is numerically singular.  [log_drift] compares the fresh xb
-   with the incrementally maintained one (update-drift telemetry). *)
+   with the incrementally maintained one (update-drift telemetry).
+
+   The active submatrix is flat (see [work]): a row's position list may
+   hold stale entries (eliminated, dropped, or pivoted columns) and repeats
+   (an entry dropped, then refilled), which readers skip, while [rowcnt]
+   stays exact.  The elimination scatters the pivot column's multipliers by
+   row ([lmark]/[lmul]).
+
+   The pivot rule is a strict total order on the candidate entries: the
+   smallest Markowitz score, then the larger |v|, then the smaller
+   (row, position).  So the chosen pivots do not depend on the order in
+   which the storage lists entries, and since each factor entry comes from
+   fixed floating-point operations (L = v / pv, one [prev -. m *. vpj] per
+   entry per step, the drop threshold) and L and U are stored sorted, the
+   factors are a function of the basis alone, bit for bit. *)
 let factorize ?(log_drift = false) st =
   let p = st.p in
   let n = p.nrows in
-  (* Active submatrix, column-wise, with a row-presence index. *)
-  let colh = Array.init n (fun _ -> Hashtbl.create 8) in
-  let rowset = Array.init n (fun _ -> Hashtbl.create 8) in
-  let colcnt = Array.make n 0 and rowcnt = Array.make n 0 in
+  let w = work_for n in
+  let cr = w.cr and cv = w.cv and cn = w.cn in
+  let rp = w.rp and rpn = w.rpn and rowcnt = w.rowcnt and active = w.active in
+  for r = 0 to n - 1 do
+    rowcnt.(r) <- 0;
+    rpn.(r) <- 0;
+    active.(r) <- true
+  done;
   for pos = 0 to n - 1 do
-    let rows, vals = column p st.basis.(pos) in
-    for k = 0 to Array.length rows - 1 do
-      if vals.(k) <> 0.0 then begin
-        Hashtbl.replace colh.(pos) rows.(k) vals.(k);
-        Hashtbl.replace rowset.(rows.(k)) pos ()
+    let c = st.basis.(pos) in
+    cn.(pos) <- 0;
+    if c < p.ncols then begin
+      let rows = p.col_rows.(c) and vals = p.col_vals.(c) in
+      reserve_col w pos (Array.length rows);
+      let rs = cr.(pos) and vs = cv.(pos) in
+      for i = 0 to Array.length rows - 1 do
+        if vals.(i) <> 0.0 then begin
+          rs.(cn.(pos)) <- rows.(i);
+          vs.(cn.(pos)) <- vals.(i);
+          cn.(pos) <- cn.(pos) + 1
+        end
+      done
+    end
+    else begin
+      let r = unit_row p c and v = unit_val p c in
+      if v <> 0.0 then begin
+        reserve_col w pos 1;
+        cr.(pos).(0) <- r;
+        cv.(pos).(0) <- v;
+        cn.(pos) <- 1
       end
+    end;
+    for i = 0 to cn.(pos) - 1 do
+      let r = cr.(pos).(i) in
+      rowcnt.(r) <- rowcnt.(r) + 1;
+      list_in_row w r pos
     done
   done;
-  for j = 0 to n - 1 do
-    colcnt.(j) <- Hashtbl.length colh.(j)
-  done;
-  for r = 0 to n - 1 do
-    rowcnt.(r) <- Hashtbl.length rowset.(r)
-  done;
-  let col_active = Array.make n true in
   let piv_row = Array.make n (-1) and piv_pos = Array.make n (-1) in
   let piv_val = Array.make n 0.0 in
-  let l_rows = Array.make n [||] and l_vals = Array.make n [||] in
-  let u_pos = Array.make n [||] and u_vals = Array.make n [||] in
+  let l_ptr = Array.make (n + 1) 0 and u_ptr = Array.make (n + 1) 0 in
+  let nl = ref 0 and nu = ref 0 in
+  let base = w.stamp in
+  w.stamp <- base + n;
   let ok = ref true in
-  (try
-     for step = 0 to n - 1 do
-       (* Candidate columns: sparsest active ones (count <= min + 1), a
-          bounded handful, searched with threshold pivoting for the best
-          Markowitz count (rowcnt-1)*(colcnt-1). *)
-       let mc = ref max_int in
-       for j = 0 to n - 1 do
-         if col_active.(j) && colcnt.(j) < !mc then mc := colcnt.(j)
-       done;
-       if !mc = max_int || !mc = 0 then raise Exit;
-       let cands = Array.make 8 (-1) in
-       let ncand = ref 0 in
-       let j = ref 0 in
-       while !ncand < 8 && !j < n do
-         if col_active.(!j) && colcnt.(!j) <= !mc + 1 then begin
-           cands.(!ncand) <- !j;
-           incr ncand
-         end;
-         incr j
-       done;
-       let best_score = ref max_int and best_v = ref 0.0 in
-       let br = ref (-1) and bc = ref (-1) in
-       for ci = 0 to !ncand - 1 do
-         let jc = cands.(ci) in
-         let colmax =
-           Hashtbl.fold
-             (fun _ v acc -> Float.max (Float.abs v) acc)
-             colh.(jc) 0.0
-         in
-         if colmax > singular_tol then
-           Hashtbl.iter
-             (fun r v ->
-               if Float.abs v >= markowitz_tol *. colmax then begin
-                 let score = (rowcnt.(r) - 1) * (colcnt.(jc) - 1) in
-                 if
-                   score < !best_score
-                   || (score = !best_score
-                      && (Float.abs v > Float.abs !best_v
-                         || (Float.abs v = Float.abs !best_v
-                            && (r, jc) < (!br, !bc))))
-                 then begin
-                   best_score := score;
-                   best_v := v;
-                   br := r;
-                   bc := jc
-                 end
-               end)
-             colh.(jc)
-       done;
-       if !bc < 0 then raise Exit;
-       let pr = !br and pc = !bc in
-       let pv = Hashtbl.find colh.(pc) pr in
-       piv_row.(step) <- pr;
-       piv_pos.(step) <- pc;
-       piv_val.(step) <- pv;
-       (* Pivot row across the other active columns: the U row. *)
-       let urow = ref [] in
-       Hashtbl.iter
-         (fun j () -> if j <> pc then urow := (j, Hashtbl.find colh.(j) pr) :: !urow)
-         rowset.(pr);
-       let urow = List.sort compare !urow in
-       u_pos.(step) <- Array.of_list (List.map fst urow);
-       u_vals.(step) <- Array.of_list (List.map snd urow);
-       (* Pivot column below the pivot: the L multipliers. *)
-       let lcol = ref [] in
-       Hashtbl.iter
-         (fun r v -> if r <> pr then lcol := (r, v /. pv) :: !lcol)
-         colh.(pc);
-       let lcol = List.sort compare !lcol in
-       l_rows.(step) <- Array.of_list (List.map fst lcol);
-       l_vals.(step) <- Array.of_list (List.map snd lcol);
-       (* Deactivate the pivot column and row. *)
-       col_active.(pc) <- false;
-       Hashtbl.iter
-         (fun r _ ->
-           if r <> pr then begin
-             Hashtbl.remove rowset.(r) pc;
-             rowcnt.(r) <- rowcnt.(r) - 1
-           end)
-         colh.(pc);
-       (* Right-looking elimination of row [pr] from the remaining columns. *)
-       List.iter
-         (fun (jc, vpj) ->
-           Hashtbl.remove colh.(jc) pr;
-           colcnt.(jc) <- colcnt.(jc) - 1;
-           List.iter
-             (fun (r, m) ->
-               let delta = m *. vpj in
-               match Hashtbl.find_opt colh.(jc) r with
-               | Some prev ->
-                 let nv = prev -. delta in
-                 if Float.abs nv <= drop_tol then begin
-                   Hashtbl.remove colh.(jc) r;
-                   colcnt.(jc) <- colcnt.(jc) - 1;
-                   Hashtbl.remove rowset.(r) jc;
-                   rowcnt.(r) <- rowcnt.(r) - 1
-                 end
-                 else Hashtbl.replace colh.(jc) r nv
-               | None ->
-                 let nv = -.delta in
-                 if Float.abs nv > drop_tol then begin
-                   Hashtbl.replace colh.(jc) r nv;
-                   colcnt.(jc) <- colcnt.(jc) + 1;
-                   Hashtbl.replace rowset.(r) jc ();
-                   rowcnt.(r) <- rowcnt.(r) + 1
-                 end)
-             lcol)
-         urow
-     done
-   with Exit -> ok := false);
+  let step = ref 0 in
+  while !ok && !step < n do
+    let k = !step in
+    let stamp = base + k in
+    (* Candidate columns: sparsest active ones (count <= min + 1), a
+       bounded handful, searched with threshold pivoting for the best
+       Markowitz count (rowcnt-1)*(colcnt-1). *)
+    let mc = ref max_int in
+    for j = 0 to n - 1 do
+      if active.(j) && cn.(j) < !mc then mc := cn.(j)
+    done;
+    let best_score = ref max_int and best_v = ref 0.0 in
+    let br = ref (-1) and bc = ref (-1) in
+    if !mc <> max_int && !mc <> 0 then begin
+      let ncand = ref 0 and j = ref 0 in
+      while !ncand < 8 && !j < n do
+        let jc = !j in
+        if active.(jc) && cn.(jc) <= !mc + 1 then begin
+          incr ncand;
+          let rs = cr.(jc) and vs = cv.(jc) in
+          let colmax = ref 0.0 in
+          for q = 0 to cn.(jc) - 1 do
+            colmax := Float.max (Float.abs vs.(q)) !colmax
+          done;
+          if !colmax > singular_tol then
+            for q = 0 to cn.(jc) - 1 do
+              let r = rs.(q) and v = vs.(q) in
+              if Float.abs v >= markowitz_tol *. !colmax then begin
+                let score = (rowcnt.(r) - 1) * (cn.(jc) - 1) in
+                if
+                  score < !best_score
+                  || score = !best_score
+                     && (Float.abs v > Float.abs !best_v
+                        || Float.abs v = Float.abs !best_v
+                           && (r < !br || (r = !br && jc < !bc)))
+                then begin
+                  best_score := score;
+                  best_v := v;
+                  br := r;
+                  bc := jc
+                end
+              end
+            done
+        end;
+        incr j
+      done
+    end;
+    if !bc < 0 then ok := false
+    else begin
+      let pr = !br and pc = !bc and pv = !best_v in
+      piv_row.(k) <- pr;
+      piv_pos.(k) <- pc;
+      piv_val.(k) <- pv;
+      (* Pivot row across the other active columns: the U row. *)
+      let nuk = ref 0 in
+      let rl = rp.(pr) in
+      for i = 0 to rpn.(pr) - 1 do
+        let j = rl.(i) in
+        if j <> pc && active.(j) && w.ustamp.(j) <> stamp then begin
+          w.ustamp.(j) <- stamp;
+          let rs = cr.(j) in
+          let q = ref 0 in
+          while !q < cn.(j) && rs.(!q) <> pr do
+            incr q
+          done;
+          if !q < cn.(j) then begin
+            w.uval.(j) <- cv.(j).(!q);
+            w.ubuf.(!nuk) <- j;
+            incr nuk
+          end
+        end
+      done;
+      let nuk = !nuk in
+      sort_prefix w.ubuf nuk;
+      let uo = w.u_out in
+      reserve_entries uo (!nu + nuk);
+      for i = 0 to nuk - 1 do
+        let j = w.ubuf.(i) in
+        uo.idx.(!nu + i) <- j;
+        uo.vals.(!nu + i) <- w.uval.(j)
+      done;
+      nu := !nu + nuk;
+      u_ptr.(k + 1) <- !nu;
+      (* Pivot column below the pivot: the L multipliers. *)
+      let nlk = ref 0 in
+      let rs = cr.(pc) and vs = cv.(pc) in
+      for q = 0 to cn.(pc) - 1 do
+        let r = rs.(q) in
+        if r <> pr then begin
+          w.lmark.(r) <- stamp;
+          w.lmul.(r) <- vs.(q) /. pv;
+          w.lbuf.(!nlk) <- r;
+          incr nlk
+        end
+      done;
+      let nlk = !nlk in
+      sort_prefix w.lbuf nlk;
+      let lo = w.l_out in
+      reserve_entries lo (!nl + nlk);
+      for i = 0 to nlk - 1 do
+        let r = w.lbuf.(i) in
+        lo.idx.(!nl + i) <- r;
+        lo.vals.(!nl + i) <- w.lmul.(r)
+      done;
+      nl := !nl + nlk;
+      l_ptr.(k + 1) <- !nl;
+      (* Deactivate the pivot column and row. *)
+      active.(pc) <- false;
+      for i = 0 to nlk - 1 do
+        let r = w.lbuf.(i) in
+        rowcnt.(r) <- rowcnt.(r) - 1
+      done;
+      (* Right-looking elimination of row [pr] from the U row's columns:
+         entries on the pivot column's rows are updated in place (or
+         dropped), the pivot column's other rows fill in at the end. *)
+      for i = 0 to nuk - 1 do
+        let j = w.ubuf.(i) in
+        let vpj = w.uval.(j) in
+        let sweep = w.stamp in
+        w.stamp <- sweep + 1;
+        let rs = cr.(j) and vs = cv.(j) in
+        let live = ref 0 in
+        for q = 0 to cn.(j) - 1 do
+          let r = rs.(q) in
+          if r <> pr then
+            if w.lmark.(r) = stamp then begin
+              w.seen.(r) <- sweep;
+              let nv = vs.(q) -. (w.lmul.(r) *. vpj) in
+              if Float.abs nv <= drop_tol then rowcnt.(r) <- rowcnt.(r) - 1
+              else begin
+                rs.(!live) <- r;
+                vs.(!live) <- nv;
+                incr live
+              end
+            end
+            else begin
+              rs.(!live) <- r;
+              vs.(!live) <- vs.(q);
+              incr live
+            end
+        done;
+        cn.(j) <- !live;
+        for t = 0 to nlk - 1 do
+          let r = w.lbuf.(t) in
+          if w.seen.(r) <> sweep then begin
+            let nv = -.(w.lmul.(r) *. vpj) in
+            if Float.abs nv > drop_tol then begin
+              reserve_col w j (cn.(j) + 1);
+              cr.(j).(cn.(j)) <- r;
+              cv.(j).(cn.(j)) <- nv;
+              cn.(j) <- cn.(j) + 1;
+              rowcnt.(r) <- rowcnt.(r) + 1;
+              list_in_row w r j
+            end
+          end
+        done
+      done;
+      incr step
+    end
+  done;
   if !ok then begin
-    (* Column-wise index of U for the transposed solve. *)
-    let step_of = Array.make n (-1) in
+    (* Column-wise index of U for the transposed solve, ascending by step. *)
+    let step_of = w.step_of and next = w.next in
     for k = 0 to n - 1 do
       step_of.(piv_pos.(k)) <- k
     done;
-    let ut = Array.make n [] in
+    let nu = !nu and nl = !nl in
+    let uo = w.u_out and lo = w.l_out in
+    let ut_ptr = Array.make (n + 1) 0 in
+    for i = 0 to nu - 1 do
+      let j = step_of.(uo.idx.(i)) in
+      ut_ptr.(j + 1) <- ut_ptr.(j + 1) + 1
+    done;
+    for j = 0 to n - 1 do
+      ut_ptr.(j + 1) <- ut_ptr.(j + 1) + ut_ptr.(j);
+      next.(j) <- ut_ptr.(j)
+    done;
+    let ut_idx = Array.make nu 0 and ut_val = Array.make nu 0.0 in
     for k = 0 to n - 1 do
-      let pos = u_pos.(k) and uv = u_vals.(k) in
-      for i = 0 to Array.length pos - 1 do
-        let j = step_of.(pos.(i)) in
-        ut.(j) <- (k, uv.(i)) :: ut.(j)
+      for i = u_ptr.(k) to u_ptr.(k + 1) - 1 do
+        let j = step_of.(uo.idx.(i)) in
+        ut_idx.(next.(j)) <- k;
+        ut_val.(next.(j)) <- uo.vals.(i);
+        next.(j) <- next.(j) + 1
       done
     done;
     st.lu <-
       { piv_row;
         piv_pos;
         piv_val;
-        l_rows;
-        l_vals;
-        u_pos;
-        u_vals;
-        ut_steps = Array.map (fun l -> Array.of_list (List.rev_map fst l)) ut;
-        ut_vals = Array.map (fun l -> Array.of_list (List.rev_map snd l)) ut;
+        l_ptr;
+        l_idx = Array.sub lo.idx 0 nl;
+        l_val = Array.sub lo.vals 0 nl;
+        u_ptr;
+        u_idx = Array.sub uo.idx 0 nu;
+        u_val = Array.sub uo.vals 0 nu;
+        ut_ptr;
+        ut_idx;
+        ut_val;
       };
     st.neta <- 0;
     st.refactors <- st.refactors + 1;
@@ -497,20 +728,20 @@ let pivot st leave enter d theta =
     st.bland <- false
   end
 
-(* Entering-column selection.  [allowed c] restricts the candidate set (used
-   to ban artificials in phase 2).  Partial pricing: scan from the rotating
-   cursor, keep the most negative reduced cost seen, and stop early after a
-   full block has been scanned with a viable candidate in hand.  The dual
+(* Entering-column selection among the columns below [limit] (phase 2 bans
+   the artificials).  Partial pricing: scan from the rotating cursor, keep
+   the most negative reduced cost seen, and stop early after a full block
+   has been scanned with a viable candidate in hand.  The dual
    vector [y] comes from the sparse BTRAN above, so each scan step is a
    sparse dot product.  In Bland mode: lowest-index negative column, full
    determinism. *)
-let price st cost allowed y =
+let price st cost ~limit y =
   let total = st.total in
   if st.bland then begin
     let found = ref (-1) in
     (try
        for c = 0 to total - 1 do
-         if (not st.in_basis.(c)) && allowed c then begin
+         if (not st.in_basis.(c)) && c < limit then begin
            let rc = reduced_cost st cost y c in
            if rc < -.opt_tol then begin
              found := c;
@@ -529,7 +760,7 @@ let price st cost allowed y =
     (try
        while !scanned < total do
          let col = !c in
-         if (not st.in_basis.(col)) && allowed col then begin
+         if (not st.in_basis.(col)) && col < limit then begin
            let rc = reduced_cost st cost y col in
            if rc < !best_rc then begin
              best_rc := rc;
@@ -590,7 +821,7 @@ let past_deadline st stop_at =
 
 let h_pivot = Obs.Histogram.make "lp.pivot_ns"
 
-let run_phase st cost allowed ~max_iterations ~refactor ~stop_at =
+let run_phase st cost ~limit ~max_iterations ~refactor ~stop_at =
   let n = n_of st in
   let y = Array.make n 0.0 in
   let cb = Array.make n 0.0 in
@@ -602,10 +833,10 @@ let run_phase st cost allowed ~max_iterations ~refactor ~stop_at =
       if not (factorize ~log_drift:true st) then
         failwith "Revised_simplex: basis became singular";
     for r = 0 to n - 1 do
-      cb.(r) <- cost st.basis.(r)
+      cb.(r) <- cost.(st.basis.(r))
     done;
     btran st cb y;
-    let enter = price st cost allowed y in
+    let enter = price st cost ~limit y in
     if enter < 0 then `Done P_optimal
     else begin
       ftran st (column st.p enter) d;
@@ -795,7 +1026,8 @@ let solve ?(max_iterations = 200_000) ?deadline ?warm_basis ?crash_basis
           Log.info (fun f -> f "%s basis rejected; trying next start" label);
         ok
     in
-    try_basis "warm" warm_basis || try_basis "crash" crash_basis
+    try_basis "warm" warm_basis
+    || try_basis "crash" (Option.map Lazy.force crash_basis)
   in
   (* Multipliers of the original rows: y = cB^T B^-1 in the normalised
      space, unflipped, and negated back when the model maximised. *)
@@ -844,11 +1076,13 @@ let solve ?(max_iterations = 200_000) ?deadline ?warm_basis ?crash_basis
     }
   in
   let phase2 () =
-    let cost c = if c < p.ncols then p.obj.(c) else 0.0 in
-    let allowed c = c < first_art in
+    let cost = Array.make st.total 0.0 in
+    Array.blit p.obj 0 cost 0 p.ncols;
     st.bland <- false;
     st.degenerate_streak <- 0;
-    match run_phase st cost allowed ~max_iterations ~refactor ~stop_at with
+    match
+      run_phase st cost ~limit:first_art ~max_iterations ~refactor ~stop_at
+    with
     | P_optimal -> finish Solution.Optimal
     | P_limit -> finish Solution.Iteration_limit
     | P_deadline -> finish Solution.Time_limit
@@ -870,9 +1104,11 @@ let solve ?(max_iterations = 200_000) ?deadline ?warm_basis ?crash_basis
     in
     if not any_artificial then phase2 ()
     else begin
-      let cost c = if c >= first_art then 1.0 else 0.0 in
-      let allowed _ = true in
-      match run_phase st cost allowed ~max_iterations ~refactor ~stop_at with
+      let cost = Array.make st.total 0.0 in
+      Array.fill cost first_art (st.total - first_art) 1.0;
+      match
+        run_phase st cost ~limit:st.total ~max_iterations ~refactor ~stop_at
+      with
       | P_limit -> finish Solution.Iteration_limit
       | P_deadline -> finish Solution.Time_limit
       | P_unbounded -> assert false (* phase 1 is bounded below by 0 *)

@@ -10,13 +10,23 @@
     or an update pivot looks numerically fragile; the rebuild also recomputes
     the basic solution from scratch, absorbing (and logging) any drift.
 
+    The factorization works in flat arrays reused across factorizations on
+    a domain: per column a (row, value) array pair with an exact count, per
+    row a list of positions, and a scatter of the pivot column for the
+    elimination.  Its pivot rule is a strict total order (smallest Markowitz
+    score, then largest |v|, then smallest (row, position)) and every factor
+    entry comes from the same floating-point operations in the same order,
+    so the factors, and with them every pivot, solution, dual and exported
+    basis, do not depend on how the entries are stored.  A small LP
+    therefore costs about what its pivots cost.
+
     Pricing is partial (block scans with a rotating cursor) against the
     sparse BTRAN duals; a streak of degenerate pivots switches the rule to
     Bland's until progress resumes, which guarantees termination.
 
     A warm-start basis can be supplied to skip phase 1 entirely; the coflow
     LP builder uses the crash basis "every coflow finishes in the last
-    interval". *)
+    interval", or, when it warm-starts, a greedy placement from its hints. *)
 
 type warm_basis = int array
 (** One entry per constraint row: a structural variable index to make basic
@@ -31,7 +41,7 @@ val solve :
   ?max_iterations:int ->
   ?deadline:float ->
   ?warm_basis:warm_basis ->
-  ?crash_basis:warm_basis ->
+  ?crash_basis:warm_basis Lazy.t ->
   ?refactor:int ->
   Model.t ->
   Solution.t
@@ -41,7 +51,9 @@ val solve :
 
     [warm_basis] is tried first, then [crash_basis]; each is validated and
     the first that yields a factorizable, primal-feasible basis skips
-    phase 1.  The returned {!Solution.t} carries the final basis (in the same
+    phase 1.  [crash_basis] is forced only when [warm_basis] is absent or
+    rejected, so a fallback that is expensive to build costs nothing while
+    the warm proposals hold.  The returned {!Solution.t} carries the final basis (in the same
     format) and the factorization count, enabling warm-start chains across
     related solves.
 

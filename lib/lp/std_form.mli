@@ -24,6 +24,9 @@ type t = {
 }
 
 val of_model : Model.t -> t
+(** Linear in the model's size.  A row's duplicate terms are summed in term
+    order (the first one as [0.0 +. c]) and dropped when the sum is zero;
+    each column lists its rows in ascending order. *)
 
 val row_nnz : t -> int array
 (** Number of structural non-zeros per row (used by presolve and tests). *)

@@ -593,6 +593,465 @@ let prop_presolve_preserves_optimum =
         (fun v -> v <= 1e-6)
         (Std_form.residuals std pre.Solution.values))
 
+(* ---------- non-finite input ---------- *)
+
+(* An infinite right-hand side used to reach both solvers and trip their
+   phase-1 assertions; the model now rejects it, and NaN, when the row is
+   posted, and a non-finite objective constant likewise. *)
+let test_non_finite_rejected () =
+  let expect label msg f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument m -> Alcotest.(check string) label msg m
+  in
+  let rhs_msg = "Model: non-finite right-hand side" in
+  List.iter
+    (fun (label, sense, b) ->
+      let repro solve () =
+        let m = Model.create () in
+        let x = Model.add_var m in
+        Model.minimize m [ (1.0, x) ];
+        ignore (Model.add_constraint m [ (1.0, x) ] sense b);
+        solve m
+      in
+      expect ("revised: " ^ label) rhs_msg (repro Revised_simplex.solve);
+      expect ("dense: " ^ label) rhs_msg (repro Dense_simplex.solve))
+    [ ("x = inf", Model.Eq, infinity);
+      ("x >= inf", Model.Ge, infinity);
+      ("x <= -inf", Model.Le, neg_infinity);
+      ("x = nan", Model.Eq, nan);
+    ];
+  let m = Model.create () in
+  let x = Model.add_var m in
+  let const_msg = "Model: non-finite objective constant" in
+  expect "minimize constant" const_msg (fun () ->
+      Model.minimize m ~constant:infinity [ (1.0, x) ]);
+  expect "maximize constant" const_msg (fun () ->
+      Model.maximize m ~constant:nan [ (1.0, x) ])
+
+let test_lp_io_rejects_non_finite () =
+  List.iter
+    (fun (text, expected) ->
+      match Lp_io.of_string text with
+      | _ -> Alcotest.failf "expected Failure %S" expected
+      | exception Failure msg -> Alcotest.(check string) "message" expected msg)
+    [ ( "Minimize\n obj: x\nSubject To\n c1: x = 1e400\nEnd\n",
+        "line 4: Model: non-finite right-hand side" );
+      ( "Minimize\n obj: 1e400 x\nEnd\n",
+        "line 2: Model: non-finite coefficient" );
+    ]
+
+(* ---------- pinned solver behaviour ---------- *)
+
+(* Every bit a solve reports: status, objective, effort counters, values,
+   duals and exported basis.  Float fields are written as their IEEE bit
+   patterns, so any changed pivot or factor changes the digest. *)
+let add_bits buf x = Buffer.add_string buf (Printf.sprintf "%Lx," (Int64.bits_of_float x))
+
+let add_solution buf (s : Solution.t) =
+  Buffer.add_string buf (status s);
+  Buffer.add_char buf ':';
+  add_bits buf s.Solution.objective;
+  Buffer.add_string buf
+    (Printf.sprintf "%d,%d;" s.Solution.iterations s.Solution.refactors);
+  Array.iter (add_bits buf) s.Solution.values;
+  Buffer.add_char buf ';';
+  (match s.Solution.duals with
+  | None -> Buffer.add_char buf '-'
+  | Some y -> Array.iter (add_bits buf) y);
+  Buffer.add_char buf ';';
+  (match s.Solution.basis with
+  | None -> Buffer.add_char buf '-'
+  | Some b -> Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%d," c)) b);
+  Buffer.add_char buf '\n'
+
+(* Random LPs for the digest: Le, Ge and Eq rows with duplicate, cancelling
+   and shuffled terms, empty rows, optional boxes, min or max objectives
+   with a constant. *)
+let digest_lp st =
+  let nvars = 1 + Random.State.int st 7 in
+  let nrows = 1 + Random.State.int st 7 in
+  let m = Model.create () in
+  let xs = Model.add_vars m nvars in
+  let coeff () = float_of_int (Random.State.int st 9 - 4) in
+  let shuffle l =
+    List.map (fun t -> (Random.State.bits st, t)) l
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  for _ = 1 to nrows do
+    let expr =
+      if Random.State.int st 10 = 0 then []
+      else
+        Array.to_list xs
+        |> List.concat_map (fun v ->
+               match Random.State.int st 10 with
+               | 0 | 1 | 2 -> []
+               | 3 -> [ (coeff (), v); (coeff (), v) ]
+               | 4 ->
+                 let c = float_of_int (1 + Random.State.int st 4) in
+                 [ (c, v); (-.c, v) ]
+               | _ -> [ (coeff (), v) ])
+        |> shuffle
+    in
+    let sense =
+      match Random.State.int st 10 with
+      | 0 | 1 | 2 | 3 | 4 -> Model.Le
+      | 5 | 6 | 7 -> Model.Ge
+      | _ -> Model.Eq
+    in
+    let b = float_of_int (Random.State.int st 18 - 3) in
+    ignore (Model.add_constraint m expr sense b)
+  done;
+  Array.iter
+    (fun v ->
+      if Random.State.int st 4 > 0 then
+        ignore
+          (Model.add_constraint m [ (1.0, v) ] Model.Le
+             (float_of_int (1 + Random.State.int st 10))))
+    xs;
+  let obj =
+    Array.to_list xs
+    |> List.concat_map (fun v ->
+           if Random.State.int st 5 = 0 then [ (coeff (), v); (coeff (), v) ]
+           else [ (coeff (), v) ])
+    |> shuffle
+  in
+  let constant = float_of_int (Random.State.int st 7 - 3) in
+  if Random.State.bool st then Model.maximize m ~constant obj
+  else Model.minimize m ~constant obj;
+  m
+
+let solve_digest buf f =
+  match f () with
+  | s -> add_solution buf s
+  | exception Failure msg -> Buffer.add_string buf ("F:" ^ msg ^ "\n")
+  | exception Invalid_argument msg -> Buffer.add_string buf ("I:" ^ msg ^ "\n")
+
+let random_lp_digest ~cases =
+  let st = Random.State.make [| 0xD16E57; 18 |] in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to cases do
+    let m = digest_lp st in
+    let refactor = 1 + Random.State.int st 6 in
+    let cold = ref None in
+    solve_digest buf (fun () ->
+        let s = Revised_simplex.solve ~refactor m in
+        cold := Some s;
+        s);
+    (* warm restarts: from the exported basis, and from a random proposal
+       that is often singular or infeasible *)
+    (match !cold with
+    | Some { Solution.basis = Some wb; _ } ->
+      solve_digest buf (fun () -> Revised_simplex.solve ~refactor ~warm_basis:wb m)
+    | _ -> ());
+    let proposal =
+      Array.init (Model.num_constraints m) (fun _ ->
+          Random.State.int st (Model.num_vars m + 1) - 1)
+    in
+    solve_digest buf (fun () ->
+        Revised_simplex.solve ~refactor ~warm_basis:proposal m)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A warm-started chain of interval relaxations shaped like the service's
+   epochs: 8 ports and a handful of live coflows; every step re-solves from
+   the previous solve's hints (remapped by coflow id, shifted by one slot),
+   then serves part of each coflow's demand and admits new arrivals. *)
+let relax_chain_digest ~steps =
+  let open Workload in
+  let st = Random.State.make [| 0x50AC; 18 |] in
+  let ports = 8 in
+  let next_id = ref 0 in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    { Instance.id;
+      release = Random.State.int st 3;
+      demand = Matrix.Mat.random ~density:0.2 ~max_entry:4 st ports;
+      weight = float_of_int (1 + Random.State.int st 4);
+    }
+  in
+  let live = ref [ fresh (); fresh (); fresh () ] in
+  let warm = ref None in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to steps do
+    if !live = [] || Random.State.int st 3 = 0 then live := !live @ [ fresh () ];
+    let inst = Instance.make ~ports !live in
+    let ids = Array.map (fun c -> c.Instance.id) (Instance.coflows inst) in
+    let index_of gid =
+      let r = ref None in
+      Array.iteri (fun i id -> if id = gid then r := Some i) ids;
+      !r
+    in
+    let warm_start =
+      Option.map (Core.Lp_relax.remap_hints ~index_map:index_of ~time_shift:1.0)
+        !warm
+    in
+    let r = Core.Lp_relax.solve_interval ?warm_start inst in
+    Array.iter (add_bits buf) r.Core.Lp_relax.cbar;
+    Buffer.add_char buf ';';
+    add_bits buf r.Core.Lp_relax.lower_bound;
+    Buffer.add_string buf
+      (Printf.sprintf "%d,%d\n" r.Core.Lp_relax.iterations
+         r.Core.Lp_relax.refactors);
+    warm :=
+      Option.map
+        (Core.Lp_relax.remap_hints ~index_map:(fun i -> Some ids.(i)))
+        r.Core.Lp_relax.warm;
+    (* one slot passes: releases move up, up to two units of each coflow
+       are served, finished coflows leave *)
+    live :=
+      List.filter_map
+        (fun c ->
+          let d = Matrix.Mat.copy c.Instance.demand in
+          for _ = 1 to 2 do
+            let nz = ref [] in
+            Matrix.Mat.iter_nonzero (fun i j _ -> nz := (i, j) :: !nz) d;
+            match !nz with
+            | [] -> ()
+            | l ->
+              let i, j = List.nth l (Random.State.int st (List.length l)) in
+              Matrix.Mat.set d i j (Matrix.Mat.get d i j - 1)
+          done;
+          if Matrix.Mat.is_zero d then None
+          else
+            Some
+              { c with
+                Instance.release = max 0 (c.Instance.release - 1);
+                demand = d;
+              })
+        !live
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The expected digests come from the solver whose LU kept its active
+   submatrix in hash tables; any storage of the factorization must
+   reproduce them bit for bit. *)
+let test_random_lp_digest () =
+  Alcotest.(check string) "3,000 random LPs, cold and warm" "0795712d94589ab8a0b3727e0f82c330"
+    (random_lp_digest ~cases:3000)
+
+let test_relax_chain_digest () =
+  Alcotest.(check string) "400 warm-started relaxations" "7d90724659976f5f21d0ce204f223901"
+    (relax_chain_digest ~steps:400)
+
+(* Names are rendered on demand: explicit names verbatim, defaults as x<i>
+   for variables and c<r> for rows, by every printer. *)
+let named_model () =
+  let m = Model.create ~name:"named" () in
+  let a = Model.add_var ~name:"alpha" m and b = Model.add_var ~name:"beta" m in
+  ignore (Model.add_constraint ~name:"cap" m [ (2.0, a); (1.0, b) ] Model.Le 8.0);
+  ignore (Model.add_constraint ~name:"floor" m [ (1.0, a) ] Model.Ge 1.0);
+  Model.maximize m ~constant:3.0 [ (1.0, a); (-2.5, b) ];
+  m
+
+let unnamed_model () =
+  let m = Model.create () in
+  let xs = Model.add_vars m 3 in
+  ignore (Model.add_constraint m [ (1.0, xs.(0)); (-1.0, xs.(2)) ] Model.Eq 0.0);
+  ignore (Model.add_constraint m [] Model.Le 4.0);
+  ignore (Model.add_constraint m [ (0.5, xs.(1)); (0.5, xs.(1)) ] Model.Ge (-2.0));
+  Model.minimize m [ (1.0, xs.(0)); (1.0, xs.(1)); (1.0, xs.(2)) ];
+  m
+
+let mixed_model () =
+  let m = Model.create ~name:"mixed" () in
+  let x0 = Model.add_var m in
+  let y = Model.add_var ~name:"y" m in
+  let x2 = Model.add_var m in
+  ignore (Model.add_constraint m [ (1.0, x0); (3.0, y) ] Model.Le 9.0);
+  ignore (Model.add_constraint ~name:"link" m [ (1.0, y); (-1.0, x2) ] Model.Eq 1.0);
+  ignore (Model.add_constraint m [ (1.0, x2) ] Model.Ge 0.5);
+  Model.minimize m [ (1.0, x0); (2.0, x2) ];
+  m
+
+let render m =
+  let names =
+    List.init (Model.num_vars m) (fun i -> Model.var_name m (Model.var_of_int m i))
+  in
+  String.concat "," names ^ "\n"
+  ^ Format.asprintf "%a" Model.pp m
+  ^ "\n" ^ Lp_io.to_string m
+
+let test_names_rendered () =
+  List.iter
+    (fun (label, m, expected) ->
+      Alcotest.(check string) label expected (render (m ())))
+    [ ( "named",
+        named_model,
+        "alpha,beta\n\
+       max: 1 alpha + -2.5 beta + 3\n\
+       cap: 2 alpha + 1 beta <= 8\n\
+       floor: 1 alpha >= 1\n\
+       \\ named (written by coflow-sched lp_io)\n\
+       Maximize\n\
+      \ obj: alpha - 2.5 beta + 3 const_one\n\
+       Subject To\n\
+      \ c0: 2 alpha + beta <= 8\n\
+      \ c1: alpha >= 1\n\
+      \ c_const: const_one = 1\n\
+       End\n" );
+      ( "unnamed",
+        unnamed_model,
+        "x0,x1,x2\n\
+       min: 1 x0 + 1 x1 + 1 x2\n\
+       c0: 1 x0 + -1 x2 = 0\n\
+       c1: 0 <= 4\n\
+       c2: 0.5 x1 + 0.5 x1 >= -2\n\
+       \\ lp (written by coflow-sched lp_io)\n\
+       Minimize\n\
+      \ obj: x0 + x1 + x2\n\
+       Subject To\n\
+      \ c0: x0 - x2 = 0\n\
+      \ c1: 0 x_unused <= 4\n\
+      \ c2: 0.5 x1 + 0.5 x1 >= -2\n\
+       End\n" );
+      ( "mixed",
+        mixed_model,
+        "x0,y,x2\n\
+       min: 1 x0 + 2 x2\n\
+       c0: 1 x0 + 3 y <= 9\n\
+       link: 1 y + -1 x2 = 1\n\
+       c2: 1 x2 >= 0.5\n\
+       \\ mixed (written by coflow-sched lp_io)\n\
+       Minimize\n\
+      \ obj: x0 + 2 x2\n\
+       Subject To\n\
+      \ c0: x0 + 3 y <= 9\n\
+      \ c1: y - x2 = 1\n\
+      \ c2: x2 >= 0.5\n\
+       End\n" );
+    ]
+
+(* A warm re-solve of a soak-sized relaxation (8 ports, 3 coflows) costs
+   what its pivots cost: no per-variable names, no per-row tables. *)
+let test_warm_resolve_allocation () =
+  let inst =
+    Workload.Synthetic.uniform ~ports:8 ~coflows:3 ~density:0.3 ~max_size:4
+      (Random.State.make [| 18 |])
+  in
+  let cold = Core.Lp_relax.solve_interval inst in
+  let hints = Option.get cold.Core.Lp_relax.warm in
+  ignore (Core.Lp_relax.solve_interval ~warm_start:hints inst);
+  let before = Gc.minor_words () in
+  let warm = Core.Lp_relax.solve_interval ~warm_start:hints inst in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 1e-9)) "same bound" cold.Core.Lp_relax.lower_bound
+    warm.Core.Lp_relax.lower_bound;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= 10,000" words)
+    true (words <= 10_000.0)
+
+(* The lowering [Std_form.of_model] used before it became linear: a hash
+   table merges each row's duplicate terms, then every column is sorted.
+   Kept as the oracle the linear lowering must match bit for bit. *)
+let oracle_of_model m =
+  let ncols = Model.num_vars m in
+  let nrows = Model.num_constraints m in
+  let cols = Array.make ncols [] in
+  let rhs = Array.make nrows 0.0 in
+  let senses = Array.make nrows Std_form.Eq in
+  for r = 0 to nrows - 1 do
+    let expr, s, b = Model.constraint_row m r in
+    rhs.(r) <- b;
+    senses.(r) <-
+      (match s with
+      | Model.Le -> Std_form.Le
+      | Model.Ge -> Std_form.Ge
+      | Model.Eq -> Std_form.Eq);
+    let tbl = Hashtbl.create (List.length expr) in
+    List.iter
+      (fun (c, v) ->
+        let v = (v : Model.var :> int) in
+        let prev = try Hashtbl.find tbl v with Not_found -> 0.0 in
+        Hashtbl.replace tbl v (prev +. c))
+      expr;
+    Hashtbl.iter (fun v c -> if c <> 0.0 then cols.(v) <- (r, c) :: cols.(v)) tbl
+  done;
+  let col_rows = Array.make ncols [||] in
+  let col_vals = Array.make ncols [||] in
+  for v = 0 to ncols - 1 do
+    let entries = List.sort compare cols.(v) in
+    col_rows.(v) <- Array.of_list (List.map fst entries);
+    col_vals.(v) <- Array.of_list (List.map snd entries)
+  done;
+  let dir, obj_expr, obj_const = Model.objective m in
+  let maximize = dir = `Maximize in
+  let obj = Array.make ncols 0.0 in
+  List.iter
+    (fun (c, v) ->
+      let v = (v : Model.var :> int) in
+      obj.(v) <- obj.(v) +. (if maximize then -.c else c))
+    obj_expr;
+  let obj_const = if maximize then -.obj_const else obj_const in
+  { Std_form.nrows; ncols; col_rows; col_vals; obj; obj_const; rhs; senses;
+    maximize }
+
+(* Models whose rows repeat, cancel and reorder terms, with fractional
+   coefficients so that the summation order shows in the bits. *)
+let lowering_model (nvars, nrows, seed) =
+  let st = Random.State.make [| seed; 18 |] in
+  let m = Model.create () in
+  let xs = Model.add_vars m nvars in
+  let coeff () =
+    match Random.State.int st 3 with
+    | 0 -> float_of_int (Random.State.int st 7 - 3)
+    | 1 -> Random.State.float st 2.0 -. 1.0
+    | _ -> 0.1 *. float_of_int (Random.State.int st 9 - 4)
+  in
+  let term () = (coeff (), xs.(Random.State.int st nvars)) in
+  for _ = 1 to nrows do
+    let expr =
+      List.concat
+        (List.init (Random.State.int st 9) (fun _ ->
+             match Random.State.int st 4 with
+             | 0 ->
+               let c, v = term () in
+               [ (c, v); (-.c, v) ]
+             | _ -> [ term () ]))
+    in
+    let sense =
+      match Random.State.int st 3 with
+      | 0 -> Model.Le
+      | 1 -> Model.Ge
+      | _ -> Model.Eq
+    in
+    ignore (Model.add_constraint m expr sense (Random.State.float st 20.0 -. 5.0))
+  done;
+  let obj = List.init (Random.State.int st 8) (fun _ -> term ()) in
+  let constant = Random.State.float st 4.0 -. 2.0 in
+  if Random.State.bool st then Model.maximize m ~constant obj
+  else Model.minimize m ~constant obj;
+  m
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let std_equal (a : Std_form.t) (b : Std_form.t) =
+  a.Std_form.nrows = b.Std_form.nrows
+  && a.Std_form.ncols = b.Std_form.ncols
+  && a.Std_form.col_rows = b.Std_form.col_rows
+  && Array.length a.Std_form.col_vals = Array.length b.Std_form.col_vals
+  && Array.for_all2 bits_equal a.Std_form.col_vals b.Std_form.col_vals
+  && bits_equal a.Std_form.obj b.Std_form.obj
+  && bits_equal [| a.Std_form.obj_const |] [| b.Std_form.obj_const |]
+  && bits_equal a.Std_form.rhs b.Std_form.rhs
+  && a.Std_form.senses = b.Std_form.senses
+  && a.Std_form.maximize = b.Std_form.maximize
+
+let prop_lowering_matches_oracle =
+  QCheck.Test.make ~name:"linear lowering = hash-table oracle" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c)
+       QCheck.Gen.(triple (int_range 1 8) (int_range 0 8) (int_range 0 1_000_000)))
+    (fun params ->
+      let m = lowering_model params in
+      std_equal (Std_form.of_model m) (oracle_of_model m))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_dense_eq_revised;
@@ -601,6 +1060,7 @@ let properties =
       prop_presolve_preserves_optimum;
       prop_strong_duality;
       prop_complementary_slackness;
+      prop_lowering_matches_oracle;
     ]
 
 let () =
@@ -659,6 +1119,16 @@ let () =
             test_cross_check_suite;
           Alcotest.test_case "refactor threshold" `Quick
             test_refactor_threshold;
+          Alcotest.test_case "random LP digest" `Quick test_random_lp_digest;
+          Alcotest.test_case "relaxation chain digest" `Quick
+            test_relax_chain_digest;
+          Alcotest.test_case "names rendered" `Quick test_names_rendered;
+          Alcotest.test_case "warm re-solve allocation" `Quick
+            test_warm_resolve_allocation;
+          Alcotest.test_case "non-finite input rejected" `Quick
+            test_non_finite_rejected;
+          Alcotest.test_case "lp_io non-finite numbers" `Quick
+            test_lp_io_rejects_non_finite;
         ] );
       ("properties", properties);
     ]
