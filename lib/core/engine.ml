@@ -59,26 +59,10 @@ let run ?max_slots ?sim ?(batch = true) inst (p : Policy.t) =
   in
   let st = p.Policy.prepare sim in
   let t0 = Obs.Clock.now_ns () in
-  (match (st.Policy.next_batch, st.Policy.pre_slot, st.Policy.on_decided) with
-  | Some next_batch, None, None when batch ->
-    (* event-driven loop: per-slot hooks would observe every slot, so only
-       a hook-free stepper may jump the clock *)
+  (match st.Policy.next_batch with
+  | Some next_batch when batch ->
     Simulator.run_batched ?max_slots sim ~policy:next_batch
-  | _ ->
-    let policy =
-      (* fold the lifecycle hooks into the per-slot closure so the simulator
-         loop stays the single choke point (budget, validation, per-slot
-         instrumentation) *)
-      match (st.Policy.pre_slot, st.Policy.on_decided) with
-      | None, None -> st.Policy.next_slot
-      | pre, decided ->
-        fun s ->
-          (match pre with Some f -> f s | None -> ());
-          let transfers = st.Policy.next_slot s in
-          (match decided with Some f -> f s transfers | None -> ());
-          transfers
-    in
-    Simulator.run ?max_slots sim ~policy);
+  | _ -> Simulator.run ?max_slots sim ~policy:st.Policy.next_slot);
   let seconds =
     float_of_int (Obs.Clock.elapsed_ns ~since:t0) /. 1e9
   in

@@ -39,11 +39,11 @@ val run :
     supplied; it must have been created from [inst]'s demands) and steps it
     to completion.  [max_slots] as in {!Switchsim.Simulator.run}.
 
-    When the prepared stepper offers a batched decision and installs no
-    per-slot hooks, the engine drives
+    When the prepared stepper offers a batched decision the engine drives
     {!Switchsim.Simulator.run_batched} — the event-driven loop that jumps
-    the clock across runs of identical slots.  [batch:false] forces the
-    slot-by-slot loop (the A/B lever the equivalence tests and the
+    the clock across runs of identical slots — and
+    {!Switchsim.Simulator.run} over [next_slot] otherwise.  [batch:false]
+    forces the slot-by-slot loop (the A/B lever the equivalence tests and the
     throughput experiments use); results are identical either way, only
     [seconds] differs.  Wall-clock throughput of the run is published on
     the [engine.slots_per_sec] / [engine.coflows_per_sec] gauges.

@@ -4,8 +4,6 @@ type stepper = {
   next_slot : Simulator.t -> Simulator.transfer list;
   next_batch :
     (Simulator.t -> max_n:int -> Simulator.transfer list * int) option;
-  pre_slot : (Simulator.t -> unit) option;
-  on_decided : (Simulator.t -> Simulator.transfer list -> unit) option;
   matchings : unit -> int;
 }
 
@@ -14,9 +12,8 @@ type t = {
   prepare : Simulator.t -> stepper;
 }
 
-let stepper ?next_batch ?pre_slot ?on_decided ?(matchings = fun () -> 0)
-    next_slot =
-  { next_slot; next_batch; pre_slot; on_decided; matchings }
+let stepper ?next_batch ?(matchings = fun () -> 0) next_slot =
+  { next_slot; next_batch; matchings }
 
 let make ~describe prepare = { describe; prepare }
 

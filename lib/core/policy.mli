@@ -6,9 +6,11 @@
     A policy is a {e recipe}: [prepare sim] builds the per-run mutable
     state and returns the stepper the engine drives, so one policy value
     can be run any number of times (and concurrently, each run owning its
-    state).  A new policy is ~30 lines: a [next_slot] function plus
-    optional lifecycle hooks, instead of a hand-rolled copy of the slot
-    loop and its result bookkeeping. *)
+    state).  A new policy is ~30 lines: a [next_slot] function and,
+    optionally, a batched [next_batch], instead of a hand-rolled copy of
+    the slot loop and its result bookkeeping.  Work a policy does around
+    its decision (a fault clock, re-planning, audit logging, as in
+    {!Resilient}) lives inside those functions. *)
 
 type stepper = {
   next_slot : Switchsim.Simulator.t -> Switchsim.Simulator.transfer list;
@@ -21,19 +23,10 @@ type stepper = {
       (** event-driven decision: the slot's transfers plus the number of
           consecutive slots [n] ([1 <= n <= max_n]) they may be replayed
           for without diverging from [next_slot] — see {!skip_bound} for
-          the safety argument.  When present (and no per-slot hooks are
-          installed) the engine drives
+          the safety argument.  When present the engine drives
           {!Switchsim.Simulator.run_batched} instead of the slot loop;
           totals, events and counters must come out identical either
           way. *)
-  pre_slot : (Switchsim.Simulator.t -> unit) option;
-      (** runs before [next_slot] every slot — the fault clock
-          ({!Faults.Injector.tick}), re-planning triggers, etc. *)
-  on_decided :
-    (Switchsim.Simulator.t -> Switchsim.Simulator.transfer list -> unit)
-    option;
-      (** observes the decided transfers before they commit — audit
-          logging, per-tier accounting *)
   matchings : unit -> int;
       (** matchings built so far, folded into {!Engine.result} *)
 }
@@ -50,14 +43,11 @@ val stepper :
     (Switchsim.Simulator.t ->
     max_n:int ->
     Switchsim.Simulator.transfer list * int) ->
-  ?pre_slot:(Switchsim.Simulator.t -> unit) ->
-  ?on_decided:
-    (Switchsim.Simulator.t -> Switchsim.Simulator.transfer list -> unit) ->
   ?matchings:(unit -> int) ->
   (Switchsim.Simulator.t -> Switchsim.Simulator.transfer list) ->
   stepper
-(** Stepper with defaults: no hooks, zero matchings, no batched decision
-    (the engine falls back to the slot-by-slot loop). *)
+(** Stepper with defaults: zero matchings, no batched decision (the
+    engine falls back to the slot-by-slot loop). *)
 
 val describe : t -> string
 

@@ -16,7 +16,6 @@ type config = {
   lp_max_iterations : int;
   lp_retries : int;
   lp_warm_start : bool;
-  replan_on_fault : bool;
   max_slots : int;
 }
 
@@ -26,7 +25,6 @@ let default_config =
     lp_max_iterations = 200_000;
     lp_retries = 1;
     lp_warm_start = true;
-    replan_on_fault = true;
     max_slots = 10_000_000;
   }
 
@@ -34,6 +32,7 @@ type result = {
   completion : int array;
   twct : float;
   slots : int;
+  decisions : int;
   tier_slots : (tier * int) list;
   replans : int;
   lp_failures : int;
@@ -65,15 +64,45 @@ let residual_instance inst sim =
   in
   (keep, Instance.make ~ports:(Instance.ports inst) coflows)
 
+let lp_tier ~max_iterations ~deadline ~retries ~warm_start ~warm ~ids ~origin
+    ~on_failure inst =
+  let inv = Hashtbl.create (Array.length ids) in
+  Array.iteri (fun i id -> Hashtbl.replace inv id i) ids;
+  let warm_start =
+    if not warm_start then None
+    else
+      Option.map
+        (Lp_relax.remap_hints ~index_map:(Hashtbl.find_opt inv)
+           ~time_shift:(float_of_int origin))
+        !warm
+  in
+  let rec attempt i deadline =
+    match
+      Lp_relax.solve_interval ~max_iterations ?deadline ?warm_start inst
+    with
+    | lp ->
+      warm :=
+        Option.map
+          (Lp_relax.remap_hints
+             ~index_map:(fun i -> Some ids.(i))
+             ~time_shift:(-.float_of_int origin))
+          lp.Lp_relax.warm;
+      Some lp
+    | exception (Failure _ | Lp_relax.Too_large _ | Invalid_argument _) ->
+      on_failure ();
+      if i < retries then
+        (* back off by doubling the time budget before retrying *)
+        attempt (i + 1) (Option.map (fun d -> 2.0 *. d) deadline)
+      else None
+  in
+  attempt 0 deadline
+
 (* One re-planning round: walk the policy chain from [cfg.primary] down,
    honouring solver outages, and return the first tier that yields an
-   order over original coflow indices.
-
-   [warm] holds the previous LP basis in the ORIGINAL coflow index space
-   with ABSOLUTE times; each round remaps it into the residual instance
-   (drop completed coflows, shift times to "now") and, on success, stores
-   the new basis back in original/absolute terms for the next round.
-   [lp_stats] accumulates (iterations, refactors) over successful solves. *)
+   order over original coflow indices.  The LP tier runs on the residual
+   instance: [warm] is keyed by original coflow index with absolute
+   times.  [lp_stats] accumulates (iterations, refactors) over successful
+   solves. *)
 let c_replans = Obs.Counter.make "resilient.replans"
 
 let c_lp_failures = Obs.Counter.make "resilient.lp_failures"
@@ -91,55 +120,33 @@ let replan cfg inj inst ~warm ~lp_stats ~on_lp_failure =
   in
   match start with
   | Arrival -> (Arrival, Ordering.arrival inst)
-  | Rho ->
+  | Rho | Lp ->
     let keep, resid = residual_instance inst sim in
-    (Rho, Array.map (fun i -> keep.(i)) (Ordering.by_load_over_weight resid))
-  | Lp ->
-    let keep, resid = residual_instance inst sim in
-    let inv = Hashtbl.create (Array.length keep) in
-    Array.iteri (fun i orig -> Hashtbl.replace inv orig i) keep;
-    let warm_start =
-      if not cfg.lp_warm_start then None
+    let lp =
+      if start = Rho then None
       else
-        Option.map
-          (Lp_relax.remap_hints
-             ~index_map:(fun orig -> Hashtbl.find_opt inv orig)
-             ~time_shift:(float_of_int now))
-          !warm
+        lp_tier ~max_iterations:cfg.lp_max_iterations
+          ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
+          ~warm_start:cfg.lp_warm_start ~warm ~ids:keep ~origin:now
+          ~on_failure:on_lp_failure resid
     in
-    let rec attempt i deadline =
-      match
-        Lp_relax.solve_interval ~max_iterations:cfg.lp_max_iterations
-          ?deadline ?warm_start resid
-      with
-      | lp -> Some lp
-      | exception (Failure _ | Lp_relax.Too_large _ | Invalid_argument _) ->
-        on_lp_failure ();
-        if i < cfg.lp_retries then
-          (* back off by doubling the time budget before retrying *)
-          attempt (i + 1) (Option.map (fun d -> 2.0 *. d) deadline)
-        else None
+    let tier, order =
+      match lp with
+      | Some { Lp_relax.iterations; refactors; order; _ } ->
+        let i, r = !lp_stats in
+        lp_stats := (i + iterations, r + refactors);
+        (Lp, order)
+      | None -> (Rho, Ordering.by_load_over_weight resid)
     in
-    (match attempt 0 cfg.lp_deadline with
-    | Some lp ->
-      let iters, refs = !lp_stats in
-      lp_stats := (iters + lp.Lp_relax.iterations, refs + lp.Lp_relax.refactors);
-      warm :=
-        Option.map
-          (Lp_relax.remap_hints
-             ~index_map:(fun i -> Some keep.(i))
-             ~time_shift:(-.float_of_int now))
-          lp.Lp_relax.warm;
-      (Lp, Array.map (fun i -> keep.(i)) lp.Lp_relax.order)
-    | None ->
-      (Rho, Array.map (fun i -> keep.(i)) (Ordering.by_load_over_weight resid)))
+    (tier, Array.map (Array.get keep) order)
 
 let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   Obs.Span.with_ "resilient.run" @@ fun () ->
   let ports = Instance.ports inst in
   let inj = Injector.create ?net ~plan ~ports (Instance.demands inst) in
   let sim = Injector.sim inj in
-  let lp_failures = ref 0 and replans = ref 0 in
+  let faults = Injector.faults inj in
+  let lp_failures = ref 0 and replans = ref 0 and decisions = ref 0 in
   let warm = ref None and lp_stats = ref (0, 0) in
   let on_lp_failure () =
     incr lp_failures;
@@ -151,6 +158,7 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   let tier = ref config.primary in
   let need_replan = ref true in
   let boundaries = ref (Fault_plan.boundaries plan) in
+  let view = Policy.live_view () in
   (* open "replan" trace slice: (async id, tier it planned with) *)
   let open_plan = ref None in
   let close_plan ~slot =
@@ -160,15 +168,18 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
       Obs.Trace.async_end ~name:(tier_name t) ~cat:"replan" ~id ~slot;
       open_plan := None
   in
-  let pre_slot s =
+  (* One decision: tick, drain the due fault boundaries, re-plan if one was
+     crossed, serve greedily.  It holds for [skip_bound] slots up to the
+     next fault-state change and the next boundary (a solver-outage edge
+     changes no serving state but forces a re-plan). *)
+  let decide s ~max_n =
     Injector.tick inj;
     let now = Simulator.now s in
-    (* a fault boundary invalidates the current plan *)
     let rec drain () =
       match !boundaries with
       | b :: rest when b <= now ->
         boundaries := rest;
-        if config.replan_on_fault then need_replan := true;
+        need_replan := true;
         if Obs.Trace.enabled () then
           Obs.Trace.instant ~name:"fault-boundary" ~cat:"fault" ~slot:b ();
         drain ()
@@ -190,25 +201,33 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
       incr replans;
       Obs.Counter.incr c_replans;
       need_replan := false
-    end
+    end;
+    incr decisions;
+    let transfers =
+      Policy.greedy_matching ~faults s
+        ~priority:(Policy.live_slice view s !order ~pos:0)
+    in
+    let next = match !boundaries with b :: _ -> b | [] -> max_int in
+    let n =
+      Policy.skip_bound s transfers
+        ~max_n:(min max_n (min (Fault_plan.stable_until faults) next - now))
+    in
+    let i = tier_index !tier in
+    tier_counts.(i) <- tier_counts.(i) + n;
+    let entry = { Audit.tier = tier_name !tier; transfers } in
+    for _ = 1 to n do log := entry :: !log done;
+    (transfers, n)
   in
-  let on_decided _s transfers =
-    tier_counts.(tier_index !tier) <- tier_counts.(tier_index !tier) + 1;
-    log := { Audit.tier = tier_name !tier; transfers } :: !log
-  in
-  let faults = Injector.faults inj in
   let policy =
     Policy.make ~describe:"resilient" (fun _ ->
-        let view = Policy.live_view () in
-        Policy.stepper ~pre_slot ~on_decided (fun s ->
-            Policy.greedy_matching ~faults s
-              ~priority:(Policy.live_slice view s !order ~pos:0)))
+        Policy.stepper ~next_batch:decide (fun s -> fst (decide s ~max_n:1)))
   in
   let er = Engine.run ~max_slots:config.max_slots ~sim inst policy in
   if Obs.Trace.enabled () then close_plan ~slot:(Simulator.now sim);
   { completion = er.Engine.completion;
     twct = er.Engine.twct;
     slots = er.Engine.slots;
+    decisions = !decisions;
     tier_slots = List.map (fun t -> (t, tier_counts.(tier_index t))) all_tiers;
     replans = !replans;
     lp_failures = !lp_failures;

@@ -22,10 +22,12 @@
     the audit log and summed in [tier_slots].
 
     Service itself is {!Policy.greedy_matching} over the injector's
-    compiled fault state, one slot at a time, so every emitted slot is
-    also checked by the simulator's validate hook; the returned
-    {!Faults.Audit.t} can be re-certified independently with
-    {!Faults.Audit.check}.
+    compiled fault state, batched like every other greedy policy: a
+    decision holds for {!Policy.skip_bound} slots, capped at the next
+    fault-state change ({!Faults.Fault_plan.stable_until}) and the next
+    fault boundary.  Every slot is checked by the simulator's validate
+    hook and logged; the returned {!Faults.Audit.t} can be re-certified
+    independently with {!Faults.Audit.check}.
 
     Determinism: with [lp_deadline = None] (or a deadline the solves never
     approach) the whole run is a pure function of instance, plan and
@@ -37,6 +39,9 @@ type tier = Lp | Rho | Arrival
 
 val tier_name : tier -> string
 (** ["lp"], ["rho"], ["arrival"] — the audit-log labels. *)
+
+val tier_index : tier -> int
+(** The position in {!all_tiers}. *)
 
 val all_tiers : tier list
 
@@ -52,19 +57,19 @@ type config = {
           (remapped to the residual index space and time origin); the basis
           is validated by the solver and falls back to the crash basis when
           stale, so this only reduces simplex effort *)
-  replan_on_fault : bool;
-      (** recompute the order at fault boundaries (otherwise only once) *)
   max_slots : int;  (** safety valve against never-ending plans *)
 }
 
 val default_config : config
-(** [Lp] primary, 5 s deadline, 200k pivots, one retry, warm-starting and
-    re-planning on. *)
+(** [Lp] primary, 5 s deadline, 200k pivots, one retry, warm-starting
+    on. *)
 
 type result = {
   completion : int array;
   twct : float;
   slots : int;
+  decisions : int;
+      (** decisions taken; each covers one or more consecutive slots *)
   tier_slots : (tier * int) list;
       (** slots served per tier, in [all_tiers] order *)
   replans : int;  (** re-planning rounds, including the initial one *)
@@ -77,9 +82,26 @@ type result = {
       (** per-slot tier + transfers, ready for {!Faults.Audit.check} *)
   engine : Engine.result;
       (** the underlying engine run ([completion], [twct] and [slots] above
-          are its fields); the per-slot hooks keep it slot by slot, so it
-          took exactly [slots] decisions *)
+          are its fields) *)
 }
+
+val lp_tier :
+  max_iterations:int ->
+  deadline:float option ->
+  retries:int ->
+  warm_start:bool ->
+  warm:Lp_relax.warm_hints option ref ->
+  ids:int array ->
+  origin:int ->
+  on_failure:(unit -> unit) ->
+  Workload.Instance.t ->
+  Lp_relax.result option
+(** The chain's LP tier, which {!run} and the service's epoch planner
+    share.  [warm] is a basis keyed by caller ids ([ids.(i)] for coflow
+    [i]) at absolute times (slot 0 is [origin]).  Solve with it (if
+    [warm_start]) under [max_iterations] pivots and [deadline]; on each
+    failure call [on_failure] and retry, [retries] times, with a doubled
+    deadline; store the new basis back in [warm].  [None]: use H_rho. *)
 
 val run :
   ?config:config ->

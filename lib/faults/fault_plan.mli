@@ -3,7 +3,7 @@
     A plan is a list of timed events describing runtime degradation of the
     [m x m] switch and of the workload information the scheduler relies on:
     port outages, per-link slowdowns, core-capacity degradation (see
-    {!Faults.Injector.effective_capacity}), straggler coflows whose
+    {!core_budget}), straggler coflows whose
     remaining demand inflates mid-run, delayed releases, and solver
     outages that knock out tiers of the scheduling stack.
 

@@ -24,15 +24,6 @@ let link_on_duty st ~src ~dst =
   land (1 lsl Matrix.Bits.bit_of dst)
   = 0
 
-let pair_ok t ~slot ~src ~dst =
-  Fault_plan.refresh t.faults ~slot;
-  port_up t.faults src && port_up t.faults dst
-  && link_on_duty t.faults ~src ~dst
-
-let effective_capacity t ~slot =
-  Fault_plan.refresh t.faults ~slot;
-  Fault_plan.core_budget t.faults
-
 (* The validate hook's per-transfer scan over the compiled state, checks
    and messages in the order the audit uses; a top-level recursion, so a
    slot allocates nothing unless it is rejected. *)
@@ -83,6 +74,27 @@ let create ?net ~plan ~ports demands =
   let net = match net with Some n -> n | None -> Net.single ~ports in
   Fault_plan.validate_exn ~fabrics:(Net.k net) ~ports
     ~coflows:(List.length demands) plan;
+  let stragglers = Fault_plan.stragglers plan in
+  (* [tick] multiplies a coflow's remaining demand by each of its factors
+     in turn: the product with the full demand must stay an int *)
+  if stragglers <> [] then begin
+    let demands = Array.of_list demands and grown = Hashtbl.create 8 in
+    List.iter
+      (fun (_, k, factor) ->
+        let total =
+          match Hashtbl.find_opt grown k with
+          | Some v -> v
+          | None -> Matrix.Mat.total (snd demands.(k))
+        in
+        if total > max_int / factor then
+          invalid_arg
+            (Printf.sprintf
+               "Injector.create: straggler factor %d overflows the demand of \
+                coflow %d"
+               factor k);
+        Hashtbl.replace grown k (total * factor))
+      stragglers
+  end;
   let faults = Fault_plan.compile plan net in
   (* delayed releases are known at admission time: fold them into the
      release dates before the simulator is built *)
@@ -103,7 +115,7 @@ let create ?net ~plan ~ports demands =
   { plan;
     faults;
     sim;
-    stragglers = Array.of_list (Fault_plan.stragglers plan);
+    stragglers = Array.of_list stragglers;
     next_straggler = 0;
   }
 

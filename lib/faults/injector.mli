@@ -7,7 +7,7 @@
       allows — so a policy cannot cheat the faults any more than it can
       cheat the matching constraints — and any batch that would run past
       the next fault-state change;
-    - {b the fault clock}: {!tick}, called once per slot before the policy,
+    - {b the fault clock}: {!tick}, called before every decision,
       refreshes the compiled fault state and fires due straggler events by
       growing remaining demand in place (release delays are folded into
       the release dates at creation).
@@ -28,10 +28,13 @@ val create :
   t
 (** Build the faulted simulator on [net] (default
     {!Switchsim.Net.single}).  Core-capacity degradation tightens the
-    per-slot core budget (see {!effective_capacity}); the plan may contain
-    {!Fault_plan.Fabric_down} events, which the validate hook enforces.
-    @raise Invalid_argument if the plan fails {!Fault_plan.validate} or
-    the net's port count disagrees with [ports]. *)
+    per-slot core budget (see {!Fault_plan.core_budget}); the plan may
+    contain {!Fault_plan.Fabric_down} events, which the validate hook
+    enforces.
+    @raise Invalid_argument if the plan fails {!Fault_plan.validate}, the
+    net's port count disagrees with [ports], or a coflow's straggler
+    factors, multiplied into its total demand, would exceed [max_int]
+    (the message names the factor and the coflow). *)
 
 val sim : t -> Switchsim.Simulator.t
 
@@ -45,14 +48,3 @@ val tick : t -> unit
 (** Refresh the compiled state at the current slot and apply every fault
     event due there (idempotent per slot; call exactly once before
     querying a policy). *)
-
-val pair_ok : t -> slot:int -> src:int -> dst:int -> bool
-(** Both ports up and the link on its duty cycle. *)
-
-val effective_capacity : t -> slot:int -> int
-(** Core budget for the slot, {!Fault_plan.core_budget}: the sum over
-    fabrics of each fabric's core capacity (its port count when
-    non-blocking), tightened by any active {!Fault_plan.Core_degraded}
-    event.  A transfer counts against it iff it crosses the core of an
-    oversubscribed fabric, or rides a non-blocking one (aggregate switch
-    degradation). *)

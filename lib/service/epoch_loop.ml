@@ -207,11 +207,6 @@ type entry = {
   mutable straggled : bool;  (* already hit by a straggler event *)
 }
 
-let tier_index = function
-  | Resilient.Lp -> 0
-  | Resilient.Rho -> 1
-  | Resilient.Arrival -> 2
-
 (* mutable accumulator behind [stats] *)
 type st = {
   mutable s_arrived : int;
@@ -239,9 +234,9 @@ type st = {
 
 (* Walk the degradation chain for one epoch: solver outage in the epoch's
    plan or SLO pressure (live set too big for an in-epoch solve) skip the
-   LP outright; otherwise attempt the LP under its budgets with the
-   previous epoch's warm basis, falling back to H_rho.  [warm] holds the
-   last exported basis keyed by GLOBAL coflow id with ABSOLUTE times. *)
+   LP outright; otherwise run Resilient's LP tier with the previous
+   epoch's warm basis, falling back to H_rho.  [warm] holds the last
+   exported basis keyed by GLOBAL coflow id with ABSOLUTE times. *)
 let plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst =
   let n = Array.length entries in
   let degrade cause counter =
@@ -281,45 +276,25 @@ let plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst =
       degrade "slo_pressure" c_degrade_slo;
       (Resilient.Rho, Ordering.by_load_over_weight inst)
     end
-    else begin
-      let inv = Hashtbl.create (max 1 n) in
-      Array.iteri (fun i e -> Hashtbl.replace inv e.id i) entries;
-      let warm_start =
-        if not cfg.lp_warm_start then None
-        else
-          Option.map
-            (Lp_relax.remap_hints
-               ~index_map:(fun gid -> Hashtbl.find_opt inv gid)
-               ~time_shift:(float_of_int epoch_start))
-            !warm
+    else
+      let on_failure () =
+        st.s_lp_failures <- st.s_lp_failures + 1;
+        Obs.Counter.incr c_lp_failures
       in
-      let rec attempt i deadline =
-        match
-          Lp_relax.solve_interval ~max_iterations:cfg.lp_max_iterations
-            ?deadline ?warm_start inst
-        with
-        | lp -> Some lp
-        | exception (Failure _ | Lp_relax.Too_large _ | Invalid_argument _) ->
-          st.s_lp_failures <- st.s_lp_failures + 1;
-          Obs.Counter.incr c_lp_failures;
-          if i < cfg.lp_retries then
-            attempt (i + 1) (Option.map (fun d -> 2.0 *. d) deadline)
-          else None
-      in
-      match Obs.Span.with_ "service.solve" (fun () -> attempt 0 cfg.lp_deadline) with
+      match
+        Obs.Span.with_ "service.solve" (fun () ->
+            Resilient.lp_tier ~max_iterations:cfg.lp_max_iterations
+              ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
+              ~warm_start:cfg.lp_warm_start ~warm
+              ~ids:(Array.map (fun e -> e.id) entries)
+              ~origin:epoch_start ~on_failure inst)
+      with
       | Some lp ->
         st.s_lp_iterations <- st.s_lp_iterations + lp.Lp_relax.iterations;
-        warm :=
-          Option.map
-            (Lp_relax.remap_hints
-               ~index_map:(fun i -> Some entries.(i).id)
-               ~time_shift:(-.float_of_int epoch_start))
-            lp.Lp_relax.warm;
         (Resilient.Lp, lp.Lp_relax.order)
       | None ->
         degrade "lp_budget" c_degrade_lp;
         (Resilient.Rho, Ordering.by_load_over_weight inst)
-    end
 
 let c_batched = Obs.Counter.make "service.batched_slots"
 
@@ -483,7 +458,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     let tier, order = plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst in
     let tname = Resilient.tier_name tier in
     Fingerprint.str fp "T";
-    Fingerprint.int fp (tier_index tier);
+    Fingerprint.int fp (Resilient.tier_index tier);
     let checker = Audit.checker ~net ~plan ~ports () in
     let recorded = Array.make n false in
     let record_completion k c_abs =
@@ -576,8 +551,8 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     let slots_run = Simulator.now sim in
     now := epoch_start + slots_run;
     st.s_slots <- st.s_slots + slots_run;
-    st.s_tier_slots.(tier_index tier) <-
-      st.s_tier_slots.(tier_index tier) + slots_run;
+    st.s_tier_slots.(Resilient.tier_index tier) <-
+      st.s_tier_slots.(Resilient.tier_index tier) + slots_run;
     Obs.Counter.incr c_slots ~by:slots_run;
     st.s_epochs <- st.s_epochs + 1;
     Obs.Counter.incr c_epochs;
@@ -684,7 +659,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     idle_jumps = st.s_idle_jumps;
     tier_slots =
       List.map
-        (fun t -> (t, st.s_tier_slots.(tier_index t)))
+        (fun t -> (t, st.s_tier_slots.(Resilient.tier_index t)))
         Resilient.all_tiers;
     degradations = st.s_degradations;
     slo_degradations = st.s_slo_degradations;

@@ -14,7 +14,8 @@
       fault-injected simulator over the live set's {e residual} demands;
     + re-solves the coflow order, walking the degradation chain
       [H_LP -> H_rho -> H_A] (the {!Core.Resilient} chain, now across
-      epochs): the LP runs under [lp_deadline] wall-clock seconds and
+      epochs, whose LP tier {!Core.Resilient.lp_tier} it calls): the LP
+      runs under [lp_deadline] wall-clock seconds and
       [lp_max_iterations] pivots with [lp_retries] doubled-budget retries,
       warm-started from the previous epoch's exported basis (remapped from
       global coflow ids and shifted by the elapsed slots); a solver outage

@@ -341,8 +341,10 @@ let test_injector_dead_port () =
       Simulator.step sim [ t 1 0 0 ]);
   Simulator.step sim [ t 1 1 0 ];
   check_int "healthy pair served" 5 (Simulator.remaining_total sim 0);
-  Alcotest.(check bool) "pair_ok reflects outage" false
-    (Injector.pair_ok inj ~slot:1 ~src:0 ~dst:1);
+  (let st = Injector.faults inj in
+   Fault_plan.refresh st ~slot:1;
+   Alcotest.(check int) "state has port 0 down" 0
+     (Fault_plan.port_up_word st 0 land 1));
   (* outage lifts at slot 2 *)
   Simulator.step sim [];
   Injector.tick inj;
@@ -376,7 +378,9 @@ let test_injector_aggregate_core_cap () =
   let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
-  check_int "capacity tightened" 1 (Injector.effective_capacity inj ~slot:0);
+  (let st = Injector.faults inj in
+   Fault_plan.refresh st ~slot:0;
+   check_int "capacity tightened" 1 (Fault_plan.core_budget st));
   expect_invalid_slot "two transfers over cap" (fun () ->
       Simulator.step sim [ t 0 0 0; t 1 1 0 ]);
   Simulator.step sim [ t 0 0 0 ];
@@ -432,6 +436,52 @@ let test_injector_rejects_bad_plan () =
   in
   expect_invalid_arg "plan outside geometry" (fun () ->
       ignore (Injector.create ~plan ~ports:2 [ (0, fig1 ()) ]))
+
+(* A straggler factor that would grow a coflow's demand past [max_int] is
+   refused when the injector is built, with an error naming it, instead
+   of wrapping around inside [tick]. *)
+let test_injector_straggler_overflow () =
+  let inst =
+    Workload.Synthetic.uniform ~density:0.6 ~max_size:4 ~ports:3 ~coflows:3
+      (Random.State.make [| 1 |])
+  in
+  let rejected label f =
+    match f () with
+    | () -> Alcotest.fail (label ^ ": expected Invalid_argument")
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (label ^ ": named error") true
+        (Astring.String.is_infix ~affix:"straggler factor" msg
+        && Astring.String.is_infix ~affix:"coflow 0" msg)
+  in
+  List.iter
+    (fun factor ->
+      let plan =
+        Fault_plan.of_string
+          (Printf.sprintf "coflow-faults v1\nstraggler 0 1 %d\n" factor)
+      in
+      rejected (string_of_int factor) (fun () ->
+          ignore (Core.Resilient.run ~plan inst)))
+    [ 4611686018427387903; 2305843009213693952 ];
+  let big at = Fault_plan.Straggler { coflow = 0; at; factor = 2147483648 } in
+  let create events () =
+    ignore
+      (Injector.create ~plan:(Fault_plan.make events) ~ports:3
+         (Workload.Instance.demands inst))
+  in
+  create [ big 1 ] ();
+  create [ big 2 ] ();
+  rejected "two 2^31 stragglers" (create [ big 1; big 2 ]);
+  let r =
+    Core.Resilient.run
+      ~plan:
+        (Fault_plan.make
+           [ Fault_plan.Straggler { coflow = 0; at = 1; factor = 1000 } ])
+      inst
+  in
+  Alcotest.(check bool) "factor 1000 completes" true
+    (Array.for_all (fun c -> c > 0) r.Core.Resilient.completion);
+  check_int "factor 1000 slots" 10017 r.Core.Resilient.slots;
+  check_int "factor 1000 decisions" 15 r.Core.Resilient.decisions
 
 (* fig1 coflows released at slot 0, served in arrival order: the fault
    loop with nothing but the greedy service in it *)
@@ -774,6 +824,107 @@ let test_resilient_rho_primary_skips_lp () =
     (List.assoc Core.Resilient.Lp r.Core.Resilient.tier_slots);
   check_int "all slots rho" r.Core.Resilient.slots
     (List.assoc Core.Resilient.Rho r.Core.Resilient.tier_slots)
+
+(* Everything a run reports, as one string: the audit text, completions,
+   the TWCT's bits, slots, replans, LP failures, pivots, refactors and
+   per-tier slots. *)
+let resilient_fingerprint (r : Core.Resilient.result) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Audit.to_string r.Core.Resilient.audit);
+  Array.iter (Printf.bprintf b "%d,") r.Core.Resilient.completion;
+  Printf.bprintf b "|%Ld|%d|%d|%d|%d|%d|"
+    (Int64.bits_of_float r.Core.Resilient.twct)
+    r.Core.Resilient.slots r.Core.Resilient.replans
+    r.Core.Resilient.lp_failures r.Core.Resilient.lp_iterations
+    r.Core.Resilient.lp_refactors;
+  List.iter (fun (_, n) -> Printf.bprintf b "%d," n) r.Core.Resilient.tier_slots;
+  Buffer.contents b
+
+(* Seeded instances with staggered releases and mixed weights, so the
+   grid crosses release gaps as well as fault boundaries. *)
+let digest_instance ~ports ~coflows seed =
+  let st = Random.State.make [| seed; ports; coflows |] in
+  let base =
+    Workload.Synthetic.uniform ~density:0.5 ~max_size:4 ~ports ~coflows st
+  in
+  Workload.Instance.make ~ports
+    (List.init coflows (fun k ->
+         let weight = float_of_int (1 + Random.State.int st 4) in
+         let release = Random.State.int st 8 in
+         { (Workload.Instance.coflow base k) with
+           Workload.Instance.release;
+           weight;
+         }))
+
+(* One MD5 over 288 seeded runs: two sizes, four nets, three fault
+   intensities, every primary tier, and the default config next to a
+   3-pivot budget with no retry (so the LP tier fails and falls through).
+   The pinned value was captured from the slot-by-slot serving loop, so
+   any change in how the loop serves, plans or logs shows here. *)
+let test_resilient_digest () =
+  let nets ports =
+    [ Net.single ~ports;
+      Net.two_tier ~ports ~rack_size:2 ~core_capacity:(ports / 3);
+      Net.uniform ~ports ~rates:[ 4; 1 ];
+      Net.uniform ~ports ~rates:[ 2; 1; 1 ];
+    ]
+  in
+  let configs primary =
+    let d = { Core.Resilient.default_config with Core.Resilient.primary } in
+    [ d; { d with Core.Resilient.lp_max_iterations = 3; lp_retries = 0 } ]
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (ports, coflows) ->
+          let inst = digest_instance ~ports ~coflows seed in
+          List.iter
+            (fun net ->
+              List.iter
+                (fun intensity ->
+                  let plan =
+                    Fault_plan.random ~intensity ~fabrics:(Net.k net) ~ports
+                      ~coflows ~horizon:(2 * coflows)
+                      (Random.State.make [| seed; 0xD16; ports |])
+                  in
+                  List.iter
+                    (fun primary ->
+                      List.iter
+                        (fun config ->
+                          Buffer.add_string b
+                            (resilient_fingerprint
+                               (Core.Resilient.run ~config ~net ~plan inst)))
+                        (configs primary))
+                    Core.Resilient.all_tiers)
+                [ 0.0; 1.0; 2.5 ])
+            (nets ports))
+        [ (3, 4); (6, 12) ])
+    [ 1; 2 ];
+  Alcotest.(check string) "digest of 288 runs" "1ba15797a26bd80fa96f2c96a3e51461"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* A faulted run decides fewer times than it has slots: each decision is
+   one batch step of the simulator, and the audit and the tier counts
+   still cover every slot. *)
+let test_resilient_batches () =
+  let inst = digest_instance ~ports:6 ~coflows:12 1 in
+  let plan =
+    Fault_plan.random ~intensity:1.0 ~ports:6 ~coflows:12 ~horizon:24
+      (Random.State.make [| 1; 0xD16; 6 |])
+  in
+  Alcotest.(check bool) "faulted" false (Fault_plan.is_empty plan);
+  let steps = Obs.Counter.make "sim.batch_steps" in
+  let before = Obs.Counter.value steps in
+  let r = Core.Resilient.run ~plan inst in
+  Alcotest.(check bool) "fewer decisions than slots" true
+    (r.Core.Resilient.decisions < r.Core.Resilient.slots);
+  check_int "one batch step per decision" r.Core.Resilient.decisions
+    (Obs.Counter.value steps - before);
+  check_int "audit covers every slot" r.Core.Resilient.slots
+    (Audit.num_slots r.Core.Resilient.audit);
+  check_int "tier slots cover every slot" r.Core.Resilient.slots
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Core.Resilient.tier_slots)
 
 let test_resilient_max_slots () =
   let plan =
@@ -1200,6 +1351,8 @@ let () =
             test_injector_release_delay;
           Alcotest.test_case "bad plan rejected" `Quick
             test_injector_rejects_bad_plan;
+          Alcotest.test_case "straggler overflow" `Quick
+            test_injector_straggler_overflow;
           Alcotest.test_case "run completes" `Quick
             test_injector_run_completes;
           Alcotest.test_case "run budget" `Quick test_injector_run_budget;
@@ -1252,6 +1405,8 @@ let () =
             test_resilient_fabric_down_replans;
           Alcotest.test_case "per-fabric core budget" `Quick
             test_resilient_per_fabric_core_budget;
+          Alcotest.test_case "digest" `Quick test_resilient_digest;
+          Alcotest.test_case "batches" `Quick test_resilient_batches;
         ] );
       ( "lp-deadline",
         [ Alcotest.test_case "zero deadline" `Quick test_simplex_zero_deadline ]
