@@ -23,7 +23,7 @@ val decompose : Matrix.Mat.t -> schedule
     matrices.  The first matching is Kuhn's on the support, rows ascending
     and each row's columns ascending; after each peel the rows whose matched
     entry vanished are re-augmented, highest row first.  A matching costs
-    O(m) words and time plus that repair, and one map write per entry that
+    O(m) words and time plus that repair, and one matrix write per entry that
     leaves the matching.  The input is not modified.
     @raise Invalid_argument if some row or column sum differs from [rho]. *)
 

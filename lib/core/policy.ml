@@ -56,6 +56,12 @@ let close_pool net ~words ~m free_dst n_dst core_left =
     else core_left.(f) <- 0
   done
 
+(* a word with the bits below [n] set, for any [n] *)
+let below n =
+  if n <= 0 then 0
+  else if n >= Matrix.Bits.bits_per_word then -1
+  else Matrix.Bits.low_mask n
+
 let greedy_matching ?(init = []) ?faults sim ~priority =
   let m = Simulator.ports sim in
   let net = Simulator.net sim in
@@ -104,8 +110,7 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      the scan: down ports start out claimed, a dead fabric has every port
      claimed, and one pooled budget sits on top of the per-fabric ones
      ([close_pool] once it is spent).  Without a plan the pool is
-     [max_int] and never read again, so the scan below runs as it always
-     did, plus the off-duty word per row word. *)
+     [max_int] and never read again. *)
   let pool = ref max_int in
   (match faults with
   | None -> ()
@@ -130,10 +135,20 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      a claimed source blocks the rest of its row — and works wholesale on
      bitset words: a coflow's candidate sources are
      [live_rows land free_src] (one [land] per word covers 62 ports), and
-     a row's first usable destination is the lowest set bit of
-     [row_support land free_dst], restricted to the source's rack when
-     the fabric's core budget is spent (rack-local pairs stay admissible
-     after the core fills — the budget can never starve them).
+     a row's destination is the lowest set bit of
+     [row_support land free_dst], found by one
+     [Simulator.remaining_first_dst] probe.  The dev build compiles every
+     module opaquely, so no call across modules is inlined: the probe is
+     one call per candidate row, not a few per word.
+
+     A row is restricted when this fabric's core budget is spent (only
+     the source's rack stays admissible: rack-local pairs can never be
+     starved by the budget), under a fault plan (its off-duty links are
+     masked out) or on k > 1 fabrics (an entry already taken on a faster
+     fabric is skipped).  Its probe reads [scratch], filled with
+     [free_dst] narrowed to the rack and stripped of off-duty links; a
+     taken hit clears its bit there and probes again.
+
      Lowest-bit iteration is exactly ascending row / ascending column
      order, so the result is the very matching the naive entry-by-entry
      greedy scan produces.  Once every src (or every dst) of a fabric is
@@ -144,6 +159,8 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      ref or tuple is built per coflow or per candidate, so a call
      allocates the returned transfers and the O(k * words) scratch
      above, nothing else. *)
+  let masked = match faults with Some _ -> true | None -> kf > 1 in
+  let scratch = Array.make words 0 in
   let transfers = ref init and visited = ref 0 in
   let order = Net.by_rate net in
   for o = 0 to kf - 1 do
@@ -168,61 +185,59 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
             let b = !cand land - !cand in
             cand := !cand lxor b;
             let i = (w * bpw) + Matrix.Bits.ntz b in
-            (* admissible dsts [lo, hi): the whole row, or the source's
-               rack once this fabric's core budget is exhausted *)
-            let lo = if core_left.(f) > 0 then 0 else i / rack * rack in
-            let hi = if core_left.(f) > 0 then m else min m (lo + rack) in
-            let w2 = ref (lo / bpw) and last = (hi - 1) / bpw in
-            while !w2 <= last do
-              let base = !w2 * bpw in
-              let in_range =
-                (if hi - base >= bpw then -1
-                 else Matrix.Bits.low_mask (hi - base))
-                land lnot
-                       (if lo <= base then 0
-                        else Matrix.Bits.low_mask (lo - base))
-              in
-              let off_duty =
-                match faults with
-                | None -> 0
-                | Some st -> Faults.Fault_plan.off_duty_word st ~src:i !w2
-              in
-              let rb =
-                ref
-                  (Simulator.remaining_row_mask sim k i !w2
-                  land free_dst.(fw + !w2)
-                  land in_range land lnot off_duty)
-              in
-              while !rb <> 0 do
-                let db = !rb land - !rb in
-                rb := !rb lxor db;
-                let j = base + Matrix.Bits.ntz db in
-                let dup =
-                  match taken with
-                  | Some tbl -> Hashtbl.mem tbl (key k i j)
-                  | None -> false
+            let j =
+              if core_left.(f) > 0 && not masked then
+                Simulator.remaining_first_dst sim k i ~avail:free_dst ~off:fw
+              else begin
+                (* admissible dsts [lo, hi): the whole row, or the
+                   source's rack once the core budget is spent *)
+                let lo = if core_left.(f) > 0 then 0 else i / rack * rack in
+                let hi = if core_left.(f) > 0 then m else min m (lo + rack) in
+                for w2 = 0 to words - 1 do
+                  let base = w2 * bpw in
+                  let off_duty =
+                    match faults with
+                    | None -> 0
+                    | Some st -> Faults.Fault_plan.off_duty_word st ~src:i w2
+                  in
+                  scratch.(w2) <-
+                    free_dst.(fw + w2)
+                    land below (hi - base)
+                    land lnot (below (lo - base) lor off_duty)
+                done;
+                let j =
+                  ref
+                    (Simulator.remaining_first_dst sim k i ~avail:scratch
+                       ~off:0)
                 in
-                if not dup then begin
-                  claim f k i j;
-                  if
-                    !pool <> max_int
-                    && Faults.Fault_plan.core_counts net ~fabric:f ~src:i
-                         ~dst:j
-                  then begin
-                    decr pool;
-                    if !pool = 0 then
-                      close_pool net ~words ~m free_dst n_dst core_left
-                  end;
-                  transfers :=
-                    { Simulator.src = i; dst = j; coflow = k; fabric = f }
-                    :: !transfers;
-                  (* the row is served: stop scanning it *)
-                  rb := 0;
-                  w2 := last
-                end
-              done;
-              incr w2
-            done
+                (match taken with
+                | None -> ()
+                | Some tbl ->
+                  while !j >= 0 && Hashtbl.mem tbl (key k i !j) do
+                    let w2 = Matrix.Bits.word_of !j in
+                    scratch.(w2) <-
+                      scratch.(w2) lxor (1 lsl Matrix.Bits.bit_of !j);
+                    j :=
+                      Simulator.remaining_first_dst sim k i ~avail:scratch
+                        ~off:0
+                  done);
+                !j
+              end
+            in
+            if j >= 0 then begin
+              claim f k i j;
+              if
+                !pool <> max_int
+                && Faults.Fault_plan.core_counts net ~fabric:f ~src:i ~dst:j
+              then begin
+                decr pool;
+                if !pool = 0 then
+                  close_pool net ~words ~m free_dst n_dst core_left
+              end;
+              transfers :=
+                { Simulator.src = i; dst = j; coflow = k; fabric = f }
+                :: !transfers
+            end
           done
         done
     done;

@@ -43,6 +43,12 @@ let ntz x =
   if !x land 0x1 = 0 then incr n;
   !n
 
+(* Branch-free SWAR count over the 62 payload bits: bit pairs, then
+   nibbles, then bytes, summed into the top byte by one multiply.  The
+   masks stop below the sign bit, and the byte sums (at most 62) never
+   carry, so 63-bit wrap-around cannot disturb the top byte. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56

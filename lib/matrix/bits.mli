@@ -26,4 +26,5 @@ val ntz : int -> int
     set bit, i.e. the first element of the set it encodes. *)
 
 val popcount : int -> int
-(** Number of set bits. *)
+(** Number of set bits of a word with only payload bits set (bits
+    [0 .. bits_per_word - 1]); branch-free. *)

@@ -1,24 +1,29 @@
 (* Sparse nonnegative integer matrix: the one demand representation.
 
-   Each row is an ordered (column -> value) map holding only strictly
-   positive entries; row sums, column sums, the nonzero count and the grand
-   total are maintained incrementally, so the per-update cost is
-   O(log row_nnz) and every aggregate query is O(1) (O(m) for [load]).
+   Row i's strictly positive entries are packed, in ascending column
+   order, at the front of one int array [vals.(i)].  Which columns they
+   belong to is read off the row's column-support bitset, which the
+   matching kernels need anyway: column j sits at the rank of bit j in
+   that bitset, the number of set bits below it.  A read is a bit test
+   plus at most [words] popcounts; a write to a present entry is one
+   store; inserting or removing an entry shifts the row's tail by one
+   slot, and a full row doubles its array (minimum 4).  Row sums, column
+   sums, the nonzero count and the grand total are maintained
+   incrementally, so every aggregate query is O(1) (O(m) for [load]).
 
    Iteration order is a contract: [iter_nonzero] visits entries row-major
    (row ascending, then column ascending).  Greedy matchings, BvN
    decompositions and every golden depend on it.
 
    The layout is flat so a small matrix stays as small as a dense one:
-   besides the row maps, every aggregate lives in one [aux] int array (one
-   block for the GC to promote and copy, not one per view). *)
-
-module Imap = Map.Make (Int)
+   besides the packed rows, every aggregate lives in one [aux] int array
+   (one block for the GC to promote and copy, not one per view). *)
 
 type t = {
   m : int;
   words : int; (* Bits.words_for m *)
-  rows : int Imap.t array; (* rows.(i): col -> value, values > 0 *)
+  vals : int array array;
+      (* vals.(i): row i's values > 0 in column order, then spare slots *)
   aux : int array;
       (* row i's sum at i; column j's sum at m + j; from 2m, the live-row
          set (bit i iff row i has a nonzero) in [words] words, then row
@@ -32,7 +37,7 @@ let make m =
   let words = Bits.words_for m in
   { m;
     words;
-    rows = Array.make m Imap.empty;
+    vals = Array.make m [||];
     aux = Array.make ((2 * m) + ((m + 1) * words)) 0;
     nnz = 0;
     total = 0;
@@ -46,7 +51,31 @@ let check_index d i j =
       (Printf.sprintf "Mat: index (%d, %d) out of range for %dx%d matrix" i j
          d.m d.m)
 
-let find d i j = match Imap.find_opt j d.rows.(i) with Some v -> v | None -> 0
+let row_base d i = (2 * d.m) + ((i + 1) * d.words)
+
+(* Row i's entries strictly left of column j: the support bits below
+   bit j. *)
+let rank d i j =
+  let base = row_base d i and w = Bits.word_of j in
+  let r =
+    ref (Bits.popcount (d.aux.(base + w) land Bits.low_mask (Bits.bit_of j)))
+  in
+  for v = 0 to w - 1 do
+    r := !r + Bits.popcount d.aux.(base + v)
+  done;
+  !r
+
+let row_nnz d i =
+  let base = row_base d i and r = ref 0 in
+  for w = 0 to d.words - 1 do
+    r := !r + Bits.popcount d.aux.(base + w)
+  done;
+  !r
+
+let stored d i j =
+  d.aux.(row_base d i + Bits.word_of j) land (1 lsl Bits.bit_of j) <> 0
+
+let find d i j = if stored d i j then d.vals.(i).(rank d i j) else 0
 
 let get d i j =
   check_index d i j;
@@ -54,22 +83,45 @@ let get d i j =
 
 let flip d k b = d.aux.(k) <- d.aux.(k) lxor (1 lsl b)
 
-let row_base d i = (2 * d.m) + ((i + 1) * d.words)
+(* Open a slot for a new entry at position [r] of row i, which holds [n]
+   entries. *)
+let insert_slot d i r n =
+  let row = d.vals.(i) in
+  let row =
+    if n < Array.length row then row
+    else begin
+      let grown = Array.make (max 4 (2 * n)) 0 in
+      Array.blit row 0 grown 0 n;
+      d.vals.(i) <- grown;
+      grown
+    end
+  in
+  Array.blit row r row (r + 1) (n - r);
+  row
+
+let overflow i j =
+  invalid_arg
+    (Printf.sprintf "Mat: entry (%d, %d) would push the total past max_int" i j)
 
 (* The single mutation point: replace [old] (the current entry) by [v]
-   (>= 0) at (i, j) and keep every aggregate in sync. *)
+   (>= 0) at (i, j) and keep every aggregate in sync.  Row and column
+   sums never exceed the total, so the one overflow test covers all
+   three, and it runs before anything is written. *)
 let put d i j ~old v =
   if v <> old then begin
-    d.rows.(i) <-
-      (if v = 0 then Imap.remove j d.rows.(i) else Imap.add j v d.rows.(i));
+    if v - old > max_int - d.total then overflow i j;
+    if old > 0 && v > 0 then d.vals.(i).(rank d i j) <- v
+    else begin
+      let r = rank d i j and n = row_nnz d i in
+      if v = 0 then Array.blit d.vals.(i) (r + 1) d.vals.(i) r (n - r - 1)
+      else (insert_slot d i r n).(r) <- v;
+      d.nnz <- (if old = 0 then d.nnz + 1 else d.nnz - 1);
+      flip d (row_base d i + Bits.word_of j) (Bits.bit_of j)
+    end;
     let was_live = d.aux.(i) > 0 in
     d.aux.(i) <- d.aux.(i) + v - old;
     d.aux.(d.m + j) <- d.aux.(d.m + j) + v - old;
     d.total <- d.total + v - old;
-    if old = 0 || v = 0 then begin
-      d.nnz <- (if old = 0 then d.nnz + 1 else d.nnz - 1);
-      flip d (row_base d i + Bits.word_of j) (Bits.bit_of j)
-    end;
     if was_live <> (d.aux.(i) > 0) then
       flip d ((2 * d.m) + Bits.word_of i) (Bits.bit_of i)
   end
@@ -82,6 +134,7 @@ let set d i j v =
 let add_entry d i j dv =
   check_index d i j;
   let old = find d i j in
+  if dv > max_int - old then overflow i j;
   if old + dv < 0 then invalid_arg "Mat.add_entry: entry would become negative";
   put d i j ~old (old + dv)
 
@@ -105,7 +158,11 @@ let of_arrays rows =
     rows;
   d
 
-let copy d = { d with rows = Array.copy d.rows; aux = Array.copy d.aux }
+let copy d =
+  { d with
+    vals = Array.mapi (fun i row -> Array.sub row 0 (row_nnz d i)) d.vals;
+    aux = Array.copy d.aux;
+  }
 
 let row_sum d i =
   if i < 0 || i >= d.m then invalid_arg "Mat.row_sum: index out of range";
@@ -132,9 +189,23 @@ let nonzero_count d = d.nnz
 
 let is_zero d = d.nnz = 0
 
+(* Row i's entries in column order: the support bits, lowest first, pair
+   up with the packed values. *)
+let iter_row f d i =
+  let row = d.vals.(i) and base = row_base d i and r = ref 0 in
+  for w = 0 to d.words - 1 do
+    let x = ref d.aux.(base + w) in
+    while !x <> 0 do
+      let b = !x land - !x in
+      x := !x lxor b;
+      f i ((w * Bits.bits_per_word) + Bits.ntz b) row.(!r);
+      incr r
+    done
+  done
+
 let iter_nonzero f d =
   for i = 0 to d.m - 1 do
-    Imap.iter (f i) d.rows.(i)
+    iter_row f d i
   done
 
 let map f d =
@@ -147,9 +218,12 @@ let map f d =
     d;
   r
 
+(* A snapshot: later writes to [d] do not show in the sequence. *)
 let row_seq d i =
   if i < 0 || i >= d.m then invalid_arg "Mat.row_seq: index out of range";
-  Imap.to_seq d.rows.(i)
+  let acc = ref [] in
+  iter_row (fun _ j v -> acc := (j, v) :: !acc) d i;
+  List.to_seq (List.rev !acc)
 
 (* Unchecked beyond the array bound: the matching loops call these once
    per coflow and word on every decision. *)
@@ -157,11 +231,31 @@ let live_mask d w = d.aux.((2 * d.m) + w)
 
 let row_mask d i w = d.aux.(row_base d i + w)
 
-(* Map shapes depend on insertion order, so equality must compare the
-   bindings, never the trees: polymorphic [=] on [t] is wrong. *)
+let first_col d i ~avail ~off =
+  let base = row_base d i and w = ref 0 and j = ref (-1) in
+  while !j < 0 && !w < d.words do
+    let x = d.aux.(base + !w) land avail.(off + !w) in
+    if x <> 0 then j := (!w * Bits.bits_per_word) + Bits.ntz x;
+    incr w
+  done;
+  !j
+
+(* The aggregates are functions of the entries, so equal [aux] arrays
+   mean equal supports; the packed values are then compared up to each
+   row's length, never over the spare slots. *)
 let equal a b =
   a.m = b.m && a.nnz = b.nnz && a.total = b.total
-  && Array.for_all2 (Imap.equal Int.equal) a.rows b.rows
+  && Array.for_all2 Int.equal a.aux b.aux
+  &&
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < a.m do
+    let ra = a.vals.(!i) and rb = b.vals.(!i) in
+    for r = 0 to row_nnz a !i - 1 do
+      if ra.(r) <> rb.(r) then ok := false
+    done;
+    incr i
+  done;
+  !ok
 
 let same_dim a b =
   if a.m <> b.m then invalid_arg "Mat: dimension mismatch"

@@ -5,53 +5,66 @@
     All matrices are square ([m x m]) because the switch model in the paper
     is an [m x m] non-blocking crossbar.  Indices are 0-based.
 
-    Only strictly positive entries are stored, one ordered map per row.
-    Row/column sums, the nonzero count and the total are kept up to date
-    by every update, as are two bitset views in the {!Bits} layout (the
-    live-row set and each row's column support) that matching loops
-    intersect with free-port masks.  Every iterator visits entries
-    row-major, column ascending.
+    Only strictly positive entries are stored: row [i] packs its values,
+    in ascending column order, into one int array, and column [j] sits at
+    the rank of bit [j] in the row's column-support bitset (the number of
+    set bits below it).  Row/column sums, the nonzero count and the total
+    are kept up to date by every update, as are two bitset views in the
+    {!Bits} layout (the live-row set and each row's column support) that
+    matching loops intersect with free-port masks.  Every iterator visits
+    entries row-major, column ascending.
 
-    Matrices are mutable and their internal shape depends on insertion
-    order: compare them with {!equal}, never with polymorphic [=]. *)
+    Costs below use [w = Bits.words_for m] (2 at 64 ports, 3 at 150) and
+    [r] for a row's nonzero count.
+
+    Matrices are mutable and their row arrays carry spare slots that
+    depend on the order of updates: compare them with {!equal}, never
+    with polymorphic [=]. *)
 
 type t
 
 val make : int -> t
-(** [make m] is the [m x m] zero matrix.  @raise Invalid_argument if
-    [m <= 0]. *)
+(** [make m] is the [m x m] zero matrix; O(m * w).  @raise
+    Invalid_argument if [m <= 0]. *)
 
 val of_arrays : int array array -> t
-(** [of_arrays rows] builds a matrix from row-major arrays.  The input is
-    copied.  @raise Invalid_argument if the array is not square, empty, or
-    contains a negative entry. *)
+(** [of_arrays rows] builds a matrix from row-major arrays; O(m^2).  The
+    input is copied.  @raise Invalid_argument if the array is not square,
+    empty, or contains a negative entry, or if the entries sum past
+    [max_int]. *)
 
 val copy : t -> t
-(** Independent copy in O(m + words * m): the row maps are immutable and
-    shared, only the arrays around them are copied. *)
+(** Independent copy in O(m * w + nnz): the aggregates, and each row
+    packed into an array of exactly its length. *)
 
 val dim : t -> int
 (** Side length [m]. *)
 
 val get : t -> int -> int -> int
-(** [get d i j] is the demand from ingress [i] to egress [j];
-    O(log row nonzeros).  @raise Invalid_argument on out-of-range
+(** [get d i j] is the demand from ingress [i] to egress [j]: a bit test
+    and at most [w] popcounts.  @raise Invalid_argument on out-of-range
     indices. *)
 
 val set : t -> int -> int -> int -> unit
-(** [set d i j v] stores [v] at [(i, j)].  @raise Invalid_argument on
-    out-of-range indices or [v < 0]. *)
+(** [set d i j v] stores [v] at [(i, j)]: O(w) when the entry stays
+    nonzero (or zero), O(w + r) when it appears or disappears, which
+    shifts the row's tail (and may double its array).  @raise
+    Invalid_argument on out-of-range indices, [v < 0], or a total that
+    would pass [max_int]; the matrix is then unchanged. *)
 
 val add_entry : t -> int -> int -> int -> unit
-(** [add_entry d i j v] adds [v] (possibly negative) to entry [(i, j)].
-    @raise Invalid_argument if the result would be negative. *)
+(** [add_entry d i j v] adds [v] (possibly negative) to entry [(i, j)];
+    costs as {!set}.  @raise Invalid_argument if the result would be
+    negative or the total would pass [max_int]; the matrix is then
+    unchanged. *)
 
 val replace : t -> int -> int -> old:int -> int -> unit
 (** [replace d i j ~old v] stores [v] at [(i, j)], which must hold [old]
-    now: one map write and no lookup, for a caller that has just read the
-    entry (the simulator's commit).  A wrong [old] corrupts the sums and
-    bitsets.  @raise Invalid_argument on out-of-range indices or
-    [v < 0]. *)
+    now: one write and no lookup, for a caller that has just read the
+    entry (the simulator's commit); costs as {!set}.  A wrong [old]
+    corrupts the sums and bitsets.  @raise Invalid_argument on
+    out-of-range indices, [v < 0], or a total that would pass
+    [max_int]. *)
 
 val row_sum : t -> int -> int
 (** Total demand departing ingress port [i]; O(1). *)
@@ -60,8 +73,10 @@ val col_sum : t -> int -> int
 (** Total demand arriving at egress port [j]; O(1). *)
 
 val row_sums : t -> int array
+(** Fresh array, O(m). *)
 
 val col_sums : t -> int array
+(** Fresh array, O(m). *)
 
 val total : t -> int
 (** Sum of all entries; O(1). *)
@@ -76,17 +91,20 @@ val nonzero_count : t -> int
     used to filter sparse coflows; O(1). *)
 
 val is_zero : t -> bool
+(** O(1). *)
 
 val map : (int -> int) -> t -> t
 (** [map f d] applies [f] to every nonzero entry in row-major order (zeros
-    stay zero); the results must be non-negative. *)
+    stay zero); the results must be non-negative.  O(m * w + nnz). *)
 
 val iter_nonzero : (int -> int -> int -> unit) -> t -> unit
 (** [iter_nonzero f d] applies [f i j v] to every strictly positive entry in
-    row-major order, column ascending. *)
+    row-major order, column ascending; O(m * w + nnz).  [f] must not
+    mutate [d]: collect first, then write. *)
 
 val row_seq : t -> int -> (int * int) Seq.t
-(** Row [i]'s [(column, value)] nonzeros, column ascending. *)
+(** Row [i]'s [(column, value)] nonzeros, column ascending: a snapshot
+    taken at the call, O(w + r). *)
 
 val live_mask : t -> int -> int
 (** Word [w] ([0 <= w < Bits.words_for m]) of the live-row bitset: bit
@@ -98,11 +116,19 @@ val row_mask : t -> int -> int -> int
 (** [row_mask d i w] — word [w] of row [i]'s column-support bitset
     ([0 <= i < m]); unchecked like {!live_mask}. *)
 
+val first_col : t -> int -> avail:int array -> off:int -> int
+(** [first_col d i ~avail ~off] — the lowest column [j] of row [i] with a
+    nonzero whose bit is set in [avail.(off + Bits.word_of j)], or [-1]
+    when there is none: the first usable destination of a source row in
+    one call, O(w).  [avail] holds [w] words from [off] in the {!Bits}
+    layout; [i] is unchecked like {!live_mask}. *)
+
 val equal : t -> t -> bool
-(** Same dimension and same entries, whatever order they were set in. *)
+(** Same dimension and same entries, whatever order they were set in;
+    O(m * w + nnz). *)
 
 val leq : t -> t -> bool
-(** Entrywise [<=] on matrices of equal dimension. *)
+(** Entrywise [<=] on matrices of equal dimension; O(m * w + nnz * w). *)
 
 val is_diagonal : t -> bool
 

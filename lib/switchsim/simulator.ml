@@ -172,6 +172,10 @@ let remaining_row_mask t k i w =
   check_coflow t k;
   Mat.row_mask t.demand.(k) i w
 
+let remaining_first_dst t k i ~avail ~off =
+  check_coflow t k;
+  Mat.first_col t.demand.(k) i ~avail ~off
+
 let remaining_at t k i j =
   check_coflow t k;
   Mat.get t.demand.(k) i j

@@ -95,7 +95,7 @@ val unfinished_count : t -> int
     a cached view of the live coflows whether it is still current. *)
 
 val remaining : t -> int -> Matrix.Mat.t
-(** Copy of coflow [k]'s remaining demand, O(ports + words * ports)
+(** Copy of coflow [k]'s remaining demand, O(words * ports + nonzeros)
     ({!Matrix.Mat.copy}).  Per-slot paths should use {!iter_remaining} or
     the aggregate queries below, which copy nothing. *)
 
@@ -106,7 +106,8 @@ val remaining_load : t -> int -> int
 val iter_remaining : t -> int -> (int -> int -> int -> unit) -> unit
 (** [iter_remaining sim k f] applies [f i j units] to every strictly
     positive remaining entry of coflow [k] without copying — the fast path
-    for per-slot policies.  The callback must not call {!step}. *)
+    for per-slot policies.  The callback must not call {!step} or
+    {!add_demand}: collect first, then write. *)
 
 val remaining_live_mask : t -> int -> int -> int
 (** [remaining_live_mask sim k w] — word [w] of coflow [k]'s live-row
@@ -123,7 +124,18 @@ val remaining_row_mask : t -> int -> int -> int -> int
 
 val remaining_at : t -> int -> int -> int -> int
 (** [remaining_at sim k i j] — remaining units of coflow [k] on pair
-    [(i, j)]; O(log row nonzeros). *)
+    [(i, j)]; a bit test and at most [words] popcounts
+    ({!Matrix.Mat.get}). *)
+
+val remaining_first_dst :
+  t -> int -> int -> avail:int array -> off:int -> int
+(** [remaining_first_dst sim k i ~avail ~off] — the lowest destination
+    [j] to which coflow [k]'s source [i] still owes demand and whose bit
+    is set in word [off + Bits.word_of j] of [avail], or [-1]: a greedy
+    kernel's whole row probe in one call ({!Matrix.Mat.first_col}).
+    [avail] holds one {!Matrix.Bits}-layout word per [words] from [off]
+    (a free-destination bitset, possibly narrowed); [i] is unchecked
+    beyond the underlying array's bound. *)
 
 val remaining_total : t -> int -> int
 

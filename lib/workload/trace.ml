@@ -105,7 +105,10 @@ let of_string s =
                      i j ports);
               if v <= 0 then
                 fail !lineno (Printf.sprintf "flow size must be positive, got %d" v);
-              Mat.set d i j v
+              if Mat.get d i j > 0 then
+                fail !lineno (Printf.sprintf "duplicate flow (%d, %d)" i j);
+              (try Mat.set d i j v
+               with Invalid_argument msg -> fail !lineno msg)
             | _ -> fail !lineno "expected '<i> <j> <size>'"
           done;
           coflows :=

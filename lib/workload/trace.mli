@@ -22,7 +22,9 @@ val load : string -> Instance.t
     Beyond shape errors, the parser rejects semantically invalid records:
     non-positive port counts, negative coflow counts, duplicate coflow ids,
     negative release dates, NaN / non-positive weights, negative flow counts,
-    out-of-range ports and non-positive flow sizes. *)
+    out-of-range ports, non-positive flow sizes, a flow repeated within
+    one coflow, and a flow that would push its coflow's total past
+    [max_int]. *)
 
 val to_string : Instance.t -> string
 

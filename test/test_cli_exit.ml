@@ -137,6 +137,17 @@ let test_sim_bad_trace () =
     (contains trace t && contains "line 4" t);
   Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
 
+(* line 5's flow would push the coflow's total past max_int: unchecked,
+   the row sum wraps negative and the run hangs or dies with exit 125 *)
+let test_sim_overflow_trace () =
+  with_file
+    (Printf.sprintf "coflow-trace v1\n2 1\n0 0 1 2\n0 0 %d\n0 1 %d\n" max_int
+       max_int)
+  @@ fun trace ->
+  let t = check_exit sim_exe [ trace; "--order"; "hrho"; "--case"; "b" ] 123 in
+  Alcotest.(check bool) "names line and entry" true
+    (contains "line 5" t && contains "(0, 1)" t)
+
 let test_service_bad_replay () =
   with_file bad_trace @@ fun trace ->
   let t = check_exit service_exe [ "--replay"; trace ] 123 in
@@ -244,6 +255,8 @@ let () =
       ( "hostile-input",
         [ Alcotest.test_case "coflow_sim malformed trace" `Quick
             test_sim_bad_trace;
+          Alcotest.test_case "coflow_sim overflowing trace" `Quick
+            test_sim_overflow_trace;
           Alcotest.test_case "coflow_service malformed replay" `Quick
             test_service_bad_replay;
           Alcotest.test_case "trace_gen impossible shape" `Quick

@@ -214,7 +214,7 @@ let allocated_words f =
   (r, (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
 
 (* A matching costs O(m) words: its array, the schedule's cons and pair,
-   and a map write per entry that leaves it — nothing per DFS step. *)
+   and a matrix write per entry that leaves it — nothing per DFS step. *)
 let test_bvn_allocation () =
   let m = 64 in
   let st = Random.State.make [| 64 |] in

@@ -73,6 +73,100 @@ let test_golden_resilient () =
   check_int "resilient slots" 1397 r.Resilient.slots;
   check_int "resilient replans" 1 r.Resilient.replans
 
+(* One MD5 over 230 seeded runs: fb-like and synthetic instances at five
+   port counts (70 and 130 cross the 62-bit word boundary, 130 needs three
+   words), three nets (two fabrics at different rates, and a two-tier
+   fabric whose core budget binds) and eight policies: greedy under H_rho
+   and H_A, every scheduler case, round robin, and SEBF+MADD, whose
+   top-up extends a partial slot through [greedy_matching ~init].
+   SEBF+MADD's credit matching ignores a core budget, so it runs on the
+   two non-blocking nets only.  Each run adds its completion vector,
+   slots, batch steps and the bits of its TWCT, so a changed decision,
+   batch length or completion shows here. *)
+let test_schedule_digest () =
+  let steps = Obs.Counter.make "sim.batch_steps" in
+  let instances m =
+    let coflows = if m > 12 then 5 else 12 in
+    let st = Random.State.make [| m; 0x5D |] in
+    (* short flows and sparse rows keep the 130-port runs quick *)
+    let params =
+      { (Fb_like.default_params ~ports:m ~coflows) with
+        Fb_like.long_mean = 4;
+        long_cap = 8;
+      }
+    in
+    let fb =
+      Fb_like.generate_with_arrivals ~params ~mean_gap:2 ~ports:m ~coflows st
+    in
+    let syn =
+      Synthetic.uniform
+        ~density:(if m > 12 then 0.05 else 0.3)
+        ~max_size:5 ~ports:m ~coflows st
+    in
+    let reweigh inst =
+      Instance.make ~ports:m
+        (List.init coflows (fun k ->
+             { (Instance.coflow inst k) with
+               Instance.release = Random.State.int st 6;
+               weight = float_of_int (1 + Random.State.int st 4);
+             }))
+    in
+    [ Instance.with_weights fb (Weights.random_permutation st coflows);
+      reweigh syn;
+    ]
+  in
+  let nets m =
+    [ Switchsim.Net.single ~ports:m;
+      Switchsim.Net.uniform ~ports:m ~rates:[ 2; 1 ];
+      Switchsim.Net.two_tier ~ports:m
+        ~rack_size:(max 1 (m / 4))
+        ~core_capacity:(max 1 (m / 8));
+    ]
+  in
+  let policies inst net =
+    let n = Instance.num_coflows inst in
+    let hrho = Ordering.by_load_over_weight inst in
+    Baselines.greedy_policy hrho
+    :: Baselines.greedy_policy (Ordering.arrival inst)
+    :: List.map
+         (fun case -> Scheduler.case_policy ~case inst hrho)
+         Scheduler.all_cases
+    @ Baselines.round_robin_policy n
+      ::
+      (if Switchsim.Net.core_capacity net 0 = None then
+         [ Baselines.sebf_madd_policy ~coflows:n ]
+       else [])
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun inst ->
+          List.iter
+            (fun net ->
+              List.iter
+                (fun policy ->
+                  let sim =
+                    Switchsim.Simulator.create ~net ~ports:m
+                      (Instance.demands inst)
+                  in
+                  let before = Obs.Counter.value steps in
+                  let r = Engine.run ~sim inst policy in
+                  Array.iter
+                    (fun c -> Buffer.add_string b (Printf.sprintf "%d," c))
+                    r.Engine.completion;
+                  Buffer.add_string b
+                    (Printf.sprintf "|%d|%d|%Ld\n" r.Engine.slots
+                       (Obs.Counter.value steps - before)
+                       (Int64.bits_of_float r.Engine.twct)))
+                (policies inst net))
+            (nets m))
+        (instances m))
+    [ 3; 12; 64; 70; 130 ];
+  Alcotest.(check string)
+    "digest of 230 runs" "c46f54df03eddeb15a7bec49d5b01de9"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- run_many determinism ---------- *)
 
 (* The same job list must produce identical results AND an identical
@@ -538,6 +632,7 @@ let () =
           Alcotest.test_case "online" `Quick test_golden_online;
           Alcotest.test_case "decentralized" `Quick test_golden_decentralized;
           Alcotest.test_case "resilient" `Quick test_golden_resilient;
+          Alcotest.test_case "schedule digest" `Quick test_schedule_digest;
         ] );
       ( "run_many",
         [ Alcotest.test_case "jobs=1 equals jobs=4" `Quick

@@ -46,6 +46,36 @@ let test_add_entry () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* An update that would push the total past [max_int] is refused by a
+   message naming the entry, before anything is written: the row sum
+   would wrap negative and drop a row that still holds demand from the
+   live set. *)
+let test_overflow_rejected () =
+  let d = Mat.make 2 in
+  Mat.set d 0 0 max_int;
+  let refused label (i, j) f =
+    let before = Mat.copy d in
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (label ^ " names the entry") true
+        (Astring.String.is_infix ~affix:(Printf.sprintf "(%d, %d)" i j) msg);
+      Alcotest.(check bool) (label ^ " leaves the matrix") true
+        (Mat.equal before d)
+  in
+  refused "set" (0, 1) (fun () -> Mat.set d 0 1 1);
+  refused "add_entry" (1, 0) (fun () -> Mat.add_entry d 1 0 1);
+  refused "replace" (1, 1) (fun () -> Mat.replace d 1 1 ~old:0 max_int);
+  (* the entry itself would wrap before the total is even compared *)
+  refused "add_entry past max_int" (0, 0) (fun () -> Mat.add_entry d 0 0 1);
+  check_int "row sum" max_int (Mat.row_sum d 0);
+  (* shrinking is always fine, and frees room for exactly what it freed *)
+  Mat.add_entry d 0 0 (-3);
+  Mat.set d 1 1 3;
+  check_int "total back at max_int" max_int (Mat.total d);
+  refused "after refill" (1, 0) (fun () -> Mat.set d 1 0 1)
+
 let test_of_arrays_roundtrip () =
   let d = fig1 () in
   Alcotest.(check (array (array int)))
@@ -127,8 +157,8 @@ let test_copy_independent () =
   Mat.set b 0 0 9;
   check_int "original untouched" 1 (Mat.get a 0 0)
 
-(* Row maps are balanced trees whose shape depends on insertion order;
-   [Mat.equal] must see through that. *)
+(* Row arrays carry spare slots whose count depends on the order of
+   updates; [Mat.equal] must see through that. *)
 let test_equal_ignores_order () =
   let a = Mat.make 5 and b = Mat.make 5 in
   List.iter (fun (i, j, v) -> Mat.set a i j v)
@@ -217,6 +247,7 @@ let () =
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "equal ignores insertion order" `Quick
             test_equal_ignores_order;
+          Alcotest.test_case "overflow rejected" `Quick test_overflow_rejected;
         ] );
       ("properties", properties);
     ]

@@ -1,15 +1,16 @@
 (* The sparse demand matrix against a plain reference, and the
    event-driven batch step.
 
-   [Matrix.Mat] keeps one ordered map per row plus incrementally
-   maintained aggregates and bitset views (live rows, per-row column
-   support) that the matching kernels intersect with free-port masks.
-   These tests drive it and a test-local [int array array] through random
-   operation sequences and check every view against a recompute, pin its
-   footprint and copy isolation, pin the batch step's equivalence and
-   error contract, and A/B the batched engine loop against the
-   slot-by-slot one across policies, arrivals and mid-run demand
-   growth. *)
+   [Matrix.Mat] packs each row's values into one array, located by the
+   row's column-support bitset, plus incrementally maintained aggregates
+   and bitset views (live rows, per-row column support) that the matching
+   kernels intersect with free-port masks.  These tests drive it and a
+   test-local [int array array] through random operation sequences
+   (copies forked midway included) and check every view against a
+   recompute, pin its footprint and copy isolation, pin the batch step's
+   equivalence and error contract, and A/B the batched engine loop
+   against the slot-by-slot one across policies, arrivals and mid-run
+   demand growth. *)
 
 open Matrix
 open Switchsim
@@ -18,24 +19,37 @@ let check_int = Alcotest.(check int)
 
 (* ---------- Mat against an int array array reference ---------- *)
 
-type op = Set of int * int * int | Add of int * int * int
+type op =
+  | Set of int * int * int
+  | Add of int * int * int
+  | Replace of int * int * int
+  | Fork
 
-(* Dimensions up to 70 cross the 62-bit word boundary, so every check
-   also exercises multi-word masks. *)
+(* Dimensions up to 130 cross the 62-bit word boundary twice, so every
+   check also exercises two- and three-word masks and ranks. *)
 let ops_gen =
   QCheck.Gen.(
-    let* m = int_range 1 70 in
-    let* n_ops = int_range 0 120 in
+    let* m = int_range 1 130 in
+    let* n_ops = int_range 0 160 in
     let* seed = int_range 0 1_000_000 in
     let st = Random.State.make [| seed |] in
     let ops =
       List.init n_ops (fun _ ->
-          let i = Random.State.int st m and j = Random.State.int st m in
+          (* half the ops land in the first three rows, so rows fill up,
+             grow their arrays and shift in the middle *)
+          let i =
+            Random.State.int st (if Random.State.bool st then min m 3 else m)
+          and j = Random.State.int st m in
           (* bias towards zeros so 0 -> v -> 0 transitions (the bitset
              clear paths) actually happen; adds may go negative *)
-          if Random.State.bool st then
-            Set (i, j, if Random.State.bool st then 0 else Random.State.int st 9)
-          else Add (i, j, Random.State.int st 13 - 4))
+          let v () =
+            if Random.State.bool st then 0 else Random.State.int st 9
+          in
+          match Random.State.int st 20 with
+          | 0 -> Fork
+          | n when n < 8 -> Set (i, j, v ())
+          | n when n < 14 -> Replace (i, j, v ())
+          | _ -> Add (i, j, Random.State.int st 13 - 4))
     in
     return (m, ops))
 
@@ -47,23 +61,36 @@ let arb_ops =
            (List.map
               (function
                 | Set (i, j, v) -> Printf.sprintf "(%d,%d)<-%d" i j v
-                | Add (i, j, v) -> Printf.sprintf "(%d,%d)+=%d" i j v)
+                | Add (i, j, v) -> Printf.sprintf "(%d,%d)+=%d" i j v
+                | Replace (i, j, v) -> Printf.sprintf "(%d,%d):=%d" i j v
+                | Fork -> "fork")
               ops)))
     ops_gen
 
-(* Applies [ops] to both; a rejected add must leave [Mat] untouched. *)
+(* Applies [ops] to both; a rejected add must leave [Mat] untouched.  A
+   [Fork] sends the later ops to a [Mat.copy] of both, and the pairs left
+   behind are returned too, newest first, so a check can see that no
+   copy wrote through to its original. *)
 let apply_ops m ops =
-  let r = Array.make_matrix m m 0 and d = Mat.make m in
+  let r = ref (Array.make_matrix m m 0) and d = ref (Mat.make m) in
+  let forks = ref [] in
   List.iter
     (function
       | Set (i, j, v) ->
-        r.(i).(j) <- v;
-        Mat.set d i j v
+        !r.(i).(j) <- v;
+        Mat.set !d i j v
       | Add (i, j, v) -> (
-        if r.(i).(j) + v >= 0 then r.(i).(j) <- r.(i).(j) + v;
-        try Mat.add_entry d i j v with Invalid_argument _ -> ()))
+        if !r.(i).(j) + v >= 0 then !r.(i).(j) <- !r.(i).(j) + v;
+        try Mat.add_entry !d i j v with Invalid_argument _ -> ())
+      | Replace (i, j, v) ->
+        Mat.replace !d i j ~old:!r.(i).(j) v;
+        !r.(i).(j) <- v
+      | Fork ->
+        forks := (!r, !d) :: !forks;
+        r := Array.map Array.copy !r;
+        d := Mat.copy !d)
     ops;
-  (r, d)
+  (!r, !d, !forks)
 
 let bit mask b = mask land (1 lsl Bits.bit_of b) <> 0
 
@@ -89,7 +116,7 @@ let all_hold checks =
 let prop_values =
   QCheck.Test.make ~name:"Mat agrees with an array reference"
     ~count:300 arb_ops (fun (m, ops) ->
-      let r, d = apply_ops m ops in
+      let r, d, _ = apply_ops m ops in
       let col_sum j = Array.fold_left (fun acc row -> acc + row.(j)) 0 r in
       let row_sums = Array.init m (row_sum r) in
       let sums = Array.append row_sums (Array.init m col_sum) in
@@ -114,7 +141,7 @@ let prop_values =
 let prop_bitset_views =
   QCheck.Test.make ~name:"Mat bitset views match a recompute" ~count:300
     arb_ops (fun (m, ops) ->
-      let r, d = apply_ops m ops in
+      let r, d, _ = apply_ops m ops in
       let words = Bits.words_for m in
       all_hold (fun expect ->
           (* no stray bits above m in any word of any view *)
@@ -140,7 +167,7 @@ let prop_bitset_views =
 let prop_row_seq =
   QCheck.Test.make ~name:"Mat.row_seq equals a row scan" ~count:200 arb_ops
     (fun (m, ops) ->
-      let r, d = apply_ops m ops in
+      let r, d, _ = apply_ops m ops in
       let entries = entries_of r in
       all_hold (fun expect ->
           for i = 0 to m - 1 do
@@ -150,6 +177,48 @@ let prop_row_seq =
                   (fun (i', j, v) -> if i' = i then Some (j, v) else None)
                   entries)
           done))
+
+(* Every matrix a run leaves behind, the forked-off originals included,
+   equals a fresh [of_arrays] build of its reference: same entries, and
+   the same sums and bitsets, however it got there. *)
+let prop_equals_rebuild =
+  QCheck.Test.make ~name:"Mat forks equal an of_arrays rebuild" ~count:300
+    arb_ops (fun (m, ops) ->
+      let r, d, forks = apply_ops m ops in
+      List.for_all
+        (fun (r, d) ->
+          Mat.equal d (Mat.of_arrays r)
+          && Mat.equal (Mat.copy d) d
+          &&
+          let ok = ref true in
+          for i = 0 to m - 1 do
+            for j = 0 to m - 1 do
+              if Mat.get d i j <> r.(i).(j) then ok := false
+            done
+          done;
+          !ok)
+        ((r, d) :: forks))
+
+(* The SWAR popcount against Kernighan's loop, on words with any subset
+   of the 62 payload bits set, the full word and the top bit included. *)
+let prop_popcount =
+  QCheck.Test.make ~name:"Bits.popcount counts every payload bit" ~count:500
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 62))
+    (fun (seed, width) ->
+      let st = Random.State.make [| seed |] in
+      let full = Bits.low_mask Bits.bits_per_word in
+      let x =
+        (Random.State.bits st
+        lor (Random.State.bits st lsl 30)
+        lor (Random.State.bits st lsl 60))
+        land Bits.low_mask width
+      in
+      let rec kernighan x acc =
+        if x = 0 then acc else kernighan (x land (x - 1)) (acc + 1)
+      in
+      List.for_all
+        (fun x -> Bits.popcount x = kernighan x 0)
+        [ x; full; full land lnot x; 1 lsl (Bits.bits_per_word - 1) ])
 
 let test_copy_isolated () =
   let s = Mat.make 70 in
@@ -167,8 +236,10 @@ let test_copy_isolated () =
 
 (* ---------- footprint ---------- *)
 
-(* Heap words reachable from each demand, summed.  The bounds catch a
-   dense copy or a per-row bitset array creeping back into [Mat]. *)
+(* Heap words reachable from each demand, summed.  The bounds, about 15%
+   above what packed rows measure (11.8% of dense at 150 ports, 0.79x a
+   dense 8-port matrix), catch a dense copy, a per-row bitset array or a
+   tree node per entry creeping back into [Mat]. *)
 let demand_words demands =
   List.fold_left (fun acc d -> acc + Obj.reachable_words (Obj.repr d)) 0 demands
 
@@ -181,8 +252,8 @@ let test_footprint_paper_scale () =
   let demands = List.map snd (Workload.Instance.demands inst) in
   let dense = List.length demands * m * m in
   let words = demand_words demands in
-  if 10 * words > 4 * dense then
-    Alcotest.failf "E18 demands take %d words, over 40%% of dense %d" words
+  if 200 * words > 27 * dense then
+    Alcotest.failf "E18 demands take %d words, over 13.5%% of dense %d" words
       dense
 
 let test_footprint_soak_ports () =
@@ -191,7 +262,7 @@ let test_footprint_soak_ports () =
   let st = Random.State.make [| 17 |] in
   let demands = List.init n (fun _ -> Workload.Fb_like.draw_demand params st) in
   let words = demand_words demands in
-  let bound = 1.05 *. float_of_int (n * ((m * m) + 4)) in
+  let bound = 0.91 *. float_of_int (n * ((m * m) + 4)) in
   if float_of_int words > bound then
     Alcotest.failf "%d-port demands take %.1f words each, over %.1f" m
       (float_of_int words /. float_of_int n)
@@ -386,7 +457,12 @@ let () =
   Alcotest.run "sparse"
     [ ( "mat",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_values; prop_bitset_views; prop_row_seq ] );
+          [ prop_values;
+            prop_bitset_views;
+            prop_row_seq;
+            prop_equals_rebuild;
+            prop_popcount;
+          ] );
       ( "mat_unit",
         [ Alcotest.test_case "copy isolates bitsets" `Quick test_copy_isolated;
           Alcotest.test_case "Engine.run leaves demands intact" `Quick

@@ -164,6 +164,27 @@ let test_trace_rejects_invalid_records () =
         hdr ^ "2 2\n7 0 1.0 1\n0 0 1\n7 0 1.0 1\n1 1 1\n" );
     ]
 
+(* A flow repeated within one coflow, and a flow that would push its
+   coflow's total past max_int, are named errors on their own line:
+   unchecked, the first merges silently (the last size wins) and the
+   second wraps the row sum negative. *)
+let test_trace_flow_errors () =
+  let hdr = "coflow-trace v1\n2 1\n0 0 1 2\n" in
+  List.iter
+    (fun (label, text, want) ->
+      match Trace.of_string text with
+      | _ -> Alcotest.failf "%s: expected Failure" label
+      | exception Failure msg ->
+        if not (Astring.String.is_infix ~affix:want msg) then
+          Alcotest.failf "%s: %S lacks %S" label msg want)
+    [ ( "duplicate flow",
+        hdr ^ "0 1 5\n0 1 3\n",
+        "line 5: duplicate flow (0, 1)" );
+      ( "total past max_int",
+        Printf.sprintf "%s0 0 %d\n0 1 %d\n" hdr max_int max_int,
+        "line 5: Mat: entry (0, 1) would push the total past max_int" );
+    ]
+
 (* ---------- generators ---------- *)
 
 let test_uniform_shape () =
@@ -405,6 +426,7 @@ let () =
           Alcotest.test_case "trailing garbage" `Quick test_trace_trailing;
           Alcotest.test_case "invalid records rejected" `Quick
             test_trace_rejects_invalid_records;
+          Alcotest.test_case "named flow errors" `Quick test_trace_flow_errors;
         ] );
       ( "generators",
         [ Alcotest.test_case "uniform shape" `Quick test_uniform_shape;
