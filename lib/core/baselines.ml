@@ -88,10 +88,24 @@ let sebf_madd_policy ~coflows:n =
               !candidates
           in
           let src_used = Array.make m false and dst_used = Array.make m false in
+          (* fabric 0's inter-rack budget, [max_int] when non-blocking: once
+             it is spent only rack-local pairs pass, as in the top-up *)
+          let net = Simulator.net s in
+          let core_left =
+            ref (Option.value ~default:max_int (Net.core_capacity net 0))
+          in
           let transfers = ref [] in
           List.iter
             (fun (_, k, i, j) ->
-              if not (src_used.(i) || dst_used.(j)) then begin
+              let crosses =
+                !core_left <> max_int
+                && Net.crosses_core net ~fabric:0 ~src:i ~dst:j
+              in
+              let blocked =
+                src_used.(i) || dst_used.(j) || (crosses && !core_left = 0)
+              in
+              if not blocked then begin
+                if crosses then decr core_left;
                 src_used.(i) <- true;
                 dst_used.(j) <- true;
                 let idx = (k * m * m) + (i * m) + j in

@@ -47,6 +47,7 @@ type checker = {
          from each claimed (fabric, ingress) this slot *)
   c_base_slot : int;  (* plan-time of the checker's first record *)
   mutable c_next : int;  (* records fed so far *)
+  mutable c_slow : bool;  (* a served pair's link is slow this window *)
   mutable c_error : string option;  (* first violation, sticky *)
 }
 
@@ -70,6 +71,7 @@ let checker ?net ?(start_slot = 0) ~plan ~ports () =
     c_owner = Array.make (if kf > 1 then kf * ports else 0) 0;
     c_base_slot = start_slot;
     c_next = 0;
+    c_slow = false;
     c_error = None;
   }
 
@@ -136,7 +138,8 @@ let rec degraded_cap events ~slot acc =
   | _ :: rest -> degraded_cap rest ~slot acc
 
 (* the fault constraints, re-derived from the plan alone; ports and fabric
-   indices are in range once [check_matching] passed *)
+   indices are in range once [check_matching] passed.  A served pair on a
+   slow link sets [c_slow]: its duty flips every slot. *)
 let rec check_faults c s used = function
   | [] ->
     let capacity =
@@ -155,53 +158,82 @@ let rec check_faults c s used = function
       Error (Printf.sprintf "slot %d: ingress %d is down" s src)
     else if Fault_plan.port_down plan ~slot:s dst then
       Error (Printf.sprintf "slot %d: egress %d is down" s dst)
-    else if not (Fault_plan.link_usable plan ~slot:s ~src ~dst) then
-      Error
-        (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" s src dst
-           (Fault_plan.link_period plan ~slot:s ~src ~dst))
     else
-      check_faults c s
-        (if Fault_plan.core_counts c.c_net ~fabric ~src ~dst then used + 1
-         else used)
-        rest
+      (* [Fault_plan.link_usable], with the period kept for the message *)
+      let period = Fault_plan.link_period plan ~slot:s ~src ~dst in
+      if period > 1 && s mod period <> 0 then
+        Error
+          (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" s src
+             dst period)
+      else begin
+        if period > 1 then c.c_slow <- true;
+        check_faults c s
+          (if Fault_plan.core_counts c.c_net ~fabric ~src ~dst then used + 1
+           else used)
+          rest
+      end
 
-let feed c { transfers; _ } =
+(* the first interval edge after [slot] and before [stop] of an event the
+   fault checks read: up to there, every interval's activity, and with it
+   each check's verdict, holds still *)
+let rec next_edge events ~slot stop =
+  match events with
+  | [] -> stop
+  | ( Fault_plan.Port_down { from_; until; _ }
+    | Fault_plan.Link_degraded { from_; until; _ }
+    | Fault_plan.Core_degraded { from_; until; _ }
+    | Fault_plan.Fabric_down { from_; until; _ } )
+    :: rest ->
+    let stop = if from_ > slot && from_ < stop then from_ else stop in
+    next_edge rest ~slot (if until > slot && until < stop then until else stop)
+  | ( Fault_plan.Straggler _ | Fault_plan.Release_delay _
+    | Fault_plan.Solver_outage _ )
+    :: rest ->
+    next_edge rest ~slot stop
+
+(* [check_faults] once per window [s, e) of [s, stop): the window ends at
+   the next interval edge, or after one slot when a served pair's link is
+   slow at [s].  Within it every input of the checks is constant, so [s]'s
+   verdict is every slot's; the first failing window fails at its first
+   slot, where the cursor stops. *)
+let rec certify_windows c transfers s stop =
+  c.c_slow <- false;
+  match check_faults c s 0 transfers with
+  | Error _ as e ->
+    c.c_next <- s + 1 - c.c_base_slot;
+    e
+  | Ok () ->
+    let e =
+      if c.c_slow || s + 1 = stop then s + 1
+      else next_edge (Fault_plan.events c.c_plan) ~slot:s stop
+    in
+    if e >= stop then Ok () else certify_windows c transfers e stop
+
+(* A batched slot: the same transfers served for [n] consecutive slots.
+   Port exclusivity, fabric bounds and the two-fabric dedupe do not depend
+   on the slot, so the matching is checked once, at the first slot; the
+   fault checks run once per window. *)
+let feed_many c { transfers; _ } ~slots:n =
+  if n < 1 then invalid_arg "Audit.feed_many: slots must be >= 1";
   match c.c_error with
   | Some e -> Error e
   | None ->
     let s = c.c_base_slot + c.c_next in
-    c.c_next <- c.c_next + 1;
     Array.fill c.c_src 0 (Array.length c.c_src) false;
     Array.fill c.c_dst 0 (Array.length c.c_dst) false;
     let verdict =
       match check_matching c s transfers with
-      | Ok () -> check_faults c s 0 transfers
-      | Error _ as e -> e
+      | Error _ as e ->
+        c.c_next <- c.c_next + 1;
+        e
+      | Ok () ->
+        c.c_next <- c.c_next + n;
+        certify_windows c transfers s (s + n)
     in
     (match verdict with Error e -> c.c_error <- Some e | Ok () -> ());
     verdict
 
-(* A batched slot: the same transfers served for [n] consecutive slots.
-   Under an empty plan every per-slot constraint is slot-independent
-   (matching validity, static topology capacity), so one full check
-   certifies all [n] records and the cursor jumps; under a non-empty plan
-   fault windows and duty cycles vary per slot, so each record is fed
-   individually. *)
-let rec feed_many c record ~slots:n =
-  if n < 1 then invalid_arg "Audit.feed_many: slots must be >= 1";
-  if Fault_plan.is_empty c.c_plan then begin
-    match feed c record with
-    | Error _ as e -> e
-    | Ok () ->
-      c.c_next <- c.c_next + (n - 1);
-      Ok ()
-  end
-  else begin
-    match feed c record with
-    | Error _ as e -> e
-    | Ok () when n = 1 -> Ok ()
-    | Ok () -> feed_many c record ~slots:(n - 1)
-  end
+let feed c record = feed_many c record ~slots:1
 
 let check ?net ~plan t =
   let c = checker ?net ~plan ~ports:t.ports () in

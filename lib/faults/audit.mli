@@ -69,17 +69,25 @@ val checker :
     or a net over a different port count. *)
 
 val feed : checker -> slot_record -> (unit, string) result
-(** Certify the next slot.  [Error] carries the first violation (this
-    slot's, or an earlier latched one) with its slot number. *)
+(** Certify the next slot ([feed_many ~slots:1]).  [Error] carries the
+    first violation (this slot's, or an earlier latched one) with its slot
+    number. *)
 
 val feed_many : checker -> slot_record -> slots:int -> (unit, string) result
 (** [feed_many c record ~slots] certifies [slots >= 1] consecutive slots
     that all committed the same transfers — the shape the event-driven
-    (batched) serving loop produces.  Under an empty plan one check
-    certifies the whole batch (every per-slot constraint is
-    slot-independent) and the cursor jumps by [slots]; under a non-empty
-    plan each covered slot is checked individually, so the verdict is
-    always identical to [slots] calls of {!feed}.
+    (batched) serving loop produces.  The matching constraints do not
+    depend on the slot, so they are checked once, at the first slot.  The
+    fault constraints are checked once per {e fault window}: a window
+    starting at slot [s] ends at the batch's end, at the next [from_] or
+    [until] after [s] of any port, link, core or fabric event, or after
+    [s] alone when a served pair's link is degraded at [s].  Within a
+    window every input of those checks holds still, so each slot gets
+    the verdict {!feed} would give it: the verdict, message,
+    {!checked_slots} and {!checker_error} are exactly those of [slots]
+    calls of {!feed}, a violation being reported at its first failing
+    slot.  An empty plan's window is the whole batch.  Like {!feed}, a
+    certified batch allocates nothing.
     @raise Invalid_argument when [slots < 1]. *)
 
 val checked_slots : checker -> int

@@ -78,8 +78,8 @@ val core_capacity : t -> slot:int -> int option
 val fabric_down : t -> slot:int -> int -> bool
 (** [fabric_down t ~slot f] iff some event takes fabric [f] down at
     [slot].  [port_down], [link_period], [link_usable] and [fabric_down]
-    allocate nothing, so the audit can evaluate them on every slot it
-    certifies. *)
+    allocate nothing, so the audit can evaluate them in every fault
+    window it certifies. *)
 
 val solver_outage : t -> slot:int -> [ `None | `Lp_only | `Full ]
 
@@ -104,7 +104,11 @@ val boundaries : t -> int list
     [[slot, stable_until)].  {!refresh} recomputes it, in O(events +
     ports * words), only for a slot outside that window, so queries in
     any slot order stay correct and a run pays once per fault-state
-    change.  Solver outages and release delays are not serving state. *)
+    change.  Solver outages and release delays are not serving state.
+    {!Injector} compiles the plan without the slow links on pairs
+    no coflow of the run has demand on, so its state answers for the
+    carried pairs only; the list queries, {!boundaries} and the audit
+    keep reading the full plan. *)
 
 type state
 

@@ -12,7 +12,15 @@
       growing remaining demand in place (release delays are folded into
       the release dates at creation).
 
-    Both read the plan's {!Fault_plan.state}, compiled once per run.
+    Both read the plan's {!Fault_plan.state}, compiled once per run from
+    the plan without its slow links on {e uncarried} pairs, those no
+    coflow handed to {!create} has demand on.  Demand support never grows
+    within a run ({!tick}'s stragglers scale existing entries), the
+    kernel reads a row's off-duty bits only through its support, and a
+    transfer on a pair without demand is refused by the simulator's own
+    validation: such a link can change no decision and no verdict, so its
+    duty flips need not end a batch.  {!plan} and the hook's messages
+    still read the full plan.
     Fault-aware service is {!Core.Policy.greedy_matching} with
     [~faults:(faults injector)]; any other per-slot policy can run against
     any plan too: pass [sim injector] to it and let the validate hook
@@ -42,7 +50,10 @@ val plan : t -> Fault_plan.t
 
 val faults : t -> Fault_plan.state
 (** The run's compiled fault state, which the validate hook reads; pass it
-    to {!Core.Policy.greedy_matching}. *)
+    to {!Core.Policy.greedy_matching}.  It answers for carried pairs: an
+    uncarried pair reads as on duty, and its duty flips do not bound
+    {!Fault_plan.stable_until}.  A caller that grows demand onto a new
+    pair ({!Switchsim.Simulator.add_demand}) leaves that guarantee. *)
 
 val tick : t -> unit
 (** Refresh the compiled state at the current slot and apply every fault

@@ -207,7 +207,7 @@ val run :
     release or fault-state change ({!Faults.Fault_plan.stable_until}),
     the clock jumps the whole run of identical slots in one batch step,
     and the incremental auditor certifies it via
-    {!Faults.Audit.feed_many}, slot by slot under a non-empty plan.
+    {!Faults.Audit.feed_many}, one fault window at a time.
     Stats, epoch views and fingerprint are identical either way —
     [batch:false] is the slot-by-slot reference the equivalence tests
     use.

@@ -4,6 +4,21 @@ type coflow = { id : int; release : int; demand : Mat.t; weight : float }
 
 type t = { ports : int; coflows : coflow array }
 
+(* The running [total_units] and latest release: [horizon] adds them, so
+   both must stay within [max_int].  A top-level fold, so the check
+   allocates nothing (the service builds an instance every epoch). *)
+let rec check_totals units last = function
+  | [] -> ()
+  | c :: rest ->
+    let total = Mat.total c.demand and last = max last c.release in
+    if total > max_int - units || last > max_int - units - total then
+      invalid_arg
+        (Printf.sprintf
+           "Instance.make: coflow %d pushes the total units, or the latest \
+            release plus them, past max_int"
+           c.id);
+    check_totals (units + total) last rest
+
 let make ~ports cs =
   if ports <= 0 then invalid_arg "Instance.make: ports must be positive";
   let seen = Hashtbl.create 16 in
@@ -18,6 +33,7 @@ let make ~ports cs =
         invalid_arg "Instance.make: duplicate coflow id";
       Hashtbl.add seen c.id ())
     cs;
+  check_totals 0 0 cs;
   { ports; coflows = Array.of_list cs }
 
 let ports t = t.ports

@@ -13,7 +13,9 @@ type t = private { ports : int; coflows : coflow array }
 
 val make : ports:int -> coflow list -> t
 (** @raise Invalid_argument on dimension mismatch, non-positive weight,
-    negative release, or duplicate ids. *)
+    negative release, duplicate ids, or a coflow that pushes the total
+    units, or the latest release plus them (so {!horizon}), past
+    [max_int]; the message names that coflow's id. *)
 
 val ports : t -> int
 

@@ -74,8 +74,12 @@ let of_string s =
           l
       in
       let coflows = ref [] in
+      (* [Instance.make]'s running sums, so the coflow that pushes them
+         past [max_int] is named on its own line *)
+      let units = ref 0 and last = ref 0 in
       for _ = 1 to ncoflows do
         let l = next () in
+        let header = !lineno in
         match tokens !lineno l with
         | [ id; release; weight; nnz ] ->
           let id = parse_int !lineno id in
@@ -111,6 +115,16 @@ let of_string s =
                with Invalid_argument msg -> fail !lineno msg)
             | _ -> fail !lineno "expected '<i> <j> <size>'"
           done;
+          let total = Mat.total d in
+          last := max !last release;
+          if total > max_int - !units || !last > max_int - !units - total
+          then
+            fail header
+              (Printf.sprintf
+                 "coflow %d pushes the total units, or the latest release \
+                  plus them, past max_int"
+                 id);
+          units := !units + total;
           coflows :=
             { Instance.id; release; weight; demand = d } :: !coflows
         | _ -> fail !lineno "expected '<id> <release> <weight> <nnz>'"

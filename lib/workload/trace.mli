@@ -23,8 +23,10 @@ val load : string -> Instance.t
     non-positive port counts, negative coflow counts, duplicate coflow ids,
     negative release dates, NaN / non-positive weights, negative flow counts,
     out-of-range ports, non-positive flow sizes, a flow repeated within
-    one coflow, and a flow that would push its coflow's total past
-    [max_int]. *)
+    one coflow, a flow that would push its coflow's total past
+    [max_int], and a coflow that would push the instance's total units,
+    or its latest release plus them, past [max_int] (named at the
+    coflow's own line). *)
 
 val to_string : Instance.t -> string
 

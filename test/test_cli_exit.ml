@@ -148,6 +148,19 @@ let test_sim_overflow_trace () =
   Alcotest.(check bool) "names line and entry" true
     (contains "line 5" t && contains "(0, 1)" t)
 
+(* two coflows of 2^61 units: each loads, together they wrap the
+   instance's total negative and the LP grid comes out too short (an
+   uncaught exception, exit 125) *)
+let test_sim_overflow_total () =
+  with_file
+    (Printf.sprintf "coflow-trace v1\n2 2\n0 0 1 1\n0 1 %d\n1 0 1 1\n1 0 %d\n"
+       (1 lsl 61) (1 lsl 61))
+  @@ fun trace ->
+  let t = check_exit sim_exe [ trace ] 123 in
+  Alcotest.(check bool) "names line and coflow" true
+    (contains "line 5" t && contains "coflow 1" t);
+  Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
+
 let test_service_bad_replay () =
   with_file bad_trace @@ fun trace ->
   let t = check_exit service_exe [ "--replay"; trace ] 123 in
@@ -261,6 +274,8 @@ let () =
             test_service_bad_replay;
           Alcotest.test_case "trace_gen impossible shape" `Quick
             test_trace_gen_bad_shape;
+          Alcotest.test_case "coflow_sim instance total past max_int" `Quick
+            test_sim_overflow_total;
         ] );
       ( "obs-diff",
         [ Alcotest.test_case "identical profiles pass" `Quick

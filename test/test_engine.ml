@@ -624,6 +624,19 @@ let prop_single_net_equivalence =
           Switchsim.Net.two_tier ~ports ~rack_size:ports ~core_capacity:ports;
         ])
 
+(* SEBF+MADD's credit matching spends fabric 0's core budget: on an
+   oversubscribed net it used to claim every credited inter-rack pair,
+   and the simulator rejected its first over-budget slot. *)
+let test_sebf_madd_core_budget () =
+  let inst = Fb_like.generate ~ports:16 ~coflows:12 (Random.State.make [| 7 |]) in
+  let net = Switchsim.Net.two_tier ~ports:16 ~rack_size:4 ~core_capacity:2 in
+  let r =
+    run_on ~net inst
+      (Baselines.sebf_madd_policy ~coflows:(Instance.num_coflows inst))
+  in
+  Alcotest.(check bool) "every coflow completes" true
+    (Array.for_all (fun c -> c > 0) r.Engine.completion)
+
 let () =
   Alcotest.run "engine"
     [ ( "golden",
@@ -657,5 +670,7 @@ let () =
             test_golden_through_explicit_net;
           QCheck_alcotest.to_alcotest prop_single_net_equivalence;
           QCheck_alcotest.to_alcotest prop_grouped_on_nets;
+          Alcotest.test_case "sebf+madd under a core budget" `Quick
+            test_sebf_madd_core_budget;
         ] );
     ]

@@ -1181,14 +1181,14 @@ let test_plan_compiled_overlap () =
   check_int "off at 4 until the next multiple of 3" 6
     (Fault_plan.stable_until st)
 
+let rejected label sim transfers ~slots =
+  match Simulator.step_batch sim transfers ~slots with
+  | () -> Alcotest.failf "%s: batch accepted" label
+  | exception Simulator.Invalid_slot m ->
+    Alcotest.(check bool) (label ^ ": names the fault-state change") true
+      (Astring.String.is_infix ~affix:"crosses the fault-state change" m)
+
 let test_injector_batch_crossing () =
-  let rejected label sim transfers ~slots =
-    match Simulator.step_batch sim transfers ~slots with
-    | () -> Alcotest.failf "%s: batch accepted" label
-    | exception Simulator.Invalid_slot m ->
-      Alcotest.(check bool) (label ^ ": names the fault-state change") true
-        (Astring.String.is_infix ~affix:"crosses the fault-state change" m)
-  in
   (* port 0 goes down at slot 3 *)
   let plan =
     Fault_plan.make [ Fault_plan.Port_down { port = 0; from_ = 3; until = 5 } ]
@@ -1226,6 +1226,45 @@ let test_injector_batch_crossing () =
   rejected "batch from an on-duty slot" sim [ t 0 1 0 ] ~slots:2;
   Simulator.step sim [ t 0 1 0 ];
   check_int "two units moved" 7 (Simulator.remaining_total sim 0)
+
+(* A slow link no coflow has demand on can change no decision, so the
+   compiled state leaves it out and its duty flips end no batch; the
+   same link carrying demand still does, and the audit still sees it. *)
+let test_injector_uncarried_link () =
+  let plan =
+    Fault_plan.make
+      [ Fault_plan.Link_degraded
+          { src = 1; dst = 0; from_ = 0; until = 9; period = 3 };
+      ]
+  in
+  let d = Mat.of_arrays [| [| 9; 0 |]; [| 0; 9 |] |] in
+  let inj = Injector.create ~plan ~ports:2 [ (0, d) ] in
+  let sim = Injector.sim inj in
+  Injector.tick inj;
+  check_int "no change in sight" max_int
+    (Fault_plan.stable_until (Injector.faults inj));
+  (* across the flips at slots 1, 3, 4 and 6 *)
+  Simulator.step_batch sim [ t 0 0 0; t 1 1 0 ] ~slots:7;
+  check_int "batch served" 4 (Simulator.remaining_total sim 0);
+  (match
+     Audit.feed_many
+       (Audit.checker ~plan ~ports:2 ())
+       { Audit.tier = "rho"; transfers = [ t 0 0 0; t 1 1 0 ] }
+       ~slots:7
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "batch off the slow link rejected: %s" m);
+  (* the uncarried pair itself is still refused, by the simulator *)
+  Injector.tick inj;
+  expect_invalid_slot "no demand on (1, 0)" (fun () ->
+      Simulator.step sim [ t 1 0 0 ]);
+  let d = Mat.of_arrays [| [| 9; 0 |]; [| 9; 0 |] |] in
+  let inj = Injector.create ~plan ~ports:2 [ (0, d) ] in
+  let sim = Injector.sim inj in
+  Injector.tick inj;
+  check_int "carried: stable until the first flip" 1
+    (Fault_plan.stable_until (Injector.faults inj));
+  rejected "batch across a carried flip" sim [ t 0 0 0 ] ~slots:2
 
 (* Two oversubscribed fabrics with one core crossing each: a single pooled
    budget of 2 would put both crossings on the first fabric. *)
@@ -1300,7 +1339,125 @@ let test_audit_feed_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "1000 feeds allocate %.0f < 1000 words" words)
-    true (words < 1000.0)
+    true (words < 1000.0);
+  (* a batch certifies window by window: port 7, which no transfer uses,
+     is down 5 slots in every 10, so each 19-slot batch crosses three or
+     four window edges *)
+  let plan =
+    Fault_plan.make
+      (List.init 200 (fun k ->
+           Fault_plan.Port_down
+             { port = 7; from_ = 10 * k; until = (10 * k) + 5 }))
+  in
+  let c = Audit.checker ~plan ~ports:8 () in
+  let feed_many () =
+    match Audit.feed_many c record ~slots:19 with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "valid batch rejected: %s" m
+  in
+  feed_many ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 99 do
+    feed_many ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every slot certified" 1900 (Audit.checked_slots c);
+  Alcotest.(check bool)
+    (Printf.sprintf "99 batches allocate %.0f < 100 words" words)
+    true (words < 100.0)
+
+(* Random transfers on [net]: a partial matching per fabric, and now and
+   then a violation of the matching constraints (a port or fabric out of
+   range, a port used twice, one entry on two fabrics). *)
+let random_transfers st net =
+  let m = Net.ports net and kf = Net.k net in
+  let ts =
+    List.concat
+      (List.init kf (fun f ->
+           let dst = shuffled st m in
+           List.filter_map
+             (fun i ->
+               if Random.State.int st 3 = 0 then None
+               else Some (tf i dst.(i) (Random.State.int st 3) f))
+             (List.init m Fun.id)))
+  in
+  match (Random.State.int st 6, ts) with
+  | 0, _ ->
+    tf
+      (Random.State.int st (m + 1))
+      (Random.State.int st (m + 1))
+      0
+      (Random.State.int st (kf + 1))
+    :: ts
+  | 1, { Simulator.src; dst; coflow; fabric } :: _ ->
+    tf src dst coflow ((fabric + 1) mod (kf + 1)) :: ts
+  | _ -> ts
+
+let prop_feed_many_is_feeds =
+  QCheck.Test.make ~name:"feed_many = n feeds" ~count:1000
+    QCheck.(int_range 0 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = 1 + Random.State.int st 8 in
+      let net = random_fault_net st m in
+      let horizon = 8 + Random.State.int st 40 in
+      let batches =
+        List.init
+          (1 + Random.State.int st 6)
+          (fun _ -> (random_transfers st net, 1 + Random.State.int st 40))
+      in
+      (* slow links, overlapping on one pair, on pairs the batches serve *)
+      let served =
+        List.concat_map
+          (fun (ts, _) ->
+            List.filter_map
+              (fun { Simulator.src; dst; _ } ->
+                if src < m && dst < m then Some (src, dst) else None)
+              ts)
+          batches
+      in
+      let slow =
+        match served with
+        | [] -> []
+        | _ ->
+          let src, dst =
+            List.nth served (Random.State.int st (List.length served))
+          in
+          List.init (Random.State.int st 4) (fun _ ->
+              let from_ = Random.State.int st horizon in
+              Fault_plan.Link_degraded
+                { src;
+                  dst;
+                  from_;
+                  until = from_ + 1 + Random.State.int st horizon;
+                  period = 2 + Random.State.int st 4;
+                })
+      in
+      let plan =
+        Fault_plan.make
+          (Fault_plan.events
+             (Fault_plan.random
+                ~intensity:(Random.State.float st 2.5)
+                ~fabrics:(Net.k net) ~ports:m ~coflows:3 ~horizon st)
+          @ slow)
+      in
+      let start_slot = Random.State.int st horizon in
+      let batched = Audit.checker ~net ~start_slot ~plan ~ports:m () in
+      let oracle = Audit.checker ~net ~start_slot ~plan ~ports:m () in
+      List.for_all
+        (fun (transfers, n) ->
+          let record = { Audit.tier = "lp"; transfers } in
+          let want =
+            List.fold_left
+              (fun acc _ ->
+                match (acc, Audit.feed oracle record) with
+                | Ok (), r -> r
+                | e, _ -> e)
+              (Ok ()) (List.init n Fun.id)
+          in
+          Audit.feed_many batched record ~slots:n = want
+          && Audit.checked_slots batched = Audit.checked_slots oracle
+          && Audit.checker_error batched = Audit.checker_error oracle)
+        batches)
 
 (* ---------- lp deadline plumbing ---------- *)
 
@@ -1362,6 +1519,8 @@ let () =
           Alcotest.test_case "batch crossing a fault change" `Quick
             test_injector_batch_crossing;
           QCheck_alcotest.to_alcotest prop_kernel_is_oracle;
+          Alcotest.test_case "batch across an uncarried slow link" `Quick
+            test_injector_uncarried_link;
         ] );
       ( "audit",
         [ Alcotest.test_case "roundtrip" `Quick test_audit_roundtrip;
@@ -1384,6 +1543,7 @@ let () =
             test_audit_fabric_constraints;
           Alcotest.test_case "feed allocates nothing" `Quick
             test_audit_feed_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_feed_many_is_feeds;
         ] );
       ( "resilient",
         [ Alcotest.test_case "fault-free all-lp" `Quick

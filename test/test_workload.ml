@@ -66,6 +66,29 @@ let test_horizon_with_releases () =
   in
   check_int "horizon" 11 (Instance.horizon inst)
 
+(* [total_units] and [horizon] sum over coflows: an instance whose sums
+   would pass max_int is refused at the coflow that pushes them past,
+   instead of loading with a wrapped total. *)
+let test_make_total_overflow () =
+  let half = 1 lsl 61 in
+  let one ?(release = 0) id v =
+    { Instance.id; release; weight = 1.0;
+      demand = Mat.of_arrays [| [| v; 0 |]; [| 0; 0 |] |] }
+  in
+  let refused label cs =
+    match Instance.make ~ports:2 cs with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (label ^ ": names coflow 1") true
+        (Astring.String.is_infix ~affix:"coflow 1 pushes" msg)
+  in
+  refused "units" [ one 0 half; one 1 half ];
+  refused "release plus units" [ one 0 half; one ~release:half 1 (half - 1) ];
+  (* right at the limit is still an instance *)
+  let inst = Instance.make ~ports:2 [ one 0 half; one ~release:1 1 (half - 2) ] in
+  check_int "units at the limit" (max_int - 1) (Instance.total_units inst);
+  check_int "horizon at the limit" max_int (Instance.horizon inst)
+
 (* ---------- weights ---------- *)
 
 let test_weights_equal () =
@@ -183,6 +206,10 @@ let test_trace_flow_errors () =
       ( "total past max_int",
         Printf.sprintf "%s0 0 %d\n0 1 %d\n" hdr max_int max_int,
         "line 5: Mat: entry (0, 1) would push the total past max_int" );
+      ( "instance total past max_int",
+        Printf.sprintf "coflow-trace v1\n2 2\n0 0 1 1\n0 1 %d\n1 0 1 1\n1 0 %d\n"
+          (1 lsl 61) (1 lsl 61),
+        "line 5: coflow 1 pushes the total units" );
     ]
 
 (* ---------- generators ---------- *)
@@ -412,6 +439,8 @@ let () =
           Alcotest.test_case "zero releases" `Quick test_with_zero_releases;
           Alcotest.test_case "horizon with releases" `Quick
             test_horizon_with_releases;
+          Alcotest.test_case "totals past max_int" `Quick
+            test_make_total_overflow;
         ] );
       ( "weights",
         [ Alcotest.test_case "equal" `Quick test_weights_equal;
