@@ -7,7 +7,9 @@ Arguments are documents experiments_main --csv writes for the arena
 experiments (fabric.json, scale.json, arena.json, hetero.json).  For
 every leg: rows ranked by (twct, algo), nothing beats the bound, every
 guaranteed row within guarantee x target, a fallback named in its algo,
-every check true.  A keyed section covers what only E19 / E21 claim.
+decisions within [1, slots] (the run loop counts them, and each covers
+at least one slot), every check true.  A keyed section covers what only
+E19 / E21 claim.
 """
 
 import json
@@ -38,6 +40,9 @@ def check_leg(exp, leg):
             fail(f"{where}: {r['algo']} exceeds {g} x {leg['target']}")
         if f is not None and f"(fallback:{f})" not in r["algo"]:
             fail(f"{where}: {r['algo']} hides its fallback {f}")
+        d, s = r["decisions"], r["slots"]
+        if not 0 <= d <= s or (s > 0 and d < 1):
+            fail(f"{where}: {r['algo']} took {d} decisions for {s} slots")
     for name, ok in leg["checks"].items():
         if ok is not True:
             fail(f"{where}: check {name} is {ok}")

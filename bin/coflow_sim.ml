@@ -57,24 +57,13 @@ let run_sim trace_path order_kind case baseline verbose record_path audit =
       | Some path ->
         (* run once more through the recorder so the exact schedule can be
            audited offline *)
-        let groups =
-          match case with
-          | Scheduler.Base | Scheduler.Backfill -> Grouping.singletons order
-          | Scheduler.Group | Scheduler.Group_backfill ->
-            Grouping.deterministic inst order
-        in
-        let backfill =
-          match case with
-          | Scheduler.Backfill | Scheduler.Group_backfill -> true
-          | _ -> false
-        in
         let sim =
           Switchsim.Simulator.create ~ports:(Instance.ports inst)
             (Instance.demands inst)
         in
+        let st = (Scheduler.case_policy ~case inst order).Policy.prepare sim in
         let recording =
-          Switchsim.Recorder.record sim
-            ~policy:(Scheduler.policy ~backfill inst groups)
+          Switchsim.Recorder.record sim ~policy:st.Policy.next_slot
         in
         Switchsim.Recorder.save path recording;
         Format.printf "recorded schedule written to %s (replayable)@." path);

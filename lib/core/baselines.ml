@@ -132,9 +132,3 @@ let max_weight inst =
 
 let sebf_madd inst =
   Engine.run inst (sebf_madd_policy ~coflows:(Instance.num_coflows inst))
-
-let primal_dual inst = greedy inst (Primal_dual.order inst)
-
-let shafiee inst = Shafiee.run inst
-
-let chen inst = Chen.run inst

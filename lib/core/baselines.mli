@@ -36,19 +36,6 @@ val max_weight : Workload.Instance.t -> Scheduler.result
     throughput-optimal policy that is nevertheless oblivious to coflow
     completion structure. *)
 
-val primal_dual : Workload.Instance.t -> Scheduler.result
-(** {!Primal_dual.order} under the greedy list schedule — the LP-free
-    comparator with the scheduling half the approximation analyses
-    assume (backfilled list scheduling, not BvN grouping). *)
-
-val shafiee : Workload.Instance.t -> Scheduler.result
-(** {!Shafiee.run}: the combinatorial 5-approximation (4 without release
-    dates), registered here so the arena and harness can treat it as one
-    more one-call baseline. *)
-
-val chen : Workload.Instance.t -> Scheduler.result
-(** {!Chen.run}: the improved-constant variant (4.36 / 3.61 claimed). *)
-
 val sebf_madd : Workload.Instance.t -> Scheduler.result
 (** A Varys-style rate-based heuristic (Chowdhury et al., the [13] the
     paper compares its model against): preemptive Smallest Effective

@@ -1,4 +1,3 @@
-open Workload
 open Switchsim
 
 let order_with_duals ~net inst =
@@ -10,9 +9,3 @@ let order ~net inst = fst (order_with_duals ~net inst)
 
 let policy ~net inst =
   Policy.of_priority ~describe:"chen-hetero" (order ~net inst)
-
-let run ?batch ~net inst =
-  let sim =
-    Simulator.create ~net ~ports:(Instance.ports inst) (Instance.demands inst)
-  in
-  Engine.run ?batch ~sim inst (policy ~net inst)

@@ -24,12 +24,3 @@ val order_with_duals :
 val policy : net:Switchsim.Net.t -> Workload.Instance.t -> Policy.t
 (** Ordering + greedy backfilled list schedule over the net's fabrics
     (fastest first), like {!Chen.policy}. *)
-
-val run :
-  ?batch:bool ->
-  net:Switchsim.Net.t ->
-  Workload.Instance.t ->
-  Engine.result
-(** Run on a simulator built over [net].
-    @raise Invalid_argument when the net's port count disagrees with the
-    instance. *)

@@ -2,8 +2,6 @@ open Matrix
 
 let load = Mat.load
 
-let port_loads d = (Mat.row_sums d, Mat.col_sums d)
-
 let cumulative_loads ds =
   let n = Array.length ds in
   if n = 0 then [||]

@@ -5,9 +5,6 @@ val load : Matrix.Mat.t -> int
     bound on the slots needed to clear [D] alone, met exactly by
     Algorithm 1. *)
 
-val port_loads : Matrix.Mat.t -> int array * int array
-(** Per-ingress and per-egress loads ([row_sums], [col_sums]). *)
-
 val cumulative_loads : Matrix.Mat.t array -> int array
 (** [cumulative_loads ds] is the paper's [V_k] (Eq. 16) for the given order:
     entry [k] is the maximum, over all ports, of the total demand of coflows

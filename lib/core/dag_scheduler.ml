@@ -17,7 +17,7 @@ type result = {
   makespan : int;
 }
 
-let run ?(max_slots = 10_000_000) priority dag =
+let run ?max_slots priority dag =
   let n = Dag.num_stages dag in
   let m = Dag.ports dag in
   let cp = Dag.critical_path_load dag in
@@ -33,8 +33,9 @@ let run ?(max_slots = 10_000_000) priority dag =
   let enabled = Array.make n false in
   List.iter (fun k -> enabled.(k) <- true) (Dag.roots dag);
   (* A completed stage enables its successors; empty stages complete at
-     creation, so propagate until a fixed point before and after every
-     slot. *)
+     creation, so propagate until a fixed point before every decision.
+     Propagation only moves release dates and never completes a stage, so
+     the loop's completion check reads the same either side of it. *)
   let enacted_completion = Array.make n false in
   let rec propagate () =
     let progress = ref false in
@@ -58,7 +59,6 @@ let run ?(max_slots = 10_000_000) priority dag =
     done;
     if !progress then propagate ()
   in
-  propagate ();
   let key k =
     let s = Dag.stage dag k in
     match priority with
@@ -67,35 +67,20 @@ let run ?(max_slots = 10_000_000) priority dag =
       (float_of_int (Simulator.remaining_load sim k) /. s.Dag.weight, k)
     | Fifo -> (float_of_int (Simulator.release_time sim k), k)
   in
-  let policy s =
+  (* one slot per decision: the weighted-bottleneck key moves every slot *)
+  let decide sim ~max_n:_ =
+    propagate ();
     let alive = ref [] in
     for k = n - 1 downto 0 do
-      if Simulator.released s k && not (Simulator.is_complete s k) then
+      if Simulator.released sim k && not (Simulator.is_complete sim k) then
         alive := k :: !alive
     done;
-    let prio = List.map key !alive |> List.sort compare |> List.map snd in
-    let src_used = Array.make m false and dst_used = Array.make m false in
-    let transfers = ref [] in
-    List.iter
-      (fun k ->
-        Simulator.iter_remaining s k (fun i j _ ->
-            if not (src_used.(i) || dst_used.(j)) then begin
-              src_used.(i) <- true;
-              dst_used.(j) <- true;
-              transfers :=
-                { Simulator.src = i; dst = j; coflow = k; fabric = 0 }
-                :: !transfers
-            end))
-      prio;
-    !transfers
+    let priority =
+      List.map key !alive |> List.sort compare |> List.map snd |> Array.of_list
+    in
+    (Policy.greedy_matching sim ~priority, 1)
   in
-  let budget = ref max_slots in
-  while not (Simulator.all_complete sim) do
-    if !budget <= 0 then failwith "Dag_scheduler.run: slot budget exhausted";
-    decr budget;
-    Simulator.step sim (policy sim);
-    propagate ()
-  done;
+  let (_ : int) = Simulator.run ?max_slots sim ~policy:decide in
   let stage_completion =
     Array.init n (fun k -> Simulator.completion_time_exn sim k)
   in

@@ -13,7 +13,7 @@
     - {b FIFO}: by the order stages became available.
 
     Every policy is executed on the switch simulator with per-slot greedy
-    matchings in priority order. *)
+    matchings ({!Policy.greedy_matching}) in priority order. *)
 
 type priority = Critical_path | Weighted_bottleneck | Fifo
 
@@ -31,6 +31,8 @@ type result = {
 }
 
 val run : ?max_slots:int -> priority -> Workload.Dag.t -> result
+(** Step the DAG to completion through {!Switchsim.Simulator.run}, one
+    slot per decision.  [max_slots] and the failures as there. *)
 
 val total_sink_completion : result -> int
 (** Sum of sink completion times — the "all jobs finished" objective. *)

@@ -8,6 +8,7 @@ type result = {
   seconds : float;
   utilization : float;
   matchings : int;
+  decisions : int;
 }
 
 let c_runs = Obs.Counter.make "engine.runs"
@@ -24,7 +25,7 @@ let g_slots_per_sec = Obs.Counter.Gauge.make "engine.slots_per_sec"
 
 let g_coflows_per_sec = Obs.Counter.Gauge.make "engine.coflows_per_sec"
 
-let measure inst sim ~matchings ~seconds =
+let measure inst sim ~matchings ~decisions ~seconds =
   let n = Instance.num_coflows inst in
   let releases = Instance.releases inst in
   let completion =
@@ -46,9 +47,10 @@ let measure inst sim ~matchings ~seconds =
     seconds;
     utilization = Simulator.utilization sim;
     matchings;
+    decisions;
   }
 
-let run ?max_slots ?sim ?(batch = true) inst (p : Policy.t) =
+let run ?max_slots ?sim inst (p : Policy.t) =
   Obs.Span.with_ "engine.run" @@ fun () ->
   Obs.Counter.incr c_runs;
   let sim =
@@ -58,15 +60,19 @@ let run ?max_slots ?sim ?(batch = true) inst (p : Policy.t) =
       Simulator.create ~ports:(Instance.ports inst) (Instance.demands inst)
   in
   let st = p.Policy.prepare sim in
+  let policy =
+    match st.Policy.next_batch with
+    | Some next_batch -> next_batch
+    | None -> fun sim ~max_n:_ -> (st.Policy.next_slot sim, 1)
+  in
   let t0 = Obs.Clock.now_ns () in
-  (match st.Policy.next_batch with
-  | Some next_batch when batch ->
-    Simulator.run_batched ?max_slots sim ~policy:next_batch
-  | _ -> Simulator.run ?max_slots sim ~policy:st.Policy.next_slot);
+  let decisions = Simulator.run ?max_slots sim ~policy in
   let seconds =
     float_of_int (Obs.Clock.elapsed_ns ~since:t0) /. 1e9
   in
-  let r = measure inst sim ~matchings:(st.Policy.matchings ()) ~seconds in
+  let r =
+    measure inst sim ~matchings:(st.Policy.matchings ()) ~decisions ~seconds
+  in
   Obs.Counter.Gauge.set g_utilization r.utilization;
   if seconds > 0.0 then begin
     Obs.Counter.Gauge.set g_slots_per_sec (float_of_int r.slots /. seconds);
@@ -76,8 +82,6 @@ let run ?max_slots ?sim ?(batch = true) inst (p : Policy.t) =
   r
 
 (* ---- parallel job execution across OCaml 5 domains ---- *)
-
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let run_many ~jobs thunks =
   if jobs < 1 then invalid_arg "Engine.run_many: jobs must be >= 1";

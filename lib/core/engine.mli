@@ -2,9 +2,10 @@
 
     {!run} drives a {!Policy.t} against the simulator — the loop itself is
     {!Switchsim.Simulator.run}, the single choke point for slot validation,
-    budget enforcement and per-slot instrumentation — and assembles the
-    {!result} every scheduler used to hand-roll: completion vector, TWCT
-    under the instance's weights, makespan, utilization, matchings built.
+    budget enforcement, per-decision instrumentation and the decision
+    count — and assembles the {!result} every scheduler used to hand-roll:
+    completion vector, TWCT under the instance's weights, makespan,
+    utilization, matchings built, decisions taken.
 
     {!run_many} executes independent jobs across OCaml 5 domains.
     Determinism contract: a job must be a pure function of its closure
@@ -25,28 +26,31 @@ type result = {
   seconds : float;  (** wall-clock time of the simulation loop *)
   utilization : float;
   matchings : int;  (** distinct BvN matchings computed *)
+  decisions : int;
+      (** policy decisions the loop took, each covering one or more
+          consecutive slots: [slots] when every decision is a single slot
+          ({!Policy.unbatched}), fewer when the policy batches *)
 }
 
 val run :
   ?max_slots:int ->
   ?sim:Switchsim.Simulator.t ->
-  ?batch:bool ->
   Workload.Instance.t ->
   Policy.t ->
   result
 (** [run inst policy] prepares the policy on a fresh simulator for [inst]
     (or on [sim] when a custom one — fabric-validated, fault-injected — is
     supplied; it must have been created from [inst]'s demands) and steps it
-    to completion.  [max_slots] as in {!Switchsim.Simulator.run}.
+    to completion with {!Switchsim.Simulator.run}, the one loop.
+    [max_slots] as there.
 
-    When the prepared stepper offers a batched decision the engine drives
-    {!Switchsim.Simulator.run_batched} — the event-driven loop that jumps
-    the clock across runs of identical slots — and
-    {!Switchsim.Simulator.run} over [next_slot] otherwise.  [batch:false]
-    forces the slot-by-slot loop (the A/B lever the equivalence tests and the
-    throughput experiments use); results are identical either way, only
-    [seconds] differs.  Wall-clock throughput of the run is published on
-    the [engine.slots_per_sec] / [engine.coflows_per_sec] gauges.
+    The loop gets the prepared stepper's batched decision when it offers
+    one — the event-driven decision that jumps the clock across runs of
+    identical slots — and its [next_slot] as a batch of one otherwise.
+    {!Policy.unbatched} gives the slot-by-slot reference; results are
+    identical either way, only [decisions] and [seconds] differ.
+    Wall-clock throughput of the run is published on the
+    [engine.slots_per_sec] / [engine.coflows_per_sec] gauges.
     @raise Switchsim.Simulator.Invalid_slot on a bad policy decision,
     [Failure] when the slot budget is exhausted. *)
 
@@ -56,7 +60,3 @@ val run_many : jobs:int -> (unit -> 'a) list -> 'a list
     domain only, no spawn).  A raising thunk re-raises at the join, after
     all jobs finish — the earliest failing index wins deterministically.
     @raise Invalid_argument when [jobs < 1]. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1 — a sensible
-    [--jobs] value that leaves a core for the driver. *)

@@ -74,18 +74,3 @@ let members groups u =
   Array.copy groups.(u)
 
 let flatten groups = Array.concat (Array.to_list groups)
-
-let pp ppf groups =
-  Format.fprintf ppf "@[<h>";
-  Array.iteri
-    (fun u g ->
-      if u > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "{";
-      Array.iteri
-        (fun i k ->
-          if i > 0 then Format.fprintf ppf ",";
-          Format.fprintf ppf "%d" k)
-        g;
-      Format.fprintf ppf "}")
-    groups;
-  Format.fprintf ppf "@]"

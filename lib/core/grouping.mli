@@ -37,5 +37,3 @@ val group_count : t -> int
 val members : t -> int -> int array
 
 val flatten : t -> int array
-
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,8 @@ let rule_name = function
 
 let all_rules = [ Weighted_bottleneck; Weighted_remaining; Arrival_order ]
 
-(* The simulator does not carry weights; policies capture them when built
-   through [run].  For the bare [policy] accessor, weights default to 1. *)
+(* The simulator does not carry weights; policies capture them when
+   built. *)
 let keyed_priority rule sim weights =
   let n = Simulator.num_coflows sim in
   let alive = ref [] in
@@ -20,7 +20,7 @@ let keyed_priority rule sim weights =
       alive := k :: !alive
   done;
   let key k =
-    let w = match weights with Some w -> w.(k) | None -> 1.0 in
+    let w = weights.(k) in
     match rule with
     | Weighted_bottleneck ->
       (float_of_int (Simulator.remaining_load sim k) /. w, k)
@@ -34,9 +34,7 @@ let decide rule weights sim =
   Policy.greedy_matching sim
     ~priority:(Array.of_list (keyed_priority rule sim weights))
 
-let policy rule sim = decide rule None sim
-
-let as_policy ?weights rule =
+let as_policy ~weights rule =
   Policy.stateless ~describe:(rule_name rule) (decide rule weights)
 
 let run rule inst =

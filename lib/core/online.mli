@@ -25,10 +25,6 @@ val all_rules : rule list
 val run : rule -> Workload.Instance.t -> Scheduler.result
 (** Runs through {!Engine.run} with the instance's weights. *)
 
-val as_policy : ?weights:float array -> rule -> Policy.t
-(** The rule as a first-class {!Policy.t}; weights default to 1. *)
-
-val policy :
-  rule -> Switchsim.Simulator.t -> Switchsim.Simulator.transfer list
-(** The per-slot decision, exposed for custom simulations; stateless, so
-    one value serves any number of runs.  Weights default to 1. *)
+val as_policy : weights:float array -> rule -> Policy.t
+(** The rule as a first-class {!Policy.t} under per-coflow [weights]
+    (indexed like the simulator's coflows). *)

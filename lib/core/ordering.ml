@@ -41,14 +41,3 @@ let by_total_size inst =
         c.Instance.id ))
 
 let by_lp (result : Lp_relax.result) = Array.copy result.Lp_relax.order
-
-let of_list = Array.of_list
-
-let pp ppf order =
-  Format.fprintf ppf "@[<h>[";
-  Array.iteri
-    (fun i k ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%d" k)
-    order;
-  Format.fprintf ppf "]@]"

@@ -21,7 +21,3 @@ val by_total_size : Workload.Instance.t -> t
 
 val by_lp : Lp_relax.result -> t
 (** [H_LP]: the order (15) computed from approximated completion times. *)
-
-val of_list : int list -> t
-
-val pp : Format.formatter -> t -> unit

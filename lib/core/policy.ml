@@ -22,6 +22,9 @@ let describe t = t.describe
 let stateless ~describe next_slot =
   { describe; prepare = (fun _ -> stepper next_slot) }
 
+let unbatched p =
+  { p with prepare = (fun sim -> { (p.prepare sim) with next_batch = None }) }
+
 (* The greedy maximal matching every order-respecting policy is built on:
    scan coflows in priority order, claim still-free port pairs from their
    remaining demand.  [init] seeds the claimed ports (work-conserving

@@ -23,10 +23,11 @@ type stepper = {
       (** event-driven decision: the slot's transfers plus the number of
           consecutive slots [n] ([1 <= n <= max_n]) they may be replayed
           for without diverging from [next_slot] — see {!skip_bound} for
-          the safety argument.  When present the engine drives
-          {!Switchsim.Simulator.run_batched} instead of the slot loop;
-          totals, events and counters must come out identical either
-          way. *)
+          the safety argument.  When present the engine hands it to
+          {!Switchsim.Simulator.run}; otherwise [next_slot] runs as a
+          batch of one.  Schedules, totals and events must come out
+          identical either way ({!unbatched}); only the decision count
+          differs. *)
   matchings : unit -> int;
       (** matchings built so far, folded into {!Engine.result} *)
 }
@@ -47,9 +48,15 @@ val stepper :
   (Switchsim.Simulator.t -> Switchsim.Simulator.transfer list) ->
   stepper
 (** Stepper with defaults: zero matchings, no batched decision (the
-    engine falls back to the slot-by-slot loop). *)
+    engine runs [next_slot] as a batch of one). *)
 
 val describe : t -> string
+
+val unbatched : t -> t
+(** The same policy without its batched decision: every prepared stepper
+    offers [next_slot] only, so {!Engine.run} takes one decision per
+    slot.  The slot-by-slot reference that batched runs are checked
+    against. *)
 
 val stateless :
   describe:string ->

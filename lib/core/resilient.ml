@@ -32,7 +32,6 @@ type result = {
   completion : int array;
   twct : float;
   slots : int;
-  decisions : int;
   tier_slots : (tier * int) list;
   replans : int;
   lp_failures : int;
@@ -146,7 +145,7 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   let inj = Injector.create ?net ~plan ~ports (Instance.demands inst) in
   let sim = Injector.sim inj in
   let faults = Injector.faults inj in
-  let lp_failures = ref 0 and replans = ref 0 and decisions = ref 0 in
+  let lp_failures = ref 0 and replans = ref 0 in
   let warm = ref None and lp_stats = ref (0, 0) in
   let on_lp_failure () =
     incr lp_failures;
@@ -202,7 +201,6 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
       Obs.Counter.incr c_replans;
       need_replan := false
     end;
-    incr decisions;
     let transfers =
       Policy.greedy_matching ~faults s
         ~priority:(Policy.live_slice view s !order ~pos:0)
@@ -227,7 +225,6 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   { completion = er.Engine.completion;
     twct = er.Engine.twct;
     slots = er.Engine.slots;
-    decisions = !decisions;
     tier_slots = List.map (fun t -> (t, tier_counts.(tier_index t))) all_tiers;
     replans = !replans;
     lp_failures = !lp_failures;

@@ -68,8 +68,6 @@ type result = {
   completion : int array;
   twct : float;
   slots : int;
-  decisions : int;
-      (** decisions taken; each covers one or more consecutive slots *)
   tier_slots : (tier * int) list;
       (** slots served per tier, in [all_tiers] order *)
   replans : int;  (** re-planning rounds, including the initial one *)
@@ -82,7 +80,8 @@ type result = {
       (** per-slot tier + transfers, ready for {!Faults.Audit.check} *)
   engine : Engine.result;
       (** the underlying engine run ([completion], [twct] and [slots] above
-          are its fields) *)
+          are its fields; [decisions] counts the batched decisions taken,
+          each covering one or more consecutive slots) *)
 }
 
 val lp_tier :

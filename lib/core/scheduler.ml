@@ -19,6 +19,7 @@ type result = Engine.result = {
   seconds : float;
   utilization : float;
   matchings : int;
+  decisions : int;
 }
 
 (* Per-run buffers of the replay, sized on first use: the owner position
@@ -385,10 +386,6 @@ let next_slot_batched state ~backfill ?(aggressive = false) ~max_n sim =
 let next_slot state ~backfill ?(aggressive = false) sim =
   fst (next_slot_batched state ~backfill ~aggressive ~max_n:1 sim)
 
-let policy ?(backfill = false) ?(aggressive = false) _inst groups =
-  let state = make_state groups in
-  fun sim -> next_slot state ~backfill ~aggressive sim
-
 let twct_of_completions inst completion =
   Metrics.total_weighted_completion ~weights:(Instance.weights inst) completion
 
@@ -401,13 +398,13 @@ let as_policy ?(backfill = false) ?(aggressive = false) ~describe groups =
         ~matchings:(fun () -> state.matchings_built)
         (fun sim -> next_slot state ~backfill ~aggressive sim))
 
-let run_grouped ?(backfill = false) ?(aggressive = false) ?batch inst groups =
+let run_grouped ?(backfill = false) ?(aggressive = false) inst groups =
   let describe =
     Printf.sprintf "grouped%s%s"
       (if backfill then "+backfill" else "")
       (if aggressive then "+aggressive" else "")
   in
-  Engine.run ?batch inst (as_policy ~backfill ~aggressive ~describe groups)
+  Engine.run inst (as_policy ~backfill ~aggressive ~describe groups)
 
 let case_policy ~case inst order =
   let groups =
@@ -420,5 +417,4 @@ let case_policy ~case inst order =
     ~describe:(if backfill then "grouped+backfill" else "grouped")
     groups
 
-let run ?(case = Group) ?batch inst order =
-  Engine.run ?batch inst (case_policy ~case inst order)
+let run ?(case = Group) inst order = Engine.run inst (case_policy ~case inst order)

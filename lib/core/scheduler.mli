@@ -30,6 +30,7 @@ type result = Engine.result = {
   seconds : float;  (** wall-clock time of the simulation loop *)
   utilization : float;
   matchings : int;  (** distinct BvN matchings computed *)
+  decisions : int;  (** policy decisions the loop took *)
 }
 (** Re-export of {!Engine.result}: the engine assembles it for every
     policy; this alias keeps the historical name every caller uses. *)
@@ -61,7 +62,7 @@ type state = {
     can read the active group / queue depth and white-box tests can
     construct degenerate states (e.g. a group whose demand vanished)
     directly. Ordinary callers should treat it as opaque and go through
-    {!policy} / {!run_grouped}. *)
+    {!as_policy} / {!run_grouped}. *)
 
 val make_state : Grouping.t -> state
 (** O(coflows + groups) words: the flat order and the group offsets. *)
@@ -105,21 +106,6 @@ val next_slot_batched :
     accounting cover all [n] slots.  [next_slot] is the [max_n = 1]
     specialization. *)
 
-val policy :
-  ?backfill:bool ->
-  ?aggressive:bool ->
-  Workload.Instance.t ->
-  Grouping.t ->
-  Switchsim.Simulator.t ->
-  Switchsim.Simulator.transfer list
-(** The slot policy: partially apply on an instance and grouping, hand the
-    closure to {!Switchsim.Simulator.run}.  The closure is stateful — use
-    one per simulation.  Groups are activated in order once all their
-    members are released; while the next group is gated by a release date, a
-    backfilling policy serves released later coflows greedily and a
-    non-backfilling policy idles, matching the sequential discipline of
-    Algorithm 2. *)
-
 val as_policy :
   ?backfill:bool ->
   ?aggressive:bool ->
@@ -128,21 +114,24 @@ val as_policy :
   Policy.t
 (** The grouped policy as a first-class {!Policy.t}: fresh state per
     prepared run, matchings-built folded into the engine's result.  This is
-    what {!run} / {!run_grouped} hand to {!Engine.run}. *)
+    what {!run} / {!run_grouped} hand to {!Engine.run}.  Groups are
+    activated in order once all their members are released; while the
+    next group is gated by a release date, a backfilling policy serves
+    released later coflows greedily and a non-backfilling policy idles,
+    matching the sequential discipline of Algorithm 2. *)
 
 val case_policy : case:case -> Workload.Instance.t -> Ordering.t -> Policy.t
 (** The grouped policy of [case] over [order], as {!run} executes it. *)
 
-val run :
-  ?case:case -> ?batch:bool -> Workload.Instance.t -> Ordering.t -> result
+val run : ?case:case -> Workload.Instance.t -> Ordering.t -> result
 (** Build the grouping for [case] (default [Group], the paper's algorithm),
     simulate to completion via {!Engine.run}, return measured statistics.
-    [batch] as in {!Engine.run} (default on: event-driven slot skipping). *)
+    {!Policy.unbatched} of {!case_policy} is the slot-by-slot
+    reference. *)
 
 val run_grouped :
   ?backfill:bool ->
   ?aggressive:bool ->
-  ?batch:bool ->
   Workload.Instance.t ->
   Grouping.t ->
   result

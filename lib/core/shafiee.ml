@@ -14,4 +14,4 @@ let guarantee_for inst =
 
 let policy inst = Policy.of_priority ~describe:"shafiee-ghaderi" (order inst)
 
-let run ?batch inst = Engine.run ?batch inst (policy inst)
+let run inst = Engine.run inst (policy inst)

@@ -39,4 +39,4 @@ val guarantee_for : Workload.Instance.t -> float
 val policy : Workload.Instance.t -> Policy.t
 (** Ordering + greedy backfilled list schedule as an engine policy. *)
 
-val run : ?batch:bool -> Workload.Instance.t -> Engine.result
+val run : Workload.Instance.t -> Engine.result

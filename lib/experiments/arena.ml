@@ -2,11 +2,7 @@ open Workload
 open Core
 open Switchsim
 
-type outcome = {
-  result : Engine.result;
-  decisions : int;
-  checks : (string * bool) list;
-}
+type outcome = { result : Engine.result; checks : (string * bool) list }
 
 type contender = {
   name : string;
@@ -46,29 +42,12 @@ type row = {
 
 type leg = { spec : spec; rows : row list; checks : (string * bool) list }
 
-(* Every stepper invocation (slot-by-slot or batched) is counted without
-   disturbing which loop the engine picks: the batched decision stays
-   present iff the policy offered one. *)
 let contender name (p : Policy.t) =
   let run inst net =
-    let count = ref 0 in
-    let counted sim =
-      let s = p.Policy.prepare sim in
-      { s with
-        Policy.next_slot = (fun sim -> incr count; s.Policy.next_slot sim);
-        next_batch =
-          Option.map
-            (fun f sim ~max_n -> incr count; f sim ~max_n)
-            s.Policy.next_batch;
-      }
-    in
     let sim =
       Simulator.create ~net ~ports:(Instance.ports inst) (Instance.demands inst)
     in
-    let result =
-      Engine.run ~sim inst (Policy.make ~describe:(Policy.describe p) counted)
-    in
-    { result; decisions = !count; checks = [] }
+    { result = Engine.run ~sim inst p; checks = [] }
   in
   { name; guarantee = None; fallback = None; run }
 
@@ -122,8 +101,9 @@ let slug name =
   |> List.filter (( <> ) "")
   |> String.concat "_"
 
-let row_of spec (c : contender) { result = r; decisions; _ } =
+let row_of spec (c : contender) { result = r; _ } =
   let what = Printf.sprintf "%s on %s" c.name spec.label in
+  let decisions = r.Engine.decisions in
   { algo = c.name;
     fallback = c.fallback;
     guarantee = c.guarantee;

@@ -17,7 +17,7 @@
 
 type outcome = {
   result : Core.Engine.result;
-  decisions : int;  (** stepper invocations, batched or not *)
+      (** the run; its [decisions] fill the row's decision columns *)
   checks : (string * bool) list;  (** named verdicts the run must pass *)
 }
 
@@ -31,8 +31,8 @@ type contender = {
 }
 
 val contender : string -> Core.Policy.t -> contender
-(** The policy on a fresh simulator over the leg's net, decisions
-    counted; no guarantee, no fallback. *)
+(** The policy on a fresh simulator over the leg's net; no guarantee,
+    no fallback. *)
 
 type target = Bound | Best_twct
 

@@ -43,7 +43,6 @@ let resilient_contender ~from_ ~until =
         (Audit.slot audit s).Audit.transfers
     done;
     { Arena.result = r.Resilient.engine;
-      decisions = r.Resilient.decisions;
       checks =
         [ ("completed", Array.for_all (fun c -> c >= 0) r.Resilient.completion);
           ("audit_ok", Result.is_ok (Audit.check ~net ~plan audit));

@@ -85,24 +85,21 @@ let run ?(stretch = false) ?(jobs = 1) ?ports:(ports' = ports)
          ])
   in
   let grid = Arena.race ~jobs [ grid ] in
-  (* A/B: same policy, batch on vs off, sequentially (wall-clock must not
-     share cores).  Greedy H_rho exercises Policy.of_priority's batcher;
-     case (d) exercises the scheduler's BvN-queue batcher. *)
+  (* A/B: same policy, batched vs {!Policy.unbatched}, sequentially
+     (wall-clock must not share cores).  Greedy H_rho exercises
+     Policy.of_priority's batcher; case (d) exercises the scheduler's
+     BvN-queue batcher. *)
   let ab_specs =
-    [ ("greedy H_rho",
-       fun batch -> Engine.run ~batch inst (Baselines.greedy_policy hrho));
+    [ ("greedy H_rho", Baselines.greedy_policy hrho);
       ("grouped H_rho (d)",
-       fun batch -> Scheduler.run ~case:Scheduler.Group_backfill ~batch inst hrho);
+       Scheduler.case_policy ~case:Scheduler.Group_backfill inst hrho);
     ]
   in
-  let batch_steps = Obs.Counter.make "sim.batch_steps" in
   let ab =
     List.map
-      (fun (ab_label, go) ->
-        let unbatched = go false in
-        let d0 = Obs.Counter.value batch_steps in
-        let batched = go true in
-        let decisions = Obs.Counter.value batch_steps - d0 in
+      (fun (ab_label, policy) ->
+        let unbatched = Engine.run inst (Policy.unbatched policy) in
+        let batched = Engine.run inst policy in
         assert (batched.Engine.twct = unbatched.Engine.twct);
         assert (batched.Engine.slots = unbatched.Engine.slots);
         if batched.Engine.seconds > 0.0 then
@@ -115,7 +112,7 @@ let run ?(stretch = false) ?(jobs = 1) ?ports:(ports' = ports)
           ab_slots = batched.Engine.slots;
           unbatched_s = unbatched.Engine.seconds;
           batched_s = batched.Engine.seconds;
-          decisions;
+          decisions = batched.Engine.decisions;
         })
       ab_specs
   in

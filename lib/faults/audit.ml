@@ -276,10 +276,12 @@ let of_string s =
   let fail lineno msg =
     failwith (Printf.sprintf "Audit.of_string: line %d: %s" lineno msg)
   in
+  (* numbered before blank lines are dropped, so errors name file lines *)
   let lines =
     String.split_on_char '\n' s
     |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
   let parse_int lineno s =
     match int_of_string_opt s with
@@ -287,22 +289,22 @@ let of_string s =
     | None -> fail lineno (Printf.sprintf "expected integer, got %S" s)
   in
   match lines with
-  | header :: dims :: rest ->
+  | (hl, header) :: (dl, dims) :: rest ->
     if header <> magic then
-      fail 1 (Printf.sprintf "bad header %S (expected %S)" header magic);
+      fail hl (Printf.sprintf "bad header %S (expected %S)" header magic);
     let ports, nslots =
       match String.split_on_char ' ' dims |> List.filter (( <> ) "") with
-      | [ "ports"; p; "slots"; n ] -> (parse_int 2 p, parse_int 2 n)
-      | _ -> fail 2 "expected 'ports <m> slots <n>'"
+      | [ "ports"; p; "slots"; n ] -> (parse_int dl p, parse_int dl n)
+      | _ -> fail dl "expected 'ports <m> slots <n>'"
     in
-    if ports <= 0 || nslots < 0 then fail 2 "bad geometry";
-    let lineno = ref 2 in
+    if ports <= 0 || nslots < 0 then fail dl "bad geometry";
+    let lineno = ref dl in
     let body = ref rest in
     let next () =
       match !body with
       | [] -> fail !lineno "unexpected end of file"
-      | l :: tl ->
-        incr lineno;
+      | (n, l) :: tl ->
+        lineno := n;
         body := tl;
         l
     in
@@ -340,20 +342,6 @@ let of_string s =
             { tier; transfers }
           | _ -> fail !lineno "expected 'slot <idx> <tier> <ntransfers>'")
     in
-    if !body <> [] then fail (!lineno + 1) "trailing content";
+    (match !body with (n, _) :: _ -> fail n "trailing content" | [] -> ());
     { ports; slots }
   | _ -> failwith "Audit.of_string: missing header or dimensions"
-
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))

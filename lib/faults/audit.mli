@@ -113,7 +113,3 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** @raise Failure with a line-numbered message on malformed input. *)
-
-val save : string -> t -> unit
-
-val load : string -> t

@@ -120,8 +120,6 @@ let maximize m ?(constant = 0.0) e = set_objective m `Maximize constant e
 
 let objective m = (m.obj_dir, m.obj, m.obj_const)
 
-let eval e x = List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0.0 e
-
 let pp_expr m ppf e =
   if e = [] then Format.fprintf ppf "0"
   else

@@ -67,9 +67,5 @@ val objective : t -> [ `Minimize | `Maximize ] * expr * float
 (** Direction, expression and additive constant; minimizing the zero
     objective when unset. *)
 
-val eval : expr -> float array -> float
-(** [eval e x] evaluates the expression at the point [x] indexed by
-    variable. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump of the whole program (for debugging and tests). *)

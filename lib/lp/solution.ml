@@ -18,7 +18,3 @@ let status_to_string = function
   | Unbounded -> "unbounded"
   | Iteration_limit -> "iteration-limit"
   | Time_limit -> "time-limit"
-
-let pp ppf t =
-  Format.fprintf ppf "%s: obj=%g (%d iterations, %d refactors)"
-    (status_to_string t.status) t.objective t.iterations t.refactors

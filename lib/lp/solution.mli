@@ -40,5 +40,3 @@ type t = {
 val value : t -> Model.var -> float
 
 val status_to_string : status -> string
-
-val pp : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.cell by)
 
 let value c = Atomic.get c.cell
 
-let set c v = Atomic.set c.cell v
-
 let dump () =
   with_lock (fun () ->
       Hashtbl.fold (fun name c acc -> (name, Atomic.get c.cell) :: acc) registry [])

@@ -18,8 +18,6 @@ val incr : ?by:int -> t -> unit
 
 val value : t -> int
 
-val set : t -> int -> unit
-
 val dump : unit -> (string * int) list
 (** Every registered counter, sorted by name. *)
 

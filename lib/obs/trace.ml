@@ -109,8 +109,6 @@ let async ph ~name ~cat ~id ~slot =
 
 let async_begin ~name ~cat ~id ~slot = async 'b' ~name ~cat ~id ~slot
 
-let async_instant ~name ~cat ~id ~slot = async 'n' ~name ~cat ~id ~slot
-
 let async_end ~name ~cat ~id ~slot = async 'e' ~name ~cat ~id ~slot
 
 (* Process/thread naming metadata so the two timelines are labelled in the

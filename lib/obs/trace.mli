@@ -38,8 +38,6 @@ val counter : name:string -> slot:int -> (string * int) list -> unit
 
 val async_begin : name:string -> cat:string -> id:int -> slot:int -> unit
 
-val async_instant : name:string -> cat:string -> id:int -> slot:int -> unit
-
 val async_end : name:string -> cat:string -> id:int -> slot:int -> unit
 (** Async slices join by ([cat], [id]); begin/end pairs must use the same
     [name]. *)

@@ -15,10 +15,6 @@ let validate cfg =
 
 type reason = Queue_full | Deadline_unmeetable
 
-let reason_name = function
-  | Queue_full -> "queue_full"
-  | Deadline_unmeetable -> "deadline_unmeetable"
-
 type decision = Admit of { deadline : int option } | Reject of reason
 
 let isolation_bound demand = Matrix.Mat.load demand

@@ -38,8 +38,6 @@ val validate : config -> unit
 
 type reason = Queue_full | Deadline_unmeetable
 
-val reason_name : reason -> string
-
 type decision =
   | Admit of { deadline : int option }
       (** absolute deadline slot; [None] when deadlines are disabled *)

@@ -1,15 +1,13 @@
 type t = { ports : int; slots : Simulator.transfer list array }
 
-let record ?(max_slots = 10_000_000) sim ~policy =
+let record ?max_slots sim ~policy =
   let log = ref [] in
-  let budget = ref max_slots in
-  while not (Simulator.all_complete sim) do
-    if !budget <= 0 then failwith "Recorder.record: slot budget exhausted";
-    decr budget;
-    let transfers = policy sim in
-    Simulator.step sim transfers;
-    log := transfers :: !log
-  done;
+  let (_ : int) =
+    Simulator.run ?max_slots sim ~policy:(fun sim ~max_n:_ ->
+        let transfers = policy sim in
+        log := transfers :: !log;
+        (transfers, 1))
+  in
   { ports = Simulator.ports sim; slots = Array.of_list (List.rev !log) }
 
 let replay ?net t demands =
@@ -40,13 +38,15 @@ let to_csv t =
   Buffer.contents b
 
 let of_csv text =
+  (* numbered before blank lines are dropped, so errors name file lines *)
   let lines =
     String.split_on_char '\n' text
     |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
   match lines with
-  | meta :: header :: rows ->
+  | (_, meta) :: (_, header) :: rows ->
     let ports, nslots =
       try Scanf.sscanf meta "# ports=%d slots=%d" (fun p s -> (p, s))
       with Scanf.Scan_failure _ | Failure _ | End_of_file ->
@@ -56,11 +56,11 @@ let of_csv text =
       failwith "Recorder.of_csv: bad header";
     if nslots < 0 || ports <= 0 then failwith "Recorder.of_csv: bad geometry";
     let slots = Array.make nslots [] in
-    List.iteri
-      (fun idx row ->
+    List.iter
+      (fun (lineno, row) ->
         let bad () =
           failwith
-            (Printf.sprintf "Recorder.of_csv: bad row %d: %S" (idx + 3) row)
+            (Printf.sprintf "Recorder.of_csv: bad row %d: %S" lineno row)
         in
         let cols, fabric =
           match String.split_on_char ',' row with

@@ -16,8 +16,9 @@ val record :
   Simulator.t ->
   policy:(Simulator.t -> Simulator.transfer list) ->
   t
-(** Drive [policy] to completion (like {!Simulator.run}) while logging
-    every slot. *)
+(** Drive the per-slot [policy] to completion through {!Simulator.run},
+    one slot per decision, while logging every slot.  [max_slots] and the
+    failures as in {!Simulator.run}. *)
 
 val replay : ?net:Net.t -> t -> (int * Matrix.Mat.t) list -> Simulator.t
 (** Re-execute the log against a fresh simulator over the given demands

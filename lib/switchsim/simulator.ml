@@ -405,41 +405,27 @@ let c_batched_slots = Obs.Counter.make "sim.batched_slots"
 
 let h_service = Obs.Histogram.make "slot.service_ns"
 
-let run ?(max_slots = 10_000_000) t ~policy =
-  Obs.Span.with_ "sim.run" @@ fun () ->
-  let budget = ref max_slots in
-  while not (all_complete t) do
-    if !budget <= 0 then failwith "Simulator.run: slot budget exhausted";
-    decr budget;
-    (* per-slot wall time (policy decision + commit), only measured while
-       histograms are on: the disabled hot path stays one atomic load *)
-    let t0 = if Obs.Histogram.enabled () then Obs.Clock.now_ns () else 0 in
-    let transfers = policy t in
-    let before = t.moved in
-    step t transfers;
-    if t0 > 0 then
-      Obs.Histogram.observe h_service (Obs.Clock.elapsed_ns ~since:t0);
-    Obs.Counter.incr c_slots;
-    Obs.Counter.incr c_units ~by:(t.moved - before)
-  done
-
-(* Event-driven run: the policy answers with the slot's transfers AND the
-   number of consecutive slots they may be replayed for (1 <= n <= max_n).
+(* The one loop that steps a run to completion.  Each decision answers
+   with the slot's transfers AND the number of consecutive slots they may
+   be replayed for (1 <= n <= max_n); a per-slot policy is a batch of one.
    The policy owns the safety argument (no matched entry hits zero, no
    release boundary, no internal schedule boundary inside the batch);
    [step_n] independently enforces the demand part.  Budget accounting is
    slot-exact: [max_n] never exceeds the remaining budget, so a run that
    would exhaust [max_slots] slot-by-slot exhausts it here too. *)
-let run_batched ?(max_slots = 10_000_000) t ~policy =
+let run ?(max_slots = 10_000_000) t ~policy =
   Obs.Span.with_ "sim.run" @@ fun () ->
-  let budget = ref max_slots in
+  let budget = ref max_slots and decisions = ref 0 in
   while not (all_complete t) do
     if !budget <= 0 then failwith "Simulator.run: slot budget exhausted";
+    (* per-decision wall time (decision + commit), only measured while
+       histograms are on: the disabled hot path stays one atomic load *)
     let t0 = if Obs.Histogram.enabled () then Obs.Clock.now_ns () else 0 in
     let transfers, n = policy t ~max_n:!budget in
     if n < 1 || n > !budget then
-      invalid_arg "Simulator.run_batched: policy returned a bad batch size";
+      invalid_arg "Simulator.run: policy returned a bad batch size";
     budget := !budget - n;
+    incr decisions;
     let before = t.moved in
     step_n t transfers n;
     if t0 > 0 then
@@ -448,7 +434,8 @@ let run_batched ?(max_slots = 10_000_000) t ~policy =
     Obs.Counter.incr c_units ~by:(t.moved - before);
     Obs.Counter.incr c_batch_steps;
     if n > 1 then Obs.Counter.incr c_batched_slots ~by:(n - 1)
-  done
+  done;
+  !decisions
 
 let total_weighted_completion t w =
   if Array.length w < num_coflows t then

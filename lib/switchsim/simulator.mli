@@ -8,9 +8,9 @@
     is exactly the paper's model.
 
     The simulator is the ground truth for every experiment: schedulers are
-    expressed as per-slot policies, the simulator validates each slot against
-    the matching, routing and release-date constraints and records the exact
-    completion time of every coflow. *)
+    expressed as policies that {!run} steps to completion, the simulator
+    validates each slot against the matching, routing and release-date
+    constraints and records the exact completion time of every coflow. *)
 
 type t
 
@@ -196,26 +196,25 @@ val step_batch : t -> transfer list -> slots:int -> unit
     to calling {!step} [slots] times.  @raise Invalid_slot otherwise. *)
 
 val run :
-  ?max_slots:int -> t -> policy:(t -> transfer list) -> unit
-(** Repeatedly query [policy] and {!step} until all coflows complete.
-    [max_slots] (default [10_000_000]) guards against non-progressing
-    policies.  @raise Invalid_slot on a bad policy decision, [Failure] when
-    the budget is exhausted. *)
-
-val run_batched :
   ?max_slots:int ->
   t ->
   policy:(t -> max_n:int -> transfer list * int) ->
-  unit
-(** Event-driven variant of {!run}: the policy answers with the slot's
-    transfers {e and} the number of consecutive slots [n] they may be
-    replayed for, [1 <= n <= max_n] — the clock jumps [n] slots in one
-    {!step_batch}.  The policy owns the full safety argument (no release
-    boundary or internal schedule boundary inside the batch — the skip
-    bound in the core policy layer); the demand half is enforced
-    independently by the batch step.  Budget accounting is slot-exact: a run that would
-    exhaust [max_slots] slot-by-slot exhausts it here too.
-    @raise Invalid_argument when the policy returns [n < 1] or [n > max_n]. *)
+  int
+(** [run sim ~policy] steps [sim] until all coflows complete and returns
+    the number of decisions it took — the only loop that steps a run to
+    completion.  Each decision answers with the slot's transfers {e and}
+    the number of consecutive slots [n] they may be replayed for,
+    [1 <= n <= max_n]; the clock jumps [n] slots in one {!step_batch}.
+    A per-slot policy answers [n = 1].  The policy owns the full safety
+    argument (no release boundary or internal schedule boundary inside
+    the batch — the skip bound in the core policy layer); the demand half
+    is enforced independently by the batch step.  [max_slots] (default
+    [10_000_000]) guards against non-progressing policies; budget
+    accounting is slot-exact, so a run that would exhaust [max_slots]
+    slot by slot exhausts it here too.
+    @raise Invalid_slot on a bad policy decision, [Failure] when the
+    budget is exhausted, [Invalid_argument] when the policy returns
+    [n < 1] or [n > max_n]. *)
 
 val total_weighted_completion : t -> float array -> float
 (** [total_weighted_completion sim w] is [sum_k w.(k) * C_k].

@@ -22,17 +22,19 @@ let to_string inst =
   Buffer.contents b
 
 let of_string s =
+  (* numbered before blank lines are dropped, so errors name file lines *)
   let lines =
     String.split_on_char '\n' s
     |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
   let fail lineno msg =
     failwith (Printf.sprintf "Trace.of_string: line %d: %s" lineno msg)
   in
   match lines with
   | [] -> failwith "Trace.of_string: empty input"
-  | header :: rest ->
+  | (_, header) :: rest ->
     if header <> magic then
       failwith
         (Printf.sprintf "Trace.of_string: bad header %S (expected %S)" header
@@ -54,22 +56,22 @@ let of_string s =
     in
     (match rest with
     | [] -> failwith "Trace.of_string: missing dimensions line"
-    | dims :: body ->
+    | (dl, dims) :: body ->
       let ports, ncoflows =
-        match tokens 2 dims with
-        | [ p; n ] -> (parse_int 2 p, parse_int 2 n)
-        | _ -> fail 2 "expected '<ports> <num_coflows>'"
+        match tokens dl dims with
+        | [ p; n ] -> (parse_int dl p, parse_int dl n)
+        | _ -> fail dl "expected '<ports> <num_coflows>'"
       in
-      if ports <= 0 then fail 2 "ports must be positive";
-      if ncoflows < 0 then fail 2 "negative coflow count";
+      if ports <= 0 then fail dl "ports must be positive";
+      if ncoflows < 0 then fail dl "negative coflow count";
       let seen_ids = Hashtbl.create 16 in
-      let lineno = ref 2 in
+      let lineno = ref dl in
       let body = ref body in
       let next () =
         match !body with
         | [] -> fail !lineno "unexpected end of file"
-        | l :: tl ->
-          incr lineno;
+        | (n, l) :: tl ->
+          lineno := n;
           body := tl;
           l
       in
@@ -129,7 +131,7 @@ let of_string s =
             { Instance.id; release; weight; demand = d } :: !coflows
         | _ -> fail !lineno "expected '<id> <release> <weight> <nnz>'"
       done;
-      if !body <> [] then fail (!lineno + 1) "trailing content";
+      (match !body with (n, _) :: _ -> fail n "trailing content" | [] -> ());
       Instance.make ~ports (List.rev !coflows))
 
 let save path inst =

@@ -137,6 +137,13 @@ let test_sim_bad_trace () =
     (contains trace t && contains "line 4" t);
   Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
 
+(* blank lines count: the bad flow sits on file line 6 *)
+let test_sim_blank_lines () =
+  with_file "coflow-trace v1\n\n2 1\n\n0 0 1.0 1\n0 5 3\n" @@ fun trace ->
+  let t = check_exit sim_exe [ trace ] 123 in
+  Alcotest.(check bool) "names file line 6" true
+    (contains trace t && contains "line 6" t)
+
 (* line 5's flow would push the coflow's total past max_int: unchecked,
    the row sum wraps negative and the run hangs or dies with exit 125 *)
 let test_sim_overflow_trace () =
@@ -276,6 +283,8 @@ let () =
             test_trace_gen_bad_shape;
           Alcotest.test_case "coflow_sim instance total past max_int" `Quick
             test_sim_overflow_total;
+          Alcotest.test_case "coflow_sim blank lines counted" `Quick
+            test_sim_blank_lines;
         ] );
       ( "obs-diff",
         [ Alcotest.test_case "identical profiles pass" `Quick

@@ -574,14 +574,15 @@ let test_grouped_respects_release_dates () =
 let test_policy_exposed () =
   let inst = fig1_instance () in
   let groups = Grouping.singletons [| 0 |] in
-  (* the bare closure still works for a hand-stepped simulator... *)
+  let policy = Scheduler.as_policy ~describe:"singleton" groups in
+  (* the prepared stepper still works for a hand-stepped simulator... *)
   let sim = Switchsim.Simulator.create ~ports:2 (Instance.demands inst) in
-  let step = Scheduler.policy inst groups in
-  Switchsim.Simulator.step sim (step sim);
+  let st = policy.Policy.prepare sim in
+  Switchsim.Simulator.step sim (st.Policy.next_slot sim);
   Alcotest.(check bool) "one slot served" true
     (Switchsim.Simulator.units_moved sim > 0);
-  (* ...and the first-class form runs to completion through the engine *)
-  let r = Engine.run inst (Scheduler.as_policy ~describe:"singleton" groups) in
+  (* ...and the policy runs to completion through the engine *)
+  let r = Engine.run inst policy in
   check_int "done in 3" 3 r.Scheduler.completion.(0)
 
 (* ---------- Theory audits ---------- *)
@@ -681,7 +682,8 @@ let test_aggressive_work_conserving_invariant () =
   let inst = random_instance ~ports:4 ~coflows:6 53 in
   let order = Ordering.by_load_over_weight inst in
   let groups = Grouping.deterministic inst order in
-  let policy = Scheduler.policy ~backfill:true ~aggressive:true inst groups in
+  let state = Scheduler.make_state groups in
+  let policy = Scheduler.next_slot state ~backfill:true ~aggressive:true in
   let sim =
     Switchsim.Simulator.create ~ports:4 (Instance.demands inst)
   in
@@ -1026,6 +1028,40 @@ let prop_dag_scheduler_sound =
           !ok)
         Dag_scheduler.all_priorities)
 
+(* One MD5 over 360 seeded DAG runs: ports 2 to 70 (70 crosses the
+   62-bit word boundary), twenty seeds each, every priority, random stage
+   weights.  Each run adds its stage completions, makespan and the bits
+   of its stage TWCT, so a changed decision or completion shows here. *)
+let test_dag_digest () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun ports ->
+      for seed = 0 to 19 do
+        let st = Random.State.make [| ports; seed; 0xDA6 |] in
+        let dag = Dag.random ~jobs:3 ~ports st in
+        let dag =
+          Dag.make ~ports
+            (List.init (Dag.num_stages dag) (fun k ->
+                 { (Dag.stage dag k) with
+                   Dag.weight = float_of_int (1 + Random.State.int st 4)
+                 }))
+        in
+        List.iter
+          (fun prio ->
+            let r = Dag_scheduler.run prio dag in
+            Array.iter
+              (fun c -> Buffer.add_string b (Printf.sprintf "%d," c))
+              r.Dag_scheduler.stage_completion;
+            Buffer.add_string b
+              (Printf.sprintf "|%d|%Ld\n" r.Dag_scheduler.makespan
+                 (Int64.bits_of_float r.Dag_scheduler.stage_twct)))
+          Dag_scheduler.all_priorities
+      done)
+    [ 2; 3; 8; 12; 24; 70 ];
+  Alcotest.(check string)
+    "digest of 360 runs" "c566c77221a968e7fd50598f48720d1e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- Metrics ---------- *)
 
 let test_metrics () =
@@ -1267,14 +1303,16 @@ let prop_grouped_schedule_replays =
   QCheck.Test.make ~name:"grouped schedules survive record/replay" ~count:30
     sched_arb (fun inst ->
       let order = Ordering.by_load_over_weight inst in
-      let groups = Grouping.deterministic inst order in
       let demands = Instance.demands inst in
       let sim =
         Switchsim.Simulator.create ~ports:(Instance.ports inst) demands
       in
+      let st =
+        (Scheduler.case_policy ~case:Scheduler.Group_backfill inst order)
+          .Policy.prepare sim
+      in
       let recording =
-        Switchsim.Recorder.record sim
-          ~policy:(Scheduler.policy ~backfill:true inst groups)
+        Switchsim.Recorder.record sim ~policy:st.Policy.next_slot
       in
       let recording' =
         Switchsim.Recorder.of_csv (Switchsim.Recorder.to_csv recording)
@@ -1763,7 +1801,9 @@ let () =
             test_online_work_conserving;
         ] );
       ( "dag",
-        [ Alcotest.test_case "diamond" `Quick test_dag_scheduler_diamond ] );
+        [ Alcotest.test_case "diamond" `Quick test_dag_scheduler_diamond;
+          Alcotest.test_case "digest" `Quick test_dag_digest;
+        ] );
       ( "decentralized",
         [ Alcotest.test_case "single coflow" `Quick
             test_decentralized_single_coflow;

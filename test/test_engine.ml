@@ -81,8 +81,9 @@ let test_golden_resilient () =
    top-up extends a partial slot through [greedy_matching ~init].
    SEBF+MADD's credit matching ignores a core budget, so it runs on the
    two non-blocking nets only.  Each run adds its completion vector,
-   slots, batch steps and the bits of its TWCT, so a changed decision,
-   batch length or completion shows here. *)
+   slots, decisions and the bits of its TWCT, so a changed decision,
+   batch length or completion shows here; every run's decisions must
+   equal its [sim.batch_steps] delta. *)
 let test_schedule_digest () =
   let steps = Obs.Counter.make "sim.batch_steps" in
   let instances m =
@@ -152,20 +153,43 @@ let test_schedule_digest () =
                   in
                   let before = Obs.Counter.value steps in
                   let r = Engine.run ~sim inst policy in
+                  check_int "decisions = batch steps" r.Engine.decisions
+                    (Obs.Counter.value steps - before);
                   Array.iter
                     (fun c -> Buffer.add_string b (Printf.sprintf "%d," c))
                     r.Engine.completion;
                   Buffer.add_string b
                     (Printf.sprintf "|%d|%d|%Ld\n" r.Engine.slots
-                       (Obs.Counter.value steps - before)
+                       r.Engine.decisions
                        (Int64.bits_of_float r.Engine.twct)))
                 (policies inst net))
             (nets m))
         (instances m))
     [ 3; 12; 64; 70; 130 ];
   Alcotest.(check string)
-    "digest of 230 runs" "c46f54df03eddeb15a7bec49d5b01de9"
+    "digest of 230 runs" "1e8d34a4f1b3d7a0da26fc93b37c6fdf"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The loop counts its own decisions: one per slot for the slot-by-slot
+   reference, fewer for a policy whose batches cover several slots. *)
+let test_decisions_counted () =
+  let inst = Lazy.force golden_instance in
+  let hrho = Ordering.by_load_over_weight inst in
+  List.iter
+    (fun (name, policy) ->
+      let batched = Engine.run inst policy in
+      let unbatched = Engine.run inst (Policy.unbatched policy) in
+      check_int (name ^ " same slots") unbatched.Engine.slots
+        batched.Engine.slots;
+      check_int (name ^ " unbatched: one decision per slot")
+        unbatched.Engine.slots unbatched.Engine.decisions;
+      Alcotest.(check bool)
+        (name ^ " batched: fewer decisions than slots")
+        true
+        (batched.Engine.decisions < batched.Engine.slots))
+    [ ("greedy", Baselines.greedy_policy hrho);
+      ("case d", Scheduler.case_policy ~case:Scheduler.Group_backfill inst hrho);
+    ]
 
 (* ---------- run_many determinism ---------- *)
 
@@ -577,11 +601,11 @@ let prop_grouped_on_nets =
       in
       List.for_all
         (fun policy ->
-          let run batch =
+          let run p =
             let sim = Simulator.create ~net ~ports:m (Instance.demands inst) in
-            Engine.run ~sim ~batch inst policy
+            Engine.run ~sim inst p
           in
-          let a = run true and b = run false in
+          let a = run policy and b = run (Policy.unbatched policy) in
           a.Engine.completion = b.Engine.completion
           && a.Engine.twct = b.Engine.twct
           && a.Engine.slots = b.Engine.slots
@@ -646,6 +670,7 @@ let () =
           Alcotest.test_case "decentralized" `Quick test_golden_decentralized;
           Alcotest.test_case "resilient" `Quick test_golden_resilient;
           Alcotest.test_case "schedule digest" `Quick test_schedule_digest;
+          Alcotest.test_case "decisions counted" `Quick test_decisions_counted;
         ] );
       ( "run_many",
         [ Alcotest.test_case "jobs=1 equals jobs=4" `Quick

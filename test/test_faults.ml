@@ -481,7 +481,8 @@ let test_injector_straggler_overflow () =
   Alcotest.(check bool) "factor 1000 completes" true
     (Array.for_all (fun c -> c > 0) r.Core.Resilient.completion);
   check_int "factor 1000 slots" 10017 r.Core.Resilient.slots;
-  check_int "factor 1000 decisions" 15 r.Core.Resilient.decisions
+  check_int "factor 1000 decisions" 15
+    r.Core.Resilient.engine.Core.Engine.decisions
 
 (* fig1 coflows released at slot 0, served in arrival order: the fault
    loop with nothing but the greedy service in it *)
@@ -550,6 +551,19 @@ let test_audit_bad_text () =
       ( "truncated transfers",
         "coflow-fault-audit v1\nports 2 slots 1\nslot 0 lp 2\n0 0 0\n" );
     ]
+
+(* Blank lines count: an error names the line of the file. *)
+let test_audit_blank_lines () =
+  match
+    Audit.of_string
+      "coflow-fault-audit v1\n\nports 2 slots 1\n\nslot 0 lp 1\n\n0 x 0\n"
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names line 7" msg)
+      true
+      (Astring.String.is_infix ~affix:"line 7: expected integer" msg)
 
 let test_audit_certifies_clean_run () =
   let plan = sample_plan () in
@@ -917,9 +931,10 @@ let test_resilient_batches () =
   let steps = Obs.Counter.make "sim.batch_steps" in
   let before = Obs.Counter.value steps in
   let r = Core.Resilient.run ~plan inst in
+  let decisions = r.Core.Resilient.engine.Core.Engine.decisions in
   Alcotest.(check bool) "fewer decisions than slots" true
-    (r.Core.Resilient.decisions < r.Core.Resilient.slots);
-  check_int "one batch step per decision" r.Core.Resilient.decisions
+    (decisions < r.Core.Resilient.slots);
+  check_int "one batch step per decision" decisions
     (Obs.Counter.value steps - before);
   check_int "audit covers every slot" r.Core.Resilient.slots
     (Audit.num_slots r.Core.Resilient.audit);
@@ -1525,6 +1540,8 @@ let () =
       ( "audit",
         [ Alcotest.test_case "roundtrip" `Quick test_audit_roundtrip;
           Alcotest.test_case "bad text" `Quick test_audit_bad_text;
+          Alcotest.test_case "blank lines counted" `Quick
+            test_audit_blank_lines;
           Alcotest.test_case "clean run certified" `Quick
             test_audit_certifies_clean_run;
           Alcotest.test_case "violations caught" `Quick

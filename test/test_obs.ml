@@ -723,12 +723,10 @@ let test_profile_does_not_change_schedule () =
   let st = Random.State.make [| 77 |] in
   let inst = Synthetic.uniform ~ports:4 ~coflows:6 ~density:0.4 ~max_size:4 st in
   let order = Ordering.by_load_over_weight inst in
-  let run ?batch () =
-    Scheduler.run ?batch ~case:Scheduler.Group_backfill inst order
-  in
-  let off = run () in
+  let policy = Scheduler.case_policy ~case:Scheduler.Group_backfill inst order in
+  let off = Engine.run inst policy in
   Obs.Events.set_enabled true;
-  let on = run () in
+  let on = Engine.run inst policy in
   Alcotest.(check bool) "events were recorded" true (Obs.Events.length () > 0);
   Alcotest.(check (float 0.0)) "same TWCT" off.Scheduler.twct
     on.Scheduler.twct;
@@ -742,7 +740,7 @@ let test_profile_does_not_change_schedule () =
   reset ();
   (* the slot-by-slot loop keeps the one-event-per-slot contract *)
   Obs.Events.set_enabled true;
-  let unbatched = run ~batch:false () in
+  let unbatched = Engine.run inst (Policy.unbatched policy) in
   Alcotest.(check (float 0.0)) "batching does not change TWCT"
     off.Scheduler.twct unbatched.Scheduler.twct;
   Alcotest.(check int) "one event per slot" unbatched.Scheduler.slots

@@ -413,8 +413,8 @@ let test_batch_ab_greedy () =
       let p = Core.Baselines.greedy_policy order in
       check_same_run
         (Printf.sprintf "greedy seed %d" seed)
-        (Core.Engine.run ~batch:false inst p)
-        (Core.Engine.run ~batch:true inst p))
+        (Core.Engine.run inst (Core.Policy.unbatched p))
+        (Core.Engine.run inst p))
     [ 1; 2; 3 ]
 
 let test_batch_ab_scheduler_cases () =
@@ -424,11 +424,12 @@ let test_batch_ab_scheduler_cases () =
       let order = Core.Ordering.by_load_over_weight inst in
       List.iter
         (fun case ->
+          let p = Core.Scheduler.case_policy ~case inst order in
           check_same_run
             (Printf.sprintf "case %s seed %d" (Core.Scheduler.case_name case)
                seed)
-            (Core.Scheduler.run ~case ~batch:false inst order)
-            (Core.Scheduler.run ~case ~batch:true inst order))
+            (Core.Engine.run inst (Core.Policy.unbatched p))
+            (Core.Engine.run inst p))
         Core.Scheduler.all_cases)
     [ 1; 2 ]
 
@@ -450,8 +451,8 @@ let test_batch_ab_grown_demand () =
   in
   let p = Core.Baselines.greedy_policy order in
   check_same_run "grown demand"
-    (Core.Engine.run ~sim:(grown ()) ~batch:false inst p)
-    (Core.Engine.run ~sim:(grown ()) ~batch:true inst p)
+    (Core.Engine.run ~sim:(grown ()) inst (Core.Policy.unbatched p))
+    (Core.Engine.run ~sim:(grown ()) inst p)
 
 let () =
   Alcotest.run "sparse"

@@ -99,6 +99,9 @@ let test_multi_coflow_slot () =
   check_int "C0" 1 (Simulator.completion_time_exn sim 0);
   check_int "C1" 1 (Simulator.completion_time_exn sim 1)
 
+(* a per-slot policy as a decision of the loop: a batch of one *)
+let one_slot policy sim ~max_n:_ = (policy sim, 1)
+
 let test_run_policy () =
   (* trivial policy: greedy first-fit on coflow 0's remaining demand *)
   let sim = Simulator.create ~ports:2 [ (0, fig1 ()) ] in
@@ -115,15 +118,16 @@ let test_run_policy () =
       (Simulator.remaining s 0);
     !out
   in
-  Simulator.run sim ~policy;
+  let decisions = Simulator.run sim ~policy:(one_slot policy) in
   Alcotest.(check bool) "complete" true (Simulator.all_complete sim);
   Alcotest.(check bool) "no slower than total units" true
-    (Simulator.now sim <= 6)
+    (Simulator.now sim <= 6);
+  check_int "one decision per slot" (Simulator.now sim) decisions
 
 let test_run_budget () =
   let sim = Simulator.create ~ports:2 [ (0, fig1 ()) ] in
   (try
-     Simulator.run ~max_slots:3 sim ~policy:(fun _ -> []);
+     ignore (Simulator.run ~max_slots:3 sim ~policy:(one_slot (fun _ -> [])));
      Alcotest.fail "expected Failure"
    with Failure _ -> ())
 
@@ -309,7 +313,7 @@ let test_fabric_greedy_respects_core () =
   let st = Random.State.make [| 5 |] in
   let d = Mat.random ~density:0.8 ~max_entry:3 st 4 in
   let sim = two_tier_sim ~core_capacity:1 d in
-  Simulator.run sim ~policy:(greedy [| 0 |]);
+  ignore (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])));
   Alcotest.(check bool) "completes" true (Simulator.all_complete sim)
 
 let test_fabric_nonblocking_equals_plain_greedy () =
@@ -317,7 +321,7 @@ let test_fabric_nonblocking_equals_plain_greedy () =
   let st = Random.State.make [| 6 |] in
   let d = Mat.random ~density:0.6 ~max_entry:3 st 4 in
   let sim = two_tier_sim ~core_capacity:4 d in
-  Simulator.run sim ~policy:(greedy [| 0 |]);
+  ignore (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])));
   (* a single coflow under greedy completes in at most total units slots
      and at least rho slots *)
   let c = Simulator.completion_time_exn sim 0 in
@@ -574,6 +578,18 @@ let test_recorder_bad_csv () =
       "# ports=2 slots=1\nslot,src,dst,coflow\n1,0,x,0\n";
     ]
 
+(* Blank lines count: a bad row is named by its line in the file. *)
+let test_recorder_blank_lines () =
+  match
+    Recorder.of_csv "# ports=2 slots=1\n\nslot,src,dst,coflow\n\n1,0,x,0\n"
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names row 5" msg)
+      true
+      (Astring.String.is_infix ~affix:"bad row 5" msg)
+
 let test_recorder_file_roundtrip () =
   let demands = [ (0, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
@@ -631,6 +647,8 @@ let () =
           Alcotest.test_case "tampering detected" `Quick
             test_recorder_detects_tampering;
           Alcotest.test_case "bad csv" `Quick test_recorder_bad_csv;
+          Alcotest.test_case "blank lines counted" `Quick
+            test_recorder_blank_lines;
           Alcotest.test_case "file roundtrip" `Quick
             test_recorder_file_roundtrip;
         ] );

@@ -190,7 +190,8 @@ let test_trace_rejects_invalid_records () =
 (* A flow repeated within one coflow, and a flow that would push its
    coflow's total past max_int, are named errors on their own line:
    unchecked, the first merges silently (the last size wins) and the
-   second wraps the row sum negative. *)
+   second wraps the row sum negative.  Blank lines count, so an error
+   after them names its line in the file. *)
 let test_trace_flow_errors () =
   let hdr = "coflow-trace v1\n2 1\n0 0 1 2\n" in
   List.iter
@@ -210,6 +211,12 @@ let test_trace_flow_errors () =
         Printf.sprintf "coflow-trace v1\n2 2\n0 0 1 1\n0 1 %d\n1 0 1 1\n1 0 %d\n"
           (1 lsl 61) (1 lsl 61),
         "line 5: coflow 1 pushes the total units" );
+      ( "flow after blank lines",
+        "coflow-trace v1\n\n2 1\n\n0 0 1.0 1\n0 5 3\n",
+        "line 6: port out of range" );
+      ( "trailing content after blank lines",
+        "coflow-trace v1\n2 1\n0 0 1.0 1\n0 1 3\n\n\nextra\n",
+        "line 7: trailing content" );
     ]
 
 (* ---------- generators ---------- *)
