@@ -31,16 +31,21 @@ let load_trace path =
 
 let ( let* ) = Result.bind
 
+(* An unwritable FILE is reported by name too. *)
+let save_recording path recording =
+  try Ok (Switchsim.Recorder.save path recording)
+  with Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+
 let run_sim trace_path order_kind case baseline verbose record_path audit =
   let* inst = load_trace trace_path in
   Format.printf "loaded %a@." Instance.pp_summary inst;
   let audit_order = ref None in
-  let result, label =
+  let* result, label =
     match baseline with
-    | Some `Fifo -> (Baselines.fifo inst, "FIFO greedy")
-    | Some `Rr -> (Baselines.round_robin inst, "round robin")
-    | Some `Mwm -> (Baselines.max_weight inst, "MaxWeight matching")
-    | Some `Varys -> (Baselines.sebf_madd inst, "SEBF + MADD (Varys-style)")
+    | Some `Fifo -> Ok (Baselines.fifo inst, "FIFO greedy")
+    | Some `Rr -> Ok (Baselines.round_robin inst, "round robin")
+    | Some `Mwm -> Ok (Baselines.max_weight inst, "MaxWeight matching")
+    | Some `Varys -> Ok (Baselines.sebf_madd inst, "SEBF + MADD (Varys-style)")
     | None ->
       let order =
         match order_kind with
@@ -52,24 +57,21 @@ let run_sim trace_path order_kind case baseline verbose record_path audit =
           Ordering.by_lp (Lp_relax.solve_interval inst)
       in
       audit_order := Some order;
-      (match record_path with
-      | None -> ()
-      | Some path ->
-        (* run once more through the recorder so the exact schedule can be
-           audited offline *)
-        let sim =
-          Switchsim.Simulator.create ~ports:(Instance.ports inst)
-            (Instance.demands inst)
-        in
-        let st = (Scheduler.case_policy ~case inst order).Policy.prepare sim in
-        let recording =
-          Switchsim.Recorder.record sim ~policy:st.Policy.next_slot
-        in
-        Switchsim.Recorder.save path recording;
-        Format.printf "recorded schedule written to %s (replayable)@." path);
-      ( Scheduler.run ~case inst order,
+      let policy = Scheduler.case_policy ~case inst order in
+      let label =
         Printf.sprintf "%s / case (%s)" (name_of orders order_kind)
-          (name_of cases case) )
+          (name_of cases case)
+      in
+      (match record_path with
+      | None -> Ok (Engine.run inst policy, label)
+      | Some path ->
+        (* keep the run's transcript so the exact schedule can be audited
+           offline *)
+        let log = Switchsim.Recorder.log ~ports:(Instance.ports inst) in
+        let result = Engine.run inst (Policy.recorded log policy) in
+        let* () = save_recording path (Switchsim.Recorder.contents log) in
+        Format.printf "recorded schedule written to %s (replayable)@." path;
+        Ok (result, label))
   in
   Format.printf "algorithm: %s@." label;
   Format.printf "total weighted completion time: %.2f@."

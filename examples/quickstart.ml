@@ -25,8 +25,12 @@ let () =
     (Bvn.duration schedule);
   List.iter
     (fun (matching, q) ->
-      Format.printf "  %a for %d slot(s)@." Matching.Bipartite.pp_matching
-        (Bvn.pairs matching) q)
+      Format.printf "  {%s} for %d slot(s)@."
+        (String.concat ", "
+           (List.map
+              (fun (i, j) -> Printf.sprintf "%d->%d" i j)
+              (Bvn.pairs matching)))
+        q)
     schedule;
 
   (* Execute against the switch simulator, which enforces the matching

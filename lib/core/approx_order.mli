@@ -11,11 +11,6 @@
     algorithms byte-comparable in the arena (E19) and gives them one
     deterministic tie-break contract. *)
 
-val port_loads : Workload.Instance.t -> int array array
-(** [port_loads inst].(k) is coflow [k]'s load vector over the [2m]
-    ports: ingress row sums first ([0 .. m-1]), then egress column sums
-    ([m .. 2m-1]). *)
-
 type charge =
   | Bottleneck_port
       (** charge residuals against the single most loaded port, ingress

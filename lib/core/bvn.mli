@@ -34,7 +34,7 @@ val duration : schedule -> int
 
 val matchings_used : schedule -> int
 
-val pairs : int array -> Matching.Bipartite.matching
+val pairs : int array -> (int * int) list
 (** A matching as [(src, dst)] pairs, source ascending. *)
 
 val restore : int -> schedule -> Matrix.Mat.t

@@ -23,11 +23,37 @@ type result = {
 
 exception Too_large of string
 
+(* The grid tau_1 = 1 < ... < tau_L: each point is the ceiling of the
+   next power of [base] and at least one past the previous point, and the
+   grid ends at the first point >= [t].  It is walked twice, to count and
+   then to fill, so the power stays an unboxed float and no point
+   allocates: the LP is re-solved every epoch of the service. *)
+let grid ~base t =
+  let walk visit =
+    let point = ref 1 and raw = ref 1.0 and l = ref 0 in
+    visit 0 1;
+    while !point < t do
+      raw := !raw *. base;
+      (* the epsilon keeps near-integer powers (e.g. (sqrt 2)^2k) from
+         rounding up, so grids of nested bases stay set-nested; a power
+         past [max_int] has no int, and ends the grid there *)
+      let next =
+        if !raw >= Float.of_int max_int then max_int
+        else int_of_float (Float.ceil (!raw -. 1e-9))
+      in
+      point := if next <= !point then !point + 1 else next;
+      incr l;
+      visit !l !point
+    done;
+    !l + 1
+  in
+  let taus = Array.make (walk (fun _ _ -> ())) 0 in
+  let (_ : int) = walk (Array.set taus) in
+  taus
+
+(* base 2: smallest L with 2^(L-1) >= t *)
 let interval_count inst =
-  let t = max 1 (Instance.horizon inst) in
-  (* smallest L with 2^(L-1) >= t *)
-  let rec search l cap = if cap >= t then l else search (l + 1) (2 * cap) in
-  search 1 1
+  Array.length (grid ~base:2.0 (max 1 (Instance.horizon inst)))
 
 (* Sort working indices by cbar, breaking ties by index so the order is
    deterministic (the paper's order (15) is any nondecreasing order).  The
@@ -400,18 +426,6 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
     warm;
   }
 
-let solve_interval ?(solver = `Revised) ?max_iterations ?deadline ?warm_start
-    inst =
-  let n = Instance.num_coflows inst in
-  if n = 0 || Instance.total_units inst = 0 then trivial_result n
-  else begin
-    let big_l = interval_count inst in
-    let taus = Array.init big_l (fun i -> 1 lsl i) in
-    (* taus.(l-1) = 2^(l-1) = tau_l *)
-    solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
-      ~obj_at:`Left inst
-  end
-
 let solve_interval_base ?(solver = `Revised) ?max_iterations ?deadline
     ?warm_start ~base inst =
   if base <= 1.0 then
@@ -419,22 +433,15 @@ let solve_interval_base ?(solver = `Revised) ?max_iterations ?deadline
   let n = Instance.num_coflows inst in
   if n = 0 || Instance.total_units inst = 0 then trivial_result n
   else begin
-    let t = max 1 (Instance.horizon inst) in
-    let rec build acc point raw =
-      if point >= t then List.rev (point :: acc)
-      else begin
-        let raw = raw *. base in
-        (* the epsilon keeps near-integer powers (e.g. (sqrt 2)^2k) from
-           rounding up, so grids of nested bases stay set-nested *)
-        let next = int_of_float (Float.ceil (raw -. 1e-9)) in
-        let next = if next <= point then point + 1 else next in
-        build (point :: acc) next raw
-      end
-    in
-    let taus = Array.of_list (build [] 1 1.0) in
+    let taus = grid ~base (max 1 (Instance.horizon inst)) in
     solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
       ~obj_at:`Left inst
   end
+
+(* base 2 gives tau_l = 2^(l-1) for l = 1 .. interval_count *)
+let solve_interval ?solver ?max_iterations ?deadline ?warm_start inst =
+  solve_interval_base ?solver ?max_iterations ?deadline ?warm_start ~base:2.0
+    inst
 
 let solve_time_indexed ?(solver = `Revised) ?max_iterations ?deadline
     ?(max_vars = 100_000) inst =

@@ -25,6 +25,27 @@ let stateless ~describe next_slot =
 let unbatched p =
   { p with prepare = (fun sim -> { (p.prepare sim) with next_batch = None }) }
 
+let recorded log p =
+  { p with
+    prepare =
+      (fun sim ->
+        let st = p.prepare sim in
+        { st with
+          next_slot =
+            (fun sim ->
+              let transfers = st.next_slot sim in
+              Recorder.add log transfers ~slots:1;
+              transfers);
+          next_batch =
+            Option.map
+              (fun next_batch sim ~max_n ->
+                let ((transfers, slots) as decision) = next_batch sim ~max_n in
+                Recorder.add log transfers ~slots;
+                decision)
+              st.next_batch;
+        });
+  }
+
 (* The greedy maximal matching every order-respecting policy is built on:
    scan coflows in priority order, claim still-free port pairs from their
    remaining demand.  [init] seeds the claimed ports (work-conserving

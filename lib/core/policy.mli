@@ -9,8 +9,8 @@
     state).  A new policy is ~30 lines: a [next_slot] function and,
     optionally, a batched [next_batch], instead of a hand-rolled copy of
     the slot loop and its result bookkeeping.  Work a policy does around
-    its decision (a fault clock, re-planning, audit logging, as in
-    {!Resilient}) lives inside those functions. *)
+    its decision (a fault clock and re-planning, as in {!Resilient}) lives
+    inside those functions; {!recorded} keeps its transcript. *)
 
 type stepper = {
   next_slot : Switchsim.Simulator.t -> Switchsim.Simulator.transfer list;
@@ -57,6 +57,12 @@ val unbatched : t -> t
     offers [next_slot] only, so {!Engine.run} takes one decision per
     slot.  The slot-by-slot reference that batched runs are checked
     against. *)
+
+val recorded : Switchsim.Recorder.log -> t -> t
+(** The same policy, with each decision a prepared stepper takes added to
+    [log]: [next_slot] adds one slot, [next_batch] the [n] slots it
+    covers.  A log serves one run, so prepare the result once;
+    {!Switchsim.Recorder.contents} is then the run's transcript. *)
 
 val stateless :
   describe:string ->

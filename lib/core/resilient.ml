@@ -37,7 +37,7 @@ type result = {
   lp_failures : int;
   lp_iterations : int;
   lp_refactors : int;
-  audit : Audit.t;
+  audit : Recorder.t;
   engine : Engine.result;
 }
 
@@ -152,7 +152,6 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     Obs.Counter.incr c_lp_failures
   in
   let tier_counts = Array.make 3 0 in
-  let log = ref [] in
   let order = ref [||] in
   let tier = ref config.primary in
   let need_replan = ref true in
@@ -212,13 +211,13 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     in
     let i = tier_index !tier in
     tier_counts.(i) <- tier_counts.(i) + n;
-    let entry = { Audit.tier = tier_name !tier; transfers } in
-    for _ = 1 to n do log := entry :: !log done;
     (transfers, n)
   in
+  let log = Recorder.log ~ports in
   let policy =
-    Policy.make ~describe:"resilient" (fun _ ->
-        Policy.stepper ~next_batch:decide (fun s -> fst (decide s ~max_n:1)))
+    Policy.recorded log
+      (Policy.make ~describe:"resilient" (fun _ ->
+           Policy.stepper ~next_batch:decide (fun s -> fst (decide s ~max_n:1))))
   in
   let er = Engine.run ~max_slots:config.max_slots ~sim inst policy in
   if Obs.Trace.enabled () then close_plan ~slot:(Simulator.now sim);
@@ -230,6 +229,6 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     lp_failures = !lp_failures;
     lp_iterations = fst !lp_stats;
     lp_refactors = snd !lp_stats;
-    audit = Audit.make ~ports (List.rev !log);
+    audit = Recorder.contents log;
     engine = er;
   }

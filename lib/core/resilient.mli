@@ -18,27 +18,30 @@
 
     A {!Faults.Fault_plan.Solver_outage} forces the chain down explicitly:
     [`Lp_only] skips the LP tier, [`Full] also skips [H_rho] (the demand
-    statistics plane is gone).  Which tier served each slot is recorded in
-    the audit log and summed in [tier_slots].
+    statistics plane is gone).  The slots each tier served are summed in
+    [tier_slots]; with tracing on, each re-plan is a slice on the
+    ["replan"] track labelled with its tier.
 
     Service itself is {!Policy.greedy_matching} over the injector's
     compiled fault state, batched like every other greedy policy: a
     decision holds for {!Policy.skip_bound} slots, capped at the next
     fault-state change ({!Faults.Fault_plan.stable_until}) and the next
     fault boundary.  Every slot is checked by the simulator's validate
-    hook and logged; the returned {!Faults.Audit.t} can be re-certified
-    independently with {!Faults.Audit.check}.
+    hook, and the run is recorded through {!Policy.recorded}: the
+    returned transcript can be re-certified independently with
+    {!Faults.Audit.check}.
 
     Determinism: with [lp_deadline = None] (or a deadline the solves never
     approach) the whole run is a pure function of instance, plan and
-    config — replaying a seeded plan twice yields byte-identical audit
-    logs.  A wall-clock deadline trades that for bounded re-planning
+    config — replaying a seeded plan twice yields byte-identical
+    transcripts.  A wall-clock deadline trades that for bounded re-planning
     latency. *)
 
 type tier = Lp | Rho | Arrival
 
 val tier_name : tier -> string
-(** ["lp"], ["rho"], ["arrival"] — the audit-log labels. *)
+(** ["lp"], ["rho"], ["arrival"] — the labels of trace slices and
+    reports. *)
 
 val tier_index : tier -> int
 (** The position in {!all_tiers}. *)
@@ -76,8 +79,8 @@ type result = {
       (** total simplex pivots across all successful LP re-plans *)
   lp_refactors : int;
       (** total basis factorizations across all successful LP re-plans *)
-  audit : Faults.Audit.t;
-      (** per-slot tier + transfers, ready for {!Faults.Audit.check} *)
+  audit : Switchsim.Recorder.t;
+      (** the run's transcript, ready for {!Faults.Audit.check} *)
   engine : Engine.result;
       (** the underlying engine run ([completion], [twct] and [slots] above
           are its fields; [decisions] counts the batched decisions taken,

@@ -88,23 +88,14 @@ val next_slot :
     pairs, each source ascending; rack-local pairs always are.  The greedy
     paths (leftovers, the suffix while the next group is gated by a
     release, the [aggressive] top-up) decide over {!Policy.live_slice}
-    views, so a decision costs O(ports + live candidates). *)
+    views, so a decision costs O(ports + live candidates).
 
-val next_slot_batched :
-  state ->
-  backfill:bool ->
-  ?aggressive:bool ->
-  max_n:int ->
-  Switchsim.Simulator.t ->
-  Switchsim.Simulator.transfer list * int
-(** Event-driven decision: the slot's transfers plus the number of
-    consecutive slots [n] ([1 <= n <= max_n]) they may be replayed for.
-    [n] is bounded by {!Policy.skip_bound} (demand zeros, release
-    boundaries) and additionally by the active BvN matching's remaining
-    slot budget, so the covered slots are exactly what [n] calls of
-    {!next_slot} would have decided; matching reuse, backfill and event
-    accounting cover all [n] slots.  [next_slot] is the [max_n = 1]
-    specialization. *)
+    The batched decision {!as_policy} offers answers the slot's transfers
+    plus how many consecutive slots they may be replayed for: at most
+    {!Policy.skip_bound} (demand zeros, release boundaries) and the active
+    BvN matching's remaining slot budget, so the covered slots are
+    exactly what that many calls of [next_slot] would decide; matching
+    reuse, backfill and event accounting cover all of them. *)
 
 val as_policy :
   ?backfill:bool ->

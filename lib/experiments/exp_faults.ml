@@ -32,7 +32,7 @@ let fault_horizon inst =
   max_release + max 8 (2 * units / Instance.ports inst)
 
 (* Deterministic sweep config: pivot budget instead of a wall-clock
-   deadline, so replaying a seed gives byte-identical audit logs. *)
+   deadline, so replaying a seed gives byte-identical transcripts. *)
 let sweep_config primary =
   { Resilient.default_config with
     Resilient.primary;

@@ -3,7 +3,7 @@
     Sweeps seeded random fault plans of increasing intensity over one
     instance and compares the three orderings ([H_A], [H_rho], [H_LP]) when
     each is run through the degradation-aware loop of {!Core.Resilient};
-    every run's audit log is re-certified with {!Faults.Audit.check}.  A
+    every run's transcript is re-certified with {!Faults.Audit.check}.  A
     second table reports the [H_LP] chain diagnostics (slots per tier,
     re-planning rounds, LP failures), and a third demonstrates the
     H_LP -> H_rho -> H_A fallback under injected solver outages and a
@@ -27,14 +27,5 @@ type row = {
 val run : ?intensities:float list -> Config.t -> row list
 (** Default intensities [0; 0.5; 1; 2]; intensity [0] is the fault-free
     baseline the "vs 0" columns normalise against. *)
-
-type demo = {
-  label : string;
-  demo_plan : Faults.Fault_plan.t;
-  demo_result : Core.Resilient.result;
-  demo_audit_ok : bool;
-}
-
-val chain_demo : Config.t -> demo list
 
 val render : ?intensities:float list -> Config.t -> string

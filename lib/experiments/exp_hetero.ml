@@ -25,7 +25,7 @@ let leg inst ~label ~net =
 (* The fault leg: a 4:1 two-fabric net loses its fast fabric mid-run and
    the resilient loop (H_rho primary — no LP cost) re-plans the residual
    onto the survivor.  Certification is independent of the serving loop:
-   the audit log is re-checked with per-fabric constraints and scanned
+   the transcript is re-checked with per-fabric constraints and scanned
    for any transfer that rode the dead fabric inside the window. *)
 let resilient_contender ~from_ ~until =
   let run inst net =
@@ -35,12 +35,13 @@ let resilient_contender ~from_ ~until =
     in
     let r = Resilient.run ~config ~net ~plan inst in
     let audit = r.Resilient.audit in
+    let slots = audit.Recorder.slots in
     let outage_clean = ref true and served = ref false in
-    for s = from_ to min (until - 1) (Audit.num_slots audit - 1) do
+    for s = from_ to min (until - 1) (Array.length slots - 1) do
       List.iter
         (fun { Simulator.fabric; _ } ->
           if fabric = 0 then outage_clean := false else served := true)
-        (Audit.slot audit s).Audit.transfers
+        slots.(s)
     done;
     { Arena.result = r.Resilient.engine;
       checks =

@@ -1,32 +1,5 @@
 open Switchsim
 
-type slot_record = { tier : string; transfers : Simulator.transfer list }
-
-type t = { ports : int; slots : slot_record array }
-
-let make ~ports slots =
-  if ports <= 0 then invalid_arg "Audit.make: ports must be positive";
-  { ports; slots = Array.of_list slots }
-
-let ports t = t.ports
-
-let num_slots t = Array.length t.slots
-
-let slot t s =
-  if s < 0 || s >= num_slots t then invalid_arg "Audit.slot: out of range";
-  t.slots.(s)
-
-let tier_slot_counts t =
-  let tbl = Hashtbl.create 4 in
-  Array.iter
-    (fun { tier; _ } ->
-      Hashtbl.replace tbl tier (1 + Option.value ~default:0 (Hashtbl.find_opt tbl tier)))
-    t.slots;
-  Hashtbl.fold (fun tier n acc -> (tier, n) :: acc) tbl []
-  |> List.sort compare
-
-(* ---------- certification ---------- *)
-
 (* Incremental certification: a soak feeds each slot as it is served, so a
    violation surfaces at the offending slot instead of at end-of-run, and
    the auditor's memory stays O(ports) no matter how long the run is.
@@ -45,8 +18,8 @@ type checker = {
   c_owner : int array;
       (* on a multi-fabric net, the [coflow * ports + dst] entry served
          from each claimed (fabric, ingress) this slot *)
-  c_base_slot : int;  (* plan-time of the checker's first record *)
-  mutable c_next : int;  (* records fed so far *)
+  c_base_slot : int;  (* plan-time of the checker's first slot *)
+  mutable c_next : int;  (* slots fed so far *)
   mutable c_slow : bool;  (* a served pair's link is slow this window *)
   mutable c_error : string option;  (* first violation, sticky *)
 }
@@ -213,7 +186,7 @@ let rec certify_windows c transfers s stop =
    Port exclusivity, fabric bounds and the two-fabric dedupe do not depend
    on the slot, so the matching is checked once, at the first slot; the
    fault checks run once per window. *)
-let feed_many c { transfers; _ } ~slots:n =
+let feed_many c transfers ~slots:n =
   if n < 1 then invalid_arg "Audit.feed_many: slots must be >= 1";
   match c.c_error with
   | Some e -> Error e
@@ -233,115 +206,11 @@ let feed_many c { transfers; _ } ~slots:n =
     (match verdict with Error e -> c.c_error <- Some e | Ok () -> ());
     verdict
 
-let feed c record = feed_many c record ~slots:1
+let feed c transfers = feed_many c transfers ~slots:1
 
-let check ?net ~plan t =
+let check ?net ~plan (t : Recorder.t) =
   let c = checker ?net ~plan ~ports:t.ports () in
   Array.fold_left
-    (fun acc record -> match acc with Error _ -> acc | Ok () -> feed c record)
+    (fun acc transfers ->
+      match acc with Error _ -> acc | Ok () -> feed c transfers)
     (Ok ()) t.slots
-
-(* ---------- text format ---------- *)
-
-let magic = "coflow-fault-audit v1"
-
-let tier_ok tier =
-  tier <> "" && String.for_all (fun c -> c <> ' ' && c <> '\n') tier
-
-let to_string t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  Buffer.add_string b
-    (Printf.sprintf "ports %d slots %d\n" t.ports (Array.length t.slots));
-  Array.iteri
-    (fun s { tier; transfers } ->
-      if not (tier_ok tier) then
-        invalid_arg (Printf.sprintf "Audit.to_string: bad tier name %S" tier);
-      Buffer.add_string b
-        (Printf.sprintf "slot %d %s %d\n" s tier (List.length transfers));
-      List.iter
-        (fun { Simulator.src; dst; coflow; fabric } ->
-          (* single-fabric transfers keep the 3-token legacy shape *)
-          if fabric = 0 then
-            Buffer.add_string b (Printf.sprintf "%d %d %d\n" src dst coflow)
-          else
-            Buffer.add_string b
-              (Printf.sprintf "%d %d %d %d\n" src dst coflow fabric))
-        transfers)
-    t.slots;
-  Buffer.contents b
-
-let of_string s =
-  let fail lineno msg =
-    failwith (Printf.sprintf "Audit.of_string: line %d: %s" lineno msg)
-  in
-  (* numbered before blank lines are dropped, so errors name file lines *)
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.mapi (fun i l -> (i + 1, l))
-    |> List.filter (fun (_, l) -> l <> "")
-  in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> fail lineno (Printf.sprintf "expected integer, got %S" s)
-  in
-  match lines with
-  | (hl, header) :: (dl, dims) :: rest ->
-    if header <> magic then
-      fail hl (Printf.sprintf "bad header %S (expected %S)" header magic);
-    let ports, nslots =
-      match String.split_on_char ' ' dims |> List.filter (( <> ) "") with
-      | [ "ports"; p; "slots"; n ] -> (parse_int dl p, parse_int dl n)
-      | _ -> fail dl "expected 'ports <m> slots <n>'"
-    in
-    if ports <= 0 || nslots < 0 then fail dl "bad geometry";
-    let lineno = ref dl in
-    let body = ref rest in
-    let next () =
-      match !body with
-      | [] -> fail !lineno "unexpected end of file"
-      | (n, l) :: tl ->
-        lineno := n;
-        body := tl;
-        l
-    in
-    let slots =
-      Array.init nslots (fun s ->
-          let l = next () in
-          match String.split_on_char ' ' l |> List.filter (( <> ) "") with
-          | [ "slot"; idx; tier; n ] ->
-            if parse_int !lineno idx <> s then
-              fail !lineno (Printf.sprintf "expected slot %d" s);
-            let n = parse_int !lineno n in
-            if n < 0 then fail !lineno "negative transfer count";
-            let transfers =
-              List.init n (fun _ ->
-                  let fl = next () in
-                  match
-                    String.split_on_char ' ' fl |> List.filter (( <> ) "")
-                  with
-                  | [ i; j; k ] ->
-                    { Simulator.src = parse_int !lineno i;
-                      dst = parse_int !lineno j;
-                      coflow = parse_int !lineno k;
-                      fabric = 0;
-                    }
-                  | [ i; j; k; f ] ->
-                    let fabric = parse_int !lineno f in
-                    if fabric < 0 then fail !lineno "negative fabric index";
-                    { Simulator.src = parse_int !lineno i;
-                      dst = parse_int !lineno j;
-                      coflow = parse_int !lineno k;
-                      fabric;
-                    }
-                  | _ -> fail !lineno "expected '<src> <dst> <coflow> [fabric]'")
-            in
-            { tier; transfers }
-          | _ -> fail !lineno "expected 'slot <idx> <tier> <ntransfers>'")
-    in
-    (match !body with (n, _) :: _ -> fail n "trailing content" | [] -> ());
-    { ports; slots }
-  | _ -> failwith "Audit.of_string: missing header or dimensions"

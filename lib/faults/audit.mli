@@ -1,40 +1,21 @@
-(** Replayable audit log of a faulted run.
+(** Independent certification of a faulted run's transcript.
 
-    One record per slot: which policy tier produced the slot and the exact
-    transfers committed.  {!check} re-derives the fault constraints from the
-    plan's raw event list (the {!Fault_plan} list queries, never the
-    compiled {!Fault_plan.state} the injector enforces) and certifies that
-    no transfer ever used a dead port or fabric, rode a degraded link off
-    its duty cycle, or exceeded the degraded (core) capacity —
-    independently of the simulator and the injector that produced the
-    log, so a buggy injector cannot certify itself.
-
-    The text format is canonical: the same run serialises to the same bytes,
-    which is how determinism-under-injection is asserted in the tests. *)
-
-type slot_record = {
-  tier : string;  (** policy tier that served the slot, e.g. ["lp"] *)
-  transfers : Switchsim.Simulator.transfer list;
-}
-
-type t
-
-val make : ports:int -> slot_record list -> t
-(** Records in slot order (index 0 = first slot).
-    @raise Invalid_argument if [ports <= 0]. *)
-
-val ports : t -> int
-
-val num_slots : t -> int
-
-val slot : t -> int -> slot_record
-
-val tier_slot_counts : t -> (string * int) list
-(** How many slots each tier served, sorted by tier name. *)
+    {!check} certifies a {!Switchsim.Recorder.t} — the transfers each slot
+    committed — against the fault plan it ran under.  It re-derives the
+    fault constraints from the plan's raw event list (the {!Fault_plan}
+    list queries, never the compiled {!Fault_plan.state} the injector
+    enforces) and certifies that no transfer ever used a dead port or
+    fabric, rode a degraded link off its duty cycle, or exceeded the
+    degraded (core) capacity — independently of the simulator and the
+    injector that produced the transcript, so a buggy injector cannot
+    certify itself. *)
 
 val check :
-  ?net:Switchsim.Net.t -> plan:Fault_plan.t -> t -> (unit, string) result
-(** Certify the log against the plan on [net] (default
+  ?net:Switchsim.Net.t ->
+  plan:Fault_plan.t ->
+  Switchsim.Recorder.t ->
+  (unit, string) result
+(** Certify the transcript against the plan on [net] (default
     {!Switchsim.Net.single}): per-slot matching constraints plus every
     fault constraint.  On a multi-fabric net port exclusivity is checked
     per fabric, fabric indices are bounded, and no (coflow, src, dst)
@@ -44,14 +25,14 @@ val check :
 
 (** {2 Incremental certification}
 
-    A long-lived run cannot afford to accumulate its whole audit log and
+    A long-lived run cannot afford to accumulate its whole transcript and
     certify at end-of-run: a violation would surface hours after the
-    offending slot, and the log would grow without bound.  A {!checker}
-    certifies one {!slot_record} at a time in O(ports) memory; the first
-    violation is reported at the slot that committed it and latched, so
-    every later {!feed} returns the same error.  A certified slot
-    allocates nothing.  {!check} is itself implemented as a fold over a
-    checker. *)
+    offending slot, and the transcript would grow without bound.  A
+    {!checker} certifies one slot's transfers at a time in O(ports)
+    memory; the first violation is reported at the slot that committed it
+    and latched, so every later {!feed} returns the same error.  A
+    certified slot allocates nothing.  {!check} is itself implemented as
+    a fold over a checker. *)
 
 type checker
 
@@ -62,19 +43,24 @@ val checker :
   ports:int ->
   unit ->
   checker
-(** [start_slot] (default 0) is the plan-time of the first record fed —
+(** [start_slot] (default 0) is the plan-time of the first slot fed —
     an epoch-based service audits each epoch against the epoch's plan
     starting at the epoch's first slot.  [net] as in {!check}.
     @raise Invalid_argument on non-positive ports, a negative start slot,
     or a net over a different port count. *)
 
-val feed : checker -> slot_record -> (unit, string) result
+val feed :
+  checker -> Switchsim.Simulator.transfer list -> (unit, string) result
 (** Certify the next slot ([feed_many ~slots:1]).  [Error] carries the
     first violation (this slot's, or an earlier latched one) with its slot
     number. *)
 
-val feed_many : checker -> slot_record -> slots:int -> (unit, string) result
-(** [feed_many c record ~slots] certifies [slots >= 1] consecutive slots
+val feed_many :
+  checker ->
+  Switchsim.Simulator.transfer list ->
+  slots:int ->
+  (unit, string) result
+(** [feed_many c transfers ~slots] certifies [slots >= 1] consecutive slots
     that all committed the same transfers — the shape the event-driven
     (batched) serving loop produces.  The matching constraints do not
     depend on the slot, so they are checked once, at the first slot.  The
@@ -91,25 +77,7 @@ val feed_many : checker -> slot_record -> slots:int -> (unit, string) result
     @raise Invalid_argument when [slots < 1]. *)
 
 val checked_slots : checker -> int
-(** Records fed so far. *)
+(** Slots fed so far. *)
 
 val checker_error : checker -> string option
 (** The latched first violation, if any. *)
-
-(** {2 Text format}
-
-    {v
-    coflow-fault-audit v1
-    ports <m> slots <n>
-    slot <idx> <tier> <ntransfers>
-    <src> <dst> <coflow> [fabric]   (ntransfers lines)
-    v}
-
-    The fabric token is omitted when it is [0], so single-fabric logs keep
-    the legacy 3-token shape byte for byte. *)
-
-val to_string : t -> string
-(** @raise Invalid_argument if a tier name contains whitespace. *)
-
-val of_string : string -> t
-(** @raise Failure with a line-numbered message on malformed input. *)

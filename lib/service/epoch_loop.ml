@@ -456,7 +456,6 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     let inj = Injector.create ~net ~plan ~ports (Instance.demands inst) in
     let sim = Injector.sim inj in
     let tier, order = plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst in
-    let tname = Resilient.tier_name tier in
     Fingerprint.str fp "T";
     Fingerprint.int fp (Resilient.tier_index tier);
     let checker = Audit.checker ~net ~plan ~ports () in
@@ -539,7 +538,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
           if (not recorded.(k)) && Simulator.is_complete sim k then
             record_completion k (epoch_start + local_now))
         transfers;
-      (match Audit.feed_many checker { Audit.tier = tname; transfers } ~slots with
+      (match Audit.feed_many checker transfers ~slots with
       | Ok () ->
         st.s_audited <- st.s_audited + slots;
         Obs.Counter.incr c_audited ~by:slots

@@ -39,9 +39,6 @@
 
 type state = Ok | Warning | Firing | Resolved
 
-val state_name : state -> string
-(** ["ok"] / ["warning"] / ["firing"] / ["resolved"] *)
-
 type rule = {
   name : string;  (** the burn signal this rule watches *)
   short_window : int;  (** epochs, >= 1; bounds detection latency *)

@@ -40,8 +40,10 @@ type config = {
   path : string option;
       (** base path for artifacts: [PATH.jsonl] (stream, write-through),
           [PATH.prom] (exposition, atomically refreshed per snapshot) and
-          [PATH.alerts.json] (timeline, written by {!finish}).  [None]
-          keeps the stream in memory ({!stream}) and writes no files. *)
+          [PATH.alerts.json] (SLO transitions plus watchdog alerts,
+          [{"transitions":[...],"watchdog":[...]}], written by
+          {!finish}).  [None] keeps the stream in memory ({!stream}) and
+          writes no files. *)
   window : int;  (** snapshot rolling-window length, frames *)
   rules : Slo.rule list;  (** SLO rules over the burn signals *)
   watchdog : Watchdog.config;
@@ -53,12 +55,10 @@ type config = {
   stall_units_per_slot : float;  (** ... draining less than this *)
 }
 
-val default_rules : Slo.rule list
-(** One rule per burn signal; binary signals (violation, surplus) use
-    single-epoch windows so they fire the epoch the fault lands. *)
-
 val default_config : config
-(** No path, window 8, {!default_rules},
+(** No path, window 8, one SLO rule per burn signal (binary signals —
+    violation, surplus — use single-epoch windows so they fire the epoch
+    the fault lands),
     {!Watchdog.default_config}, wait budget 512 slots, reject budget
     0.10, TWCT factor 4.0, stall at spread >= 4 with >= 4 live coflows
     and < 1.05 units/slot. *)
@@ -100,7 +100,3 @@ val epochs : t -> int
 val stream : t -> string
 (** The JSONL stream accumulated so far (only populated when
     [config.path = None]; with a path the stream goes to the file). *)
-
-val alerts_json : t -> string
-(** The alert-timeline artifact: SLO transitions plus watchdog alerts,
-    [{"transitions":[...],"watchdog":[...]}]. *)

@@ -1,14 +1,20 @@
 type t = { ports : int; slots : Simulator.transfer list array }
 
-let record ?max_slots sim ~policy =
-  let log = ref [] in
-  let (_ : int) =
-    Simulator.run ?max_slots sim ~policy:(fun sim ~max_n:_ ->
-        let transfers = policy sim in
-        log := transfers :: !log;
-        (transfers, 1))
-  in
-  { ports = Simulator.ports sim; slots = Array.of_list (List.rev !log) }
+(* slots newest first, each decision's list stored once per slot it covers *)
+type log = { l_ports : int; mutable l_slots : Simulator.transfer list list }
+
+let log ~ports =
+  if ports <= 0 then invalid_arg "Recorder.log: ports must be positive";
+  { l_ports = ports; l_slots = [] }
+
+let add log transfers ~slots =
+  if slots < 1 then invalid_arg "Recorder.add: slots must be >= 1";
+  for _ = 1 to slots do
+    log.l_slots <- transfers :: log.l_slots
+  done
+
+let contents log =
+  { ports = log.l_ports; slots = Array.of_list (List.rev log.l_slots) }
 
 let replay ?net t demands =
   let sim = Simulator.create ?net ~ports:t.ports demands in

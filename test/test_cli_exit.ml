@@ -168,6 +168,18 @@ let test_sim_overflow_total () =
     (contains "line 5" t && contains "coflow 1" t);
   Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
 
+(* an unwritable --record FILE is named, not an uncaught [Sys_error] *)
+let test_sim_unwritable_record () =
+  with_file good_trace @@ fun trace ->
+  let missing = Filename.concat trace "sub.csv" in
+  let t =
+    check_exit sim_exe
+      [ trace; "--order"; "hrho"; "--case"; "d"; "--record"; missing ]
+      123
+  in
+  Alcotest.(check bool) "names the unwritable path" true (contains missing t);
+  Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
+
 let test_service_bad_replay () =
   with_file bad_trace @@ fun trace ->
   let t = check_exit service_exe [ "--replay"; trace ] 123 in
@@ -285,6 +297,8 @@ let () =
             test_sim_overflow_total;
           Alcotest.test_case "coflow_sim blank lines counted" `Quick
             test_sim_blank_lines;
+          Alcotest.test_case "coflow_sim unwritable record file" `Quick
+            test_sim_unwritable_record;
         ] );
       ( "obs-diff",
         [ Alcotest.test_case "identical profiles pass" `Quick

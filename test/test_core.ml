@@ -93,8 +93,10 @@ let prop_bvn_matchings_valid =
     (fun d ->
       List.for_all
         (fun (matching, q) ->
+          (* a permutation of the ports: destination per source *)
           q > 0
-          && Matching.Bipartite.is_matching (Mat.dim d) (Bvn.pairs matching))
+          && List.sort compare (Array.to_list matching)
+             = List.init (Mat.dim d) Fun.id)
         (Bvn.schedule d))
 
 (* The list-and-[Seq] decomposition [Bvn.decompose] replaced, kept as its
@@ -230,7 +232,18 @@ let test_bvn_allocation () =
 let test_interval_count () =
   let inst = fig1_instance () in
   (* T = 6 -> smallest L with 2^(L-1) >= 6 is 4 *)
-  check_int "L" 4 (Lp_relax.interval_count inst)
+  check_int "L" 4 (Lp_relax.interval_count inst);
+  (* T = 2^61 + 1 -> 63: the grid's last point, 2^62, is past max_int *)
+  let huge =
+    Instance.make ~ports:2
+      [ { Instance.id = 0;
+          release = 0;
+          weight = 1.0;
+          demand = Mat.of_arrays [| [| 0; (1 lsl 61) + 1 |]; [| 0; 0 |] |];
+        };
+      ]
+  in
+  check_int "L past 2^61" 63 (Lp_relax.interval_count huge)
 
 let test_interval_lp_single_coflow () =
   let inst = fig1_instance () in
@@ -1307,15 +1320,15 @@ let prop_grouped_schedule_replays =
       let sim =
         Switchsim.Simulator.create ~ports:(Instance.ports inst) demands
       in
-      let st =
-        (Scheduler.case_policy ~case:Scheduler.Group_backfill inst order)
-          .Policy.prepare sim
-      in
-      let recording =
-        Switchsim.Recorder.record sim ~policy:st.Policy.next_slot
+      let log = Switchsim.Recorder.log ~ports:(Instance.ports inst) in
+      let (_ : Engine.result) =
+        Engine.run ~sim inst
+          (Policy.recorded log
+             (Scheduler.case_policy ~case:Scheduler.Group_backfill inst order))
       in
       let recording' =
-        Switchsim.Recorder.of_csv (Switchsim.Recorder.to_csv recording)
+        Switchsim.Recorder.of_csv
+          (Switchsim.Recorder.to_csv (Switchsim.Recorder.contents log))
       in
       let sim' = Switchsim.Recorder.replay recording' demands in
       let n = Instance.num_coflows inst in

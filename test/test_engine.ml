@@ -191,6 +191,46 @@ let test_decisions_counted () =
       ("case d", Scheduler.case_policy ~case:Scheduler.Group_backfill inst hrho);
     ]
 
+(* [Policy.recorded] keeps a run's transcript: the [n] slots a batched
+   decision covers are the decisions its slot-by-slot twin takes, so both
+   transcripts write the same CSV, and each replays on a fresh simulator
+   to its run's completions. *)
+let test_recorded () =
+  let inst = Lazy.force golden_instance in
+  let hrho = Ordering.by_load_over_weight inst in
+  let record policy =
+    let log = Switchsim.Recorder.log ~ports:(Instance.ports inst) in
+    let r = Engine.run inst (Policy.recorded log policy) in
+    (r, Switchsim.Recorder.contents log)
+  in
+  let replays name (r : Engine.result) transcript =
+    let sim = Switchsim.Recorder.replay transcript (Instance.demands inst) in
+    Alcotest.(check (array int))
+      (name ^ " replays to the run's completions")
+      r.Engine.completion
+      (Array.init (Instance.num_coflows inst)
+         (Switchsim.Simulator.completion_time_exn sim))
+  in
+  List.iter
+    (fun (name, policy) ->
+      let batched, b = record policy in
+      let unbatched, u = record (Policy.unbatched policy) in
+      Alcotest.(check bool)
+        (name ^ " batches")
+        true
+        (batched.Engine.decisions < batched.Engine.slots);
+      check_int (name ^ " one entry per slot") batched.Engine.slots
+        (Array.length b.Switchsim.Recorder.slots);
+      Alcotest.(check string)
+        (name ^ " batched transcript = slot by slot")
+        (Switchsim.Recorder.to_csv u)
+        (Switchsim.Recorder.to_csv b);
+      replays (name ^ " batched") batched b;
+      replays (name ^ " unbatched") unbatched u)
+    [ ("greedy", Baselines.greedy_policy hrho);
+      ("case d", Scheduler.case_policy ~case:Scheduler.Group_backfill inst hrho);
+    ]
+
 (* ---------- run_many determinism ---------- *)
 
 (* The same job list must produce identical results AND an identical
@@ -671,6 +711,7 @@ let () =
           Alcotest.test_case "resilient" `Quick test_golden_resilient;
           Alcotest.test_case "schedule digest" `Quick test_schedule_digest;
           Alcotest.test_case "decisions counted" `Quick test_decisions_counted;
+          Alcotest.test_case "recorded transcripts" `Quick test_recorded;
         ] );
       ( "run_many",
         [ Alcotest.test_case "jobs=1 equals jobs=4" `Quick

@@ -1,108 +1,15 @@
-(* Tests for the bipartite-matching substrate. *)
+(* Tests for the assignment solver MaxWeight matching is built on. *)
 
 open Matching
 
-let check_int = Alcotest.(check int)
-
-let graph_of_edges m edges =
-  let g = Bipartite.create m in
-  List.iter (fun (i, j) -> Bipartite.add_edge g i j) edges;
-  g
-
-let test_create () =
-  let g = Bipartite.create 4 in
-  check_int "size" 4 (Bipartite.size g);
-  check_int "edges" 0 (Bipartite.edge_count g)
-
-let test_create_invalid () =
-  (try
-     ignore (Bipartite.create 0);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
-
-let test_add_edge_idempotent () =
-  let g = Bipartite.create 3 in
-  Bipartite.add_edge g 0 1;
-  Bipartite.add_edge g 0 1;
-  check_int "no duplicate" 1 (Bipartite.edge_count g);
-  Alcotest.(check bool) "mem" true (Bipartite.mem_edge g 0 1);
-  Alcotest.(check bool) "not mem" false (Bipartite.mem_edge g 1 0)
-
-let test_neighbours_order () =
-  let g = graph_of_edges 3 [ (0, 2); (0, 0); (0, 1) ] in
-  Alcotest.(check (list int)) "insertion order" [ 2; 0; 1 ]
-    (Bipartite.neighbours g 0)
-
-let test_of_support () =
-  let g = Bipartite.of_support (fun i j -> i = j) 3 in
-  check_int "diagonal support" 3 (Bipartite.edge_count g)
-
-let test_is_matching () =
-  Alcotest.(check bool) "valid" true
-    (Bipartite.is_matching 3 [ (0, 1); (1, 0) ]);
-  Alcotest.(check bool) "left reused" false
-    (Bipartite.is_matching 3 [ (0, 1); (0, 2) ]);
-  Alcotest.(check bool) "right reused" false
-    (Bipartite.is_matching 3 [ (0, 1); (2, 1) ]);
-  Alcotest.(check bool) "out of range" false (Bipartite.is_matching 2 [ (0, 2) ])
-
-let test_kuhn_simple () =
-  let g = graph_of_edges 2 [ (0, 0); (0, 1); (1, 0) ] in
-  let m = Bipartite.max_matching_kuhn g in
-  check_int "perfect here" 2 (List.length m);
-  Alcotest.(check bool) "valid" true (Bipartite.is_matching 2 m)
-
-let test_kuhn_deficient () =
-  (* Both left vertices only connect to right vertex 0. *)
-  let g = graph_of_edges 2 [ (0, 0); (1, 0) ] in
-  check_int "max is 1" 1 (List.length (Bipartite.max_matching_kuhn g))
-
-let test_hk_matches_kuhn_fixed () =
-  let g =
-    graph_of_edges 5
-      [ (0, 1); (0, 2); (1, 0); (2, 2); (2, 3); (3, 3); (3, 4); (4, 4) ]
+(* vertex-disjoint pairs of an [m x m] graph, every index in range *)
+let is_matching m pairs =
+  let distinct side =
+    List.length (List.sort_uniq compare (List.map side pairs))
+    = List.length pairs
   in
-  check_int "same cardinality"
-    (List.length (Bipartite.max_matching_kuhn g))
-    (List.length (Bipartite.max_matching_hopcroft_karp g))
-
-let test_perfect_identity () =
-  let g = Bipartite.of_support (fun i j -> i = j) 4 in
-  match Bipartite.perfect_matching g with
-  | Ok m ->
-    Alcotest.(check (list (pair int int)))
-      "identity matching"
-      [ (0, 0); (1, 1); (2, 2); (3, 3) ]
-      (List.sort compare m)
-  | Error _ -> Alcotest.fail "expected perfect matching"
-
-let test_perfect_full () =
-  let g = Bipartite.of_support (fun _ _ -> true) 6 in
-  match Bipartite.perfect_matching g with
-  | Ok m ->
-    check_int "size" 6 (List.length m);
-    Alcotest.(check bool) "valid" true (Bipartite.is_matching 6 m)
-  | Error _ -> Alcotest.fail "expected perfect matching"
-
-let test_hall_witness () =
-  (* Left {0, 1, 2} all map only to right {0, 1}: any witness must be a set
-     whose neighbourhood is smaller than the set itself. *)
-  let g = graph_of_edges 3 [ (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1) ] in
-  match Bipartite.perfect_matching g with
-  | Ok _ -> Alcotest.fail "graph has no perfect matching"
-  | Error witness ->
-    let nbhd =
-      List.sort_uniq compare
-        (List.concat_map (Bipartite.neighbours g) witness)
-    in
-    Alcotest.(check bool) "Hall violated" true
-      (List.length nbhd < List.length witness)
-
-let test_isolated_vertex_witness () =
-  let g = graph_of_edges 3 [ (0, 0); (1, 1) ] in
-  match Bipartite.perfect_matching g with
-  | Ok _ -> Alcotest.fail "vertex 2 is isolated"
-  | Error witness -> Alcotest.(check bool) "2 in witness" true (List.mem 2 witness)
+  List.for_all (fun (i, j) -> i >= 0 && i < m && j >= 0 && j < m) pairs
+  && distinct fst && distinct snd
 
 (* ---------- Hungarian ---------- *)
 
@@ -201,139 +108,15 @@ let prop_hungarian_valid_matching =
     (QCheck.make ~print:(fun w -> Printf.sprintf "%dx%d" (Array.length w) (Array.length w)) gen)
     (fun w ->
       let pairs, _ = Hungarian.max_weight_matching w in
-      Bipartite.is_matching (Array.length w) pairs)
-
-(* ---------- properties ---------- *)
-
-let graph_gen =
-  QCheck.Gen.(
-    let* m = int_range 1 9 in
-    let* density = float_range 0.1 0.9 in
-    let* seed = int_range 0 1_000_000 in
-    let st = Random.State.make [| seed |] in
-    let g = Bipartite.create m in
-    for i = 0 to m - 1 do
-      for j = 0 to m - 1 do
-        if Random.State.float st 1.0 < density then Bipartite.add_edge g i j
-      done
-    done;
-    return g)
-
-let print_graph g =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Printf.sprintf "m=%d:" (Bipartite.size g));
-  for i = 0 to Bipartite.size g - 1 do
-    List.iter
-      (fun j -> Buffer.add_string b (Printf.sprintf " %d->%d" i j))
-      (Bipartite.neighbours g i)
-  done;
-  Buffer.contents b
-
-let arb_graph = QCheck.make ~print:print_graph graph_gen
-
-let prop_kuhn_eq_hk =
-  QCheck.Test.make ~name:"Kuhn and Hopcroft-Karp agree on cardinality"
-    ~count:300 arb_graph (fun g ->
-      List.length (Bipartite.max_matching_kuhn g)
-      = List.length (Bipartite.max_matching_hopcroft_karp g))
-
-let prop_matchings_valid =
-  QCheck.Test.make ~name:"returned matchings are matchings" ~count:300
-    arb_graph (fun g ->
-      let m = Bipartite.size g in
-      Bipartite.is_matching m (Bipartite.max_matching_kuhn g)
-      && Bipartite.is_matching m (Bipartite.max_matching_hopcroft_karp g))
-
-let prop_matching_uses_edges =
-  QCheck.Test.make ~name:"matchings only use graph edges" ~count:300 arb_graph
-    (fun g ->
-      List.for_all
-        (fun (i, j) -> Bipartite.mem_edge g i j)
-        (Bipartite.max_matching_hopcroft_karp g))
-
-let prop_perfect_or_witness =
-  QCheck.Test.make ~name:"perfect matching xor valid Hall witness" ~count:300
-    arb_graph (fun g ->
-      match Bipartite.perfect_matching g with
-      | Ok m ->
-        List.length m = Bipartite.size g
-        && Bipartite.is_matching (Bipartite.size g) m
-      | Error witness ->
-        witness <> []
-        &&
-        let nbhd =
-          List.sort_uniq compare
-            (List.concat_map (Bipartite.neighbours g) witness)
-        in
-        List.length nbhd < List.length witness)
-
-(* Balanced positive matrices always admit perfect matchings on their
-   support — the fact Algorithm 1 rests on (Hall's theorem). *)
-let prop_doubly_balanced_has_perfect =
-  let gen =
-    QCheck.Gen.(
-      let* m = int_range 2 7 in
-      let* k = int_range 1 4 in
-      let* seed = int_range 0 1_000_000 in
-      (* A sum of k random permutation matrices is doubly balanced. *)
-      let st = Random.State.make [| seed |] in
-      let d = Matrix.Mat.make m in
-      for _ = 1 to k do
-        let perm = Array.init m (fun i -> i) in
-        for i = m - 1 downto 1 do
-          let j = Random.State.int st (i + 1) in
-          let t = perm.(i) in
-          perm.(i) <- perm.(j);
-          perm.(j) <- t
-        done;
-        Array.iteri (fun i j -> Matrix.Mat.add_entry d i j 1) perm
-      done;
-      return d)
-  in
-  QCheck.Test.make ~name:"balanced positive matrices have perfect support"
-    ~count:200
-    (QCheck.make ~print:Matrix.Mat.to_string gen)
-    (fun d ->
-      let g =
-        Bipartite.of_support (fun i j -> Matrix.Mat.get d i j > 0)
-          (Matrix.Mat.dim d)
-      in
-      match Bipartite.perfect_matching g with
-      | Ok _ -> true
-      | Error _ -> false)
+      is_matching (Array.length w) pairs)
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_hungarian_optimal;
-      prop_hungarian_valid_matching;
-      prop_kuhn_eq_hk;
-      prop_matchings_valid;
-      prop_matching_uses_edges;
-      prop_perfect_or_witness;
-      prop_doubly_balanced_has_perfect;
-    ]
+    [ prop_hungarian_optimal; prop_hungarian_valid_matching ]
 
 let () =
   Alcotest.run "matching"
-    [ ( "bipartite",
-        [ Alcotest.test_case "create" `Quick test_create;
-          Alcotest.test_case "create invalid" `Quick test_create_invalid;
-          Alcotest.test_case "add_edge idempotent" `Quick
-            test_add_edge_idempotent;
-          Alcotest.test_case "neighbour order" `Quick test_neighbours_order;
-          Alcotest.test_case "of_support" `Quick test_of_support;
-          Alcotest.test_case "is_matching" `Quick test_is_matching;
-          Alcotest.test_case "Kuhn simple" `Quick test_kuhn_simple;
-          Alcotest.test_case "Kuhn deficient" `Quick test_kuhn_deficient;
-          Alcotest.test_case "HK = Kuhn (fixed)" `Quick
-            test_hk_matches_kuhn_fixed;
-          Alcotest.test_case "perfect on identity" `Quick test_perfect_identity;
-          Alcotest.test_case "perfect on complete" `Quick test_perfect_full;
-          Alcotest.test_case "Hall witness" `Quick test_hall_witness;
-          Alcotest.test_case "isolated vertex witness" `Quick
-            test_isolated_vertex_witness;
-        ] );
-      ( "hungarian",
+    [ ( "hungarian",
         [ Alcotest.test_case "known instance" `Quick test_hungarian_known;
           Alcotest.test_case "identity" `Quick test_hungarian_identity;
           Alcotest.test_case "validation" `Quick test_hungarian_validation;

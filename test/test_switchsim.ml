@@ -491,10 +491,22 @@ let greedy_single_policy s =
   done;
   !out
 
+(* run [greedy_single_policy] to completion, one slot per decision, and
+   keep its transcript *)
+let record sim =
+  let log = Recorder.log ~ports:(Simulator.ports sim) in
+  let (_ : int) =
+    Simulator.run sim ~policy:(fun s ~max_n:_ ->
+        let transfers = greedy_single_policy s in
+        Recorder.add log transfers ~slots:1;
+        (transfers, 1))
+  in
+  Recorder.contents log
+
 let test_record_and_replay () =
   let demands = [ (0, fig1 ()); (2, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
-  let recording = Recorder.record sim ~policy:greedy_single_policy in
+  let recording = record sim in
   let sim' = Recorder.replay recording demands in
   Alcotest.(check bool) "replay completes" true (Simulator.all_complete sim');
   check_int "same completion 0"
@@ -507,7 +519,7 @@ let test_record_and_replay () =
 let test_recorder_csv_roundtrip () =
   let demands = [ (0, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
-  let recording = Recorder.record sim ~policy:greedy_single_policy in
+  let recording = record sim in
   let recording' = Recorder.of_csv (Recorder.to_csv recording) in
   let sim' = Recorder.replay recording' demands in
   check_int "same makespan" (Simulator.now sim) (Simulator.now sim')
@@ -518,7 +530,7 @@ let test_recorder_csv_gaps_roundtrip () =
      slot count for the round-trip to reproduce them *)
   let demands = [ (3, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
-  let recording = Recorder.record sim ~policy:greedy_single_policy in
+  let recording = record sim in
   Alcotest.(check bool) "recording has idle slots" true
     (Array.exists (fun l -> l = []) recording.Recorder.slots);
   let csv = Recorder.to_csv recording in
@@ -554,7 +566,7 @@ let test_recorder_csv_gaps_roundtrip () =
 let test_recorder_detects_tampering () =
   let demands = [ (0, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
-  let recording = Recorder.record sim ~policy:greedy_single_policy in
+  let recording = record sim in
   let csv = Recorder.to_csv recording in
   (* claim two transfers from the same ingress in slot 1 *)
   let tampered = csv ^ "1,0,1,0\n" in
@@ -590,10 +602,46 @@ let test_recorder_blank_lines () =
       true
       (Astring.String.is_infix ~affix:"bad row 5" msg)
 
+(* a nonzero fabric rides as a fifth column; fabric-0 rows keep the
+   legacy four, so single-fabric transcripts keep their bytes *)
+let test_recorder_fabric_column () =
+  let slot = [ tf 0 1 0 1; tf 1 0 0 0 ] in
+  let log = Recorder.log ~ports:2 in
+  Recorder.add log slot ~slots:1;
+  let csv = Recorder.to_csv (Recorder.contents log) in
+  let rows = String.split_on_char '\n' csv in
+  Alcotest.(check bool) "fabric column only when nonzero" true
+    (List.mem "1,0,1,0,1" rows && List.mem "1,1,0,0" rows);
+  Alcotest.(check bool) "fabrics survive the round trip" true
+    (List.sort compare (Recorder.of_csv csv).Recorder.slots.(0)
+    = List.sort compare slot)
+
+(* a batched decision lands as one slot per slot it covers *)
+let test_recorder_log () =
+  let log = Recorder.log ~ports:2 in
+  Recorder.add log [ t 0 1 0 ] ~slots:2;
+  Recorder.add log [] ~slots:1;
+  let r = Recorder.contents log in
+  check_int "ports" 2 r.Recorder.ports;
+  Alcotest.(check bool) "slots in order" true
+    (r.Recorder.slots = [| [ t 0 1 0 ]; [ t 0 1 0 ]; [] |]);
+  List.iter
+    (fun (label, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s: expected Invalid_argument" label
+      | exception Invalid_argument _ -> ())
+    [ ("ports 0", fun () -> ignore (Recorder.log ~ports:0));
+      ("ports -1", fun () -> ignore (Recorder.log ~ports:(-1)));
+      ("slots 0", fun () -> Recorder.add log [ t 0 1 0 ] ~slots:0);
+      ("slots -1", fun () -> Recorder.add log [] ~slots:(-1));
+    ];
+  check_int "a rejected add adds nothing" 3
+    (Array.length (Recorder.contents log).Recorder.slots)
+
 let test_recorder_file_roundtrip () =
   let demands = [ (0, fig1 ()) ] in
   let sim = Simulator.create ~ports:2 demands in
-  let recording = Recorder.record sim ~policy:greedy_single_policy in
+  let recording = record sim in
   let path = Filename.temp_file "sched" ".csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -651,6 +699,9 @@ let () =
             test_recorder_blank_lines;
           Alcotest.test_case "file roundtrip" `Quick
             test_recorder_file_roundtrip;
+          Alcotest.test_case "fabric column roundtrip" `Quick
+            test_recorder_fabric_column;
+          Alcotest.test_case "log builder" `Quick test_recorder_log;
         ] );
       ( "fabric",
         [ Alcotest.test_case "topology" `Quick test_fabric_topology;
