@@ -86,7 +86,7 @@ let run process mean_gap dwell replay coflows ports seed plan_seed epoch
               max_live;
               deadline_factor;
             };
-          fault_intensity = intensity;
+          faults = Service.Epoch_loop.Seeded intensity;
           lp_deadline = (if lp_deadline > 0.0 then Some lp_deadline else None);
           degrade_live_above = degrade_above;
         };

@@ -57,7 +57,13 @@ let run_sim trace_path order_kind case baseline verbose record_path audit =
           Ordering.by_lp (Lp_relax.solve_interval inst)
       in
       audit_order := Some order;
-      let policy = Scheduler.case_policy ~case inst order in
+      (* an instance BvN cannot augment is refused by name, before any
+         slot is scheduled *)
+      let* policy =
+        try Ok (Scheduler.case_policy ~case inst order)
+        with Invalid_argument msg ->
+          Error (Printf.sprintf "%s: %s" trace_path msg)
+      in
       let label =
         Printf.sprintf "%s / case (%s)" (name_of orders order_kind)
           (name_of cases case)
@@ -83,7 +89,9 @@ let run_sim trace_path order_kind case baseline verbose record_path audit =
   if audit then begin
     (match !audit_order with
     | None ->
-      Format.printf "audit: Lemma 2 / Proposition 1 need an ordering-based                      run (not a baseline)@."
+      Format.printf
+        "audit: Lemma 2 / Proposition 1 need an ordering-based run (not a \
+         baseline)@."
     | Some order ->
       (match Verify.lemma2_prefix_bound inst order result.Scheduler.completion with
       | Ok () -> Format.printf "audit: Lemma 2 prefix bounds hold@."

@@ -33,12 +33,18 @@ let deterministic ?(speed = 1) inst order =
   let classes =
     Array.map
       (fun vk ->
-        (* drain time on an aggregate-speed-[speed] net, rounded up *)
-        let vk = (vk + speed - 1) / speed in
         if vk = 0 then 0
         else begin
-          (* smallest s >= 1 with 2^(s-1) >= vk *)
-          let rec search s cap = if cap >= vk then s else search (s + 1) (2 * cap) in
+          (* drain time on an aggregate-speed-[speed] net, rounded up
+             without passing [max_int] *)
+          let vk = ((vk - 1) / speed) + 1 in
+          (* smallest s >= 1 with 2^(s-1) >= vk; a power past [max_int]
+             has no int, and [max_int] ends the search there *)
+          let rec search s cap =
+            if cap >= vk then s
+            else
+              search (s + 1) (if cap > max_int / 2 then max_int else 2 * cap)
+          in
           search 1 1
         end)
       v

@@ -96,48 +96,47 @@ let lp_tier ~max_iterations ~deadline ~retries ~warm_start ~warm ~ids ~origin
   in
   attempt 0 deadline
 
-(* One re-planning round: walk the policy chain from [cfg.primary] down,
-   honouring solver outages, and return the first tier that yields an
-   order over original coflow indices.  The LP tier runs on the residual
-   instance: [warm] is keyed by original coflow index with absolute
-   times.  [lp_stats] accumulates (iterations, refactors) over successful
-   solves. *)
+let chain ~primary ~outage ~lp inst =
+  match (primary, outage) with
+  | _, `Full | Arrival, _ -> (Arrival, Ordering.arrival inst)
+  | Lp, `None -> (
+    match lp () with
+    | Some lp -> (Lp, lp.Lp_relax.order)
+    | None -> (Rho, Ordering.by_load_over_weight inst))
+  | Rho, _ | Lp, `Lp_only -> (Rho, Ordering.by_load_over_weight inst)
+
 let c_replans = Obs.Counter.make "resilient.replans"
 
 let c_lp_failures = Obs.Counter.make "resilient.lp_failures"
 
+(* One re-planning round: walk the chain on the residual instance and map
+   its order back to original coflow indices.  [warm] is keyed by
+   original coflow index with absolute times; [lp_stats] accumulates
+   (iterations, refactors) over successful solves. *)
 let replan cfg inj inst ~warm ~lp_stats ~on_lp_failure =
   Obs.Span.with_ "resilient.replan" @@ fun () ->
   let sim = Injector.sim inj in
   let now = Simulator.now sim in
-  let outage = Fault_plan.solver_outage (Injector.plan inj) ~slot:now in
-  let start =
-    match (cfg.primary, outage) with
-    | _, `Full -> Arrival
-    | Lp, `Lp_only -> Rho
-    | t, _ -> t
-  in
-  match start with
-  | Arrival -> (Arrival, Ordering.arrival inst)
-  | Rho | Lp ->
-    let keep, resid = residual_instance inst sim in
+  let keep, resid = residual_instance inst sim in
+  let lp () =
     let lp =
-      if start = Rho then None
-      else
-        lp_tier ~max_iterations:cfg.lp_max_iterations
-          ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
-          ~warm_start:cfg.lp_warm_start ~warm ~ids:keep ~origin:now
-          ~on_failure:on_lp_failure resid
+      lp_tier ~max_iterations:cfg.lp_max_iterations ~deadline:cfg.lp_deadline
+        ~retries:cfg.lp_retries ~warm_start:cfg.lp_warm_start ~warm ~ids:keep
+        ~origin:now ~on_failure:on_lp_failure resid
     in
-    let tier, order =
-      match lp with
-      | Some { Lp_relax.iterations; refactors; order; _ } ->
+    Option.iter
+      (fun { Lp_relax.iterations; refactors; _ } ->
         let i, r = !lp_stats in
-        lp_stats := (i + iterations, r + refactors);
-        (Lp, order)
-      | None -> (Rho, Ordering.by_load_over_weight resid)
-    in
-    (tier, Array.map (Array.get keep) order)
+        lp_stats := (i + iterations, r + refactors))
+      lp;
+    lp
+  in
+  let tier, order =
+    chain ~primary:cfg.primary
+      ~outage:(Fault_plan.solver_outage (Injector.plan inj) ~slot:now)
+      ~lp resid
+  in
+  (tier, Array.map (Array.get keep) order)
 
 let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   Obs.Span.with_ "resilient.run" @@ fun () ->

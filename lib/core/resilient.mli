@@ -105,6 +105,19 @@ val lp_tier :
     failure call [on_failure] and retry, [retries] times, with a doubled
     deadline; store the new basis back in [warm].  [None]: use H_rho. *)
 
+val chain :
+  primary:tier ->
+  outage:[ `None | `Lp_only | `Full ] ->
+  lp:(unit -> Lp_relax.result option) ->
+  Workload.Instance.t ->
+  tier * Ordering.t
+(** The degradation chain, which {!run}'s re-plans and the service's
+    epoch planner both walk: start at [primary], skip the tiers [outage]
+    knocks out, and fall from the LP tier to H_rho when the attempt [lp]
+    (an {!lp_tier} call, run only when the chain reaches that tier)
+    yields nothing.  Returns the tier that produced the order and the
+    order over [inst]'s coflows. *)
+
 val run :
   ?config:config ->
   ?net:Switchsim.Net.t ->

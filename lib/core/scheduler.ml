@@ -398,6 +398,28 @@ let as_policy ?(backfill = false) ?(aggressive = false) ~describe groups =
         ~matchings:(fun () -> state.matchings_built)
         (fun sim -> next_slot state ~backfill ~aggressive sim))
 
+(* BvN augments a group's aggregate demand to a matrix whose rows and
+   columns all sum to its load, a total of ports x load: refuse a group
+   whose load passes [max_int / ports] before any slot is scheduled,
+   instead of failing inside [Mat] mid-run. *)
+let check_bvn_range inst groups =
+  let m = Instance.ports inst in
+  Array.iter
+    (fun group ->
+      let coflow k = Instance.coflow inst k in
+      let v =
+        Coflow.cumulative_loads
+          (Array.map (fun k -> (coflow k).Instance.demand) group)
+      in
+      let load = v.(Array.length v - 1) in
+      if load > max_int / m then
+        invalid_arg
+          (Printf.sprintf
+             "Scheduler: the group of coflow %d has load %d; BvN would \
+              augment it to %d ports x %d units, past max_int"
+             (coflow group.(0)).Instance.id load m load))
+    groups
+
 let run_grouped ?(backfill = false) ?(aggressive = false) inst groups =
   let describe =
     Printf.sprintf "grouped%s%s"
@@ -412,6 +434,7 @@ let case_policy ~case inst order =
     | Base | Backfill -> Grouping.singletons order
     | Group | Group_backfill -> Grouping.deterministic inst order
   in
+  check_bvn_range inst groups;
   let backfill = match case with Backfill | Group_backfill -> true | _ -> false in
   as_policy ~backfill
     ~describe:(if backfill then "grouped+backfill" else "grouped")

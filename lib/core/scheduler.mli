@@ -112,7 +112,10 @@ val as_policy :
     matching the sequential discipline of Algorithm 2. *)
 
 val case_policy : case:case -> Workload.Instance.t -> Ordering.t -> Policy.t
-(** The grouped policy of [case] over [order], as {!run} executes it. *)
+(** The grouped policy of [case] over [order], as {!run} executes it.
+    @raise Invalid_argument, naming the group's first coflow, when a
+    group's aggregate load times the port count passes [max_int]: BvN
+    could not augment it. *)
 
 val run : ?case:case -> Workload.Instance.t -> Ordering.t -> result
 (** Build the grouping for [case] (default [Group], the paper's algorithm),

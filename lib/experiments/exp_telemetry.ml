@@ -68,8 +68,7 @@ let soak_cfg ~fault =
             Admission.max_live = 96;
             deadline_factor = 0.0;
           };
-        fault_intensity = 0.0;
-        fault_script = (if fault then Some script else None);
+        faults = (if fault then Scripted script else Seeded 0.0);
       };
     wait_p99_slo = None;
   }

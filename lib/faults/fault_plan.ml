@@ -78,11 +78,6 @@ let validate ?(fabrics = 1) ~ports ~coflows t =
     scan 0 t.events
   end
 
-let validate_exn ?(fabrics = 1) ~ports ~coflows t =
-  match validate ~fabrics ~ports ~coflows t with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Fault_plan.validate: " ^ msg)
-
 (* ---------- per-slot queries ---------- *)
 
 (* The boolean and period queries are top-level recursions over the event
@@ -191,7 +186,7 @@ let boundaries t =
    ports * words) per fault-state change instead of an event-list scan
    per candidate pair. *)
 type state = {
-  plan : t;
+  events : event list; (* the plan less its uncarried slow links *)
   ports : int;
   words : int;
   base : int; (* sum over fabrics of core capacity, ports if non-blocking *)
@@ -203,9 +198,9 @@ type state = {
   mutable until : int;
 }
 
-let compile t net =
+let compile ~carried ~coflows t net =
   let ports = Switchsim.Net.ports net and fabrics = Switchsim.Net.k net in
-  (match validate ~fabrics ~ports ~coflows:max_int t with
+  (match validate ~fabrics ~ports ~coflows t with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fault_plan.compile: " ^ msg));
   let words = Matrix.Bits.words_for ports in
@@ -219,7 +214,11 @@ let compile t net =
       | None -> ports
   done;
   (* [until = slot = 0]: an empty window, so the first refresh computes *)
-  { plan = t;
+  { events =
+      List.filter
+        (function
+          | Link_degraded { src; dst; _ } -> carried ~src ~dst | _ -> true)
+        t.events;
     ports;
     words;
     base = !base;
@@ -260,7 +259,7 @@ let rec apply st ~slot = function
         (* the pair's duty cycle follows its largest active period: usable
            at that period's multiples, so it flips at the next multiple,
            or right after this slot when this slot is one *)
-        let p = link_period st.plan ~slot ~src ~dst in
+        let p = link_period_in st.events ~slot ~src ~dst 1 in
         let r = slot mod p in
         edge st ~slot (if r = 0 then slot + 1 else slot + p - r);
         if r <> 0 then begin
@@ -291,7 +290,7 @@ let refresh st ~slot =
     st.budget <- st.base;
     st.slot <- slot;
     st.until <- max_int;
-    apply st ~slot st.plan.events
+    apply st ~slot st.events
   end
 
 let stable_until st = st.until
@@ -303,137 +302,6 @@ let off_duty_word st ~src w = st.off.((src * st.words) + w)
 let fabric_dead st f = st.dead.(f)
 
 let core_budget st = st.budget
-
-(* ---------- text format ---------- *)
-
-let magic = "coflow-faults v1"
-
-let event_to_string = function
-  | Port_down { port; from_; until } ->
-    Printf.sprintf "port_down %d %d %d" port from_ until
-  | Link_degraded { src; dst; from_; until; period } ->
-    Printf.sprintf "link_slow %d %d %d %d %d" src dst from_ until period
-  | Core_degraded { from_; until; capacity } ->
-    Printf.sprintf "core_cap %d %d %d" from_ until capacity
-  | Straggler { coflow; at; factor } ->
-    Printf.sprintf "straggler %d %d %d" coflow at factor
-  | Release_delay { coflow; delay } ->
-    Printf.sprintf "release_delay %d %d" coflow delay
-  | Solver_outage { from_; until; full } ->
-    Printf.sprintf "solver_outage %d %d %d" from_ until (if full then 1 else 0)
-  | Fabric_down { fabric; from_; until } ->
-    Printf.sprintf "fabric_down %d %d %d" fabric from_ until
-
-let to_string t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      Buffer.add_string b (event_to_string e);
-      Buffer.add_char b '\n')
-    t.events;
-  Buffer.contents b
-
-let of_string s =
-  let fail lineno msg =
-    failwith (Printf.sprintf "Fault_plan.of_string: line %d: %s" lineno msg)
-  in
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.mapi (fun i l -> (i + 1, l))
-    |> List.filter (fun (_, l) -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  in
-  match lines with
-  | [] -> failwith "Fault_plan.of_string: empty input"
-  | (lineno, header) :: rest ->
-    if header <> magic then
-      fail lineno (Printf.sprintf "bad header %S (expected %S)" header magic);
-    let parse_int lineno s =
-      match int_of_string_opt s with
-      | Some v -> v
-      | None -> fail lineno (Printf.sprintf "expected integer, got %S" s)
-    in
-    let parse (lineno, l) =
-      let toks =
-        String.split_on_char ' ' l |> List.filter (fun t -> t <> "")
-      in
-      let ints = List.map (parse_int lineno) in
-      (* geometry-independent sanity (port/coflow ranges need [validate]) *)
-      let interval from_ until =
-        if from_ < 0 then fail lineno "negative start slot"
-        else if until <= from_ then fail lineno "empty or inverted interval"
-      in
-      match toks with
-      | "port_down" :: args -> (
-        match ints args with
-        | [ port; from_; until ] ->
-          interval from_ until;
-          Port_down { port; from_; until }
-        | _ -> fail lineno "port_down expects <port> <from> <until>")
-      | "link_slow" :: args -> (
-        match ints args with
-        | [ src; dst; from_; until; period ] ->
-          interval from_ until;
-          if period < 2 then
-            fail lineno "degradation period must be at least 2";
-          Link_degraded { src; dst; from_; until; period }
-        | _ -> fail lineno "link_slow expects <src> <dst> <from> <until> <period>")
-      | "core_cap" :: args -> (
-        match ints args with
-        | [ from_; until; capacity ] ->
-          interval from_ until;
-          if capacity < 0 then fail lineno "negative degraded capacity";
-          Core_degraded { from_; until; capacity }
-        | _ -> fail lineno "core_cap expects <from> <until> <capacity>")
-      | "straggler" :: args -> (
-        match ints args with
-        | [ coflow; at; factor ] ->
-          if at < 0 then fail lineno "negative straggler slot";
-          if factor < 2 then
-            fail lineno "straggler factor must be at least 2";
-          Straggler { coflow; at; factor }
-        | _ -> fail lineno "straggler expects <coflow> <at> <factor>")
-      | "release_delay" :: args -> (
-        match ints args with
-        | [ coflow; delay ] ->
-          if delay <= 0 then fail lineno "delay must be positive";
-          Release_delay { coflow; delay }
-        | _ -> fail lineno "release_delay expects <coflow> <delay>")
-      | "solver_outage" :: args -> (
-        match ints args with
-        | [ from_; until; full ] ->
-          interval from_ until;
-          if full <> 0 && full <> 1 then
-            fail lineno "solver_outage full flag must be 0 or 1"
-          else Solver_outage { from_; until; full = full = 1 }
-        | _ -> fail lineno "solver_outage expects <from> <until> <0|1>")
-      | "fabric_down" :: args -> (
-        match ints args with
-        | [ fabric; from_; until ] ->
-          interval from_ until;
-          if fabric < 0 then fail lineno "negative fabric index";
-          Fabric_down { fabric; from_; until }
-        | _ -> fail lineno "fabric_down expects <fabric> <from> <until>")
-      | kind :: _ -> fail lineno (Printf.sprintf "unknown event kind %S" kind)
-      | [] -> assert false
-    in
-    { events = List.map parse rest }
-
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))
 
 (* ---------- seeded random plans ---------- *)
 

@@ -5,7 +5,9 @@
     port outages, per-link slowdowns, core-capacity degradation (see
     {!core_budget}), straggler coflows whose
     remaining demand inflates mid-run, delayed releases, and solver
-    outages that knock out tiers of the scheduling stack.
+    outages that knock out tiers of the scheduling stack.  A plan is a
+    value with no text format: a caller writes its events with {!make}
+    or draws them with {!random}, and {!validate} holds the event rules.
 
     Slot indexing matches [Switchsim.Simulator.now] {e before} a step: an
     event with interval [[from_, until)] affects exactly the slots whose
@@ -57,11 +59,12 @@ val is_empty : t -> bool
 
 val validate :
   ?fabrics:int -> ports:int -> coflows:int -> t -> (unit, string) result
-(** Structural check of every event against the instance geometry.
-    [fabrics] (default [1]) bounds [Fabric_down] indices. *)
-
-val validate_exn : ?fabrics:int -> ports:int -> coflows:int -> t -> unit
-(** @raise Invalid_argument with the first offending event. *)
+(** Structural check of every event against the instance geometry: the
+    one home of the event rules (intervals start at a slot [>= 0] and are
+    non-empty, a period and a straggler factor are at least 2, a delay is
+    positive, a capacity is not negative, and every port, coflow and
+    fabric index is in range).  [fabrics] (default [1]) bounds
+    [Fabric_down] indices.  The error names the first offending event. *)
 
 (** {2 Per-slot queries} *)
 
@@ -112,10 +115,17 @@ val boundaries : t -> int list
 
 type state
 
-val compile : t -> Switchsim.Net.t -> state
-(** A fresh per-run state; the first {!refresh} computes it.
+val compile :
+  carried:(src:int -> dst:int -> bool) ->
+  coflows:int ->
+  t ->
+  Switchsim.Net.t ->
+  state
+(** A fresh state for a run of [coflows] coflows; the first {!refresh}
+    computes it.  Only the {!Link_degraded} events of pairs [carried]
+    accepts are compiled; every other event is.
     @raise Invalid_argument if the plan fails {!validate} against the
-    net's ports and fabrics (coflow indices are not checked). *)
+    net's ports and fabrics and [coflows]. *)
 
 val refresh : state -> slot:int -> unit
 (** Make the state describe [slot]; a no-op while [slot] stays in the
@@ -153,32 +163,7 @@ val core_counts :
     of an oversubscribed fabric, or rides a fabric without a core cap
     (aggregate switch degradation). *)
 
-(** {2 Text format}
-
-    Line-oriented and diff-friendly:
-    {v
-    coflow-faults v1
-    port_down <port> <from> <until>
-    link_slow <src> <dst> <from> <until> <period>
-    core_cap <from> <until> <capacity>
-    straggler <coflow> <at> <factor>
-    release_delay <coflow> <delay>
-    solver_outage <from> <until> <0|1>
-    fabric_down <fabric> <from> <until>
-    v}
-    Blank lines and [#] comments are ignored on input. *)
-
-val to_string : t -> string
-
-val of_string : string -> t
-(** @raise Failure with a line-numbered message on malformed input,
-    including geometry-independent semantic errors (empty intervals, bad
-    periods / factors / delays); port and coflow ranges still need
-    {!validate}. *)
-
-val save : string -> t -> unit
-
-val load : string -> t
+(** {2 Seeded plans} *)
 
 val random :
   ?intensity:float ->

@@ -72,8 +72,25 @@ let check net plan st ~slot ~slots transfers =
 
 let create ?net ~plan ~ports demands =
   let net = match net with Some n -> n | None -> Net.single ~ports in
-  Fault_plan.validate_exn ~fabrics:(Net.k net) ~ports
-    ~coflows:(List.length demands) plan;
+  if Net.ports net <> ports then
+    invalid_arg "Injector.create: net port count mismatch";
+  (* The compiled state keeps only the slow links some coflow has demand
+     on.  Support never grows within a run ([tick]'s stragglers scale
+     entries that already exist), the kernel reads a row's off-duty bits
+     only through its support, and the hook checks duty only on served
+     pairs, which the simulator rejects unless they carry demand: an
+     uncarried link can change no decision, only end a batch early.
+     Compiling validates the whole plan, once.  (A matrix of the wrong
+     size is left to [Simulator.create] to name.) *)
+  let faults =
+    Fault_plan.compile ~coflows:(List.length demands)
+      ~carried:(fun ~src ~dst ->
+        List.exists
+          (fun (_, d) ->
+            Matrix.Mat.dim d = ports && Matrix.Mat.get d src dst > 0)
+          demands)
+      plan net
+  in
   let stragglers = Fault_plan.stragglers plan in
   (* [tick] multiplies a coflow's remaining demand by each of its factors
      in turn: the product with the full demand must stay an int *)
@@ -95,26 +112,6 @@ let create ?net ~plan ~ports demands =
         Hashtbl.replace grown k (total * factor))
       stragglers
   end;
-  (* The compiled state keeps only the slow links some coflow has demand
-     on.  Support never grows within a run ([tick]'s stragglers scale
-     entries that already exist), the kernel reads a row's off-duty bits
-     only through its support, and the hook checks duty only on served
-     pairs, which the simulator rejects unless they carry demand: an
-     uncarried link can change no decision, only end a batch early.  (A
-     matrix of the wrong size is left to [Simulator.create] to name.) *)
-  let carried = function
-    | Fault_plan.Link_degraded { src; dst; _ } ->
-      List.exists
-        (fun (_, d) ->
-          Matrix.Mat.dim d = ports && Matrix.Mat.get d src dst > 0)
-        demands
-    | _ -> true
-  in
-  let faults =
-    Fault_plan.compile
-      (Fault_plan.make (List.filter carried (Fault_plan.events plan)))
-      net
-  in
   (* delayed releases are known at admission time: fold them into the
      release dates before the simulator is built *)
   let demands =

@@ -3,6 +3,10 @@ open Workload
 open Switchsim
 open Faults
 
+type fault_source =
+  | Seeded of float
+  | Scripted of (epoch:int -> coflows:int -> Fault_plan.t)
+
 type config = {
   epoch_length : int;
   admission : Admission.config;
@@ -13,8 +17,7 @@ type config = {
   degrade_live_above : int;
   degrade_notch : (unit -> int) option;
   net : Net.t option;
-  fault_intensity : float;
-  fault_script : (epoch:int -> coflows:int -> Faults.Fault_plan.t) option;
+  faults : fault_source;
   max_slots : int;
 }
 
@@ -28,8 +31,7 @@ let default_config =
     degrade_live_above = 48;
     degrade_notch = None;
     net = None;
-    fault_intensity = 0.0;
-    fault_script = None;
+    faults = Seeded 0.0;
     max_slots = 10_000_000;
   }
 
@@ -46,8 +48,10 @@ let validate_config cfg =
   | _ -> ());
   if cfg.degrade_live_above < 1 then
     invalid_arg "Epoch_loop: degrade_live_above must be >= 1";
-  if cfg.fault_intensity < 0.0 then
-    invalid_arg "Epoch_loop: fault_intensity must be >= 0";
+  (match cfg.faults with
+  | Seeded i when i < 0.0 ->
+    invalid_arg "Epoch_loop: fault intensity must be >= 0"
+  | _ -> ());
   if cfg.max_slots < 1 then invalid_arg "Epoch_loop: max_slots must be >= 1";
   Admission.validate cfg.admission
 
@@ -91,20 +95,7 @@ type epoch_view = {
   ev_demand_surplus : int;
   ev_port_spread : int;
   ev_fault_events : int;
-  ev_arrived : int;
-  ev_admitted : int;
-  ev_rejected_queue : int;
-  ev_rejected_deadline : int;
-  ev_completed : int;
-  ev_deadline_misses : int;
-  ev_degradations : int;
-  ev_lp_failures : int;
-  ev_twct : float;
-  ev_bound_sum : float;
-  ev_wait_p50 : int;
-  ev_wait_p99 : int;
-  ev_max_live : int;
-  ev_violation : bool;
+  ev_stats : stats;
   ev_decision_fingerprint : string;
 }
 
@@ -232,14 +223,96 @@ type st = {
   mutable s_violation : (int * string) option;
 }
 
-(* Walk the degradation chain for one epoch: solver outage in the epoch's
-   plan or SLO pressure (live set too big for an in-epoch solve) skip the
-   LP outright; otherwise run Resilient's LP tier with the previous
-   epoch's warm basis, falling back to H_rho.  [warm] holds the last
-   exported basis keyed by GLOBAL coflow id with ABSOLUTE times. *)
+(* The run's [stats] as of now: what [run] returns at the end, and what
+   each epoch view carries. *)
+let snapshot st waits fp =
+  { arrived = st.s_arrived;
+    admitted = st.s_admitted;
+    rejected_queue = st.s_rej_queue;
+    rejected_deadline = st.s_rej_deadline;
+    completed = st.s_completed;
+    twct = st.s_twct;
+    slots = st.s_slots;
+    epochs = st.s_epochs;
+    idle_jumps = st.s_idle_jumps;
+    tier_slots =
+      List.map
+        (fun t -> (t, st.s_tier_slots.(Resilient.tier_index t)))
+        Resilient.all_tiers;
+    degradations = st.s_degradations;
+    slo_degradations = st.s_slo_degradations;
+    reaction_degradations = st.s_reaction_degradations;
+    lp_failures = st.s_lp_failures;
+    lp_iterations = st.s_lp_iterations;
+    deadline_misses = st.s_deadline_misses;
+    max_live = st.s_max_live;
+    max_live_epoch = st.s_max_live_epoch;
+    bound_sum = st.s_bound_sum;
+    audited_slots = st.s_audited;
+    audit_violation = st.s_violation;
+    wait_p50 = Buckets.percentile waits 0.50;
+    wait_p99 = Buckets.percentile waits 0.99;
+    fingerprint = Fingerprint.hex fp;
+  }
+
+(* Plan one epoch on Resilient's chain, the LP attempt warm-started from
+   [warm] (keyed by GLOBAL coflow id with ABSOLUTE times).  SLO pressure,
+   a live set above the bar, lowers the primary tier to H_rho unless a
+   solver outage already rules the epoch.  Alert-driven reaction: each
+   notch the telemetry hook reports (a firing wait_p99 burn-rate rule)
+   halves the bar for this epoch only.  Every epoch planned below H_LP is
+   counted under its cause and emitted as a trace instant. *)
 let plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst =
   let n = Array.length entries in
-  let degrade cause counter =
+  let outage = Fault_plan.solver_outage plan ~slot:0 in
+  let notch () =
+    match cfg.degrade_notch with None -> 0 | Some f -> max 0 (f ())
+  in
+  let slo =
+    outage = `None
+    && n > max 1 (cfg.degrade_live_above asr min (notch ()) 30)
+  in
+  if slo then begin
+    st.s_slo_degradations <- st.s_slo_degradations + 1;
+    if n <= cfg.degrade_live_above then begin
+      (* only the notch put us over: count the reaction separately *)
+      st.s_reaction_degradations <- st.s_reaction_degradations + 1;
+      Obs.Counter.incr c_degrade_reaction
+    end
+  end;
+  let lp () =
+    let on_failure () =
+      st.s_lp_failures <- st.s_lp_failures + 1;
+      Obs.Counter.incr c_lp_failures
+    in
+    let lp =
+      Obs.Span.with_ "service.solve" (fun () ->
+          Resilient.lp_tier ~max_iterations:cfg.lp_max_iterations
+            ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
+            ~warm_start:cfg.lp_warm_start ~warm
+            ~ids:(Array.map (fun e -> e.id) entries)
+            ~origin:epoch_start ~on_failure inst)
+    in
+    Option.iter
+      (fun lp ->
+        st.s_lp_iterations <- st.s_lp_iterations + lp.Lp_relax.iterations)
+      lp;
+    lp
+  in
+  let tier, order =
+    Resilient.chain
+      ~primary:(if slo then Resilient.Rho else Resilient.Lp)
+      ~outage ~lp inst
+  in
+  if tier <> Resilient.Lp then begin
+    let cause, counter =
+      if slo then ("slo_pressure", c_degrade_slo)
+      else
+        match outage with
+        | `Full -> ("outage_full", c_degrade_outage)
+        | `Lp_only -> ("outage_lp", c_degrade_outage)
+        | `None -> ("lp_budget", c_degrade_lp)
+    in
     st.s_degradations <- st.s_degradations + 1;
     Obs.Counter.incr c_degradations;
     Obs.Counter.incr counter;
@@ -247,54 +320,8 @@ let plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst =
       Obs.Trace.instant
         ~args:[ ("cause", "\"" ^ cause ^ "\"") ]
         ~name:"degrade" ~cat:"service" ~slot:epoch_start ()
-  in
-  match Fault_plan.solver_outage plan ~slot:0 with
-  | `Full ->
-    degrade "outage_full" c_degrade_outage;
-    (Resilient.Arrival, Ordering.arrival inst)
-  | `Lp_only ->
-    degrade "outage_lp" c_degrade_outage;
-    (Resilient.Rho, Ordering.by_load_over_weight inst)
-  | `None ->
-    (* Alert-driven reaction: while the telemetry hook reports a raised
-       notch (the wait_p99 burn-rate rule is firing), the live-set bar
-       for skipping the LP halves per notch — degradation kicks in
-       earlier, the epoch plans on the cheap H_rho tier, and the bar
-       snaps back the moment the alert resolves (the hook is consulted
-       fresh every epoch). *)
-    let notch =
-      match cfg.degrade_notch with None -> 0 | Some f -> max 0 (f ())
-    in
-    let bar = max 1 (cfg.degrade_live_above asr min notch 30) in
-    if n > bar then begin
-      st.s_slo_degradations <- st.s_slo_degradations + 1;
-      if n <= cfg.degrade_live_above then begin
-        (* only the notch put us over: count the reaction separately *)
-        st.s_reaction_degradations <- st.s_reaction_degradations + 1;
-        Obs.Counter.incr c_degrade_reaction
-      end;
-      degrade "slo_pressure" c_degrade_slo;
-      (Resilient.Rho, Ordering.by_load_over_weight inst)
-    end
-    else
-      let on_failure () =
-        st.s_lp_failures <- st.s_lp_failures + 1;
-        Obs.Counter.incr c_lp_failures
-      in
-      match
-        Obs.Span.with_ "service.solve" (fun () ->
-            Resilient.lp_tier ~max_iterations:cfg.lp_max_iterations
-              ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
-              ~warm_start:cfg.lp_warm_start ~warm
-              ~ids:(Array.map (fun e -> e.id) entries)
-              ~origin:epoch_start ~on_failure inst)
-      with
-      | Some lp ->
-        st.s_lp_iterations <- st.s_lp_iterations + lp.Lp_relax.iterations;
-        (Resilient.Lp, lp.Lp_relax.order)
-      | None ->
-        degrade "lp_budget" c_degrade_lp;
-        (Resilient.Rho, Ordering.by_load_over_weight inst)
+  end;
+  (tier, order)
 
 let c_batched = Obs.Counter.make "service.batched_slots"
 
@@ -421,37 +448,32 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     in
     let plan =
       let raw =
-        match cfg.fault_script with
-        | Some script -> Some (script ~epoch:epoch_index ~coflows:n)
-        | None ->
-          if cfg.fault_intensity > 0.0 then
-            Some
-              (Fault_plan.random ~intensity:cfg.fault_intensity ~fabrics
-                 ~ports ~coflows:n ~horizon:cfg.epoch_length
-                 (Random.State.make [| plan_seed; 0xFA; st.s_epochs |]))
-          else None
+        match cfg.faults with
+        | Scripted script -> script ~epoch:epoch_index ~coflows:n
+        | Seeded intensity when intensity > 0.0 ->
+          Fault_plan.random ~intensity ~fabrics ~ports ~coflows:n
+            ~horizon:cfg.epoch_length
+            (Random.State.make [| plan_seed; 0xFA; st.s_epochs |])
+        | Seeded _ -> Fault_plan.empty
       in
-      match raw with
-      | None -> Fault_plan.empty
-      | Some raw ->
-        (* A straggler doubles a coflow's residual demand.  A batch run
-           draws its plan once, so each coflow straggles O(1) times; an
-           open-ended service redraws every epoch, and re-doubling
-           long-lived residuals grows them exponentially — the backlog
-           would outrun any service rate and the run would never drain.
-           Real announced demand can only turn out wrong about a coflow so
-           many times, so: at most one straggler per coflow lifetime. *)
-        Fault_plan.make
-          (List.filter
-             (function
-               | Fault_plan.Straggler { coflow = k; _ } ->
-                 if entries.(k).straggled then false
-                 else begin
-                   entries.(k).straggled <- true;
-                   true
-                 end
-               | _ -> true)
-             (Fault_plan.events raw))
+      (* A straggler doubles a coflow's residual demand.  A batch run
+         draws its plan once, so each coflow straggles O(1) times; an
+         open-ended service redraws every epoch, and re-doubling
+         long-lived residuals grows them exponentially — the backlog
+         would outrun any service rate and the run would never drain.
+         Real announced demand can only turn out wrong about a coflow so
+         many times, so: at most one straggler per coflow lifetime. *)
+      Fault_plan.make
+        (List.filter
+           (function
+             | Fault_plan.Straggler { coflow = k; _ } ->
+               if entries.(k).straggled then false
+               else begin
+                 entries.(k).straggled <- true;
+                 true
+               end
+             | _ -> true)
+           (Fault_plan.events raw))
     in
     let inj = Injector.create ~net ~plan ~ports (Instance.demands inst) in
     let sim = Injector.sim inj in
@@ -610,20 +632,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
           ev_demand_surplus = !bl + !units_served - backlog_start;
           ev_port_spread = min (active src_active) (active dst_active);
           ev_fault_events = List.length (Fault_plan.events plan);
-          ev_arrived = st.s_arrived;
-          ev_admitted = st.s_admitted;
-          ev_rejected_queue = st.s_rej_queue;
-          ev_rejected_deadline = st.s_rej_deadline;
-          ev_completed = st.s_completed;
-          ev_deadline_misses = st.s_deadline_misses;
-          ev_degradations = st.s_degradations;
-          ev_lp_failures = st.s_lp_failures;
-          ev_twct = st.s_twct;
-          ev_bound_sum = st.s_bound_sum;
-          ev_wait_p50 = Buckets.percentile waits 0.50;
-          ev_wait_p99 = Buckets.percentile waits 0.99;
-          ev_max_live = st.s_max_live;
-          ev_violation = st.s_violation <> None;
+          ev_stats = snapshot st waits fp;
           ev_decision_fingerprint = Fingerprint.hex dfp;
         });
     if st.s_slots > cfg.max_slots then
@@ -647,31 +656,4 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     else run_epoch ()
   done;
   Obs.Counter.Gauge.set g_live 0.0;
-  { arrived = st.s_arrived;
-    admitted = st.s_admitted;
-    rejected_queue = st.s_rej_queue;
-    rejected_deadline = st.s_rej_deadline;
-    completed = st.s_completed;
-    twct = st.s_twct;
-    slots = st.s_slots;
-    epochs = st.s_epochs;
-    idle_jumps = st.s_idle_jumps;
-    tier_slots =
-      List.map
-        (fun t -> (t, st.s_tier_slots.(Resilient.tier_index t)))
-        Resilient.all_tiers;
-    degradations = st.s_degradations;
-    slo_degradations = st.s_slo_degradations;
-    reaction_degradations = st.s_reaction_degradations;
-    lp_failures = st.s_lp_failures;
-    lp_iterations = st.s_lp_iterations;
-    deadline_misses = st.s_deadline_misses;
-    max_live = st.s_max_live;
-    max_live_epoch = st.s_max_live_epoch;
-    bound_sum = st.s_bound_sum;
-    audited_slots = st.s_audited;
-    audit_violation = st.s_violation;
-    wait_p50 = Buckets.percentile waits 0.50;
-    wait_p99 = Buckets.percentile waits 0.99;
-    fingerprint = Fingerprint.hex fp;
-  }
+  snapshot st waits fp

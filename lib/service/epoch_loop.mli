@@ -9,21 +9,21 @@
       through {!Admission} (queue-depth backpressure, deadline tagging) —
       admitted coflows join the bounded live set, rejected ones are
       counted and dropped;
-    + draws the epoch's seeded fault plan ({!Faults.Fault_plan.random} at
-      [fault_intensity]; epoch-local slot numbering) and builds a fresh
-      fault-injected simulator over the live set's {e residual} demands;
-    + re-solves the coflow order, walking the degradation chain
-      [H_LP -> H_rho -> H_A] (the {!Core.Resilient} chain, now across
-      epochs, whose LP tier {!Core.Resilient.lp_tier} it calls): the LP
-      runs under [lp_deadline] wall-clock seconds and
-      [lp_max_iterations] pivots with [lp_retries] doubled-budget retries,
-      warm-started from the previous epoch's exported basis (remapped from
-      global coflow ids and shifted by the elapsed slots); a solver outage
-      in the epoch's fault plan, an exhausted LP budget, or {e SLO
-      pressure} (live set above [degrade_live_above]) all degrade to a
-      cheaper tier instead of stalling the service — every degradation is
-      counted ([service.degradations], per-cause counters) and emitted as
-      a trace instant;
+    + takes the epoch's fault plan from its {!fault_source} (epoch-local
+      slot numbering) and builds a fresh fault-injected simulator over
+      the live set's {e residual} demands;
+    + re-solves the coflow order by walking {!Core.Resilient.chain}
+      [H_LP -> H_rho -> H_A] with an attempt of
+      {!Core.Resilient.lp_tier}: the LP runs under [lp_deadline]
+      wall-clock seconds and [lp_max_iterations] pivots with [lp_retries]
+      doubled-budget retries, warm-started from the previous epoch's
+      exported basis (remapped from global coflow ids and shifted by the
+      elapsed slots); a solver outage in the epoch's fault plan or an
+      exhausted LP budget degrades down the chain, and {e SLO pressure}
+      (live set above [degrade_live_above]) lowers the chain's primary
+      tier to H_rho, so the service degrades instead of stalling — every
+      degradation is counted ([service.degradations], per-cause counters)
+      and emitted as a trace instant;
     + serves up to [epoch_length] slots of fault-aware greedy matching in
       the chosen order, batched up to each fault-state change, feeding
       every slot to an incremental
@@ -47,6 +47,18 @@
     bounded epoch latency — degradations may then depend on machine speed,
     which is the operational trade the paper's setting demands. *)
 
+(** Where each epoch's fault plan comes from. *)
+type fault_source =
+  | Seeded of float
+      (** {!Faults.Fault_plan.random} at this intensity, seeded by
+          [plan_seed] and the epoch index; [Seeded 0.0] injects nothing *)
+  | Scripted of (epoch:int -> coflows:int -> Faults.Fault_plan.t)
+      (** [epoch] is the 0-based index of executed epochs, [coflows] the
+          live-set size, and the returned plan uses epoch-local slots and
+          live-set coflow indices ([< coflows]).  This is how E20 injects
+          {e known} fault windows and then asserts that telemetry raises a
+          matching alert for each one. *)
+
 type config = {
   epoch_length : int;  (** re-solve cadence, slots, >= 1 *)
   admission : Admission.config;
@@ -61,7 +73,8 @@ type config = {
           larger than this (the solve would outlast the epoch) *)
   degrade_notch : (unit -> int) option;
       (** Alert-driven reaction hook, consulted once per epoch before
-          planning: each notch {e halves} the [degrade_live_above] bar for
+          planning (unless a solver outage already rules the epoch):
+          each notch {e halves} the [degrade_live_above] bar for
           that epoch, so a firing burn-rate alert (see
           {!Telemetry.degrade_notch}) makes the loop degrade to the cheap
           H_rho tier earlier, and the bar restores by itself the epoch
@@ -74,25 +87,18 @@ type config = {
           single non-blocking switch); epoch fault plans may then carry
           {!Faults.Fault_plan.Fabric_down} events, which the injector
           routes around and the per-epoch audit certifies per fabric *)
-  fault_intensity : float;  (** {!Faults.Fault_plan.random} intensity *)
-  fault_script : (epoch:int -> coflows:int -> Faults.Fault_plan.t) option;
-      (** When set, each epoch's fault plan comes from this function
-          instead of the seeded random draw ([fault_intensity] is then
-          ignored): [epoch] is the 0-based index of executed epochs,
-          [coflows] the live-set size, and the returned plan uses
-          epoch-local slots and live-set coflow indices ([< coflows]).
-          This is how E20 injects {e known} fault windows and then asserts
-          that telemetry raises a matching alert for each one. *)
+  faults : fault_source;  (** each epoch's fault plan *)
   max_slots : int;  (** safety valve on total simulated slots *)
 }
 
 val default_config : config
 (** Epoch 64 slots, default admission, 1 s LP deadline, 60k pivots, one
-    retry, warm starts on, degrade above 48 live, no faults, 10M slots. *)
+    retry, warm starts on, degrade above 48 live, no faults
+    ([Seeded 0.0]), 10M slots. *)
 
 val validate_config : config -> unit
 (** @raise Invalid_argument on non-positive epoch length / pivot budget,
-    negative retries or intensity, or a bad admission config. *)
+    negative retries or [Seeded] intensity, or a bad admission config. *)
 
 type stats = {
   arrived : int;  (** coflows drawn from the source *)
@@ -158,27 +164,17 @@ type epoch_view = {
           (high spread, low units/slot: a fault) from concentrated demand
           (spread 1 drains at 1 unit/slot {e optimally}). *)
   ev_fault_events : int;  (** events in this epoch's fault plan *)
-  ev_arrived : int;  (** cumulative counters, as of the epoch's end *)
-  ev_admitted : int;
-  ev_rejected_queue : int;
-  ev_rejected_deadline : int;
-  ev_completed : int;
-  ev_deadline_misses : int;
-  ev_degradations : int;
-  ev_lp_failures : int;
-  ev_twct : float;  (** over completions so far *)
-  ev_bound_sum : float;  (** matching lower-bound sum, completions so far *)
-  ev_wait_p50 : int;  (** percentiles of waits recorded so far *)
-  ev_wait_p99 : int;
-  ev_max_live : int;
-  ev_violation : bool;  (** an audit violation ended this epoch *)
+  ev_stats : stats;
+      (** the run's stats as of the epoch's end, built as {!run} builds
+          its result (a violation stops the run, so an [audit_violation]
+          there ended this epoch) *)
   ev_decision_fingerprint : string;
       (** rolling digest of admission / rejection / completion decisions
           only — no tiers or slot counts — so the watchdog can tell
           "decisions frozen" apart from "time passing" *)
 }
 (** What an observer sees at the end of each executed epoch: the epoch's
-    own flow accounting plus the run's cumulative counters.  Idle jumps
+    own flow accounting plus the run's {!stats} so far.  Idle jumps
     between arrivals do not produce views. *)
 
 val run :

@@ -20,7 +20,7 @@ let default_config =
     plan_seed = 1;
     loop =
       { Epoch_loop.default_config with
-        fault_intensity = 1.0;
+        faults = Seeded 1.0;
         (* pivot budgets only: wall-clock budgets are not replayable *)
         lp_deadline = None;
       };

@@ -80,11 +80,11 @@ let create ?(config = default_config) () =
 
 let burns t (v : Epoch_loop.epoch_view) =
   let open Epoch_loop in
-  let delta f = f v - match t.prev with None -> 0 | Some p -> f p in
-  let d_arrived = delta (fun x -> x.ev_arrived)
-  and d_rejected =
-    delta (fun x -> x.ev_rejected_queue + x.ev_rejected_deadline)
-  and d_degraded = delta (fun x -> x.ev_degradations) in
+  let s = v.ev_stats in
+  let delta f = f s - match t.prev with None -> 0 | Some p -> f p.ev_stats in
+  let d_arrived = delta (fun x -> x.arrived)
+  and d_rejected = delta (fun x -> x.rejected_queue + x.rejected_deadline)
+  and d_degraded = delta (fun x -> x.degradations) in
   let rejection_rate =
     if d_arrived <= 0 then 0.0
     else float_of_int d_rejected /. float_of_int d_arrived
@@ -93,12 +93,11 @@ let burns t (v : Epoch_loop.epoch_view) =
     if v.ev_slots <= 0 then infinity
     else float_of_int v.ev_units_served /. float_of_int v.ev_slots
   in
-  [ ("wait_p99", float_of_int v.ev_wait_p99 /. float_of_int t.cfg.wait_budget);
-    ("audit_violation", if v.ev_violation then 1.0 else 0.0);
+  [ ("wait_p99", float_of_int s.wait_p99 /. float_of_int t.cfg.wait_budget);
+    ("audit_violation", if s.audit_violation <> None then 1.0 else 0.0);
     ("rejection_rate", rejection_rate /. t.cfg.reject_budget);
     ( "twct_vs_bound",
-      if v.ev_bound_sum > 0.0 then
-        v.ev_twct /. (t.cfg.twct_factor *. v.ev_bound_sum)
+      if s.bound_sum > 0.0 then s.twct /. (t.cfg.twct_factor *. s.bound_sum)
       else 0.0 );
     ("degradation", float_of_int d_degraded);
     ("demand_surplus", if v.ev_demand_surplus > 0 then 1.0 else 0.0);
@@ -124,7 +123,7 @@ let observer t (v : Epoch_loop.epoch_view) =
        { Watchdog.b_epoch = v.ev_epoch;
          b_live = v.ev_live_after;
          b_backlog = v.ev_backlog;
-         b_completed = v.ev_completed;
+         b_completed = v.ev_stats.completed;
          b_tier = v.ev_tier;
          b_decision_fingerprint = v.ev_decision_fingerprint;
        }

@@ -168,6 +168,37 @@ let test_sim_overflow_total () =
     (contains "line 5" t && contains "coflow 1" t);
   Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
 
+(* one flow of 2^61 + 1 units on 2 ports: the instance's total fits, but
+   the grouping's class search doubled past max_int and never ended
+   (cases c, d), and BvN's augmentation to 2 x (2^61 + 1) units failed
+   inside [Mat] (exit 125, cases a, b); now every case refuses it by
+   name before scheduling *)
+let test_sim_bvn_overflow () =
+  with_file
+    (Printf.sprintf "coflow-trace v1\n2 1\n0 0 1 1\n0 1 %d\n"
+       ((1 lsl 61) + 1))
+  @@ fun trace ->
+  List.iter
+    (fun case ->
+      let t =
+        check_exit sim_exe [ trace; "--order"; "hrho"; "--case"; case ] 123
+      in
+      Alcotest.(check bool) ("case " ^ case ^ ": names the limit") true
+        (contains trace t && contains "BvN" t && contains "coflow 0" t);
+      Alcotest.(check bool) ("case " ^ case ^ ": no backtrace") false
+        (contains "uncaught" t))
+    [ "a"; "b"; "c"; "d" ]
+
+(* the audit's note on a baseline run is one line with single spaces *)
+let test_sim_audit_baseline () =
+  with_file good_trace @@ fun trace ->
+  let t = check_exit sim_exe [ trace; "--baseline"; "fifo"; "--audit" ] 0 in
+  Alcotest.(check bool) "one line" true
+    (contains
+       "audit: Lemma 2 / Proposition 1 need an ordering-based run (not a \
+        baseline)\n"
+       t)
+
 (* an unwritable --record FILE is named, not an uncaught [Sys_error] *)
 let test_sim_unwritable_record () =
   with_file good_trace @@ fun trace ->
@@ -297,6 +328,10 @@ let () =
             test_sim_overflow_total;
           Alcotest.test_case "coflow_sim blank lines counted" `Quick
             test_sim_blank_lines;
+          Alcotest.test_case "coflow_sim load BvN cannot augment" `Quick
+            test_sim_bvn_overflow;
+          Alcotest.test_case "coflow_sim audit of a baseline" `Quick
+            test_sim_audit_baseline;
           Alcotest.test_case "coflow_sim unwritable record file" `Quick
             test_sim_unwritable_record;
         ] );

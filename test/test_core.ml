@@ -519,6 +519,25 @@ let test_grouping_deterministic_merges () =
   check_int "last two merge" 3 (Grouping.group_count g);
   Alcotest.(check (array int)) "class (2,4]" [| 2; 3 |] (Grouping.members g 2)
 
+let test_grouping_deterministic_huge_loads () =
+  (* cumulative loads past 2^61: the class search used to double its cap
+     past [max_int], wrap negative and never end.  V = 2^61, 2^61 + 1 and
+     max_int fall in classes 62, 63 and 63. *)
+  let coflow id units = mk_coflow ~id (Mat.of_arrays [| [| units |] |]) in
+  let inst =
+    Instance.make ~ports:1
+      [ coflow 0 (1 lsl 61); coflow 1 1; coflow 2 ((1 lsl 61) - 2) ]
+  in
+  let g = Grouping.deterministic inst [| 0; 1; 2 |] in
+  check_int "two classes" 2 (Grouping.group_count g);
+  Alcotest.(check (array int))
+    "the top class" [| 1; 2 |] (Grouping.members g 1);
+  (* the drain time of a load of [max_int] at speed 2 rounds up, and does
+     not wrap *)
+  let inst = Instance.make ~ports:1 [ coflow 0 max_int; coflow 1 0 ] in
+  let g = Grouping.deterministic ~speed:2 inst [| 1; 0 |] in
+  check_int "zero class, then class 62" 2 (Grouping.group_count g)
+
 let test_grouping_flatten_preserves_order () =
   let inst = random_instance 23 in
   let order = Ordering.by_load_over_weight inst in
@@ -903,6 +922,24 @@ let prop_arena_policies_within_guarantee =
         [ (Shafiee.order inst, Shafiee.run inst, Shafiee.guarantee_for inst);
           (Chen.order inst, Chen.run inst, Chen.guarantee_for inst);
         ])
+
+(* On one fabric at rate 1 the heterogeneous variant charges against the
+   same loads, so its order and duals are Chen's, bit for bit; the
+   instances carry release dates, so the release branch is exercised. *)
+let prop_chen_hetero_single_is_chen =
+  QCheck.Test.make ~name:"Chen_hetero on Net.single = Chen, bit for bit"
+    ~count:100 arena_arb (fun inst ->
+      let order, duals = Chen.order_with_duals inst in
+      let order', duals' =
+        Chen_hetero.order_with_duals
+          ~net:(Switchsim.Net.single ~ports:(Instance.ports inst))
+          inst
+      in
+      order = order'
+      && Array.for_all2
+           (fun a b ->
+             Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           duals duals')
 
 (* ---------- SEBF + MADD baseline ---------- *)
 
@@ -1666,6 +1703,7 @@ let qprops =
       prop_backward_orders_permutation_invariant;
       prop_shafiee_reduces_without_releases;
       prop_arena_policies_within_guarantee;
+      prop_chen_hetero_single_is_chen;
       prop_sebf_madd_sound;
       prop_online_rules_sound;
       prop_decentralized_sound;
@@ -1740,6 +1778,8 @@ let () =
             test_grouping_deterministic_classes;
           Alcotest.test_case "class merging" `Quick
             test_grouping_deterministic_merges;
+          Alcotest.test_case "deterministic huge loads" `Quick
+            test_grouping_deterministic_huge_loads;
           Alcotest.test_case "flatten preserves order" `Quick
             test_grouping_flatten_preserves_order;
           Alcotest.test_case "randomized grouping" `Quick

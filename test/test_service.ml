@@ -210,7 +210,7 @@ let test_soak_lp_budget_degrades () =
         { base.Soak.loop with
           Epoch_loop.lp_max_iterations = 1;
           lp_retries = 0;
-          fault_intensity = 0.0;
+          faults = Seeded 0.0;
         };
       wait_p99_slo = None;
     }
@@ -235,7 +235,7 @@ let test_soak_slo_pressure_degrades () =
       loop =
         { base.Soak.loop with
           Epoch_loop.degrade_live_above = 1;
-          fault_intensity = 0.0;
+          faults = Seeded 0.0;
         };
       wait_p99_slo = None;
     }
@@ -276,7 +276,7 @@ let test_config_validation () =
       ( "deadline 0",
         { Epoch_loop.default_config with lp_deadline = Some 0.0 } );
       ( "intensity < 0",
-        { Epoch_loop.default_config with fault_intensity = -1.0 } );
+        { Epoch_loop.default_config with faults = Seeded (-1.0) } );
       ( "degrade 0",
         { Epoch_loop.default_config with degrade_live_above = 0 } );
       ("slots 0", { Epoch_loop.default_config with max_slots = 0 });
@@ -296,7 +296,7 @@ let test_config_validation () =
 let test_max_slots_exhaustion () =
   let base = soak_cfg ~coflows:50 () in
   let cfg =
-    { base.Soak.loop with Epoch_loop.max_slots = 3; fault_intensity = 0.0 }
+    { base.Soak.loop with Epoch_loop.max_slots = 3; faults = Seeded 0.0 }
   in
   let src = mk_stream ~ports:8 (Arrivals.Poisson { mean_gap = 2.0 }) in
   match Epoch_loop.run cfg src ~coflows:50 with
@@ -316,12 +316,15 @@ let test_batch_equals_slot_by_slot () =
   List.iter
     (fun (label, net) ->
       List.iter
-        (fun fault_intensity ->
+        (fun intensity ->
           List.iter
             (fun seed ->
               let cfg = soak_cfg ~coflows:300 ~seed () in
               let loop =
-                { cfg.Soak.loop with Epoch_loop.fault_intensity; net }
+                { cfg.Soak.loop with
+                  Epoch_loop.faults = Seeded intensity;
+                  net;
+                }
               in
               let run batch =
                 let views = ref [] in
@@ -335,7 +338,7 @@ let test_batch_equals_slot_by_slot () =
               in
               let case =
                 Printf.sprintf "%s, intensity %.1f, seed %d" label
-                  fault_intensity seed
+                  intensity seed
               in
               let before = Obs.Counter.value batched in
               let sb, vb = run true in

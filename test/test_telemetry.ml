@@ -326,16 +326,15 @@ let quiet_loop =
         Admission.max_live = 96;
         deadline_factor = 0.0;
       };
-    fault_intensity = 0.0;
   }
 
-let soak_cfg ?fault_script ~seed ~coflows () =
+let soak_cfg ?(faults = Epoch_loop.Seeded 0.0) ~seed ~coflows () =
   { Soak.default_config with
     Soak.process = Arrivals.Poisson { mean_gap = 12.0 };
     coflows;
     seed;
     plan_seed = 0;
-    loop = { quiet_loop with Epoch_loop.fault_script };
+    loop = { quiet_loop with Epoch_loop.faults };
     wait_p99_slo = None;
   }
 
@@ -370,7 +369,8 @@ let test_scripted_fault_raises_alert () =
   let t = telem ~path:base () in
   ignore
     (Soak.run ~observer:(Telemetry.observer t)
-       (soak_cfg ~fault_script:script ~seed:3 ~coflows:120 ()));
+       (soak_cfg ~faults:(Epoch_loop.Scripted script) ~seed:3 ~coflows:120
+          ()));
   Telemetry.finish t;
   let fired =
     List.exists
@@ -399,6 +399,12 @@ let test_scripted_fault_raises_alert () =
 
 (* ---------- alert-driven reaction (Epoch_loop.degrade_notch) ---------- *)
 
+(* the stats of a run that served nothing, from the loop itself *)
+let no_stats =
+  Epoch_loop.run Epoch_loop.default_config
+    (Arrivals.create ~ports:2 ~seed:1 (Arrivals.Poisson { mean_gap = 2.0 }))
+    ~coflows:0
+
 (* a hand-built epoch view: only the wait percentile matters to the
    wait_p99 burn signal, everything else is a quiet epoch *)
 let synthetic_view ~epoch ~wait_p99 =
@@ -414,20 +420,16 @@ let synthetic_view ~epoch ~wait_p99 =
     ev_demand_surplus = 0;
     ev_port_spread = 1;
     ev_fault_events = 0;
-    ev_arrived = epoch + 2;
-    ev_admitted = epoch + 2;
-    ev_rejected_queue = 0;
-    ev_rejected_deadline = 0;
-    ev_completed = epoch;
-    ev_deadline_misses = 0;
-    ev_degradations = 0;
-    ev_lp_failures = 0;
-    ev_twct = 0.0;
-    ev_bound_sum = 0.0;
-    ev_wait_p50 = wait_p99 / 2;
-    ev_wait_p99 = wait_p99;
-    ev_max_live = 2;
-    ev_violation = false;
+    ev_stats =
+      { no_stats with
+        Epoch_loop.arrived = epoch + 2;
+        admitted = epoch + 2;
+        completed = epoch;
+        epochs = epoch + 1;
+        wait_p50 = wait_p99 / 2;
+        wait_p99;
+        max_live = 2;
+      };
     ev_decision_fingerprint = string_of_int epoch;
   }
 
