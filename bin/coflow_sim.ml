@@ -31,6 +31,15 @@ let load_trace path =
 
 let ( let* ) = Result.bind
 
+(* A run that exhausts the simulator's slot budget (a trace whose
+   schedule outlasts it) is reported by name too. *)
+let budget_message = "Simulator.run: slot budget exhausted"
+
+let guard_budget trace_path f =
+  try f ()
+  with Failure msg when msg = budget_message ->
+    Error (Printf.sprintf "%s: %s" trace_path msg)
+
 (* An unwritable FILE is reported by name too. *)
 let save_recording path recording =
   try Ok (Switchsim.Recorder.save path recording)
@@ -41,6 +50,7 @@ let run_sim trace_path order_kind case baseline verbose record_path audit =
   Format.printf "loaded %a@." Instance.pp_summary inst;
   let audit_order = ref None in
   let* result, label =
+    guard_budget trace_path @@ fun () ->
     match baseline with
     | Some `Fifo -> Ok (Baselines.fifo inst, "FIFO greedy")
     | Some `Rr -> Ok (Baselines.round_robin inst, "round robin")

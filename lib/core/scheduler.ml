@@ -22,14 +22,25 @@ type result = Engine.result = {
   decisions : int;
 }
 
-(* Per-run buffers of the replay, sized on first use: the owner position
-   per source and the unclaimed-source bitset of [assign_pairs], the
-   cross-fabric dedupe table, the identity order the leftover path scans,
-   and the live views of the two greedy slices.  Never a global: the
-   engine runs steppers on several domains. *)
+(* Per-run buffers of the replay, made on first use: the owner index and
+   the owner position per source of [owners], the cross-fabric dedupe
+   table, the identity order the leftover path scans, and the live views
+   of the two greedy slices.  Never a global: the engine runs steppers on
+   several domains.
+
+   The owner index lists, for every pair (i, j) at [i * m + j], the
+   positions in [order] of the coflows that held demand on it when the
+   index was built, ascending: [at.(first.(q)) .. at.(first.(q+1) - 1)].
+   Supports only shrink between two equal [Simulator.grown_entries]
+   readings, so the list stays a superset of the pair's owners; the
+   entries before [cursor.(q)] have drained for good. *)
 type scratch = {
+  mutable keyed : Simulator.t option; (* the simulator the index reads *)
+  mutable grown : int; (* its [Simulator.grown_entries] at the build *)
+  mutable first : int array;
+  mutable at : int array;
+  mutable cursor : int array;
   mutable owner : int array;
-  mutable unclaimed : int array;
   taken : (int, unit) Hashtbl.t;
   mutable ids : int array;
   suffix_view : Policy.live_view;
@@ -72,8 +83,12 @@ let make_state groups =
     matchings_built = 0;
     matchings_reused = 0;
     scratch =
-      { owner = [||];
-        unclaimed = [||];
+      { keyed = None;
+        grown = 0;
+        first = [||];
+        at = [||];
+        cursor = [||];
+        owner = [||];
         taken = Hashtbl.create 16;
         ids = [||];
         suffix_view = Policy.live_view ();
@@ -101,54 +116,106 @@ let aggregate_remaining sim state u =
   done;
   d
 
+(* Build the owner index from [sim]'s supports: count each pair's
+   entries, lay the pairs out by prefix sums, then list the positions in
+   ascending order; every cursor starts at its pair's first entry.
+   O(coflows * ports * words + nonzeros), once per run and after each
+   growth of a support. *)
+let build_index state sim =
+  let sc = state.scratch and m = Simulator.ports sim in
+  let pairs = m * m in
+  let first = Array.make (pairs + 1) 0 in
+  Array.iter
+    (fun k ->
+      Simulator.iter_remaining sim k (fun i j _ ->
+          let q = (i * m) + j + 1 in
+          first.(q) <- first.(q) + 1))
+    state.order;
+  for q = 1 to pairs do
+    first.(q) <- first.(q) + first.(q - 1)
+  done;
+  let at = Array.make first.(pairs) 0 and fill = Array.sub first 0 pairs in
+  Array.iteri
+    (fun p k ->
+      Simulator.iter_remaining sim k (fun i j _ ->
+          let q = (i * m) + j in
+          at.(fill.(q)) <- p;
+          fill.(q) <- fill.(q) + 1))
+    state.order;
+  sc.first <- first;
+  sc.at <- at;
+  sc.cursor <- Array.sub first 0 pairs;
+  if Array.length sc.owner <> m then sc.owner <- Array.make m (-1);
+  sc.keyed <- Some sim;
+  sc.grown <- Simulator.grown_entries sim
+
+(* whether coflow [k] still owes pair (i, j): one demand check *)
+let holds sim k i j =
+  Simulator.remaining_row_mask sim k i (Bits.word_of j)
+  land (1 lsl Bits.bit_of j)
+  <> 0
+
+let c_owner_checks = Obs.Counter.make "sched.owner_checks"
+
+let untaken _ _ _ = false
+
 (* Owner of every pair of the perfect [matching] (destination per source):
    for pair (i, matching.(i)), the first coflow of order.[lo, hi) — the
-   group, then with backfill its suffix — that is released and still owes
-   the pair.  Pair assignments are independent, so this coflow-major
-   bitset sweep picks exactly what a per-pair first-owner scan picks, at
-   O(candidates * words) instead of O(pairs * candidates * log): a
-   coflow's claimable pairs are one [land] of its live-row mask with the
-   still-unclaimed sources.  With [exclude], a (coflow, src, dst) entry
-   already served on another fabric this slot is never assigned again — a
-   concurrent matching's pair falls through to the next owning coflow.
-   Writes the owner's position in [order] per source, -1 for none, into
-   the scratch; allocates nothing. *)
-let assign_pairs state sim matching ~lo ~hi ~exclude =
-  let m = Simulator.ports sim in
-  let words = Bits.words_for m and bpw = Bits.bits_per_word in
-  let { owner; unclaimed; taken; _ } = state.scratch in
-  Array.fill owner 0 m (-1);
-  for w = 0 to words - 1 do
-    unclaimed.(w) <- Bits.low_mask (min bpw (m - (w * bpw)))
+   group, then with backfill its suffix — that is released, still owes the
+   pair and is not [taken] (on a multi-fabric net, the entries an earlier
+   fabric serves this slot).  The pair's index entries are walked from its
+   cursor, which first moves past the entries below [hi] that have
+   drained: what is left is the pair's possible owners, in [order].  An
+   entry at or past [hi] ends the walk unchecked.  Writes the owner's
+   position in [order] per source, -1 for none, into the scratch and
+   returns it; allocates nothing once the index is built. *)
+let owners state sim matching ~lo ~hi ~taken =
+  let sc = state.scratch in
+  (match sc.keyed with
+  | Some s when s == sim && sc.grown = Simulator.grown_entries sim -> ()
+  | _ -> build_index state sim);
+  let m = Simulator.ports sim and order = state.order in
+  let { first; at; cursor; owner; _ } = sc in
+  let checks = ref 0 in
+  for i = 0 to m - 1 do
+    let j = matching.(i) in
+    let q = (i * m) + j in
+    let stop = first.(q + 1) in
+    let c = ref cursor.(q) in
+    while
+      !c < stop
+      && at.(!c) < hi
+      && begin
+           incr checks;
+           not (holds sim order.(at.(!c)) i j)
+         end
+    do
+      incr c
+    done;
+    cursor.(q) <- !c;
+    (* an entry at the cursor below [hi] still holds; the later ones are
+       checked when reached *)
+    let o = ref (-1) and e = ref !c in
+    while !o < 0 && !e < stop && at.(!e) < hi do
+      let p = at.(!e) in
+      if p >= lo then begin
+        let k = order.(p) in
+        if
+          Simulator.released sim k
+          && (!e = !c
+             || begin
+                  incr checks;
+                  holds sim k i j
+                end)
+          && not (taken k i j)
+        then o := p
+      end;
+      incr e
+    done;
+    owner.(i) <- !o
   done;
-  let left = ref m in
-  let p = ref lo in
-  while !left > 0 && !p < hi do
-    let k = state.order.(!p) in
-    if Simulator.released sim k then
-      for w = 0 to words - 1 do
-        let cand =
-          ref (Simulator.remaining_live_mask sim k w land unclaimed.(w))
-        in
-        while !cand <> 0 do
-          let b = !cand land - !cand in
-          cand := !cand lxor b;
-          let i = (w * bpw) + Bits.ntz b in
-          let j = matching.(i) in
-          if
-            Simulator.remaining_row_mask sim k i (Bits.word_of j)
-            land (1 lsl Bits.bit_of j)
-            <> 0
-            && not (exclude && Hashtbl.mem taken ((((k * m) + i) * m) + j))
-          then begin
-            owner.(i) <- !p;
-            unclaimed.(w) <- unclaimed.(w) lxor b;
-            decr left
-          end
-        done
-      done;
-    incr p
-  done
+  Obs.Counter.incr c_owner_checks ~by:!checks;
+  owner
 
 (* A fabric with a core budget carries at most that many inter-rack pairs
    per slot, as {!Policy.greedy_matching} does: the group's pairs claim the
@@ -282,13 +349,14 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
       let forder = Net.by_rate net in
       let kf = Array.length forder in
       let m = Simulator.ports sim in
-      if Array.length sc.owner <> m then begin
-        sc.owner <- Array.make m (-1);
-        sc.unclaimed <- Array.make (Bits.words_for m) 0
-      end;
       if Array.length state.spent < kf then state.spent <- Array.make kf 0;
-      let exclude = kf > 1 in
-      if exclude then Hashtbl.clear sc.taken;
+      let taken =
+        if kf = 1 then untaken
+        else begin
+          Hashtbl.clear sc.taken;
+          fun k i j -> Hashtbl.mem sc.taken ((((k * m) + i) * m) + j)
+        end
+      in
       let mid = state.start.(u + 1) in
       let hi = if backfill then Array.length state.order else mid in
       let transfers = ref [] and backfill_picks = ref 0 in
@@ -296,14 +364,14 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
       let rec serve fi = function
         | (matching, q) :: tl when fi < kf ->
           let fabric = forder.(fi) in
-          assign_pairs state sim matching ~lo:state.start.(u) ~hi ~exclude;
+          let owner = owners state sim matching ~lo:state.start.(u) ~hi ~taken in
           cap_core state net ~fabric matching ~mid ~m;
           for i = 0 to m - 1 do
-            let p = sc.owner.(i) in
+            let p = owner.(i) in
             if p >= 0 then begin
               let k = state.order.(p) and j = matching.(i) in
               if p >= mid then incr backfill_picks;
-              if exclude then
+              if kf > 1 then
                 Hashtbl.replace sc.taken ((((k * m) + i) * m) + j) ();
               transfers :=
                 { Simulator.src = i; dst = j; coflow = k; fabric } :: !transfers
@@ -385,9 +453,6 @@ let next_slot_batched state ~backfill ?(aggressive = false) ~max_n sim =
 
 let next_slot state ~backfill ?(aggressive = false) sim =
   fst (next_slot_batched state ~backfill ~aggressive ~max_n:1 sim)
-
-let twct_of_completions inst completion =
-  Metrics.total_weighted_completion ~weights:(Instance.weights inst) completion
 
 let as_policy ?(backfill = false) ?(aggressive = false) ~describe groups =
   Policy.make ~describe (fun _sim ->

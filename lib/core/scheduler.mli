@@ -36,8 +36,8 @@ type result = Engine.result = {
     policy; this alias keeps the historical name every caller uses. *)
 
 type scratch
-(** Per-run buffers of the matching replay (pair owners, the dedupe table,
-    the live candidate views), sized on first use. *)
+(** Per-run buffers of the matching replay (the owner index, pair owners,
+    the dedupe table, the live candidate views), sized on first use. *)
 
 type state = {
   order : int array;
@@ -88,7 +88,13 @@ val next_slot :
     pairs, each source ascending; rack-local pairs always are.  The greedy
     paths (leftovers, the suffix while the next group is gated by a
     release, the [aggressive] top-up) decide over {!Policy.live_slice}
-    views, so a decision costs O(ports + live candidates).
+    views, so a decision costs O(ports + live candidates).  A served
+    matching finds each pair's owner through the owner index ({!owners}),
+    for O(ports + entries walked): a pair walks from its cursor past the
+    drained, unreleased or taken entries ahead of its owner, about one
+    demand check per pair served on [paper_grouped].  The index costs
+    O(coflows * ports * words + nonzeros) to build, once per run and after
+    each growth of a support.
 
     The batched decision {!as_policy} offers answers the slot's transfers
     plus how many consecutive slots they may be replayed for: at most
@@ -96,6 +102,31 @@ val next_slot :
     BvN matching's remaining slot budget, so the covered slots are
     exactly what that many calls of [next_slot] would decide; matching
     reuse, backfill and event accounting cover all of them. *)
+
+val owners :
+  state ->
+  Switchsim.Simulator.t ->
+  int array ->
+  lo:int ->
+  hi:int ->
+  taken:(int -> int -> int -> bool) ->
+  int array
+(** [owners state sim matching ~lo ~hi ~taken] is the replay's pair
+    assignment: for every source [i] of the perfect [matching]
+    (destination per source), the position in [state.order] of the first
+    coflow [k] of [order.(lo) .. order.(hi - 1)] that is released, still
+    owes the pair [(i, j)], [j = matching.(i)], and is not
+    [taken k i j]; -1 for none.  {!next_slot} calls it with the group (and with backfill its
+    suffix) as the range, and on a multi-fabric net marks as taken the
+    entries an earlier fabric serves in the same slot.
+
+    Each pair is found through the state's owner index: the positions of
+    the coflows that hold demand on the pair, ascending, walked from a
+    cursor that only moves past entries that have drained.  The index is
+    built from [sim]'s supports on first use, and rebuilt for another
+    simulator or after {!Switchsim.Simulator.add_demand} grew a support.
+    Returns the state's scratch array, overwritten by the next call.
+    White-box tests compare it with a coflow-major sweep. *)
 
 val as_policy :
   ?backfill:bool ->
@@ -137,8 +168,3 @@ val run_grouped :
     remaining demand in priority order.  The paper's backfilling only reuses
     the {e matched} pairs, which can leave ports idle when the augmented
     matrix has no counterpart demand downstream. *)
-
-val twct_of_completions : Workload.Instance.t -> int array -> float
-(** [Metrics.total_weighted_completion] under the instance's weights.
-    @raise Invalid_argument when the weight vector is shorter than the
-    completion vector. *)

@@ -22,8 +22,9 @@ val low_mask : int -> int
     [0 <= n <= bits_per_word]. *)
 
 val ntz : int -> int
-(** Number of trailing zeros of a nonzero word: the index of its lowest
-    set bit, i.e. the first element of the set it encodes. *)
+(** Number of trailing zeros of a nonzero word with only payload bits
+    set: the index of its lowest set bit, i.e. the first element of the
+    set it encodes; branch-free (one {!popcount}). *)
 
 val popcount : int -> int
 (** Number of set bits of a word with only payload bits set (bits

@@ -16,6 +16,7 @@ type t = {
   completed : int array; (* completion slot, -1 if unfinished *)
   first_served : int array; (* slot of the first transfer, -1 if never *)
   mutable unfinished : int;
+  mutable grown : int; (* entries [add_demand] created or revived *)
   dates : int array; (* every release date, sorted ascending *)
   mutable clock : int;
   mutable busy : int;
@@ -70,6 +71,7 @@ let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
     completed;
     first_served = Array.make n (-1);
     unfinished = !unfinished;
+    grown = 0;
     dates =
       (let d = Array.copy releases in
        Array.sort compare d;
@@ -195,8 +197,12 @@ let add_demand t k ~src ~dst units =
   if units <= 0 then invalid_arg "Simulator.add_demand: units must be positive";
   if t.left.(k) = 0 then
     invalid_arg "Simulator.add_demand: coflow already complete";
+  let fresh = Mat.get t.demand.(k) src dst = 0 in
   Mat.add_entry t.demand.(k) src dst units;
+  if fresh then t.grown <- t.grown + 1;
   t.left.(k) <- t.left.(k) + units
+
+let grown_entries t = t.grown
 
 let all_complete t = t.unfinished = 0
 

@@ -148,6 +148,13 @@ val add_demand : t -> int -> src:int -> dst:int -> int -> unit
     announced demand.  Only an unfinished coflow may grow (completion times
     are immutable history).  @raise Invalid_argument otherwise. *)
 
+val grown_entries : t -> int
+(** Number of entries {!add_demand} has created or revived (grown from
+    zero) so far; O(1).  Every other change only drains demand, so
+    between two equal readings every coflow's support has only shrunk: an
+    index over the supports built at the first reading is still a
+    superset at the second. *)
+
 val all_complete : t -> bool
 
 val completion_time : t -> int -> int option

@@ -211,6 +211,23 @@ let test_sim_unwritable_record () =
   Alcotest.(check bool) "names the unwritable path" true (contains missing t);
   Alcotest.(check bool) "no backtrace" false (contains "uncaught" t)
 
+(* one flow of 2^40 units on 2 ports outlasts the simulator's
+   10,000,000-slot budget: the run used to die with the uncaught
+   [Failure] (exit 125) *)
+let test_sim_budget_exhausted () =
+  with_file
+    (Printf.sprintf "coflow-trace v1\n2 1\n0 0 1.0 1\n0 1 %d\n" (1 lsl 40))
+  @@ fun trace ->
+  List.iter
+    (fun args ->
+      let t = check_exit sim_exe (trace :: args) 123 in
+      let what = String.concat " " args in
+      Alcotest.(check bool) (what ^ ": names trace and budget") true
+        (contains (trace ^ ": Simulator.run: slot budget exhausted") t);
+      Alcotest.(check bool) (what ^ ": no backtrace") false
+        (contains "uncaught" t))
+    [ [ "--order"; "hrho"; "--case"; "a" ]; [ "--baseline"; "fifo" ] ]
+
 let test_service_bad_replay () =
   with_file bad_trace @@ fun trace ->
   let t = check_exit service_exe [ "--replay"; trace ] 123 in
@@ -334,6 +351,8 @@ let () =
             test_sim_audit_baseline;
           Alcotest.test_case "coflow_sim unwritable record file" `Quick
             test_sim_unwritable_record;
+          Alcotest.test_case "coflow_sim slot budget exhausted" `Quick
+            test_sim_budget_exhausted;
         ] );
       ( "obs-diff",
         [ Alcotest.test_case "identical profiles pass" `Quick

@@ -1200,16 +1200,6 @@ let test_metrics_empty_errors_name_context () =
   (* without [what] the historical message is unchanged *)
   expect "bare mean" "Metrics.mean: empty" (fun () -> Metrics.mean [||])
 
-let test_twct_routes_through_metrics () =
-  (* Scheduler.twct_of_completions is Metrics.total_weighted_completion
-     under the instance's weights — the former private copy is gone *)
-  let inst = ordering_instance () in
-  let completion = [| 4; 6; 7 |] in
-  Alcotest.(check (float 1e-9)) "same value"
-    (Metrics.total_weighted_completion ~weights:(Instance.weights inst)
-       completion)
-    (Scheduler.twct_of_completions inst completion)
-
 let test_slowdowns () =
   let inst = fig1_instance () in
   let r = Scheduler.run ~case:Scheduler.Base inst [| 0 |] in
@@ -1642,6 +1632,287 @@ let test_gated_backfill_visits_live () =
     Switchsim.Simulator.step sim ts
   done
 
+(* ---------- the replay's owner index against a coflow-major sweep ---------- *)
+
+(* The oracle: the replay's former owner search.  For pair (i,
+   matching.(i)), the first coflow of order.[lo, hi) that is released,
+   still owes the pair and is not [taken]; found coflow by coflow, one
+   [land] of its live rows with the still-unclaimed sources. *)
+let sweep_owners sim order matching ~lo ~hi ~taken =
+  let module S = Switchsim.Simulator in
+  let m = S.ports sim in
+  let bpw = Bits.bits_per_word in
+  let owner = Array.make m (-1) in
+  let unclaimed =
+    Array.init (Bits.words_for m) (fun w ->
+        Bits.low_mask (min bpw (m - (w * bpw))))
+  in
+  let left = ref m and p = ref lo in
+  while !left > 0 && !p < hi do
+    let k = order.(!p) in
+    if S.released sim k then
+      Array.iteri
+        (fun w free ->
+          let cand = ref (S.remaining_live_mask sim k w land free) in
+          while !cand <> 0 do
+            let b = !cand land - !cand in
+            cand := !cand lxor b;
+            let i = (w * bpw) + Bits.ntz b in
+            let j = matching.(i) in
+            if
+              S.remaining_row_mask sim k i (Bits.word_of j)
+              land (1 lsl Bits.bit_of j)
+              <> 0
+              && not (taken k i j)
+            then begin
+              owner.(i) <- !p;
+              unclaimed.(w) <- unclaimed.(w) lxor b;
+              decr left
+            end
+          done)
+        unclaimed;
+    incr p
+  done;
+  owner
+
+(* The core budget as the replay spends it: the group's pairs first, then
+   the backfill pairs, each source ascending. *)
+let spend_core_budget net ~fabric matching owner ~mid =
+  match Switchsim.Net.core_capacity net fabric with
+  | None -> ()
+  | Some cap ->
+    let left = ref cap in
+    List.iter
+      (fun backfill ->
+        Array.iteri
+          (fun i p ->
+            if
+              p >= 0
+              && p >= mid = backfill
+              && Switchsim.Net.crosses_core net ~fabric ~src:i
+                   ~dst:matching.(i)
+            then if !left > 0 then decr left else owner.(i) <- -1)
+          owner)
+      [ false; true ]
+
+(* The matchings the decision just taken served: the queue it found, or
+   the one it rebuilt for the group it now clears (BvN is deterministic
+   and the simulator has not stepped), or none on the greedy paths. *)
+let served_matchings state sim ~current ~queue ~built =
+  let open Scheduler in
+  let u = state.current in
+  if u >= Array.length state.start - 1 then []
+  else if state.matchings_built > built then begin
+    let d = Mat.make (Switchsim.Simulator.ports sim) in
+    for p = state.start.(u) to state.start.(u + 1) - 1 do
+      Switchsim.Simulator.iter_remaining sim state.order.(p) (Mat.add_entry d)
+    done;
+    List.map fst (Bvn.schedule d)
+  end
+  else if u = current then List.map fst queue
+  else []
+
+(* Check one decision of [state]: every served fabric's owners, through
+   the index and through the sweep, and the transfers they imply.  Returns
+   the number of owner arrays compared, or fails naming the slot. *)
+let check_decision ~backfill ~aggressive state sim ~current ~queue ~built ts =
+  let module S = Switchsim.Simulator in
+  let net = S.net sim in
+  let forder = Switchsim.Net.by_rate net in
+  let u = state.Scheduler.current in
+  let n = Array.length state.Scheduler.order in
+  let served =
+    List.filteri
+      (fun fi _ -> fi < Array.length forder)
+      (served_matchings state sim ~current ~queue ~built)
+  in
+  let expected = ref [] and taken_list = ref [] in
+  List.iteri
+    (fun fi matching ->
+      let fabric = forder.(fi) in
+      let lo = state.Scheduler.start.(u) and mid = state.Scheduler.start.(u + 1) in
+      let hi = if backfill then n else mid in
+      let taken k i j = List.mem (k, i, j) !taken_list in
+      let want = sweep_owners sim state.Scheduler.order matching ~lo ~hi ~taken in
+      let got =
+        Array.copy (Scheduler.owners state sim matching ~lo ~hi ~taken)
+      in
+      if want <> got then
+        Alcotest.failf "slot %d, fabric %d: index owners %s, sweep %s"
+          (S.now sim + 1) fabric
+          (String.concat " " (Array.to_list (Array.map string_of_int got)))
+          (String.concat " " (Array.to_list (Array.map string_of_int want)));
+      spend_core_budget net ~fabric matching want ~mid;
+      Array.iteri
+        (fun i p ->
+          if p >= 0 then begin
+            let k = state.Scheduler.order.(p) and j = matching.(i) in
+            taken_list := (k, i, j) :: !taken_list;
+            expected := { S.src = i; dst = j; coflow = k; fabric } :: !expected
+          end)
+        want)
+    served;
+  if served <> [] then begin
+    let sorted l = List.sort compare l in
+    let got = sorted ts and want = sorted !expected in
+    let ok =
+      if aggressive then List.for_all (fun t -> List.mem t got) want
+      else got = want
+    in
+    if not ok then
+      Alcotest.failf "slot %d: the decision's transfers are not the sweep's"
+        (S.now sim + 1)
+  end;
+  List.length served
+
+type owner_case = {
+  o_ports : int;
+  o_coflows : int;
+  o_seed : int;
+  o_grouped : bool;
+  o_backfill : bool;
+  o_aggressive : bool;
+  o_net : int;  (** 0: single, 1: rates [2; 1], 2: binding two-tier *)
+}
+
+let owner_case_arb =
+  let gen =
+    QCheck.Gen.(
+      let* o_ports = oneof [ int_range 1 70; int_range 61 64 ] in
+      let* o_coflows = int_range 1 7 in
+      let* o_seed = int_range 0 1_000_000 in
+      let* o_grouped = bool in
+      let* o_backfill = bool in
+      let* o_aggressive = bool in
+      let* o_net = int_range 0 2 in
+      return
+        { o_ports; o_coflows; o_seed; o_grouped; o_backfill; o_aggressive; o_net })
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf
+        "ports %d, coflows %d, seed %d, grouped %b, backfill %b, aggressive \
+         %b, net %d"
+        c.o_ports c.o_coflows c.o_seed c.o_grouped c.o_backfill c.o_aggressive
+        c.o_net)
+    gen
+
+(* One run decided slot by slot: sparse random demands; releases at 0,
+   staggered, or pending at [max_int] until a [set_release] wakes them,
+   so unreleased coflows sit ahead of owners in a pair's list. *)
+let run_owner_case c =
+  let module S = Switchsim.Simulator in
+  let st = Random.State.make [| c.o_seed |] in
+  let m = c.o_ports in
+  let demand () =
+    let d = Mat.make m in
+    for _ = 0 to Random.State.int st (2 * m) do
+      Mat.add_entry d (Random.State.int st m) (Random.State.int st m)
+        (1 + Random.State.int st 3)
+    done;
+    d
+  in
+  let coflows =
+    List.init c.o_coflows (fun k ->
+        let release =
+          match Random.State.int st 3 with
+          | 0 -> 0
+          | 1 -> Random.State.int st 8
+          | _ -> -(1 + Random.State.int st 12) (* pending; woken then *)
+        in
+        (k, release, demand ()))
+  in
+  let inst =
+    Instance.make ~ports:m
+      (List.map
+         (fun (k, r, d) ->
+           mk_coflow ~id:k ~release:(abs r)
+             ~weight:(float_of_int (1 + Random.State.int st 5))
+             d)
+         coflows)
+  in
+  let order = Ordering.by_load_over_weight inst in
+  let groups =
+    if c.o_grouped then Grouping.deterministic inst order
+    else Grouping.singletons order
+  in
+  let net =
+    match c.o_net with
+    | 0 -> Switchsim.Net.single ~ports:m
+    | 1 -> Switchsim.Net.uniform ~ports:m ~rates:[ 2; 1 ]
+    | _ ->
+      Switchsim.Net.two_tier ~ports:m ~rack_size:(max 1 (m / 2))
+        ~core_capacity:1
+  in
+  let sim =
+    S.create ~net ~ports:m
+      (List.map (fun (_, r, d) -> ((if r < 0 then max_int else r), d)) coflows)
+  in
+  let state = Scheduler.make_state groups in
+  let compared = ref 0 in
+  while (not (S.all_complete sim)) && S.now sim < 5000 do
+    List.iter
+      (fun (k, r, _) ->
+        if r < 0 && -r <= S.now sim && not (S.released sim k) then
+          S.set_release sim k (S.now sim))
+      coflows;
+    let current = state.Scheduler.current
+    and queue = state.Scheduler.queue
+    and built = state.Scheduler.matchings_built in
+    let ts =
+      Scheduler.next_slot state ~backfill:c.o_backfill
+        ~aggressive:c.o_aggressive sim
+    in
+    compared :=
+      !compared
+      + check_decision ~backfill:c.o_backfill ~aggressive:c.o_aggressive state
+          sim ~current ~queue ~built ts;
+    S.step sim ts
+  done;
+  if not (S.all_complete sim) then Alcotest.fail "run did not complete";
+  !compared
+
+let prop_owner_index_is_sweep =
+  QCheck.Test.make ~name:"owner index = coflow-major sweep" ~count:120
+    owner_case_arb (fun c -> run_owner_case c > 0)
+
+(* Demand grown mid-run: on a pair the suffix coflow had drained, and on
+   a pair the group's coflow never owed.  The group {0} clears the
+   identity matching (its aggregate [[0, 0], [0, 6]] augments to 6 I), so
+   pair (0, 0) is backfill's until coflow 0 gains demand there. *)
+let test_owner_index_sees_growth () =
+  let module S = Switchsim.Simulator in
+  let sim =
+    S.create ~ports:2
+      [ (0, Mat.of_arrays [| [| 0; 0 |]; [| 0; 6 |] |]);
+        (0, Mat.of_arrays [| [| 1; 0 |]; [| 5; 0 |] |]);
+      ]
+  in
+  let state = Scheduler.make_state [| [| 0 |]; [| 1 |] |] in
+  let slot ~expect =
+    let current = state.Scheduler.current
+    and queue = state.Scheduler.queue
+    and built = state.Scheduler.matchings_built in
+    let ts = Scheduler.next_slot state ~backfill:true sim in
+    check_int "one served matching" 1
+      (check_decision ~backfill:true ~aggressive:false state sim ~current
+         ~queue ~built ts);
+    Alcotest.(check (list (triple int int int)))
+      (Printf.sprintf "slot %d" (S.now sim + 1))
+      expect
+      (List.sort compare
+         (List.map (fun t -> S.(t.src, t.dst, t.coflow)) ts));
+    S.step sim ts
+  in
+  slot ~expect:[ (0, 0, 1); (1, 1, 0) ];
+  (* coflow 1 drained (0, 0): the pair idles *)
+  slot ~expect:[ (1, 1, 0) ];
+  S.add_demand sim 1 ~src:0 ~dst:0 2;
+  slot ~expect:[ (0, 0, 1); (1, 1, 0) ];
+  S.add_demand sim 0 ~src:0 ~dst:0 1;
+  slot ~expect:[ (0, 0, 0); (1, 1, 0) ];
+  slot ~expect:[ (0, 0, 1); (1, 1, 0) ]
+
 (* ---------- Counterexample (Appendix B) ---------- *)
 
 let test_counterexample () =
@@ -1714,6 +1985,7 @@ let qprops =
       prop_brute_below_heuristics;
       prop_brute_above_lp;
       prop_bvn_matches_oracle;
+      prop_owner_index_is_sweep;
     ]
 
 let () =
@@ -1820,6 +2092,8 @@ let () =
             test_core_budget_order;
           Alcotest.test_case "gated backfill visits live coflows" `Quick
             test_gated_backfill_visits_live;
+          Alcotest.test_case "owner index sees grown demand" `Quick
+            test_owner_index_sees_growth;
         ] );
       ( "grouped golden",
         [ Alcotest.test_case "case (d) at 64 ports" `Quick
@@ -1874,8 +2148,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_metrics_validation;
           Alcotest.test_case "empty errors name context" `Quick
             test_metrics_empty_errors_name_context;
-          Alcotest.test_case "twct routes through metrics" `Quick
-            test_twct_routes_through_metrics;
           Alcotest.test_case "slowdowns" `Quick test_slowdowns;
         ] );
       ( "lp-grids",

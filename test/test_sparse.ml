@@ -220,6 +220,28 @@ let prop_popcount =
         (fun x -> Bits.popcount x = kernighan x 0)
         [ x; full; full land lnot x; 1 lsl (Bits.bits_per_word - 1) ])
 
+(* The trailing-zero count against a shift loop: on every bit position
+   0-61 as the lowest set bit, above it a random word's payload bits. *)
+let prop_ntz =
+  QCheck.Test.make ~name:"Bits.ntz finds the lowest payload bit" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let r =
+        Random.State.bits st
+        lor (Random.State.bits st lsl 30)
+        lor (Random.State.bits st lsl 60)
+      in
+      let rec zeros x acc = if x land 1 = 1 then acc else zeros (x lsr 1) (acc + 1) in
+      List.for_all
+        (fun t ->
+          let above =
+            r land Bits.low_mask Bits.bits_per_word land lnot (Bits.low_mask (t + 1))
+          in
+          let x = above lor (1 lsl t) in
+          Bits.ntz x = t && Bits.ntz x = zeros x 0 && Bits.ntz (1 lsl t) = t)
+        (List.init Bits.bits_per_word Fun.id))
+
 let test_copy_isolated () =
   let s = Mat.make 70 in
   Mat.set s 65 3 4;
@@ -463,6 +485,7 @@ let () =
             prop_row_seq;
             prop_equals_rebuild;
             prop_popcount;
+            prop_ntz;
           ] );
       ( "mat_unit",
         [ Alcotest.test_case "copy isolates bitsets" `Quick test_copy_isolated;

@@ -193,7 +193,13 @@ let test_add_demand () =
   check_int "total grew" 9 (Simulator.remaining_total sim 0);
   check_int "entry grew" 5 (Simulator.remaining_at sim 0 0 1);
   Simulator.add_demand sim 0 ~src:1 ~dst:0 1;
-  check_int "existing entry" 3 (Simulator.remaining_at sim 0 1 0)
+  check_int "existing entry" 3 (Simulator.remaining_at sim 0 1 0);
+  check_int "positive entries grew, none created" 0
+    (Simulator.grown_entries sim);
+  (* drain (0, 0), then revive it *)
+  Simulator.step sim [ { Simulator.src = 0; dst = 0; coflow = 0; fabric = 0 } ];
+  Simulator.add_demand sim 0 ~src:0 ~dst:0 2;
+  check_int "a revived entry counts" 1 (Simulator.grown_entries sim)
 
 let test_add_demand_validation () =
   let d = Mat.of_arrays [| [| 1; 0 |]; [| 0; 0 |] |] in
