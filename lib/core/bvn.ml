@@ -49,7 +49,12 @@ let augment d =
    augmenting path moves its row.  [held.(i)] is the value [t] still holds
    for row [i]'s matched entry, or -1 when [t] is exact and [value.(i)]
    has yet to be read.  A matching costs O(m) plus the repair and one map
-   write per entry that leaves it. *)
+   write per entry that leaves it.
+
+   [bvn.dfs_probes] counts the columns the DFS tries (each sets a visited
+   bit), summed over the call and added once at its end. *)
+let c_dfs_probes = Obs.Counter.make "bvn.dfs_probes"
+
 let decompose_in_place t =
   let m = Mat.dim t in
   let rho = Mat.load t in
@@ -67,6 +72,7 @@ let decompose_in_place t =
     let held = Array.make m (-1) in
     let visited = Array.make words 0 in
     let broken = Array.make m 0 in
+    let probes = ref 0 in
     (* row [i] leaves its matched entry: write back what was peeled *)
     let leave i =
       let j = match_col.(i) in
@@ -84,6 +90,7 @@ let decompose_in_place t =
         else begin
           let b = cand land -cand in
           visited.(!w) <- visited.(!w) lor b;
+          incr probes;
           let j = (!w * bpw) + Bits.ntz b in
           if match_row.(j) = -1 || augment match_row.(j) then begin
             leave i;
@@ -139,6 +146,7 @@ let decompose_in_place t =
           rematch i
         done
     done;
+    Obs.Counter.incr c_dfs_probes ~by:!probes;
     List.rev !acc
   end
 

@@ -160,18 +160,28 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      bitset words: a coflow's candidate sources are
      [live_rows land free_src] (one [land] per word covers 62 ports), and
      a row's destination is the lowest set bit of
-     [row_support land free_dst], found by one
-     [Simulator.remaining_first_dst] probe.  The dev build compiles every
-     module opaquely, so no call across modules is inlined: the probe is
-     one call per candidate row, not a few per word.
+     [row_support land free_dst].  The dev build compiles every module
+     opaquely, so no call across modules is inlined; the calls are
+     therefore as coarse as the fabric allows.
 
-     A row is restricted when this fabric's core budget is spent (only
-     the source's rack stays admissible: rack-local pairs can never be
-     starved by the budget), under a fault plan (its off-duty links are
-     masked out) or on k > 1 fabrics (an entry already taken on a faster
-     fabric is skipped).  Its probe reads [scratch], filled with
+     On an unrestricted fabric — one fabric, no core cap, no fault plan —
+     every candidate row probes [free_dst] itself, so a coflow's whole
+     sweep is one [Simulator.claim_rows] call: [Mat]'s kernel walks the
+     candidate rows, claims each row's lowest free destination in both
+     masks and leaves the pairs in the simulator's [claims] buffer, which
+     become transfers in claim order.  Every greedy run on the paper's
+     single switch takes this path.
+
+     Otherwise each candidate row is one [Simulator.remaining_first_dst]
+     probe.  A row is restricted when this fabric's core budget is spent
+     (only the source's rack stays admissible: rack-local pairs can never
+     be starved by the budget), under a fault plan (its off-duty links
+     are masked out) or on k > 1 fabrics (an entry already taken on a
+     faster fabric is skipped).  Its probe reads [scratch], filled with
      [free_dst] narrowed to the rack and stripped of off-duty links; a
-     taken hit clears its bit there and probes again.
+     taken hit clears its bit there and probes again.  A capped fabric
+     with budget left probes [free_dst] directly, row by row, because
+     each claim may spend the budget the next row is checked against.
 
      Lowest-bit iteration is exactly ascending row / ascending column
      order, so the result is the very matching the naive entry-by-entry
@@ -185,6 +195,7 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      above, nothing else. *)
   let masked = match faults with Some _ -> true | None -> kf > 1 in
   let scratch = Array.make words 0 in
+  let claims = Simulator.claims sim in
   let transfers = ref init and visited = ref 0 in
   let order = Net.by_rate net in
   for o = 0 to kf - 1 do
@@ -193,11 +204,29 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
     let rack =
       match (Net.fabric_of net f).Net.rack_size with Some rs -> rs | None -> m
     in
+    let whole = (not masked) && core_left.(f) = max_int in
     let p = ref 0 in
     while !p < Array.length priority && n_src.(f) < m && n_dst.(f) < m do
       let k = priority.(!p) in
       incr p;
-      if Simulator.released sim k && not (Simulator.is_complete sim k) then
+      let live =
+        Simulator.released sim k && not (Simulator.is_complete sim k)
+      in
+      if live && whole then begin
+        let n = Simulator.claim_rows sim k ~free_src ~free_dst ~off:fw in
+        n_src.(f) <- n_src.(f) + n;
+        n_dst.(f) <- n_dst.(f) + n;
+        for c = 0 to n - 1 do
+          transfers :=
+            { Simulator.src = claims.(2 * c);
+              dst = claims.((2 * c) + 1);
+              coflow = k;
+              fabric = f;
+            }
+            :: !transfers
+        done
+      end
+      else if live then
         for w = 0 to words - 1 do
           (* candidate srcs: rows with demand whose port is free.  Claims
              inside this word only ever clear the bit being iterated, so

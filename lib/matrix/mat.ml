@@ -1,3 +1,41 @@
+(* Bit-twiddling helpers for bitsets packed into native OCaml ints,
+   re-exported as [Matrix.Bits].  They are defined here, in [Mat]'s own
+   unit, because the kernels below run them once per entry they locate:
+   the dev build compiles every module [-opaque], so a call into another
+   unit is never inlined, while these are.
+
+   A word carries [bits_per_word] = 62 payload bits (bits 0..61), so
+   [(1 lsl n) - 1] is well-defined for every partial word and the sign
+   bit is never touched: words can be compared with [<> 0] and combined
+   with [land]/[lor]/[lnot] without overflow surprises on 63-bit ints. *)
+module Bits = struct
+  let bits_per_word = 62
+
+  let words_for n = (n + bits_per_word - 1) / bits_per_word
+
+  let word_of b = b / bits_per_word
+
+  let bit_of b = b mod bits_per_word
+
+  (* mask with the [n] low bits set, 0 <= n <= bits_per_word *)
+  let[@inline] low_mask n = if n = 0 then 0 else (1 lsl n) - 1
+
+  (* Branch-free SWAR count over the 62 payload bits: bit pairs, then
+     nibbles, then bytes, summed into the top byte by one multiply.  The
+     masks stop below the sign bit, and the byte sums (at most 62) never
+     carry, so 63-bit wrap-around cannot disturb the top byte. *)
+  let[@inline] popcount x =
+    let x = x - ((x lsr 1) land 0x1555555555555555) in
+    let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+    let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+    (x * 0x0101010101010101) lsr 56
+
+  (* number of trailing zeros; [x] must be nonzero with only payload bits
+     set.  [x land -x] isolates the lowest set bit, and one less than it
+     is a mask of exactly the bits below: the zeros it trails. *)
+  let[@inline] ntz x = popcount ((x land -x) - 1)
+end
+
 (* Sparse nonnegative integer matrix: the one demand representation.
 
    Row i's strictly positive entries are packed, in ascending column
@@ -240,6 +278,35 @@ let first_col d i ~avail ~off =
   done;
   !j
 
+(* [first_col] on every live row with a free source bit, rows ascending,
+   each claim written into the caller's masks before the next row looks:
+   the greedy sweep of one matrix in one call.  A claim clears only the
+   row bit being iterated, so each word's candidate snapshot stays valid. *)
+let claim_rows d ~src ~dst ~off ~out =
+  let n = ref 0 in
+  for w = 0 to d.words - 1 do
+    let cand = ref (d.aux.((2 * d.m) + w) land src.(off + w)) in
+    while !cand <> 0 do
+      let b = !cand land - !cand in
+      cand := !cand lxor b;
+      let i = (w * Bits.bits_per_word) + Bits.ntz b in
+      let base = row_base d i and v = ref 0 and x = ref 0 in
+      while !x = 0 && !v < d.words do
+        x := d.aux.(base + !v) land dst.(off + !v);
+        incr v
+      done;
+      if !x <> 0 then begin
+        let c = !x land - !x and wd = off + !v - 1 in
+        src.(off + w) <- src.(off + w) lxor b;
+        dst.(wd) <- dst.(wd) lxor c;
+        out.(2 * !n) <- i;
+        out.((2 * !n) + 1) <- ((!v - 1) * Bits.bits_per_word) + Bits.ntz c;
+        incr n
+      end
+    done
+  done;
+  !n
+
 (* The aggregates are functions of the entries, so equal [aux] arrays
    mean equal supports; the packed values are then compared up to each
    row's length, never over the spare slots. *)
@@ -255,15 +322,6 @@ let equal a b =
     done;
     incr i
   done;
-  !ok
-
-let same_dim a b =
-  if a.m <> b.m then invalid_arg "Mat: dimension mismatch"
-
-let leq a b =
-  same_dim a b;
-  let ok = ref true in
-  iter_nonzero (fun i j v -> if v > find b i j then ok := false) a;
   !ok
 
 let is_diagonal d =
@@ -306,5 +364,3 @@ let pp ppf d =
     Format.fprintf ppf "]"
   done;
   Format.fprintf ppf "@]"
-
-let to_string d = Format.asprintf "%a" pp d

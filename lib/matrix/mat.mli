@@ -21,6 +21,44 @@
     depend on the order of updates: compare them with {!equal}, never
     with polymorphic [=]. *)
 
+(** {1 Bitset words}
+
+    Helpers for bitsets packed into native OCaml ints, 62 payload bits
+    per word (the sign bit is never used, so words are safe under
+    [land]/[lor]/[lnot] and [<> 0] tests).  A matrix keeps its live-row
+    set and each row's column support in this layout; matching loops
+    intersect them with free-port bitsets so one [land] replaces a scan
+    over up to 62 ports.  Re-exported as [Matrix.Bits]; defined in this
+    unit so that the kernels below inline them. *)
+module Bits : sig
+  val bits_per_word : int
+  (** 62. *)
+
+  val words_for : int -> int
+  (** [words_for n] — words needed for an [n]-bit set. *)
+
+  val word_of : int -> int
+  (** Word index holding bit [b]. *)
+
+  val bit_of : int -> int
+  (** Position of bit [b] within its word. *)
+
+  val low_mask : int -> int
+  (** [low_mask n] — word with the [n] low bits set;
+      [0 <= n <= bits_per_word]. *)
+
+  val ntz : int -> int
+  (** Number of trailing zeros of a nonzero word with only payload bits
+      set: the index of its lowest set bit, i.e. the first element of
+      the set it encodes; branch-free (one {!popcount}). *)
+
+  val popcount : int -> int
+  (** Number of set bits of a word with only payload bits set (bits
+      [0 .. bits_per_word - 1]); branch-free. *)
+end
+
+(** {1 Matrices} *)
+
 type t
 
 val make : int -> t
@@ -123,12 +161,27 @@ val first_col : t -> int -> avail:int array -> off:int -> int
     one call, O(w).  [avail] holds [w] words from [off] in the {!Bits}
     layout; [i] is unchecked like {!live_mask}. *)
 
+val claim_rows :
+  t -> src:int array -> dst:int array -> off:int -> out:int array -> int
+(** [claim_rows d ~src ~dst ~off ~out] — the greedy claim sweep of one
+    matrix, returning the number [n] of pairs claimed.  Live rows [i]
+    whose bit is set in [src.(off + Bits.word_of i)] are visited in
+    ascending order; each takes the lowest column [j] of its support
+    whose bit is set in [dst.(off + Bits.word_of j)], clears bit [i] of
+    [src] and bit [j] of [dst], and stores the pair at [out.(2p)],
+    [out.(2p + 1)] for claim [p].  A row with no such column claims
+    nothing and keeps its [src] bit.
+
+    This is {!first_col} called row by row over the same masks, each
+    claim written before the next row is probed: the same pairs in the
+    same order, with the same masks left behind, in one call of
+    O(w + candidate rows · w).  [src] and [dst] hold [w] words from
+    [off] in the {!Bits} layout and [out] at least [2 * dim d] ints;
+    nothing is allocated. *)
+
 val equal : t -> t -> bool
 (** Same dimension and same entries, whatever order they were set in;
     O(m * w + nnz). *)
-
-val leq : t -> t -> bool
-(** Entrywise [<=] on matrices of equal dimension; O(m * w + nnz * w). *)
 
 val is_diagonal : t -> bool
 
@@ -144,5 +197,3 @@ val random : ?density:float -> ?max_entry:int -> Random.State.t -> int -> t
 
 val pp : Format.formatter -> t -> unit
 (** Every cell, zeros included, one bracketed row per line. *)
-
-val to_string : t -> string

@@ -23,12 +23,16 @@ type t = {
   mutable moved : int;
   (* scratch buffers reused across slots; fabric f's port p lives at
      index [f * ports + p], so one fill clears every fabric *)
-  src_used : bool array;
+  src_pair : int array;
+      (* [coflow * ports + dst] of the transfer an ingress serves in the
+         slot being validated, -1 while it is idle *)
   dst_used : bool array;
   have : int array;
       (* the served entries' demand as validation read it, by position in
          the slot's transfer list: a valid slot has at most [kf * ports]
          transfers *)
+  claims : int array;
+      (* the pairs [claim_rows] found, two ints each: one claim per row *)
 }
 
 let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
@@ -79,9 +83,10 @@ let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
     clock = 0;
     busy = 0;
     moved = 0;
-    src_used = Array.make (kf * ports) false;
+    src_pair = Array.make (kf * ports) (-1);
     dst_used = Array.make (kf * ports) false;
     have = Array.make (kf * ports) 0;
+    claims = Array.make (2 * ports) 0;
   }
 
 let ports t = t.ports
@@ -177,6 +182,12 @@ let remaining_row_mask t k i w =
 let remaining_first_dst t k i ~avail ~off =
   check_coflow t k;
   Mat.first_col t.demand.(k) i ~avail ~off
+
+let claim_rows t k ~free_src ~free_dst ~off =
+  check_coflow t k;
+  Mat.claim_rows t.demand.(k) ~src:free_src ~dst:free_dst ~off ~out:t.claims
+
+let claims t = t.claims
 
 let remaining_at t k i j =
   check_coflow t k;
@@ -292,15 +303,8 @@ let step_n t transfers n =
                    > %d"
                   f used cap))
   done;
-  Array.fill t.src_used 0 (t.kf * t.ports) false;
+  Array.fill t.src_pair 0 (t.kf * t.ports) (-1);
   Array.fill t.dst_used 0 (t.kf * t.ports) false;
-  (* the same (coflow, src, dst) entry may be drained by at most one
-     fabric per slot — parallel drains of one entry would race the demand
-     decrement; only possible (and only checked) when k > 1 *)
-  let seen_pair =
-    if t.kf > 1 then Some (Hashtbl.create (2 * List.length transfers))
-    else None
-  in
   List.iteri
     (fun idx { src; dst; coflow; fabric } ->
       if fabric < 0 || fabric >= t.kf then
@@ -310,7 +314,7 @@ let step_n t transfers n =
       if coflow < 0 || coflow >= num_coflows t then
         raise (Invalid_slot (Printf.sprintf "unknown coflow %d" coflow));
       let fb = fabric * t.ports in
-      if t.src_used.(fb + src) then
+      if t.src_pair.(fb + src) >= 0 then
         raise
           (Invalid_slot
              (if t.kf = 1 then Printf.sprintf "ingress %d used twice" src
@@ -321,19 +325,22 @@ let step_n t transfers n =
           (Invalid_slot
              (if t.kf = 1 then Printf.sprintf "egress %d used twice" dst
               else Printf.sprintf "fabric %d: egress %d used twice" fabric dst));
-      t.src_used.(fb + src) <- true;
-      t.dst_used.(fb + dst) <- true;
-      (match seen_pair with
-      | None -> ()
-      | Some tbl ->
-        let key = (coflow, src, dst) in
-        if Hashtbl.mem tbl key then
+      (* the same (coflow, src, dst) entry may be drained by at most one
+         fabric per slot — parallel drains of one entry would race the
+         demand decrement.  A second fabric draining it serves the same
+         ingress there, so the other fabrics' [src_pair] slots tell; on
+         one fabric the loop reads only this transfer's own idle slot *)
+      let pair = (coflow * t.ports) + dst in
+      for g = 0 to t.kf - 1 do
+        if t.src_pair.((g * t.ports) + src) = pair then
           raise
             (Invalid_slot
                (Printf.sprintf
                   "coflow %d pair (%d, %d) served on two fabrics in one slot"
-                  coflow src dst));
-        Hashtbl.add tbl key ());
+                  coflow src dst))
+      done;
+      t.src_pair.(fb + src) <- pair;
+      t.dst_used.(fb + dst) <- true;
       if t.releases.(coflow) > t.clock then
         raise
           (Invalid_slot

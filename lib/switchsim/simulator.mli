@@ -137,6 +137,26 @@ val remaining_first_dst :
     (a free-destination bitset, possibly narrowed); [i] is unchecked
     beyond the underlying array's bound. *)
 
+val claim_rows :
+  t -> int -> free_src:int array -> free_dst:int array -> off:int -> int
+(** [claim_rows sim k ~free_src ~free_dst ~off] — the greedy sweep of
+    coflow [k] on one unrestricted fabric, in one call
+    ({!Matrix.Mat.claim_rows}): each source [i] that still owes demand
+    and whose bit is set in [free_src], ascending, claims the lowest
+    destination [j] it owes demand to whose bit is set in [free_dst];
+    both bits are cleared before the next source looks.  Returns the
+    number [n] of pairs; pair [p < n] is [((claims sim).(2p),
+    (claims sim).(2p + 1))], in claim order.  Exactly
+    {!remaining_first_dst} on [free_dst] source by source, claims
+    included.  Both masks hold one {!Matrix.Bits}-layout word per
+    [words] from [off] (fabric [f]'s at [f * words]).  The coflow is
+    checked once; nothing is allocated. *)
+
+val claims : t -> int array
+(** The simulator's own buffer of the pairs the last {!claim_rows} found
+    ([2 * ports] ints, overwritten by every call): read it, never write
+    it.  One buffer per simulator, so concurrent runs share none. *)
+
 val remaining_total : t -> int -> int
 
 val is_complete : t -> int -> bool

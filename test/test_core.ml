@@ -42,7 +42,7 @@ let test_augment_balances () =
     check_int "row balanced" rho (Mat.row_sum a p);
     check_int "col balanced" rho (Mat.col_sum a p)
   done;
-  Alcotest.(check bool) "dominates input" true (Mat.leq d a)
+  Alcotest.(check bool) "dominates input" true (Mat_helpers.leq d a)
 
 let test_schedule_fig1_duration () =
   let s = Bvn.schedule (fig1 ()) in
@@ -73,7 +73,7 @@ let bvn_arb =
       let st = Random.State.make [| seed |] in
       return (Mat.random ~density:0.5 ~max_entry:7 st m))
   in
-  QCheck.make ~print:Mat.to_string gen
+  QCheck.make ~print:Mat_helpers.to_string gen
 
 let prop_bvn_duration_is_load =
   QCheck.Test.make ~name:"BvN duration equals rho" ~count:200 bvn_arb (fun d ->
@@ -86,7 +86,8 @@ let prop_bvn_matchings_polynomial =
 
 let prop_bvn_covers_demand =
   QCheck.Test.make ~name:"BvN covers every demand entry" ~count:200 bvn_arb
-    (fun d -> Mat.leq d (Bvn.restore (Mat.dim d) (Bvn.schedule d)))
+    (fun d ->
+      Mat_helpers.leq d (Bvn.restore (Mat.dim d) (Bvn.schedule d)))
 
 let prop_bvn_matchings_valid =
   QCheck.Test.make ~name:"BvN emits genuine matchings" ~count:200 bvn_arb
@@ -201,7 +202,7 @@ let bvn_oracle_arb =
       in
       return (Bvn.augment d))
   in
-  QCheck.make ~print:Mat.to_string gen
+  QCheck.make ~print:Mat_helpers.to_string gen
 
 let prop_bvn_matches_oracle =
   QCheck.Test.make ~name:"BvN kernel = list decomposition oracle" ~count:60

@@ -142,8 +142,8 @@ let test_diagonal () =
 let test_leq () =
   let a = fig1 () in
   let b = Mat.map (fun v -> 2 * v) a in
-  Alcotest.(check bool) "a <= 2a" true (Mat.leq a b);
-  Alcotest.(check bool) "2a <= a fails" false (Mat.leq b a)
+  Alcotest.(check bool) "a <= 2a" true (Mat_helpers.leq a b);
+  Alcotest.(check bool) "2a <= a fails" false (Mat_helpers.leq b a)
 
 let test_iter_nonzero () =
   let d = Mat.of_arrays [| [| 0; 5 |]; [| 0; 0 |] |] in
@@ -185,7 +185,7 @@ let mat_gen =
     let st = Random.State.make [| seed |] in
     return (Mat.random ~density:0.6 ~max_entry:9 st m))
 
-let arb_mat = QCheck.make ~print:Mat.to_string mat_gen
+let arb_mat = QCheck.make ~print:Mat_helpers.to_string mat_gen
 
 let prop_load_bounds =
   QCheck.Test.make ~name:"load is max of row/col sums" ~count:200 arb_mat

@@ -242,6 +242,72 @@ let prop_ntz =
           Bits.ntz x = t && Bits.ntz x = zeros x 0 && Bits.ntz (1 lsl t) = t)
         (List.init Bits.bits_per_word Fun.id))
 
+(* [Mat.claim_rows] is [Mat.first_col] run row by row over the same
+   masks, each claim cleared from both before the next row probes: the
+   same pairs in the same order, the same masks left behind.  Half the
+   matrices sit at 61-64 ports, where the last column and row of a word
+   meet the next; rows are partly drained (some emptied), and the free
+   masks are dense, random or sparse, at offset 0 or at a second fabric's
+   offset, whose untouched words must come out as they went in. *)
+let prop_claim_rows =
+  QCheck.Test.make ~name:"claim sweep = row-by-row first_col sweep"
+    ~count:400 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m =
+        if Random.State.bool st then 61 + Random.State.int st 4
+        else 1 + Random.State.int st 70
+      in
+      let d =
+        Mat.random ~density:(0.02 +. Random.State.float st 0.5) ~max_entry:3 st
+          m
+      in
+      for i = 0 to m - 1 do
+        if Random.State.int st 3 = 0 then
+          for j = 0 to m - 1 do
+            if Random.State.bool st then Mat.set d i j 0
+          done
+      done;
+      let words = Bits.words_for m in
+      let off = if Random.State.bool st then 0 else words in
+      let word () =
+        Random.State.bits st
+        lor (Random.State.bits st lsl 30)
+        lor (Random.State.bits st lsl 60)
+      in
+      let mask () =
+        Array.init (2 * words) (fun v ->
+            let free =
+              match Random.State.int st 3 with
+              | 0 -> -1
+              | 1 -> word ()
+              | _ -> word () land word ()
+            in
+            let base = v mod words * Bits.bits_per_word in
+            free land Bits.low_mask (min Bits.bits_per_word (m - base)))
+      in
+      let src = mask () and dst = mask () in
+      let src' = Array.copy src and dst' = Array.copy dst in
+      let out = Array.make (2 * m) (-1) in
+      let n = Mat.claim_rows d ~src ~dst ~off ~out in
+      let want = ref [] in
+      for i = 0 to m - 1 do
+        let w = off + Bits.word_of i and b = 1 lsl Bits.bit_of i in
+        if bit (Mat.live_mask d (Bits.word_of i)) i && src'.(w) land b <> 0
+        then begin
+          let j = Mat.first_col d i ~avail:dst' ~off in
+          if j >= 0 then begin
+            src'.(w) <- src'.(w) lxor b;
+            let wd = off + Bits.word_of j in
+            dst'.(wd) <- dst'.(wd) lxor (1 lsl Bits.bit_of j);
+            want := (i, j) :: !want
+          end
+        end
+      done;
+      n = List.length !want
+      && List.init n (fun p -> (out.(2 * p), out.((2 * p) + 1)))
+         = List.rev !want
+      && src = src' && dst = dst')
+
 let test_copy_isolated () =
   let s = Mat.make 70 in
   Mat.set s 65 3 4;
@@ -486,6 +552,7 @@ let () =
             prop_equals_rebuild;
             prop_popcount;
             prop_ntz;
+            prop_claim_rows;
           ] );
       ( "mat_unit",
         [ Alcotest.test_case "copy isolates bitsets" `Quick test_copy_isolated;

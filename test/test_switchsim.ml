@@ -426,6 +426,56 @@ let test_multi_fabric_batch_rate_aware () =
   Alcotest.(check bool) "complete" true (Simulator.all_complete sim);
   check_int "three slots" 3 (Simulator.now sim)
 
+(* One (coflow, src, dst) entry drained by two fabrics in one slot would
+   race its demand decrement: the step refuses it by name and moves
+   nothing. *)
+let test_multi_fabric_pair_twice () =
+  let d = Mat.make 2 in
+  Mat.set d 0 1 5;
+  let net = Net.uniform ~ports:2 ~rates:[ 1; 1 ] in
+  let sim = Simulator.create ~net ~ports:2 [ (0, d) ] in
+  Alcotest.check_raises "same pair on fabrics 0 and 1"
+    (Simulator.Invalid_slot
+       "coflow 0 pair (0, 1) served on two fabrics in one slot") (fun () ->
+      Simulator.step sim [ tf 0 1 0 0; tf 0 1 0 1 ]);
+  check_int "nothing moved" 0 (Simulator.units_moved sim);
+  check_int "clock still" 0 (Simulator.now sim)
+
+(* The rule is per entry: one ingress may serve the same pair for two
+   coflows, or two pairs of one coflow, on the two fabrics. *)
+let test_multi_fabric_distinct_pairs () =
+  let a = Mat.of_arrays [| [| 0; 4 |]; [| 4; 0 |] |]
+  and b = Mat.of_arrays [| [| 0; 4 |]; [| 0; 0 |] |] in
+  let net = Net.uniform ~ports:2 ~rates:[ 1; 1 ] in
+  let sim = Simulator.create ~net ~ports:2 [ (0, a); (0, b) ] in
+  Simulator.step sim [ tf 0 1 0 0; tf 0 1 1 1; tf 1 0 0 1 ];
+  check_int "three units" 3 (Simulator.units_moved sim);
+  check_int "coflow 0's pair (0, 1)" 3 (Simulator.remaining_at sim 0 0 1);
+  check_int "coflow 1's pair (0, 1)" 3 (Simulator.remaining_at sim 1 0 1)
+
+(* Minor words one step of a 16-port identity slot allocates, over 100
+   steps: the cross-fabric check must cost no more than a few words per
+   transfer over the single switch's. *)
+let step_words net =
+  let m = 16 in
+  let d = Mat.diagonal (Array.make m 1_000_000) in
+  let sim = Simulator.create ~net ~ports:m [ (0, d) ] in
+  let k = Net.k net in
+  let ts = List.init m (fun i -> tf i i 0 (i mod k)) in
+  Simulator.step sim ts;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Simulator.step sim ts
+  done;
+  (Gc.minor_words () -. before) /. 100.
+
+let test_multi_fabric_step_allocation () =
+  let single = step_words (Net.single ~ports:16)
+  and two = step_words (Net.uniform ~ports:16 ~rates:[ 2; 1 ]) in
+  if two > single +. (5. *. 16.) then
+    Alcotest.failf "16 transfers on two fabrics: %.1f words a step, against \
+                    %.1f on one" two single
+
 (* Regression (suspected ordering hole, now pinned): the fault-aware
    greedy sweep's core budget must not starve a rack-local pair that the
    scan reaches after rejecting a core-crossing pair — the budget only
@@ -735,5 +785,11 @@ let () =
             test_multi_fabric_batch_rate_aware;
           Alcotest.test_case "bitset sweep never starves rack-local" `Quick
             test_policy_matching_no_rack_local_starvation;
+          Alcotest.test_case "one pair on two fabrics" `Quick
+            test_multi_fabric_pair_twice;
+          Alcotest.test_case "distinct pairs on two fabrics" `Quick
+            test_multi_fabric_distinct_pairs;
+          Alcotest.test_case "two-fabric step allocation" `Quick
+            test_multi_fabric_step_allocation;
         ] );
     ]
