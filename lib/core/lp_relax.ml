@@ -58,8 +58,8 @@ let interval_count inst =
 (* Sort working indices by cbar, breaking ties by index so the order is
    deterministic (the paper's order (15) is any nondecreasing order).  The
    comparison quantizes at 1e-6 so coflows whose completion times agree up
-   to solver round-off keep index order regardless of which optimal vertex
-   (or solver back end) produced them. *)
+   to solver round-off keep index order.  Two optimal vertices of one LP
+   can still differ in cbar, and so in order. *)
 let order_of_cbar cbar =
   let q c = Float.round (c *. 1e6) /. 1e6 in
   let idx = Array.init (Array.length cbar) (fun k -> k) in
@@ -97,6 +97,25 @@ let trivial_result n =
     warm = None;
   }
 
+type formulation = Interval of float | Time_indexed
+
+type relaxation = {
+  model : Lp.Model.t;
+  decode : Lp.Solution.t -> result;
+}
+
+(* A built relaxation: the model and its decoder, and the start bases its
+   solve tries in turn: the exact image of the warm hints, then the greedy
+   placement, forced only if the first is rejected. *)
+type built = {
+  relaxation : relaxation;
+  warm_basis : Lp.Revised_simplex.warm_basis option;
+  crash_basis : Lp.Revised_simplex.warm_basis Lazy.t;
+}
+
+(* What an instance needs: no LP at all (the result is known), or one. *)
+type prepared = Solved of result | Built of built
+
 (* Row identities, recorded as the model is built, so the solver's final
    basis can be translated to [warm_hints] and back. *)
 type row_id = Load of bool * int * int (* is_input, port, l *) | Assign of int
@@ -107,8 +126,7 @@ type row_id = Load of bool * int * int (* is_input, port, l *) | Assign of int
    [obj_at] selects the objective coefficient of the variable "coflow k
    completes at grid point l": the interval LP uses the left endpoint
    tau_(l-1), LP-EXP the right endpoint tau_l. *)
-let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
-    inst =
+let build_on_grid ?warm_start ~taus ~obj_at inst =
   let n = Instance.num_coflows inst in
   let m = Instance.ports inst in
   let coflows = Instance.coflows inst in
@@ -218,13 +236,6 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
     done
   done;
   Lp.Model.minimize model !objective;
-  let crash_basis () =
-    Array.map
-      (function
-        | Load _ -> -1
-        | Assign k -> (vars.(k).(big_l - first_l.(k)) :> int))
-      row_ids
-  in
   let l_of_time t =
     let rec find l =
       if l >= big_l then big_l
@@ -287,14 +298,16 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
       row_ids;
     wb
   in
-  (* A feasible-by-construction fallback from the same hints: place each
-     coflow integrally at the hinted grid point, bumping it later whenever a
-     present load row would overflow (the last grid point always fits, since
-     rows whose full side load fits are omitted).  Every load slack stays
-     basic, so the proposal is nonsingular and primal feasible, yet it still
-     encodes the previous solve's timing — useful when the exact basis map
-     is stale (e.g. a residual re-plan after demands changed). *)
-  let greedy_basis_of_hints h =
+  (* The fallback start, from the hints' basic completions: place each
+     coflow integrally at its hinted grid point, bumping it later whenever
+     a present load row would overflow (the last grid point always fits,
+     since rows whose full side load fits are omitted).  Every load slack
+     stays basic, so the proposal is nonsingular and primal feasible, yet
+     it still encodes the previous solve's timing — useful when the exact
+     basis map is stale (e.g. a residual re-plan after demands changed).
+     With no hints every coflow targets the last grid point and stays
+     there: the cold crash basis "every coflow completes at x[k][L]". *)
+  let greedy_basis_of_hints basics =
     (* the row index, or -1 where the row was omitted *)
     let row_at = Array.make (2 * m * big_l) (-1) in
     Array.iteri
@@ -311,7 +324,7 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
           seen.(k) <- true;
           target.(k) <- max first_l.(k) (l_of_time t)
         end)
-      h.h_basics;
+      basics;
     let order = Array.init n (fun k -> k) in
     Array.sort
       (fun a b ->
@@ -357,94 +370,154 @@ let solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus ~obj_at
         | Assign k -> (vars.(k).(placement.(k) - first_l.(k)) :> int))
       row_ids
   in
-  let solution =
-    match solver with
-    | `Revised ->
-      (* the fallback start is built only if the warm proposal is
-         rejected *)
-      let warm_basis = Option.map basis_of_hints warm_start in
-      let crash_basis =
-        match warm_start with
-        | Some h -> lazy (greedy_basis_of_hints h)
-        | None -> lazy (crash_basis ())
-      in
-      Lp.Revised_simplex.solve ?max_iterations ?deadline ?warm_basis
-        ~crash_basis model
-    | `Dense -> Lp.Dense_simplex.solve ?max_iterations model
+  let decode solution =
+    (match solution.Lp.Solution.status with
+    | Lp.Solution.Optimal -> ()
+    | s ->
+      failwith
+        (Printf.sprintf "Lp_relax: solver returned %s"
+           (Lp.Solution.status_to_string s)));
+    let value v = Lp.Solution.value solution v in
+    let cbar =
+      Array.init n (fun k ->
+          let acc = ref 0.0 in
+          for l = first_l.(k) to big_l do
+            match var k l with
+            | Some v -> acc := !acc +. (obj_coeff l *. value v)
+            | None -> ()
+          done;
+          !acc)
+    in
+    let values = ref [] in
+    for k = n - 1 downto 0 do
+      for l = big_l downto first_l.(k) do
+        match var k l with
+        | Some v ->
+          let x = value v in
+          if x > 1e-9 then values := (k, l, x) :: !values
+        | None -> ()
+      done
+    done;
+    let warm =
+      Option.map
+        (fun basis ->
+          let basics = ref [] and slacks = ref [] in
+          Array.iteri
+            (fun r c ->
+              if c = -1 then
+                match row_ids.(r) with
+                | Load (side, p, l) ->
+                  slacks := (side, p, float_of_int (tau l)) :: !slacks
+                | Assign _ -> ()
+              else
+                let k, l = var_meta.(c) in
+                basics := (k, float_of_int (tau l)) :: !basics)
+            basis;
+          { h_basics = List.rev !basics; h_slacks = List.rev !slacks })
+        solution.Lp.Solution.basis
+    in
+    { cbar;
+      order = order_of_cbar cbar;
+      lower_bound = solution.Lp.Solution.objective;
+      iterations = solution.Lp.Solution.iterations;
+      refactors = solution.Lp.Solution.refactors;
+      values = !values;
+      warm;
+    }
   in
-  (match solution.Lp.Solution.status with
-  | Lp.Solution.Optimal -> ()
-  | s ->
-    failwith
-      (Printf.sprintf "Lp_relax: solver returned %s"
-         (Lp.Solution.status_to_string s)));
-  let value v = Lp.Solution.value solution v in
-  let cbar =
-    Array.init n (fun k ->
-        let acc = ref 0.0 in
-        for l = first_l.(k) to big_l do
-          match var k l with
-          | Some v -> acc := !acc +. (obj_coeff l *. value v)
-          | None -> ()
-        done;
-        !acc)
-  in
-  let values = ref [] in
-  for k = n - 1 downto 0 do
-    for l = big_l downto first_l.(k) do
-      match var k l with
-      | Some v ->
-        let x = value v in
-        if x > 1e-9 then values := (k, l, x) :: !values
-      | None -> ()
-    done
-  done;
-  let warm =
-    Option.map
-      (fun basis ->
-        let basics = ref [] and slacks = ref [] in
-        Array.iteri
-          (fun r c ->
-            if c = -1 then
-              match row_ids.(r) with
-              | Load (side, p, l) ->
-                slacks := (side, p, float_of_int (tau l)) :: !slacks
-              | Assign _ -> ()
-            else
-              let k, l = var_meta.(c) in
-              basics := (k, float_of_int (tau l)) :: !basics)
-          basis;
-        { h_basics = List.rev !basics; h_slacks = List.rev !slacks })
-      solution.Lp.Solution.basis
-  in
-  { cbar;
-    order = order_of_cbar cbar;
-    lower_bound = solution.Lp.Solution.objective;
-    iterations = solution.Lp.Solution.iterations;
-    refactors = solution.Lp.Solution.refactors;
-    values = !values;
-    warm;
+  { relaxation = { model; decode };
+    warm_basis = Option.map basis_of_hints warm_start;
+    crash_basis =
+      lazy
+        (greedy_basis_of_hints
+           (match warm_start with Some h -> h.h_basics | None -> []));
   }
 
-let solve_interval_base ?(solver = `Revised) ?max_iterations ?deadline
-    ?warm_start ~base inst =
-  if base <= 1.0 then
-    invalid_arg "Lp_relax.solve_interval_base: base must exceed 1";
+let prepare ?warm_start formulation inst =
   let n = Instance.num_coflows inst in
-  if n = 0 || Instance.total_units inst = 0 then trivial_result n
-  else begin
-    let taus = grid ~base (max 1 (Instance.horizon inst)) in
-    solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
-      ~obj_at:`Left inst
-  end
+  match formulation with
+  | Interval base ->
+    if base <= 1.0 then
+      invalid_arg "Lp_relax.solve_interval_base: base must exceed 1";
+    if n = 0 || Instance.total_units inst = 0 then Solved (trivial_result n)
+    else
+      let taus = grid ~base (max 1 (Instance.horizon inst)) in
+      Built (build_on_grid ?warm_start ~taus ~obj_at:`Left inst)
+  | Time_indexed ->
+    (* A zero-demand coflow completes on arrival (C = r, as Engine.measure
+       reports it) but the grid has no tau = 0, so the model would charge
+       one released at 0 a full slot: keep such coflows out of the model
+       and charge each w * r. *)
+    let coflows = Instance.coflows inst in
+    let keep =
+      List.filter (fun k -> Mat.total coflows.(k).Instance.demand > 0)
+        (List.init n Fun.id)
+      |> Array.of_list
+    in
+    let sub =
+      Instance.make ~ports:(Instance.ports inst)
+        (Array.to_list (Array.map (fun k -> coflows.(k)) keep))
+    in
+    let prepared =
+      if keep = [||] then Solved (trivial_result 0)
+      else
+        Built
+          (build_on_grid ?warm_start
+             ~taus:(Array.init (Instance.horizon sub) (fun i -> i + 1))
+             ~obj_at:`Right sub)
+    in
+    if Array.length keep = n then prepared
+    else begin
+      let empty_cost =
+        Array.fold_left
+          (fun acc c ->
+            if Mat.total c.Instance.demand > 0 then acc
+            else acc +. (c.Instance.weight *. float_of_int c.Instance.release))
+          0.0 coflows
+      in
+      (* the sub-instance's result, in the whole instance's indices *)
+      let widen r =
+        let cbar =
+          Array.map (fun c -> float_of_int c.Instance.release) coflows
+        in
+        Array.iteri (fun i k -> cbar.(k) <- r.cbar.(i)) keep;
+        { r with
+          cbar;
+          order = order_of_cbar cbar;
+          lower_bound = r.lower_bound +. empty_cost;
+          values = List.map (fun (i, l, x) -> (keep.(i), l, x)) r.values;
+          warm =
+            Option.map (remap_hints ~index_map:(fun i -> Some keep.(i))) r.warm;
+        }
+      in
+      match prepared with
+      | Solved r -> Solved (widen r)
+      | Built b ->
+        let decode s = widen (b.relaxation.decode s) in
+        Built { b with relaxation = { b.relaxation with decode } }
+    end
+
+let solve ?max_iterations ?deadline ?warm_start formulation inst =
+  match prepare ?warm_start formulation inst with
+  | Solved r -> r
+  | Built { relaxation; warm_basis; crash_basis } ->
+    relaxation.decode
+      (Lp.Revised_simplex.solve ?max_iterations ?deadline ?warm_basis
+         ~crash_basis relaxation.model)
+
+let relaxation formulation inst =
+  match prepare formulation inst with
+  | Solved _ -> None
+  | Built b -> Some b.relaxation
+
+let solve_interval_base ?max_iterations ?deadline ?warm_start ~base inst =
+  solve ?max_iterations ?deadline ?warm_start (Interval base) inst
 
 (* base 2 gives tau_l = 2^(l-1) for l = 1 .. interval_count *)
-let solve_interval ?solver ?max_iterations ?deadline ?warm_start inst =
-  solve_interval_base ?solver ?max_iterations ?deadline ?warm_start ~base:2.0
-    inst
+let solve_interval ?max_iterations ?deadline ?warm_start inst =
+  solve ?max_iterations ?deadline ?warm_start (Interval 2.0) inst
 
-let solve_time_indexed ?(solver = `Revised) ?max_iterations ?deadline
-    ?(max_vars = 100_000) inst =
+let solve_time_indexed ?max_iterations ?deadline ?(max_vars = 100_000) inst =
   let n = Instance.num_coflows inst in
   let t = Instance.horizon inst in
   if Instance.total_units inst > 0 && n * t > max_vars then
@@ -453,43 +526,4 @@ let solve_time_indexed ?(solver = `Revised) ?max_iterations ?deadline
          (Printf.sprintf
             "LP-EXP would need %d variables (n=%d, T=%d) > max_vars=%d" (n * t)
             n t max_vars));
-  (* A zero-demand coflow completes on arrival (C = r, as Engine.measure
-     reports it) but the grid has no tau = 0, so the model would charge
-     one released at 0 a full slot: keep such coflows out of the model
-     and charge each w * r. *)
-  let coflows = Instance.coflows inst in
-  let keep =
-    List.filter (fun k -> Mat.total coflows.(k).Instance.demand > 0)
-      (List.init n Fun.id)
-    |> Array.of_list
-  in
-  let sub =
-    Instance.make ~ports:(Instance.ports inst)
-      (Array.to_list (Array.map (fun k -> coflows.(k)) keep))
-  in
-  let r =
-    if keep = [||] then trivial_result 0
-    else
-      solve_on_grid ~solver ?max_iterations ?deadline
-        ~taus:(Array.init (Instance.horizon sub) (fun i -> i + 1))
-        ~obj_at:`Right sub
-  in
-  if Array.length keep = n then r
-  else begin
-    let cbar = Array.map (fun c -> float_of_int c.Instance.release) coflows in
-    Array.iteri (fun i k -> cbar.(k) <- r.cbar.(i)) keep;
-    let empty_cost =
-      Array.fold_left
-        (fun acc c ->
-          if Mat.total c.Instance.demand > 0 then acc
-          else acc +. (c.Instance.weight *. float_of_int c.Instance.release))
-        0.0 coflows
-    in
-    { r with
-      cbar;
-      order = order_of_cbar cbar;
-      lower_bound = r.lower_bound +. empty_cost;
-      values = List.map (fun (i, l, x) -> (keep.(i), l, x)) r.values;
-      warm = Option.map (remap_hints ~index_map:(fun i -> Some keep.(i))) r.warm;
-    }
-  end
+  solve ?max_iterations ?deadline Time_indexed inst

@@ -2,10 +2,11 @@
 
     Both relaxations drop the per-slot matching constraints and keep only
     aggregate load constraints per port and time point; both are solved with
-    the in-repo simplex.  The optimal value of either is a lower bound on
-    the optimal total weighted completion time (Lemma 1), and the
-    "approximated completion times" [C-bar_k] extracted from the optimal
-    solution drive the [H_LP] coflow order (Eq. 14–15).
+    the in-repo revised simplex ({!Lp.Revised_simplex}).  The optimal value
+    of either is a lower bound on the optimal total weighted completion
+    time (Lemma 1), and the "approximated completion times" [C-bar_k]
+    extracted from the optimal solution drive the [H_LP] coflow order
+    (Eq. 14–15).
 
     - [solve_interval] is the polynomial-sized (LP): completion intervals
       [(tau_(l-1), tau_l]] with [tau_l = 2^(l-1)], objective coefficient
@@ -39,13 +40,13 @@ type result = {
       (** optimal LP objective: a certified lower bound on
           [sum w_k C_k (OPT)] *)
   iterations : int;  (** simplex pivots spent *)
-  refactors : int;  (** basis factorizations spent ([`Revised] only) *)
+  refactors : int;  (** basis factorizations spent *)
   values : (int * int * float) list;
       (** non-zero [(k, l, x)] assignments, for audits *)
   warm : warm_hints option;
       (** final basis for warm-starting a related solve; [None] for
-          [`Dense], for trivial instances, and when the solver could not
-          export a clean basis *)
+          trivial instances and when the solver could not export a clean
+          basis *)
 }
 
 exception Too_large of string
@@ -64,22 +65,21 @@ val remap_hints :
     identity map, zero shift. *)
 
 val solve_interval :
-  ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?warm_start:warm_hints ->
   Workload.Instance.t ->
   result
-(** Build and solve (LP).  [`Revised] (default) starts from [warm_start]
-    when given and valid, else from the crash basis "every coflow completes
-    in the last interval", which is always primal feasible, so phase 1 is
-    skipped either way.  [max_iterations] and [deadline] (seconds,
-    [`Revised] only) bound the solve — see {!Lp.Revised_simplex.solve}.
+(** Build and solve (LP).  The solve starts from [warm_start] when given
+    and valid, else from the greedy placement of its hints, or with no
+    hints from the crash basis "every coflow completes in the last
+    interval"; both are primal feasible by construction, so phase 1 is
+    skipped either way.  [max_iterations] and [deadline] (seconds) bound
+    the solve — see {!Lp.Revised_simplex.solve}.
     @raise Failure if the simplex stops on either budget before proving
     optimality. *)
 
 val solve_interval_base :
-  ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?warm_start:warm_hints ->
@@ -95,7 +95,6 @@ val solve_interval_base :
     [base > 1]. *)
 
 val solve_time_indexed :
-  ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?max_vars:int ->
@@ -104,6 +103,29 @@ val solve_time_indexed :
 (** Build and solve (LP-EXP); [max_vars] defaults to [100_000].
     Zero-demand coflows stay out of the model: each completes on arrival
     and contributes exactly [w * r] to the bound. *)
+
+type formulation =
+  | Interval of float
+      (** (LP) on the grid of {!solve_interval_base} with this [base];
+          [Interval 2.0] is {!solve_interval}'s *)
+  | Time_indexed  (** (LP-EXP), as {!solve_time_indexed} builds it *)
+
+type relaxation = {
+  model : Lp.Model.t;
+  decode : Lp.Solution.t -> result;
+      (** reads a solution of [model] as the solve functions read theirs:
+          [iterations], [refactors] and [warm] are whatever the solver
+          reports.  @raise Failure unless the solution is [Optimal]. *)
+}
+
+val relaxation : formulation -> Workload.Instance.t -> relaxation option
+(** The seam between building and solving: the very model the solve
+    functions hand to {!Lp.Revised_simplex.solve}, and their decoder, so a
+    test can solve it with another solver and compare the results.
+    [None] when the instance needs no LP (no coflow holds demand); the
+    solve functions then return their result without a solve.
+    {!solve_time_indexed}'s [max_vars] guard is not applied.
+    @raise Invalid_argument on [Interval base] unless [base > 1]. *)
 
 val interval_count : Workload.Instance.t -> int
 (** The [L] used by [solve_interval]: smallest [L] with

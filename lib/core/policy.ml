@@ -195,7 +195,6 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
      above, nothing else. *)
   let masked = match faults with Some _ -> true | None -> kf > 1 in
   let scratch = Array.make words 0 in
-  let claims = Simulator.claims sim in
   let transfers = ref init and visited = ref 0 in
   let order = Net.by_rate net in
   for o = 0 to kf - 1 do
@@ -214,6 +213,7 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
       in
       if live && whole then begin
         let n = Simulator.claim_rows sim k ~free_src ~free_dst ~off:fw in
+        let claims = Simulator.claims sim in
         n_src.(f) <- n_src.(f) + n;
         n_dst.(f) <- n_dst.(f) + n;
         for c = 0 to n - 1 do

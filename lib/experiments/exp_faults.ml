@@ -46,7 +46,7 @@ let plan_for (cfg : Config.t) inst ~intensity ~index =
   Fault_plan.random ~intensity ~ports:(Instance.ports inst)
     ~coflows:(Instance.num_coflows inst) ~horizon:(fault_horizon inst) st
 
-let run ?(intensities = [ 0.0; 0.5; 1.0; 2.0 ]) (cfg : Config.t) =
+let run (cfg : Config.t) =
   let inst = instance cfg in
   List.mapi
     (fun index intensity ->
@@ -62,7 +62,7 @@ let run ?(intensities = [ 0.0; 0.5; 1.0; 2.0 ]) (cfg : Config.t) =
           [ Resilient.Arrival; Resilient.Rho; Resilient.Lp ]
       in
       { intensity; plan; entries })
-    intensities
+    [ 0.0; 0.5; 1.0; 2.0 ]
 
 let find row primary =
   List.find (fun e -> e.primary = primary) row.entries
@@ -109,8 +109,8 @@ let chain_demo (cfg : Config.t) =
 
 (* ---------- rendering ---------- *)
 
-let render ?intensities cfg =
-  let rows = run ?intensities cfg in
+let render cfg =
+  let rows = run cfg in
   let base primary =
     match rows with
     | first :: _ -> twct first primary

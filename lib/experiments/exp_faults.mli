@@ -24,8 +24,8 @@ type row = {
   entries : entry list;  (** one per ordering: [Arrival; Rho; Lp] *)
 }
 
-val run : ?intensities:float list -> Config.t -> row list
-(** Default intensities [0; 0.5; 1; 2]; intensity [0] is the fault-free
+val run : Config.t -> row list
+(** One row per intensity [0; 0.5; 1; 2]; intensity [0] is the fault-free
     baseline the "vs 0" columns normalise against. *)
 
-val render : ?intensities:float list -> Config.t -> string
+val render : Config.t -> string

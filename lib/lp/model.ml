@@ -55,8 +55,6 @@ let add_var ?name m =
   m.nvars <- id + 1;
   id
 
-let add_vars m n = Array.init n (fun _ -> add_var m)
-
 let var_of_int m i =
   if i < 0 || i >= m.nvars then invalid_arg "Model.var_of_int: out of range";
   i

@@ -7,8 +7,8 @@
     over non-negative variables); upper bounds are expressed as ordinary
     constraints.
 
-    Models are write-once containers: build, then hand to a solver
-    ({!Dense_simplex} or {!Revised_simplex}).  Rows are kept in a growable
+    Models are write-once containers: build, then hand to the solver
+    ({!Revised_simplex}).  Rows are kept in a growable
     array, so {!constraint_row} is O(1) and lowering a model is linear in
     its size.  Names are optional and cost nothing when omitted: a model
     stores only the names it is given and renders the defaults ([x<i>] for
@@ -33,8 +33,6 @@ val name : t -> string
 
 val add_var : ?name:string -> t -> var
 (** Fresh non-negative variable, named [name] if given. *)
-
-val add_vars : t -> int -> var array
 
 val var_of_int : t -> int -> var
 (** Recover a handle from its index.  @raise Invalid_argument if out of

@@ -1,4 +1,6 @@
-(** Result of a solve, shared by all solver back ends. *)
+(** Result of a solve.  {!Revised_simplex} fills every field; a solver
+    without a factored basis (the tests' dense tableau oracle) reports
+    [refactors = 0] and no [duals] or [basis]. *)
 
 type status =
   | Optimal
@@ -21,8 +23,7 @@ type t = {
   iterations : int;
   refactors : int;
       (** Number of basis (re)factorizations performed, including the initial
-          one; [0] for solvers without a factored basis (e.g.
-          {!Dense_simplex}). *)
+          one. *)
   duals : float array option;
       (** One multiplier per original constraint row, when the solver
           computed them (currently {!Revised_simplex} at [Optimal]).  Signs
@@ -33,8 +34,8 @@ type t = {
       (** The final basis in {!Revised_simplex.warm_basis} format (one entry
           per constraint row: structural variable index, or [-1] for the
           row's own slack), suitable for warm-starting a related solve.
-          [None] when an artificial remained basic, when the solve did not
-          finish cleanly, or for solvers that do not export a basis. *)
+          [None] when an artificial remained basic or when the solve did
+          not finish cleanly. *)
 }
 
 val value : t -> Model.var -> float

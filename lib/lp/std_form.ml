@@ -82,26 +82,6 @@ let of_model m =
   let obj_const = if maximize then -.obj_const else obj_const in
   { nrows; ncols; col_rows; col_vals; obj; obj_const; rhs; senses; maximize }
 
-let row_nnz std =
-  let counts = Array.make std.nrows 0 in
-  Array.iter
-    (fun rows -> Array.iter (fun r -> counts.(r) <- counts.(r) + 1) rows)
-    std.col_rows;
-  counts
-
-let residuals std x =
-  let res = Array.map (fun b -> -.b) std.rhs in
-  for v = 0 to std.ncols - 1 do
-    let xv = x.(v) in
-    if xv <> 0.0 then begin
-      let rows = std.col_rows.(v) and vals = std.col_vals.(v) in
-      for k = 0 to Array.length rows - 1 do
-        res.(rows.(k)) <- res.(rows.(k)) +. (vals.(k) *. xv)
-      done
-    end
-  done;
-  res
-
 let objective_value std x =
   let acc = ref std.obj_const in
   for v = 0 to std.ncols - 1 do

@@ -1,11 +1,12 @@
-(** Computational standard form shared by both simplex implementations.
+(** Computational standard form, the simplex's view of a model (the tests'
+    dense tableau oracle reads it too).
 
     A model is lowered to
 
     {v  minimize  c . x + const,   A x  (<=|>=|=)  b,   x >= 0  v}
 
     with [A] stored column-wise and sparse, duplicate terms merged, and a
-    maximization objective negated (the solvers undo the negation when
+    maximization objective negated (a solver undoes the negation when
     reporting). *)
 
 type sense = Le | Ge | Eq
@@ -27,14 +28,6 @@ val of_model : Model.t -> t
 (** Linear in the model's size.  A row's duplicate terms are summed in term
     order (the first one as [0.0 +. c]) and dropped when the sum is zero;
     each column lists its rows in ascending order. *)
-
-val row_nnz : t -> int array
-(** Number of structural non-zeros per row (used by presolve and tests). *)
-
-val residuals : t -> float array -> float array
-(** [residuals std x] is [A x - b] per row; a point is feasible when every
-    [Le] row is [<= tol], every [Ge] row is [>= -tol] and every [Eq] row has
-    absolute value [<= tol]. *)
 
 val objective_value : t -> float array -> float
 (** Objective of the original model (sign restored) at point [x]. *)

@@ -13,7 +13,6 @@ type config = {
   lp_deadline : float option;
   lp_max_iterations : int;
   lp_retries : int;
-  lp_warm_start : bool;
   degrade_live_above : int;
   degrade_notch : (unit -> int) option;
   net : Net.t option;
@@ -27,7 +26,6 @@ let default_config =
     lp_deadline = Some 1.0;
     lp_max_iterations = 60_000;
     lp_retries = 1;
-    lp_warm_start = true;
     degrade_live_above = 48;
     degrade_notch = None;
     net = None;
@@ -289,7 +287,7 @@ let plan_epoch cfg ~epoch_start ~entries ~plan ~warm ~st inst =
       Obs.Span.with_ "service.solve" (fun () ->
           Resilient.lp_tier ~max_iterations:cfg.lp_max_iterations
             ~deadline:cfg.lp_deadline ~retries:cfg.lp_retries
-            ~warm_start:cfg.lp_warm_start ~warm
+            ~warm_start:true ~warm
             ~ids:(Array.map (fun e -> e.id) entries)
             ~origin:epoch_start ~on_failure inst)
     in

@@ -66,8 +66,9 @@ type config = {
       (** wall-clock budget (seconds) per LP attempt; [None] = unlimited
           (and fully deterministic) *)
   lp_max_iterations : int;  (** simplex pivot budget per LP attempt *)
-  lp_retries : int;  (** doubled-budget retries after an LP failure *)
-  lp_warm_start : bool;  (** seed each epoch's LP from the previous basis *)
+  lp_retries : int;
+      (** doubled-budget retries after an LP failure; every attempt is
+          seeded from the previous epoch's basis *)
   degrade_live_above : int;
       (** SLO-aware degradation: skip the LP tier while the live set is
           larger than this (the solve would outlast the epoch) *)
@@ -93,8 +94,7 @@ type config = {
 
 val default_config : config
 (** Epoch 64 slots, default admission, 1 s LP deadline, 60k pivots, one
-    retry, warm starts on, degrade above 48 live, no faults
-    ([Seeded 0.0]), 10M slots. *)
+    retry, degrade above 48 live, no faults ([Seeded 0.0]), 10M slots. *)
 
 val validate_config : config -> unit
 (** @raise Invalid_argument on non-positive epoch length / pivot budget,

@@ -177,8 +177,8 @@ let finish t =
    raised on the first epoch after the rule fires and restored on the
    first epoch after it resolves — no extra bookkeeping, no way for the
    reaction to stick. *)
-let degrade_notch ?(rule = "wait_p99") t () =
-  match Slo.state t.slo rule with Slo.Firing -> 1 | _ -> 0
+let degrade_notch t () =
+  match Slo.state t.slo "wait_p99" with Slo.Firing -> 1 | _ -> 0
 
 let slo t = t.slo
 

@@ -79,16 +79,16 @@ val finish : t -> unit
 (** Flush and close the stream, refresh the exposition one last time and
     write the alert-timeline artifact.  Idempotent. *)
 
-val degrade_notch : ?rule:string -> t -> unit -> int
+val degrade_notch : t -> unit -> int
 (** The alert-driven reaction hook for {!Epoch_loop.config.degrade_notch}:
-    returns 1 while [rule] (default ["wait_p99"]) is {!Slo.Firing} and 0
+    returns 1 while the ["wait_p99"] rule is {!Slo.Firing} and 0
     otherwise, evaluated against the {e current} alert state each time the
     loop consults it — the degradation bar is halved the epoch after the
     alert fires and restored the epoch after it resolves.  Wire both ends
     of the same {!t}: [Epoch_loop.run ~observer:(observer tel)
     { cfg with degrade_notch = Some (degrade_notch tel) }].
-    @raise Not_found (at call time) on a rule name absent from the
-    config's rule set. *)
+    @raise Not_found (at call time) if the config's rule set has no
+    ["wait_p99"] rule. *)
 
 val slo : t -> Slo.t
 

@@ -31,8 +31,10 @@ type t = {
       (* the served entries' demand as validation read it, by position in
          the slot's transfer list: a valid slot has at most [kf * ports]
          transfers *)
-  claims : int array;
-      (* the pairs [claim_rows] found, two ints each: one claim per row *)
+  mutable claims : int array;
+      (* the pairs [claim_rows] found, two ints each: one claim per row;
+         empty until the first [claim_rows], since only an unrestricted
+         greedy sweep writes it *)
 }
 
 let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
@@ -86,7 +88,7 @@ let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
     src_pair = Array.make (kf * ports) (-1);
     dst_used = Array.make (kf * ports) false;
     have = Array.make (kf * ports) 0;
-    claims = Array.make (2 * ports) 0;
+    claims = [||];
   }
 
 let ports t = t.ports
@@ -185,6 +187,7 @@ let remaining_first_dst t k i ~avail ~off =
 
 let claim_rows t k ~free_src ~free_dst ~off =
   check_coflow t k;
+  if Array.length t.claims = 0 then t.claims <- Array.make (2 * t.ports) 0;
   Mat.claim_rows t.demand.(k) ~src:free_src ~dst:free_dst ~off ~out:t.claims
 
 let claims t = t.claims

@@ -150,11 +150,13 @@ val claim_rows :
     {!remaining_first_dst} on [free_dst] source by source, claims
     included.  Both masks hold one {!Matrix.Bits}-layout word per
     [words] from [off] (fabric [f]'s at [f * words]).  The coflow is
-    checked once; nothing is allocated. *)
+    checked once; nothing is allocated but the {!claims} buffer, on the
+    simulator's first call. *)
 
 val claims : t -> int array
 (** The simulator's own buffer of the pairs the last {!claim_rows} found
-    ([2 * ports] ints, overwritten by every call): read it, never write
+    ([2 * ports] ints, overwritten by every call; empty until the first
+    call allocates it, so read it after the call): read it, never write
     it.  One buffer per simulator, so concurrent runs share none. *)
 
 val remaining_total : t -> int -> int

@@ -1,5 +1,6 @@
-(* Tests for the LP substrate: both simplex back ends against known optima,
-   against each other, and against feasibility checks. *)
+(* Tests for the LP substrate: the revised simplex and the dense tableau
+   oracle (test/dense_simplex.ml) against known optima, against each other,
+   and against feasibility checks. *)
 
 open Lp
 
@@ -193,21 +194,13 @@ let test_residuals () =
   ignore (Model.add_constraint m [ (1.0, x); (2.0, y) ] Model.Le 10.0);
   ignore (Model.add_constraint m [ (1.0, x) ] Model.Ge 1.0);
   let std = Std_form.of_model m in
-  let res = Std_form.residuals std [| 2.0; 3.0 |] in
+  let res = Lp_helpers.residuals std [| 2.0; 3.0 |] in
   Alcotest.(check (float 1e-9)) "row 0" (-2.0) res.(0);
   Alcotest.(check (float 1e-9)) "row 1" 1.0 res.(1)
 
-let test_row_nnz () =
-  let m = Model.create () in
-  let x = Model.add_var m and y = Model.add_var m in
-  ignore (Model.add_constraint m [ (1.0, x); (2.0, y) ] Model.Le 1.0);
-  ignore (Model.add_constraint m [ (1.0, y) ] Model.Le 1.0);
-  let std = Std_form.of_model m in
-  Alcotest.(check (array int)) "nnz per row" [| 2; 1 |] (Std_form.row_nnz std)
-
 let test_iteration_limit () =
   let m = Model.create () in
-  let xs = Model.add_vars m 6 in
+  let xs = Lp_helpers.add_vars m 6 in
   Array.iteri
     (fun i x ->
       ignore
@@ -397,7 +390,7 @@ let feasible_lp_gen =
 let build_feasible (nvars, nrows, seed) =
   let st = Random.State.make [| seed |] in
   let m = Model.create () in
-  let xs = Model.add_vars m nvars in
+  let xs = Lp_helpers.add_vars m nvars in
   for _ = 1 to nrows do
     let expr =
       Array.to_list xs
@@ -428,7 +421,7 @@ let build_random ?(degenerate = false) st =
   let nvars = 1 + Random.State.int st 6 in
   let nrows = 1 + Random.State.int st 6 in
   let m = Model.create () in
-  let xs = Model.add_vars m nvars in
+  let xs = Lp_helpers.add_vars m nvars in
   for _ = 1 to nrows do
     let expr =
       Array.to_list xs
@@ -479,7 +472,7 @@ let test_refactor_threshold () =
   (* one pivot per variable; capping the eta file at a single update forces
      a refactorization per iteration, with the same optimum *)
   let m = Model.create () in
-  let xs = Model.add_vars m 8 in
+  let xs = Lp_helpers.add_vars m 8 in
   Array.iteri
     (fun i x ->
       ignore
@@ -516,7 +509,7 @@ let prop_solutions_feasible =
       let m = build_feasible params in
       let r = Revised_simplex.solve m in
       let std = Std_form.of_model m in
-      let res = Std_form.residuals std r.Solution.values in
+      let res = Lp_helpers.residuals std r.Solution.values in
       Array.for_all (fun v -> v <= 1e-6) res
       && Array.for_all (fun v -> v >= -1e-9) r.Solution.values)
 
@@ -565,7 +558,7 @@ let prop_complementary_slackness =
       match (r.Solution.status, r.Solution.duals) with
       | Solution.Optimal, Some y ->
         let std = Std_form.of_model m in
-        let res = Std_form.residuals std r.Solution.values in
+        let res = Lp_helpers.residuals std r.Solution.values in
         Array.for_all2
           (fun yr slack ->
             (* non-zero multiplier => the row binds *)
@@ -591,7 +584,7 @@ let prop_presolve_preserves_optimum =
       let std = Std_form.of_model m in
       Array.for_all
         (fun v -> v <= 1e-6)
-        (Std_form.residuals std pre.Solution.values))
+        (Lp_helpers.residuals std pre.Solution.values))
 
 (* ---------- non-finite input ---------- *)
 
@@ -672,7 +665,7 @@ let digest_lp st =
   let nvars = 1 + Random.State.int st 7 in
   let nrows = 1 + Random.State.int st 7 in
   let m = Model.create () in
-  let xs = Model.add_vars m nvars in
+  let xs = Lp_helpers.add_vars m nvars in
   let coeff () = float_of_int (Random.State.int st 9 - 4) in
   let shuffle l =
     List.map (fun t -> (Random.State.bits st, t)) l
@@ -848,7 +841,7 @@ let named_model () =
 
 let unnamed_model () =
   let m = Model.create () in
-  let xs = Model.add_vars m 3 in
+  let xs = Lp_helpers.add_vars m 3 in
   ignore (Model.add_constraint m [ (1.0, xs.(0)); (-1.0, xs.(2)) ] Model.Eq 0.0);
   ignore (Model.add_constraint m [] Model.Le 4.0);
   ignore (Model.add_constraint m [ (0.5, xs.(1)); (0.5, xs.(1)) ] Model.Ge (-2.0));
@@ -993,7 +986,7 @@ let oracle_of_model m =
 let lowering_model (nvars, nrows, seed) =
   let st = Random.State.make [| seed; 18 |] in
   let m = Model.create () in
-  let xs = Model.add_vars m nvars in
+  let xs = Lp_helpers.add_vars m nvars in
   let coeff () =
     match Random.State.int st 3 with
     | 0 -> float_of_int (Random.State.int st 7 - 3)
@@ -1087,7 +1080,6 @@ let () =
           Alcotest.test_case "redundant equalities" `Quick
             test_redundant_equality_rows;
           Alcotest.test_case "residuals" `Quick test_residuals;
-          Alcotest.test_case "row nnz" `Quick test_row_nnz;
           Alcotest.test_case "iteration limit" `Quick test_iteration_limit;
           Alcotest.test_case "zero deadline trips first check" `Quick
             test_deadline_zero_trips_first_check;

@@ -30,6 +30,23 @@ let test_empty_coflow_complete_immediately () =
     (Simulator.completion_time sim 0);
   Alcotest.(check bool) "all complete" true (Simulator.all_complete sim)
 
+(* Only an unrestricted greedy sweep writes the claims buffer, so a
+   simulator allocates it on its first [claim_rows], not in [create]. *)
+let test_claims_on_demand () =
+  let d = Mat.make 5 in
+  Mat.set d 1 3 2;
+  let sim = Simulator.create ~ports:5 [ (0, d) ] in
+  check_int "no buffer after create" 0 (Array.length (Simulator.claims sim));
+  let free () = [| Bits.low_mask 5 |] in
+  let n =
+    Simulator.claim_rows sim 0 ~free_src:(free ()) ~free_dst:(free ()) ~off:0
+  in
+  check_int "one claim" 1 n;
+  check_int "2 * ports ints after claim_rows" 10
+    (Array.length (Simulator.claims sim));
+  Alcotest.(check (pair int int)) "the claimed pair" (1, 3)
+    ((Simulator.claims sim).(0), (Simulator.claims sim).(1))
+
 let test_step_moves_data () =
   let sim = Simulator.create ~ports:2 [ (0, fig1 ()) ] in
   Simulator.step sim [ t 0 0 0; t 1 1 0 ];
@@ -736,6 +753,8 @@ let () =
           Alcotest.test_case "add_demand" `Quick test_add_demand;
           Alcotest.test_case "add_demand validation" `Quick
             test_add_demand_validation;
+          Alcotest.test_case "claims buffer on demand" `Quick
+            test_claims_on_demand;
         ] );
       ( "dynamic-releases",
         [ Alcotest.test_case "set_release" `Quick test_set_release;
