@@ -4,12 +4,12 @@
 Usage: check_arena.py ARENA.json [ARENA.json ...]
 
 Arguments are documents experiments_main --csv writes for the arena
-experiments (fabric.json, scale.json, arena.json, hetero.json).  For
-every leg: rows ranked by (twct, algo), nothing beats the bound, every
-guaranteed row within guarantee x target, a fallback named in its algo,
-decisions within [1, slots] (the run loop counts them, and each covers
-at least one slot), every check true.  A keyed section covers what only
-E19 / E21 claim.
+experiments (blocks.json, fabric.json, scale.json, arena.json,
+hetero.json).  For every leg: rows ranked by (twct, algo), nothing beats
+the bound, every guaranteed row within guarantee x target, a fallback
+named in its algo, decisions within [1, slots] (the run loop counts them,
+and each covers at least one slot), every check true.  A keyed section
+covers what only E1 / E19 / E21 claim.
 """
 
 import json
@@ -48,6 +48,27 @@ def check_leg(exp, leg):
             fail(f"{where}: check {name} is {ok}")
 
 
+GRID = {f"{o} ({c})" for o in ("H_A", "H_rho", "H_LP") for c in "abcd"}
+
+
+def check_e1(legs):
+    # each (filter, weighting) block races the order x case grid against
+    # its interval LP; Theorem 1 holds H_LP (c) to 64/3 of it, and every
+    # row carries its Lemma 2 verdict
+    for leg in legs.values():
+        where, rows = f"E1 {leg['label']}", leg["rows"]
+        if {r["algo"] for r in rows} != GRID or len(rows) != len(GRID):
+            fail(f"{where}: rows are not the 12-row order x case grid")
+        if "interval LP" not in leg["bound"]["name"]:
+            fail(f"{where}: bound {leg['bound']['name']!r} is not the interval LP")
+        g = {r["algo"]: r["guarantee"] for r in rows}["H_LP (c)"]
+        if g is None or abs(g - 64 / 3) > 1e-9:
+            fail(f"{where}: H_LP (c) carries {g}, not 64/3")
+        for algo in GRID:
+            if leg["checks"].get(f"{algo}: lemma2") is not True:
+                fail(f"{where}: {algo} lacks its Lemma 2 check")
+
+
 def check_e19(legs):
     small, scale = legs["small"], legs["scale"]
     if not {"SG", "Chen"} <= {r["algo"] for r in small["rows"]}:
@@ -76,7 +97,7 @@ def check_e21(legs):
         fail("E21: expected one fault leg with its five verdicts")
 
 
-KEYED = {"E19": check_e19, "E21": check_e21}
+KEYED = {"E1": check_e1, "E19": check_e19, "E21": check_e21}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:

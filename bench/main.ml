@@ -104,11 +104,9 @@ let kernel_tests () =
     }
   in
   Test.make_grouped ~name:"kernels"
-    [ Test.make ~name:"E1 pipeline (micro block: LP + 12 schedules)"
+    [ Test.make ~name:"E1 blocks (one filter: 2 LPs + 24 raced schedules)"
         (Staged.stage (fun () ->
-             ignore
-               (Experiments.Harness.block tiny_cfg ~filter:4
-                  ~weighting:Experiments.Harness.Random)));
+             ignore (Experiments.Harness.all_blocks tiny_cfg)));
       Test.make ~name:"bvn_decomposition_32x32"
         (Staged.stage (fun () -> ignore (Core.Bvn.schedule bvn_input)));
       Test.make ~name:"interval_lp_8x24"

@@ -13,8 +13,10 @@
    telemetry (fault windows vs raised alerts; --csv also writes
    telemetry.json; --telemetry BASE writes the live artifacts), E21 hetero
    (k parallel fabrics with rate skews vs the rate-aware isolation bound).
-   E15, E18, E19 and E21 run on the arena harness; --csv also writes their
-   arena JSON as fabric.json, scale.json, arena.json and hetero.json. *)
+   E15, E18, E19 and E21 run on the arena harness, and so do the
+   (filter x weighting) blocks behind E1-E3, E5, E6, E9 and E10; --csv also
+   writes their arena JSON as fabric.json, scale.json, arena.json,
+   hetero.json and blocks.json. *)
 
 open Cmdliner
 
@@ -27,6 +29,16 @@ let run_all scale only csv_dir profile trace jobs stretch telemetry =
   let cfg = Experiments.Config.of_scale scale in
   let wants tag = match only with [] -> true | l -> List.mem tag l in
   Format.printf "configuration: %a@.@." Experiments.Config.pp cfg;
+  let save name content =
+    match csv_dir with
+    | None -> ()
+    | Some dir ->
+      let path = Filename.concat dir name in
+      let oc = open_out path in
+      output_string oc content;
+      close_out oc;
+      Format.printf "(wrote %s)@." path
+  in
   let need_blocks =
     List.exists wants [ "E1"; "E2"; "E3"; "E5"; "E6"; "E9"; "E10" ]
   in
@@ -41,19 +53,12 @@ let run_all scale only csv_dir profile trace jobs stretch telemetry =
             Experiments.Harness.all_blocks ~jobs cfg)
       in
       Format.printf "blocks ready in %.1fs@.@." seconds;
+      save "blocks.json"
+        (Experiments.Arena.json ~experiment:"E1"
+           (List.map (fun b -> b.Experiments.Harness.leg) blocks));
       blocks
     end
     else []
-  in
-  let save name content =
-    match csv_dir with
-    | None -> ()
-    | Some dir ->
-      let path = Filename.concat dir name in
-      let oc = open_out path in
-      output_string oc content;
-      close_out oc;
-      Format.printf "(wrote %s)@." path
   in
   if wants "E1" then begin
     print_string (Experiments.Exp_table1.render blocks);

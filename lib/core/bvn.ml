@@ -169,10 +169,3 @@ let matchings_used = List.length
 
 let pairs matching = Array.to_list (Array.mapi (fun i j -> (i, j)) matching)
 
-let restore m s =
-  let d = Mat.make m in
-  List.iter
-    (fun (matching, q) ->
-      Array.iteri (fun i j -> Mat.add_entry d i j q) matching)
-    s;
-  d

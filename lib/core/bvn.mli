@@ -37,6 +37,3 @@ val matchings_used : schedule -> int
 val pairs : int array -> (int * int) list
 (** A matching as [(src, dst)] pairs, source ascending. *)
 
-val restore : int -> schedule -> Matrix.Mat.t
-(** [restore m s] rebuilds the (augmented) matrix the schedule clears —
-    [sum q_u * Pi_u] — for verification. *)

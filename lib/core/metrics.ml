@@ -1,5 +1,3 @@
-open Workload
-
 let total_weighted_completion ~weights completion =
   if Array.length weights < Array.length completion then
     invalid_arg "Metrics: weight vector too short";
@@ -55,12 +53,3 @@ let percentile ?what p cs =
 let max_completion ?what cs =
   if Array.length cs = 0 then empty_arg "Metrics.max_completion" what;
   Array.fold_left max cs.(0) cs
-
-let slowdowns inst completion =
-  Array.mapi
-    (fun k c ->
-      let cf = Instance.coflow inst k in
-      let rho = Matrix.Mat.load cf.Instance.demand in
-      if rho = 0 then 1.0
-      else float_of_int (c - cf.Instance.release) /. float_of_int rho)
-    completion

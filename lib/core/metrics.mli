@@ -25,9 +25,3 @@ val percentile : ?what:string -> float -> int array -> int
 val max_completion : ?what:string -> int array -> int
 (** The makespan of the completion vector.
     @raise Invalid_argument on an empty array, like every sibling. *)
-
-val slowdowns :
-  Workload.Instance.t -> int array -> float array
-(** Per-coflow [C_k - r_k] over the isolated lower bound [rho (D_k)] — how
-    much each coflow was stretched by contention (>= 1 whenever the coflow
-    is non-empty). *)

@@ -153,6 +153,3 @@ let theorem1_ratio _inst (lp : Lp_relax.result) ~twct =
 
 let deterministic_ratio_limit ~with_releases =
   if with_releases then 67.0 /. 3.0 else 64.0 /. 3.0
-
-let randomized_ratio_limit ~with_releases =
-  (if with_releases then 9.0 else 8.0) +. (16.0 *. sqrt 2.0 /. 3.0)

@@ -59,6 +59,3 @@ val theorem1_ratio :
 
 val deterministic_ratio_limit : with_releases:bool -> float
 (** [67/3] or [64/3]. *)
-
-val randomized_ratio_limit : with_releases:bool -> float
-(** [9 + 16 sqrt 2 / 3] or [8 + 16 sqrt 2 / 3]. *)

@@ -87,6 +87,41 @@ let lp_free inst =
     greedy "H_A" (Ordering.arrival inst);
   ]
 
+let grid_algo order case =
+  Printf.sprintf "%s (%s)" order (Scheduler.case_name case)
+
+(* Lemma 2 holds for any schedule along any order; Proposition 1 for a
+   grouped schedule of a release-free instance along the order it
+   grouped. *)
+let grid inst ~hlp =
+  let release_free = Array.for_all (( = ) 0) (Instance.releases inst) in
+  let cell (order_name, fallback, order) case =
+    let algo = grid_algo order_name case in
+    let c = contender algo (Scheduler.case_policy ~case inst order) in
+    let verdict name check (o : outcome) =
+      (algo ^ ": " ^ name, check inst order o.result.Engine.completion = Ok ())
+    in
+    let verdicts =
+      match case with
+      | (Scheduler.Group | Scheduler.Group_backfill) when release_free ->
+        [ verdict "lemma2" Verify.lemma2_prefix_bound;
+          verdict "prop1" Verify.proposition1_bound;
+        ]
+      | _ -> [ verdict "lemma2" Verify.lemma2_prefix_bound ]
+    in
+    let run inst net =
+      let o = c.run inst net in
+      { o with checks = List.map (fun v -> v o) verdicts }
+    in
+    { c with fallback; run }
+  in
+  List.concat_map
+    (fun order -> List.map (cell order) Scheduler.all_cases)
+    [ ("H_A", None, Ordering.arrival inst);
+      ("H_rho", None, Ordering.by_load_over_weight inst);
+      hlp;
+    ]
+
 let budgeted_hlp ~lp_budget inst =
   match Lp_relax.solve_interval ~max_iterations:lp_budget inst with
   | lp -> ("H_LP", None, Ordering.by_lp lp)
@@ -154,6 +189,7 @@ let assert_leg { spec; rows; checks } =
     checks
 
 let race ~jobs specs =
+  Obs.Span.with_ "arena.race" @@ fun () ->
   let outcomes =
     Engine.run_many ~jobs
       (List.concat
@@ -191,6 +227,13 @@ let race ~jobs specs =
       assert_leg leg;
       leg)
     specs
+
+let row leg algo =
+  match List.find_opt (fun r -> r.algo = algo) leg.rows with
+  | Some r -> r
+  | None ->
+    failwith
+      (Printf.sprintf "Arena.row: no row %S in %s" algo leg.spec.label)
 
 (* ---------- render ---------- *)
 

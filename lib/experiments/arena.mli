@@ -1,6 +1,8 @@
-(** The arena harness behind E15, E18, E19 and E21: race contenders on
-    shared seeds against a certified lower bound, assert the run's own
-    inequalities, rank, render, and emit one JSON schema (DESIGN.md §14):
+(** The arena harness behind E15, E18, E19, E21 and the (filter x
+    weighting) blocks of E1-E3, E5, E6, E9 and E10 ({!Harness}): race
+    contenders on shared seeds against a certified lower bound, assert the
+    run's own inequalities, rank, render, and emit one JSON schema
+    (DESIGN.md §14):
 
     {v
     {"experiment", "legs": [{"id", "label", "ports", "coflows",
@@ -95,11 +97,32 @@ val lp_free : Workload.Instance.t -> contender list
 (** Greedy list schedules over the LP-free orders: [SG] (factor 5 / 4),
     [Chen] (claimed 4.36 / 3.61), [H_pd], [H_rho], [H_size], [H_A]. *)
 
+val grid_algo : string -> Core.Scheduler.case -> string
+(** [grid_algo order case] names a grid row: ["<order> (<case>)"], e.g.
+    ["H_LP (c)"]. *)
+
+val grid :
+  Workload.Instance.t ->
+  hlp:string * string option * Core.Ordering.t ->
+  contender list
+(** The 12 order x case contenders: {H_A, H_rho, H_LP} x cases (a)-(d),
+    by order then {!Core.Scheduler.all_cases}, named by {!grid_algo} and
+    run through {!Core.Scheduler.case_policy}.  [hlp] is the H_LP order
+    as [(name, fallback, order)], e.g. from {!budgeted_hlp}.  No row
+    carries a guarantee.  Every row reports the check
+    ["<algo>: lemma2"] (Lemma 2 along its order); on a release-free
+    instance the grouped (c)/(d) rows also report ["<algo>: prop1"]
+    (Proposition 1). *)
+
 val budgeted_hlp :
   lp_budget:int -> Workload.Instance.t -> string * string option * Core.Ordering.t
 (** [(name, fallback, order)]: ["H_LP"] and the interval-LP order, or —
     when the pivot budget runs out — ["H_LP(fallback:H_rho)"],
     [Some "H_rho"] and the H_rho order. *)
+
+val row : leg -> string -> row
+(** [row leg algo] is the leg's row named [algo].
+    @raise Failure naming [algo] and the leg's label when absent. *)
 
 val slug : string -> string
 (** Lower-case alphanumerics, other runs collapsed to ['_']. *)

@@ -12,7 +12,7 @@ type row = {
 let rows blocks =
   List.map
     (fun b ->
-      let inst = b.Harness.instance in
+      let inst = b.Harness.leg.Arena.spec.Arena.inst in
       let order = Ordering.by_lp b.Harness.lp in
       let groups = Grouping.deterministic inst order in
       let wc =
@@ -20,9 +20,9 @@ let rows blocks =
       in
       { filter = b.Harness.filter;
         weighting = b.Harness.weighting;
-        base = Harness.twct b ~order:"HLP" Scheduler.Base;
-        grouped = Harness.twct b ~order:"HLP" Scheduler.Group;
-        backfilled = Harness.twct b ~order:"HLP" Scheduler.Group_backfill;
+        base = Exp_table1.twct b "H_LP" Scheduler.Base;
+        grouped = Exp_table1.twct b "H_LP" Scheduler.Group;
+        backfilled = Exp_table1.twct b "H_LP" Scheduler.Group_backfill;
         work_conserving = wc.Scheduler.twct;
       })
     blocks

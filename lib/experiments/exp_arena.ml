@@ -28,7 +28,7 @@ let slot_adaptive_contenders inst =
 (* The small-leg instance: LP-EXP-sized fb-like flows (as E4) but with
    geometric arrivals, so the release-aware branch of the SG/Chen rule
    and the factor-5/4.36 guarantees are actually exercised. *)
-let small_instance ?filter (cfg : Config.t) ~ports ~coflows =
+let small_instance (cfg : Config.t) ~ports ~coflows =
   let st = Random.State.make [| cfg.Config.seed; 0xA8E4A |] in
   let params =
     { Fb_like.ports; coflows; short_max = 2; long_mean = 3; long_cap = 8 }
@@ -36,27 +36,21 @@ let small_instance ?filter (cfg : Config.t) ~ports ~coflows =
   let mean_gap = max 1 (cfg.Config.release_mean_gap / 10) in
   let inst = Fb_like.generate_with_arrivals ~params ~mean_gap ~ports ~coflows st in
   let wst = Random.State.make [| cfg.Config.seed; 0xA8E4A; 1 |] in
-  let inst =
-    Instance.with_weights inst (Weights.random_permutation wst coflows)
-  in
-  match filter with None -> inst | Some f -> Instance.filter_m0 inst f
+  Instance.with_weights inst (Weights.random_permutation wst coflows)
 
-let run ?(jobs = 1) ?filter ?scale (cfg : Config.t) =
+let run ?(jobs = 1) ?scale (cfg : Config.t) =
   Obs.Span.with_ "exp.arena" @@ fun () ->
   let small_inst =
-    small_instance ?filter cfg ~ports:cfg.Config.lpexp_ports
+    small_instance cfg ~ports:cfg.Config.lpexp_ports
       ~coflows:cfg.Config.lpexp_coflows
   in
   let lpexp = Lp_relax.solve_time_indexed ~max_vars:400_000 small_inst in
   let small_leg =
     { Arena.id = "small";
       label =
-        Printf.sprintf "E19 small leg (%d ports, %d coflows%s)"
+        Printf.sprintf "E19 small leg (%d ports, %d coflows)"
           (Instance.ports small_inst)
-          (Instance.num_coflows small_inst)
-          (match filter with
-          | None -> ""
-          | Some f -> Printf.sprintf ", filter M0>=%d" f);
+          (Instance.num_coflows small_inst);
       inst = small_inst;
       net = Switchsim.Net.single ~ports:(Instance.ports small_inst);
       bound_name = "LP-EXP";
@@ -64,10 +58,8 @@ let run ?(jobs = 1) ?filter ?scale (cfg : Config.t) =
       target = Arena.Bound;
       contenders =
         Arena.lp_free small_inst
-        @ (if Instance.num_coflows small_inst > 0 then
-             [ hlp_grouped_contender small_inst ]
-           else [])
-        @ slot_adaptive_contenders small_inst;
+        @ hlp_grouped_contender small_inst
+          :: slot_adaptive_contenders small_inst;
     }
   in
   let zp, zc = Option.value scale ~default:(Exp_scale.ports, Exp_scale.coflows) in

@@ -18,14 +18,10 @@
       are asserted within [factor x best-TWCT], sound because the best
       measured TWCT is itself an upper bound on OPT. *)
 
-val run :
-  ?jobs:int -> ?filter:int -> ?scale:int * int -> Config.t -> Arena.leg list
+val run : ?jobs:int -> ?scale:int * int -> Config.t -> Arena.leg list
 (** [[small; scale]].  The small leg is [cfg.lpexp_ports] x
     [cfg.lpexp_coflows]; [scale] overrides the scale leg's (ports,
     coflows), default [({!Exp_scale.ports}, {!Exp_scale.coflows})] — tests
-    shrink it.  The H_LP pivot budget is {!Exp_scale.lp_budget}.  [filter]
-    applies an M0 filter to the small-leg instance before racing — an
-    empty result makes the first statistics call raise an
-    [Invalid_argument] naming the algorithm and leg.  [jobs] distributes
-    the simulations over domains.
+    shrink it.  The H_LP pivot budget is {!Exp_scale.lp_budget}.  [jobs]
+    distributes the simulations over domains.
     @raise Failure when an {!Arena.race} assertion fails. *)

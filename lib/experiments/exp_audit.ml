@@ -11,50 +11,23 @@ type block_audit = {
   limit : float;
 }
 
-let order_of_entry block entry =
-  match entry.Harness.order_name with
-  | "HA" -> Ordering.arrival block.Harness.instance
-  | "Hrho" -> Ordering.by_load_over_weight block.Harness.instance
-  | "HLP" -> Ordering.by_lp block.Harness.lp
-  | other -> invalid_arg ("Exp_audit: unknown order " ^ other)
-
 let audit_block (b : Harness.block) =
-  let inst = b.Harness.instance in
-  let lemma2_ok =
+  let leg = b.Harness.leg in
+  let holds suffix =
     List.for_all
-      (fun e ->
-        Verify.lemma2_prefix_bound inst (order_of_entry b e)
-          e.Harness.result.Scheduler.completion
-        = Ok ())
-      b.Harness.entries
+      (fun (name, ok) -> ok || not (String.ends_with ~suffix name))
+      leg.Arena.checks
   in
-  let lemma3_ok = Verify.lemma3_lp_bound inst b.Harness.lp = Ok () in
-  let prop1_ok =
-    List.for_all
-      (fun case ->
-        let e = Harness.find b ~order:"HLP" case in
-        Verify.proposition1_bound inst
-          (Ordering.by_lp b.Harness.lp)
-          e.Harness.result.Scheduler.completion
-        = Ok ())
-      [ Scheduler.Group; Scheduler.Group_backfill ]
-  in
-  let det_ratio = Harness.lp_ratio b ~order:"HLP" Scheduler.Group in
-  let best_ratio =
-    List.fold_left
-      (fun acc e ->
-        min acc
-          (Harness.lp_ratio b ~order:e.Harness.order_name e.Harness.case))
-      infinity b.Harness.entries
-  in
+  let det = Arena.row leg (Arena.grid_algo "H_LP" Scheduler.Group) in
   { filter = b.Harness.filter;
     weighting = b.Harness.weighting;
-    lemma2_ok;
-    lemma3_ok;
-    prop1_ok;
-    det_ratio;
-    best_ratio;
-    limit = Verify.deterministic_ratio_limit ~with_releases:false;
+    lemma2_ok = holds ": lemma2";
+    lemma3_ok =
+      Verify.lemma3_lp_bound leg.Arena.spec.Arena.inst b.Harness.lp = Ok ();
+    prop1_ok = holds ": prop1";
+    det_ratio = det.Arena.ratio;
+    best_ratio = (List.hd leg.Arena.rows).Arena.ratio;
+    limit = Option.get det.Arena.guarantee;
   }
 
 let audit blocks = List.map audit_block blocks

@@ -1,10 +1,13 @@
-(** E5 — theory audit: check the paper's inequalities on the actual
-    experiment workload (not just the unit-test micro instances).
+(** E5 — theory audit: the paper's inequalities on the actual experiment
+    workload (not just the unit-test micro instances).
 
     For every (filter, weighting) block: Lemma 2 on all 12 schedules,
-    Lemma 3 on the LP solution, Proposition 1 on the grouped H_LP
-    schedules, and the Theorem 1 ratio of the deterministic algorithm
-    against the certified LP lower bound. *)
+    Proposition 1 on the six grouped ones, and the Theorem 1 ratio of the
+    deterministic algorithm ([H_LP (c)]) against the certified LP lower
+    bound are the block leg's in-run checks and guarantee, which
+    {!Harness.all_blocks}' race asserts; the audit reads them back.
+    Lemma 3, a property of the LP solution rather than of a run, is
+    checked here. *)
 
 type block_audit = {
   filter : int;
@@ -12,9 +15,9 @@ type block_audit = {
   lemma2_ok : bool;
   lemma3_ok : bool;
   prop1_ok : bool;
-  det_ratio : float;  (** TWCT(HLP, case c) / LP bound *)
+  det_ratio : float;  (** TWCT(H_LP, case c) / LP bound *)
   best_ratio : float;  (** min over all 12 algorithms of TWCT / LP bound *)
-  limit : float;  (** 64/3 for the release-free workload *)
+  limit : float;  (** H_LP (c)'s guarantee: 64/3 without release dates *)
 }
 
 val audit : Harness.block list -> block_audit list

@@ -7,15 +7,15 @@ type series = {
 
 let series_of_block block =
   List.map
-    (fun order ->
-      let base = Harness.twct block ~order Scheduler.Base in
-      { order_name = order;
+    (fun (order_name, order) ->
+      let base = Exp_table1.twct block order Scheduler.Base in
+      { order_name;
         percentages =
           List.map
-            (fun case -> (case, Harness.twct block ~order case /. base))
+            (fun case -> (case, Exp_table1.twct block order case /. base))
             Scheduler.all_cases;
       })
-    Harness.order_names
+    Exp_table1.orders
 
 let pick_block blocks =
   let max_filter =

@@ -16,14 +16,12 @@ let points blocks =
   List.concat_map
     (fun b ->
       List.map
-        (fun order ->
-          { order_name = order;
+        (fun (order_name, order) ->
+          { order_name;
             weighting = b.Harness.weighting;
-            normalized =
-              Harness.normalized b
-                (Harness.find b ~order Scheduler.Group_backfill);
+            normalized = Exp_table1.normalized b order Scheduler.Group_backfill;
           })
-        Harness.order_names)
+        Exp_table1.orders)
     relevant
 
 let render blocks =
@@ -50,7 +48,7 @@ let render blocks =
           M0 >= %d"
          max_filter)
     ~header:[ "order"; "equal weights"; "random weights" ]
-    (List.map row Harness.order_names)
+    (List.map (fun (label, _) -> row label) Exp_table1.orders)
 
 let csv blocks =
   let pts = points blocks in

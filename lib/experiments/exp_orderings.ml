@@ -3,8 +3,9 @@ open Core
 type row = { algo : string; twct : float; slots : int; lp_ratio : float }
 
 let run (b : Harness.block) =
-  let inst = b.Harness.instance in
-  let bound = b.Harness.lp.Lp_relax.lower_bound in
+  let leg = b.Harness.leg in
+  let inst = leg.Arena.spec.Arena.inst in
+  let bound = leg.Arena.spec.Arena.bound in
   let ratio v = if bound > 0.0 then v /. bound else infinity in
   let of_result name (r : Scheduler.result) =
     { algo = name;
@@ -13,13 +14,20 @@ let run (b : Harness.block) =
       lp_ratio = ratio r.Scheduler.twct;
     }
   in
+  let of_block name order =
+    let r = Arena.row leg (Arena.grid_algo order Scheduler.Group_backfill) in
+    { algo = name;
+      twct = r.Arena.twct;
+      slots = r.Arena.slots;
+      lp_ratio = ratio r.Arena.twct;
+    }
+  in
   let case_d order = Scheduler.run ~case:Scheduler.Group_backfill inst order in
-  [ of_result "H_A (trace order)" (case_d (Ordering.arrival inst));
+  [ of_block "H_A (trace order)" "H_A";
     of_result "H_size (bytes/weight)" (case_d (Ordering.by_total_size inst));
-    of_result "H_rho (load/weight)"
-      (case_d (Ordering.by_load_over_weight inst));
+    of_block "H_rho (load/weight)" "H_rho";
     of_result "H_pd (primal-dual, LP-free)" (case_d (Primal_dual.order inst));
-    of_result "H_LP (interval LP)" (case_d (Ordering.by_lp b.Harness.lp));
+    of_block "H_LP (interval LP)" "H_LP";
     of_result "SEBF + MADD (Varys-style, rate-based)"
       (Baselines.sebf_madd inst);
     of_result "MaxWeight matching (switch-theoretic)"
@@ -28,22 +36,14 @@ let run (b : Harness.block) =
   ]
 
 let render blocks =
-  let max_filter =
-    List.fold_left (fun acc b -> max acc b.Harness.filter) 0 blocks
-  in
-  let b =
-    List.find
-      (fun b ->
-        b.Harness.filter = max_filter && b.Harness.weighting = Harness.Random)
-      blocks
-  in
+  let b = Exp_fig2a.pick_block blocks in
   let rows = run b in
   Report.table
     ~title:
       (Printf.sprintf
          "Ordering portfolio under grouping+backfilling (M0 >= %d, random \
           weights); ratios vs the LP lower bound"
-         max_filter)
+         b.Harness.filter)
     ~header:[ "algorithm"; "TWCT"; "makespan"; "TWCT / LP bound" ]
     (List.map
        (fun r ->

@@ -11,5 +11,7 @@ type row = {
 }
 
 val run : Harness.block -> row list
+(** H_A, H_rho and H_LP are the block's raced case (d) rows; the other
+    five run here. *)
 
 val render : Harness.block list -> string

@@ -17,12 +17,11 @@ let run (cfg : Config.t) blocks =
       let st = Random.State.make [| cfg.Config.seed; b.Harness.filter; 0xA11 |] in
       let mean, std =
         Randomized.expected_twct ~backfill:true ~samples st
-          b.Harness.instance order
+          b.Harness.leg.Arena.spec.Arena.inst order
       in
       { filter = b.Harness.filter;
         weighting = b.Harness.weighting;
-        deterministic =
-          Harness.twct b ~order:"HLP" Scheduler.Group_backfill;
+        deterministic = Exp_table1.twct b "H_LP" Scheduler.Group_backfill;
         randomized_mean = mean;
         randomized_std = std;
         samples;

@@ -63,26 +63,11 @@ let run ?(stretch = false) ?(jobs = 1) ?ports:(ports' = ports)
            (Instance.num_coflows inst))
   in
   let inst = instance ~ports:ports' cfg ~coflows in
-  let hlp_name, fallback, hlp_order = Arena.budgeted_hlp ~lp_budget inst in
   let hrho = Ordering.by_load_over_weight inst in
   (* the 12-entry grid, batched; independent simulations, one job each *)
   let grid =
     leg "grid" "E18 scale grid" inst
-      (List.concat_map
-         (fun (name, fallback, order) ->
-           List.map
-             (fun case ->
-               { (Arena.contender
-                    (Printf.sprintf "%s (%s)" name (Scheduler.case_name case))
-                    (Scheduler.case_policy ~case inst order))
-                 with
-                 Arena.fallback
-               })
-             Scheduler.all_cases)
-         [ ("H_A", None, Ordering.arrival inst);
-           ("H_rho", None, hrho);
-           (hlp_name, fallback, hlp_order);
-         ])
+      (Arena.grid inst ~hlp:(Arena.budgeted_hlp ~lp_budget inst))
   in
   let grid = Arena.race ~jobs [ grid ] in
   (* A/B: same policy, batched vs {!Policy.unbatched}, sequentially

@@ -1,7 +1,8 @@
 (** E18: the paper's evaluation scale — 150 ports, 526 coflows.
 
-    Runs the full 12-algorithm grid ({H_A, H_rho, H_LP} x cases (a)-(d))
-    on an fb-like trace at exactly the paper's scale as one {!Arena} leg
+    Runs the full 12-algorithm grid ({!Arena.grid}: {H_A, H_rho, H_LP} x
+    cases (a)-(d), with its Lemma 2 and Proposition 1 checks) on an
+    fb-like trace at exactly the paper's scale as one {!Arena} leg
     ([id "grid"], ranked against the isolation bound), and measures the
     win of the sparse event-driven fabric directly: an A/B section re-runs
     representative policies with batching forced off on the same

@@ -7,11 +7,16 @@ type row = {
   random_w : (string * float) list;
 }
 
+let orders = [ ("HA", "H_A"); ("Hrho", "H_rho"); ("HLP", "H_LP") ]
+
+let twct (b : Harness.block) order case =
+  (Arena.row b.Harness.leg (Arena.grid_algo order case)).Arena.twct
+
+let normalized b order case =
+  twct b order case /. twct b "H_LP" Scheduler.Group_backfill
+
 let normals block case =
-  List.map
-    (fun order ->
-      (order, Harness.normalized block (Harness.find block ~order case)))
-    Harness.order_names
+  List.map (fun (label, order) -> (label, normalized block order case)) orders
 
 let rows blocks =
   let filters =
@@ -38,8 +43,8 @@ let rows blocks =
 
 let header =
   [ "M0 >="; "case" ]
-  @ List.map (fun o -> o ^ " (eq)") Harness.order_names
-  @ List.map (fun o -> o ^ " (rnd)") Harness.order_names
+  @ List.map (fun (o, _) -> o ^ " (eq)") orders
+  @ List.map (fun (o, _) -> o ^ " (rnd)") orders
 
 let row_cells r =
   [ string_of_int r.filter; Scheduler.case_name r.case ]

@@ -5,9 +5,20 @@
 type row = {
   filter : int;
   case : Core.Scheduler.case;
-  equal_w : (string * float) list;  (** normalized TWCT per order *)
+  equal_w : (string * float) list;  (** normalized TWCT per order label *)
   random_w : (string * float) list;
 }
+
+val orders : (string * string) list
+(** The paper's order labels and the grid orders they name:
+    [("HA", "H_A"); ("Hrho", "H_rho"); ("HLP", "H_LP")]. *)
+
+val twct : Harness.block -> string -> Core.Scheduler.case -> float
+(** [twct block order case]: the TWCT of the block's grid row
+    [Arena.grid_algo order case]. *)
+
+val normalized : Harness.block -> string -> Core.Scheduler.case -> float
+(** {!twct} over the block's [H_LP (d)] TWCT: Table 1's normalization. *)
 
 val rows : Harness.block list -> row list
 

@@ -1,27 +1,24 @@
-(** Shared computation behind Table 1 and Figures 2a/2b: for each
-    (M0-filter, weighting) block, run all 12 algorithms — {H_A, H_rho, H_LP}
-    x {(a), (b), (c), (d)} — on the filtered fb-like trace and keep the LP
-    relaxation around for lower bounds and audits. *)
+(** The instance draws behind the fb-like experiments, and the
+    (M0-filter, weighting) blocks behind Table 1, Figures 2a/2b, E5, E6,
+    E9 and E10.  Each block is one {!Arena} leg: the 12 contenders of
+    {!Arena.grid} — {H_A, H_rho, H_LP} x cases (a)-(d) — raced on the
+    filtered, weighted fb-like trace against its interval-LP bound, with
+    [H_LP (c)] held to Theorem 1's factor.  Rows are read with
+    {!Arena.row}. *)
 
 type weighting = Equal | Random
 
 val weighting_name : weighting -> string
 
-type entry = {
-  order_name : string;  (** "HA" | "Hrho" | "HLP" *)
-  case : Core.Scheduler.case;
-  result : Core.Scheduler.result;
-}
-
 type block = {
   filter : int;
   weighting : weighting;
-  instance : Workload.Instance.t;  (** filtered + weighted *)
   lp : Core.Lp_relax.result;
-  entries : entry list;  (** all 12 combinations *)
+      (** the interval LP of the leg's instance: its bound and H_LP order *)
+  leg : Arena.leg;
+      (** the raced grid; [leg.spec.inst] is the filtered, weighted
+          instance *)
 }
-
-val order_names : string list
 
 val base_instance : Config.t -> Workload.Instance.t
 (** The unfiltered fb-like trace for this configuration (deterministic in
@@ -35,33 +32,14 @@ val random_weights :
 (** Paper-style random-permutation weights drawn from
     [[| cfg.seed; salt |]]. *)
 
-val block :
-  ?warm_start:Core.Lp_relax.warm_hints ->
-  Config.t ->
-  filter:int ->
-  weighting:weighting ->
-  block
-(** [warm_start] seeds the block's LP solve (see
-    {!Core.Lp_relax.solve_interval}); {!all_blocks} uses it to chain each
-    filter's equal-weight basis into the random-weight solve. *)
-
 val all_blocks : ?jobs:int -> Config.t -> block list
-(** Every (filter, weighting) combination of the configuration; this is
-    where the six LP solves happen.  [jobs] (default 1) distributes the
-    filters over that many domains via {!Core.Engine.run_many} — the
-    equal-to-random warm-start chaining stays within a filter, so the
-    returned blocks are identical at any job count. *)
-
-val find : block -> order:string -> Core.Scheduler.case -> entry
-(** @raise Failure naming the missing (order, case) pair and the block's
-    (filter, weighting) when absent. *)
-
-val twct : block -> order:string -> Core.Scheduler.case -> float
-
-val normalized : block -> entry -> float
-(** Entry TWCT divided by the block's (H_LP, case (d)) TWCT — the
-    normalization used in the paper's Table 1. *)
-
-val lp_ratio : block -> order:string -> Core.Scheduler.case -> float
-(** TWCT over the LP lower bound (an upper bound on the true approximation
-    ratio). *)
+(** Every (filter, weighting) block of the configuration, filter by
+    filter, equal weights before random.  The interval LPs are solved one
+    filter per {!Core.Engine.run_many} job, the equal-weight optimum
+    warm-starting the random-weight solve; then every block's leg is
+    raced in one {!Arena.race} over [jobs] (default 1) domains, which
+    asserts each row's checks, the bound, and [H_LP (c)] within
+    {!Core.Verify.deterministic_ratio_limit} of it.  The blocks are
+    identical at any job count.
+    @raise Invalid_argument naming the filter when it removes every
+    coflow. *)

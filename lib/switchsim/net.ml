@@ -69,8 +69,3 @@ let crosses_core t ~fabric ~src ~dst =
 
 let core_capacity t f = (fabric_of t f).core_capacity
 
-let is_single t =
-  Array.length t.fabrics = 1
-  &&
-  let f = t.fabrics.(0) in
-  f.rate = 1 && f.rack_size = None && f.core_capacity = None

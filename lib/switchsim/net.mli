@@ -79,6 +79,3 @@ val crosses_core : t -> fabric:int -> src:int -> dst:int -> bool
 val core_capacity : t -> int -> int option
 (** Per-slot inter-rack budget of fabric [f]; [None] = non-blocking. *)
 
-val is_single : t -> bool
-(** [true] iff the net is exactly the paper's model: one fabric, rate 1,
-    no oversubscription. *)

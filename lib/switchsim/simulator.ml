@@ -19,7 +19,6 @@ type t = {
   mutable grown : int; (* entries [add_demand] created or revived *)
   dates : int array; (* every release date, sorted ascending *)
   mutable clock : int;
-  mutable busy : int;
   mutable moved : int;
   (* scratch buffers reused across slots; fabric f's port p lives at
      index [f * ports + p], so one fill clears every fabric *)
@@ -83,7 +82,6 @@ let create ?(validate = fun ~slots:_ _ -> Ok ()) ?net ~ports demands =
        Array.sort compare d;
        d);
     clock = 0;
-    busy = 0;
     moved = 0;
     src_pair = Array.make (kf * ports) (-1);
     dst_used = Array.make (kf * ports) false;
@@ -373,7 +371,6 @@ let step_n t transfers n =
   if tracing then trace_releases t;
   let start = t.clock in
   t.clock <- t.clock + n;
-  if transfers <> [] then t.busy <- t.busy + n;
   List.iteri
     (fun idx { src; dst; coflow; fabric } ->
       (* no two transfers share an entry, so validation's read is still
@@ -464,8 +461,6 @@ let total_weighted_completion t w =
       acc := !acc +. (w.(k) *. float_of_int c))
     t.completed;
   !acc
-
-let busy_slots t = t.busy
 
 let units_moved t = t.moved
 

@@ -250,9 +250,6 @@ val total_weighted_completion : t -> float array -> float
     @raise Invalid_argument if some coflow has not completed or the weight
     vector is short. *)
 
-val busy_slots : t -> int
-(** Slots in which at least one unit moved. *)
-
 val units_moved : t -> int
 
 val utilization : t -> float

@@ -93,22 +93,6 @@ let sinks t =
   done;
   List.rev !out
 
-let topological_order t =
-  let n = num_stages t in
-  let seen = Array.make n false in
-  let order = ref [] in
-  let rec visit k =
-    if not seen.(k) then begin
-      seen.(k) <- true;
-      List.iter visit (deps_of t k);
-      order := k :: !order
-    end
-  in
-  for k = 0 to n - 1 do
-    visit k
-  done;
-  List.rev !order
-
 let critical_path_load t =
   let n = num_stages t in
   let cp = Array.make n (-1) in

@@ -44,9 +44,6 @@ val roots : t -> int list
 
 val sinks : t -> int list
 
-val topological_order : t -> int list
-(** Working indices, dependencies first. *)
-
 val critical_path_load : t -> int array
 (** For each stage, the maximum total [rho] along any downstream path
     including the stage itself — the classic critical-path priority key. *)

@@ -63,9 +63,6 @@ let with_weights t w =
     coflows = Array.mapi (fun k c -> { c with weight = w.(k) }) t.coflows;
   }
 
-let with_zero_releases t =
-  { t with coflows = Array.map (fun c -> { c with release = 0 }) t.coflows }
-
 let weights t = Array.map (fun c -> c.weight) t.coflows
 
 let releases t = Array.map (fun c -> c.release) t.coflows

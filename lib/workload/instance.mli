@@ -35,8 +35,6 @@ val filter_m0 : t -> int -> t
 val with_weights : t -> float array -> t
 (** Replace weights positionally. *)
 
-val with_zero_releases : t -> t
-
 val weights : t -> float array
 
 val releases : t -> int array

@@ -58,12 +58,22 @@ let test_decompose_unbalanced_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* [restore m s] rebuilds the (augmented) matrix a BvN schedule clears,
+   [sum q_u * Pi_u]: the oracle the decomposition is checked against. *)
+let restore m (s : Bvn.schedule) =
+  let d = Mat.make m in
+  List.iter
+    (fun (matching, q) ->
+      Array.iteri (fun i j -> Mat.add_entry d i j q) matching)
+    s;
+  d
+
 let test_restore_equals_augmented () =
   let d = Mat.of_arrays [| [| 2; 0; 1 |]; [| 0; 3; 0 |]; [| 1; 1; 1 |] |] in
   let a = Bvn.augment d in
   let s = Bvn.decompose a in
   Alcotest.(check bool) "sum q Pi = augmented" true
-    (Mat.equal (Bvn.restore 3 s) a)
+    (Mat.equal (restore 3 s) a)
 
 let bvn_arb =
   let gen =
@@ -87,7 +97,7 @@ let prop_bvn_matchings_polynomial =
 let prop_bvn_covers_demand =
   QCheck.Test.make ~name:"BvN covers every demand entry" ~count:200 bvn_arb
     (fun d ->
-      Mat_helpers.leq d (Bvn.restore (Mat.dim d) (Bvn.schedule d)))
+      Mat_helpers.leq d (restore (Mat.dim d) (Bvn.schedule d)))
 
 let prop_bvn_matchings_valid =
   QCheck.Test.make ~name:"BvN emits genuine matchings" ~count:200 bvn_arb
@@ -1231,13 +1241,6 @@ let test_metrics_empty_errors_name_context () =
   (* without [what] the historical message is unchanged *)
   expect "bare mean" "Metrics.mean: empty" (fun () -> Metrics.mean [||])
 
-let test_slowdowns () =
-  let inst = fig1_instance () in
-  let r = Scheduler.run ~case:Scheduler.Base inst [| 0 |] in
-  Alcotest.(check (array (float 1e-9))) "no contention -> slowdown 1"
-    [| 1.0 |]
-    (Metrics.slowdowns inst r.Scheduler.completion)
-
 (* ---------- generalized interval grids ---------- *)
 
 let test_interval_base_two_matches_default () =
@@ -1964,16 +1967,13 @@ let test_counterexample () =
         (c1 > Counterexample.v.(0) || c2 > Counterexample.v.(1)))
     Scheduler.all_cases
 
-(* ---------- Randomized ratio limits ---------- *)
+(* ---------- Ratio limits ---------- *)
 
 let test_ratio_limits () =
   Alcotest.(check (float 1e-9)) "67/3" (67.0 /. 3.0)
     (Verify.deterministic_ratio_limit ~with_releases:true);
   Alcotest.(check (float 1e-9)) "64/3" (64.0 /. 3.0)
-    (Verify.deterministic_ratio_limit ~with_releases:false);
-  Alcotest.(check (float 1e-6)) "9 + 16 sqrt2 / 3"
-    (9.0 +. (16.0 *. sqrt 2.0 /. 3.0))
-    (Verify.randomized_ratio_limit ~with_releases:true)
+    (Verify.deterministic_ratio_limit ~with_releases:false)
 
 let test_randomized_expected () =
   let inst = random_instance 47 in
@@ -2179,7 +2179,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_metrics_validation;
           Alcotest.test_case "empty errors name context" `Quick
             test_metrics_empty_errors_name_context;
-          Alcotest.test_case "slowdowns" `Quick test_slowdowns;
         ] );
       ( "lp-grids",
         [ Alcotest.test_case "base 2 = default" `Quick

@@ -63,26 +63,27 @@ let test_scales () =
 
 (* ---------- harness ---------- *)
 
+let leg (b : Harness.block) = b.Harness.leg
+
+let inst b = (leg b).Arena.spec.Arena.inst
+
 let test_blocks_shape () =
   let bs = Lazy.force blocks in
   check_int "filters x weightings" 4 (List.length bs);
   List.iter
     (fun b ->
-      check_int "12 entries" 12 (List.length b.Harness.entries);
+      check_int "12 rows" 12 (List.length (leg b).Arena.rows);
       Alcotest.(check bool) "instances non-empty" true
-        (Workload.Instance.num_coflows b.Harness.instance > 0))
+        (Workload.Instance.num_coflows (inst b) > 0))
     bs
 
 let test_normalization_anchor () =
   let bs = Lazy.force blocks in
   List.iter
     (fun b ->
-      let anchor =
-        Harness.find b ~order:"HLP" Core.Scheduler.Group_backfill
-      in
       Alcotest.(check (float 1e-9)) "HLP case d normalizes to 1"
         1.0
-        (Harness.normalized b anchor))
+        (Exp_table1.normalized b "H_LP" Core.Scheduler.Group_backfill))
     bs
 
 let test_lp_is_lower_bound_for_all_entries () =
@@ -90,11 +91,10 @@ let test_lp_is_lower_bound_for_all_entries () =
   List.iter
     (fun b ->
       List.iter
-        (fun e ->
+        (fun (r : Arena.row) ->
           Alcotest.(check bool) "twct >= LP bound" true
-            (e.Harness.result.Core.Scheduler.twct
-            >= b.Harness.lp.Core.Lp_relax.lower_bound -. 1e-6))
-        b.Harness.entries)
+            (r.Arena.twct >= b.Harness.lp.Core.Lp_relax.lower_bound -. 1e-6))
+        (leg b).Arena.rows)
     bs
 
 let test_dense_and_revised_order_identically () =
@@ -108,30 +108,58 @@ let test_dense_and_revised_order_identically () =
       Lp_helpers.check_oracle
         (Printf.sprintf "filter %d %s" b.Harness.filter
            (Harness.weighting_name b.Harness.weighting))
-        (Core.Lp_relax.Interval 2.0) b.Harness.instance b.Harness.lp)
+        (Core.Lp_relax.Interval 2.0) (inst b) b.Harness.lp)
     bs
 
 let test_filter_removes_everything_rejected () =
   (try
-     ignore (Harness.block tiny_cfg ~filter:10_000 ~weighting:Harness.Equal);
+     ignore (Harness.all_blocks { tiny_cfg with Config.filters = [ 10_000 ] });
      Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
+   with Invalid_argument msg ->
+     Alcotest.(check bool) ("names the filter: " ^ msg) true
+       (Astring.String.is_infix ~affix:"M0>=10000" msg))
 
 let test_find_missing_names_the_pair () =
-  let b = List.hd (Lazy.force blocks) in
+  let l = leg (List.hd (Lazy.force blocks)) in
   try
-    ignore (Harness.find b ~order:"Hnope" Core.Scheduler.Base);
+    ignore (Arena.row l (Arena.grid_algo "Hnope" Core.Scheduler.Base));
     Alcotest.fail "expected Failure"
   with Failure msg ->
-    Alcotest.(check bool) "names the order" true
-      (Astring.String.is_infix ~affix:{|"Hnope"|} msg);
-    Alcotest.(check bool) "names the case" true
-      (Astring.String.is_infix ~affix:"case (a)" msg)
+    Alcotest.(check bool) "names the order and case" true
+      (Astring.String.is_infix ~affix:{|"Hnope (a)"|} msg);
+    Alcotest.(check bool) "names the leg" true
+      (Astring.String.is_infix ~affix:l.Arena.spec.Arena.label msg)
+
+let test_grid_checks () =
+  (* every row reports Lemma 2, and the release-free blocks' grouped rows
+     Proposition 1; H_LP (c) alone carries Theorem 1's factor *)
+  List.iter
+    (fun b ->
+      let l = leg b in
+      List.iter
+        (fun (r : Arena.row) ->
+          let algo = r.Arena.algo in
+          let grouped =
+            List.exists
+              (fun affix -> Astring.String.is_suffix ~affix algo)
+              [ "(c)"; "(d)" ]
+          in
+          Alcotest.(check (option bool)) (algo ^ " lemma2") (Some true)
+            (List.assoc_opt (algo ^ ": lemma2") l.Arena.checks);
+          Alcotest.(check (option bool)) (algo ^ " prop1")
+            (if grouped then Some true else None)
+            (List.assoc_opt (algo ^ ": prop1") l.Arena.checks);
+          Alcotest.(check (option (float 0.0))) (algo ^ " guarantee")
+            (if algo = "H_LP (c)" then Some (64.0 /. 3.0) else None)
+            r.Arena.guarantee)
+        l.Arena.rows;
+      check_int "checks" (12 + 6) (List.length l.Arena.checks))
+    (Lazy.force blocks)
 
 let test_all_blocks_jobs_invariant () =
   (* the block list must be identical at any job count: same LP bounds,
-     orders and schedule results (the warm-start chaining stays within a
-     filter, so parallelising over filters changes nothing) *)
+     orders and pivots (the warm-start chaining stays within a filter);
+     the arena JSON tests below cover the legs *)
   let seq = Lazy.force blocks in
   let par = Harness.all_blocks ~jobs:4 tiny_cfg in
   check_int "same block count" (List.length seq) (List.length par);
@@ -144,19 +172,27 @@ let test_all_blocks_jobs_invariant () =
       check_int "lp pivots" a.Harness.lp.Core.Lp_relax.iterations
         b.Harness.lp.Core.Lp_relax.iterations;
       Alcotest.(check (array int)) "lp order"
-        a.Harness.lp.Core.Lp_relax.order b.Harness.lp.Core.Lp_relax.order;
-      List.iter2
-        (fun (x : Harness.entry) (y : Harness.entry) ->
-          Alcotest.(check string) "entry order" x.Harness.order_name
-            y.Harness.order_name;
-          Alcotest.(check (float 0.0)) "entry twct"
-            x.Harness.result.Core.Scheduler.twct
-            y.Harness.result.Core.Scheduler.twct;
-          Alcotest.(check (array int)) "entry completions"
-            x.Harness.result.Core.Scheduler.completion
-            y.Harness.result.Core.Scheduler.completion)
-        a.Harness.entries b.Harness.entries)
+        a.Harness.lp.Core.Lp_relax.order b.Harness.lp.Core.Lp_relax.order)
     seq par
+
+(* ---------- pinned block tables ---------- *)
+
+(* Every table the (filter x weighting) blocks feed, rendered on
+   [tiny_cfg] and folded into one MD5: a change to how the blocks are
+   built, raced or read that moves a single cell of Table 1, Figures
+   2a/2b, the audit, E6, E9 or E10 shows here. *)
+let test_block_tables_pinned () =
+  let bs = Lazy.force blocks in
+  let outputs =
+    [ Exp_table1.render bs; Exp_table1.csv bs; Exp_fig2a.render bs;
+      Exp_fig2a.csv bs; Exp_fig2b.render bs; Exp_fig2b.csv bs;
+      Exp_audit.render bs; Exp_randomized.render tiny_cfg bs;
+      Exp_ablation.render bs; Exp_orderings.render bs;
+    ]
+  in
+  Alcotest.(check string) "block tables digest"
+    "0063e0a4f9a9a58d9e69937628ac0e95"
+    (Digest.to_hex (Digest.string (String.concat "\x00" outputs)))
 
 (* ---------- E1: Table 1 ---------- *)
 
@@ -384,9 +420,6 @@ let bound (leg : Arena.leg) = leg.Arena.spec.Arena.bound
 
 let find_leg legs l = List.find (fun leg -> label leg = l) legs
 
-let find_row (leg : Arena.leg) algo =
-  List.find (fun (r : Arena.row) -> r.Arena.algo = algo) leg.Arena.rows
-
 (* ---------- E16: fabric ---------- *)
 
 let test_fabric_rows () =
@@ -437,8 +470,8 @@ let test_hetero_legs_and_fault () =
         (label leg ^ " has the arena plus Chen-hetero")
         true
         (List.length leg.Arena.rows >= 2
-        && (find_row leg "Chen-hetero").Arena.twct
-           <= (find_row leg "Chen").Arena.twct +. 1e-6);
+        && (Arena.row leg "Chen-hetero").Arena.twct
+           <= (Arena.row leg "Chen").Arena.twct +. 1e-6);
       Alcotest.(check bool) (label leg ^ " bound positive") true (bound leg > 0.0))
     net_legs;
   (* more aggregate rate = smaller rate-aware isolation bound *)
@@ -531,7 +564,7 @@ let test_arena_guaranteed_entries () =
   let small, scale = small_and_scale () in
   List.iter
     (fun leg ->
-      let sg = find_row leg "SG" and chen = find_row leg "Chen" in
+      let sg = Arena.row leg "SG" and chen = Arena.row leg "Chen" in
       Alcotest.(check bool) "SG has a factor" true (sg.Arena.guarantee <> None);
       Alcotest.(check bool) "Chen's factor is tighter" true
         (Option.get chen.Arena.guarantee < Option.get sg.Arena.guarantee))
@@ -573,31 +606,41 @@ let test_arena_json () =
       "\"bound\":{\"name\":\"LP-EXP\"";
     ];
   (* the SG rows carry their factor as a JSON number *)
-  let sg = find_row small "SG" in
+  let sg = Arena.row small "SG" in
   Alcotest.(check bool) "SG guarantee serialized" true
     (Astring.String.is_infix
        ~affix:(Printf.sprintf "\"guarantee\":%g" (Option.get sg.Arena.guarantee))
        s)
 
 let test_arena_empty_filter_names_algorithm () =
-  (* an absurd M0 filter empties the small instance; the first statistics
-     call must die naming the algorithm and the leg, not with a bare
+  (* an absurd M0 filter empties the instance; the first statistics call
+     must die naming the algorithm and the leg, not with a bare
      "Metrics.mean: empty" *)
-  match Exp_arena.run ~filter:10_000 ~scale:(4, 6) tiny_cfg with
+  let empty =
+    Workload.Instance.filter_m0 (Harness.base_instance tiny_cfg) 10_000
+  in
+  let net = Switchsim.Net.single ~ports:(Workload.Instance.ports empty) in
+  match
+    Arena.race ~jobs:1
+      [ Arena.isolation_leg ~id:"empty" ~label:"empty leg (filter M0>=10000)"
+          ~net empty (Arena.lp_free empty);
+      ]
+  with
   | _ -> Alcotest.fail "expected Invalid_argument on the empty filter"
   | exception Invalid_argument msg ->
     let contains needle = Astring.String.is_infix ~affix:needle msg in
     Alcotest.(check bool)
       ("names an algorithm: " ^ msg)
       true
-      (contains " on E19 small leg");
+      (contains "SG on empty leg");
     Alcotest.(check bool) ("names the filter: " ^ msg) true
       (contains "filter M0>=10000")
 
 (* ---------- the shared arena JSON schema ---------- *)
 
 let arena_docs ~jobs =
-  [ ("E15", Exp_fabric.run ~jobs tiny_cfg);
+  [ ("E1", List.map leg (Harness.all_blocks ~jobs tiny_cfg));
+    ("E15", Exp_fabric.run ~jobs tiny_cfg);
     ("E19", Exp_arena.run ~jobs ~scale:(6, 10) tiny_cfg);
     ("E21", Exp_hetero.run ~jobs tiny_cfg);
   ]
@@ -677,10 +720,14 @@ let () =
             test_dense_and_revised_order_identically;
           Alcotest.test_case "find names missing pair" `Quick
             test_find_missing_names_the_pair;
+          Alcotest.test_case "grid checks and guarantee" `Quick
+            test_grid_checks;
           Alcotest.test_case "all_blocks jobs-invariant" `Quick
             test_all_blocks_jobs_invariant;
           Alcotest.test_case "empty filter rejected" `Quick
             test_filter_removes_everything_rejected;
+          Alcotest.test_case "block tables pinned" `Quick
+            test_block_tables_pinned;
         ] );
       ( "table1",
         [ Alcotest.test_case "row structure" `Quick test_table1_rows;

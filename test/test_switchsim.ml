@@ -104,7 +104,6 @@ let test_idle_slots_count () =
   let sim = Simulator.create ~ports:2 [ (0, fig1 ()) ] in
   Simulator.step sim [];
   Simulator.step sim [ t 0 0 0 ];
-  check_int "busy slots" 1 (Simulator.busy_slots sim);
   check_int "units moved" 1 (Simulator.units_moved sim)
 
 let test_multi_coflow_slot () =
@@ -361,11 +360,7 @@ let test_net_accessors () =
   check_int "rate 1" 5 (Net.rate n 1);
   check_int "total rate" 13 (Net.total_rate n);
   (* fastest first, rate ties broken by ascending index *)
-  Alcotest.(check (array int)) "by_rate" [| 1; 3; 0; 2 |] (Net.by_rate n);
-  Alcotest.(check bool) "not single" false (Net.is_single n);
-  Alcotest.(check bool) "single" true (Net.is_single (Net.single ~ports:4));
-  Alcotest.(check bool) "uniform [1] is single" true
-    (Net.is_single (Net.uniform ~ports:4 ~rates:[ 1 ]))
+  Alcotest.(check (array int)) "by_rate" [| 1; 3; 0; 2 |] (Net.by_rate n)
 
 let test_net_two_tier () =
   let n = Net.two_tier ~ports:6 ~rack_size:2 ~core_capacity:1 in
@@ -376,8 +371,7 @@ let test_net_two_tier () =
     (Net.crosses_core n ~fabric:0 ~src:0 ~dst:2);
   Alcotest.(check (option int)) "budget" (Some 1) (Net.core_capacity n 0);
   Alcotest.(check (option int)) "non-blocking budget" None
-    (Net.core_capacity (Net.single ~ports:6) 0);
-  Alcotest.(check bool) "oversubscribed is not single" false (Net.is_single n)
+    (Net.core_capacity (Net.single ~ports:6) 0)
 
 let test_net_validation () =
   let invalid f =
