@@ -16,19 +16,28 @@ type schedule = (int array * int) list
 
 val augment : Matrix.Mat.t -> Matrix.Mat.t
 (** Step 1: a matrix [D'] with [D <= D'] entrywise and every row and column
-    of [D'] summing to [rho (D)].  The input is not modified. *)
+    of [D'] summing to [rho (D)].  Each step adds to the first minimum row
+    and the first minimum column; at most [2m - 1] steps run.  The input
+    is not modified.
+    @raise Invalid_argument if [m * rho (D)], the total of [D'], passes
+    [max_int]. *)
 
 val decompose : Matrix.Mat.t -> schedule
 (** Step 2: decompose a doubly-balanced matrix into weighted permutation
     matrices.  The first matching is Kuhn's on the support, rows ascending
     and each row's columns ascending; after each peel the rows whose matched
-    entry vanished are re-augmented, highest row first.  A matching costs
-    O(m) words and time plus that repair, and one matrix write per entry that
-    leaves the matching.  The input is not modified.
+    entry vanished are re-augmented, highest row first.  The call costs one
+    dense working copy of the input, O(m^2) words, and each matching O(m)
+    words and time plus that repair; no matrix is written, and the input is
+    not modified.
     @raise Invalid_argument if some row or column sum differs from [rho]. *)
 
 val schedule : Matrix.Mat.t -> schedule
-(** [augment] followed by [decompose]: the full Algorithm 1. *)
+(** [augment] followed by [decompose], the full Algorithm 1, on one working
+    copy: the same schedule as [decompose (augment d)], at the cost of
+    [decompose], and without building [D'] as a matrix.  The input is not
+    modified.
+    @raise Invalid_argument as [augment]. *)
 
 val duration : schedule -> int
 

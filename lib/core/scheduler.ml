@@ -466,7 +466,7 @@ let as_policy ?(backfill = false) ?(aggressive = false) ~describe groups =
 (* BvN augments a group's aggregate demand to a matrix whose rows and
    columns all sum to its load, a total of ports x load: refuse a group
    whose load passes [max_int / ports] before any slot is scheduled,
-   instead of failing inside [Mat] mid-run. *)
+   instead of failing inside [Bvn] mid-run. *)
 let check_bvn_range inst groups =
   let m = Instance.ports inst in
   Array.iter

@@ -58,6 +58,18 @@ let test_decompose_unbalanced_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* A load whose augmented total, ports x load, passes [max_int] cannot be
+   a matrix: [augment] and [schedule] both refuse it. *)
+let test_augment_total_past_max_int () =
+  let d = Mat.of_arrays [| [| (max_int / 2) + 1; 0 |]; [| 0; 0 |] |] in
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "augment" (fun () -> ignore (Bvn.augment d));
+  refused "schedule" (fun () -> ignore (Bvn.schedule d))
+
 (* [restore m s] rebuilds the (augmented) matrix a BvN schedule clears,
    [sum q_u * Pi_u]: the oracle the decomposition is checked against. *)
 let restore m (s : Bvn.schedule) =
@@ -109,6 +121,31 @@ let prop_bvn_matchings_valid =
           && List.sort compare (Array.to_list matching)
              = List.init (Mat.dim d) Fun.id)
         (Bvn.schedule d))
+
+(* The [Mat]-based augmentation [Bvn.augment] replaced, kept as its
+   oracle: the same argmin steps, each added with [Mat.add_entry] to a
+   copy of the input. *)
+let oracle_augment d =
+  let m = Mat.dim d in
+  let rho = Mat.load d in
+  let t = Mat.copy d in
+  let rows = Mat.row_sums t and cols = Mat.col_sums t in
+  let argmin a =
+    let best = ref 0 in
+    for i = 1 to m - 1 do
+      if a.(i) < a.(!best) then best := i
+    done;
+    !best
+  in
+  let min_sum () = min rows.(argmin rows) cols.(argmin cols) in
+  while min_sum () < rho do
+    let i = argmin rows and j = argmin cols in
+    let p = min (rho - rows.(i)) (rho - cols.(j)) in
+    Mat.add_entry t i j p;
+    rows.(i) <- rows.(i) + p;
+    cols.(j) <- cols.(j) + p
+  done;
+  t
 
 (* The list-and-[Seq] decomposition [Bvn.decompose] replaced, kept as its
    oracle: Kuhn augmentation over each row's nonzeros (column ascending,
@@ -175,44 +212,78 @@ let oracle_decompose d =
     List.rev !acc
   end
 
-(* Augmented random demands from 1 to 70 ports, weighted to the 62-bit
-   word boundary (61-64), at densities from a permutation to full. *)
+(* Port counts from 1 to 70, weighted to the 62-bit word boundary
+   (61-64). *)
+let oracle_ports =
+  QCheck.Gen.frequency
+    [ (3, QCheck.Gen.int_range 1 12); (2, QCheck.Gen.int_range 13 60);
+      (3, QCheck.Gen.int_range 61 64); (1, QCheck.Gen.int_range 65 70);
+    ]
+
+(* A random [m x m] demand drawn from [st] in one of five shapes: a
+   weighted permutation (the sparsest balanced support), about two
+   entries per row, density 0.3, full, or half full with about half its
+   rows zero. *)
+let shaped_demand st m ~shape ~max_entry =
+  match shape with
+  | 0 ->
+    let perm = Array.init m Fun.id in
+    for i = m - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- x
+    done;
+    let d = Mat.make m in
+    Array.iteri (fun i j -> Mat.set d i j (1 + Random.State.int st max_entry)) perm;
+    d
+  | 1 -> Mat.random ~density:(2.0 /. float_of_int m) ~max_entry st m
+  | 2 -> Mat.random ~density:0.3 ~max_entry st m
+  | 3 -> Mat.random ~density:1.0 ~max_entry st m
+  | _ ->
+    let d = Mat.random ~density:0.5 ~max_entry st m in
+    for i = 0 to m - 1 do
+      if Random.State.bool st then
+        for j = 0 to m - 1 do
+          Mat.set d i j 0
+        done
+    done;
+    d
+
+(* Augmented random demands of the first four shapes. *)
 let bvn_oracle_arb =
   let gen =
     QCheck.Gen.(
-      let* m =
-        frequency
-          [ (3, int_range 1 12); (2, int_range 13 60); (3, int_range 61 64);
-            (1, int_range 65 70);
-          ]
-      in
+      let* m = oracle_ports in
       let* shape = int_range 0 3 in
       let* max_entry = oneofl [ 1; 3; 9 ] in
       let* seed = int_range 0 1_000_000 in
       let st = Random.State.make [| seed |] in
-      let d =
-        match shape with
-        | 0 ->
-          (* a weighted permutation: the sparsest balanced support *)
-          let perm = Array.init m Fun.id in
-          for i = m - 1 downto 1 do
-            let j = Random.State.int st (i + 1) in
-            let x = perm.(i) in
-            perm.(i) <- perm.(j);
-            perm.(j) <- x
-          done;
-          let d = Mat.make m in
-          Array.iteri
-            (fun i j -> Mat.set d i j (1 + Random.State.int st max_entry))
-            perm;
-          d
-        | 1 -> Mat.random ~density:(2.0 /. float_of_int m) ~max_entry st m
-        | 2 -> Mat.random ~density:0.3 ~max_entry st m
-        | _ -> Mat.random ~density:1.0 ~max_entry st m
-      in
-      return (Bvn.augment d))
+      return (Bvn.augment (shaped_demand st m ~shape ~max_entry)))
   in
   QCheck.make ~print:Mat_helpers.to_string gen
+
+(* Raw random demands of all five shapes, entries bounded by a
+   [max_entry] drawn from 1 to 100. *)
+let bvn_demand_arb =
+  let gen =
+    QCheck.Gen.(
+      let* m = oracle_ports in
+      let* shape = int_range 0 4 in
+      let* max_entry = int_range 1 100 in
+      let* seed = int_range 0 1_000_000 in
+      let st = Random.State.make [| seed |] in
+      return (shaped_demand st m ~shape ~max_entry))
+  in
+  QCheck.make ~print:Mat_helpers.to_string gen
+
+let prop_augment_matches_oracle =
+  QCheck.Test.make ~name:"dense augment = oracle augment" ~count:100
+    bvn_demand_arb (fun d -> Mat.equal (Bvn.augment d) (oracle_augment d))
+
+let prop_schedule_is_decompose_augment =
+  QCheck.Test.make ~name:"schedule d = decompose (augment d)" ~count:60
+    bvn_demand_arb (fun d -> Bvn.schedule d = Bvn.decompose (Bvn.augment d))
 
 let prop_bvn_matches_oracle =
   QCheck.Test.make ~name:"BvN kernel = list decomposition oracle" ~count:60
@@ -220,23 +291,50 @@ let prop_bvn_matches_oracle =
       List.map (fun (mt, q) -> (Bvn.pairs mt, q)) (Bvn.decompose a)
       = oracle_decompose a)
 
-(* Words [f ()] allocates, on the minor and the major heap. *)
+(* Words [f ()] allocates, on the minor and the major heap.  Only
+   [Gc.minor_words] is exact between collections on OCaml 5, so the
+   major count is read after a minor collection, less the words it
+   promoted, which the minor count already holds. *)
 let allocated_words f =
-  let before = Gc.allocated_bytes () in
+  let major () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let major_before = major () in
+  let minor_before = Gc.minor_words () in
   let r = f () in
-  (r, (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
+  let minor = Gc.minor_words () -. minor_before in
+  (r, minor +. major () -. major_before)
 
-(* A matching costs O(m) words: its array, the schedule's cons and pair,
-   and a matrix write per entry that leaves it — nothing per DFS step. *)
+(* The seeded dense 64x64 demand the next two tests decompose,
+   augmented. *)
+let bvn_dense_64 () =
+  let st = Random.State.make [| 64 |] in
+  Bvn.augment (Mat.random ~density:1.0 ~max_entry:100 st 64)
+
+(* A matching costs O(m) words: its array and the schedule's cons and
+   pair.  The working copy is allocated once per call, and nothing per
+   DFS step or peeled entry. *)
 let test_bvn_allocation () =
   let m = 64 in
-  let st = Random.State.make [| 64 |] in
-  let a = Bvn.augment (Mat.random ~density:1.0 ~max_entry:100 st m) in
+  let a = bvn_dense_64 () in
   let s, words = allocated_words (fun () -> Bvn.decompose a) in
   let per_matching = words /. float_of_int (Bvn.matchings_used s) in
   if per_matching > float_of_int (32 * m) then
     Alcotest.failf "%.0f words per matching over %d matchings, above 32 m = %d"
       per_matching (Bvn.matchings_used s) (32 * m)
+
+(* The DFS's work on the same input: the columns it tries and the
+   matchings it reaches.  A search that reaches the same matchings in
+   another order tries other columns and fails here. *)
+let test_bvn_dfs_work () =
+  let a = bvn_dense_64 () in
+  let probes = Obs.Counter.make "bvn.dfs_probes" in
+  let before = Obs.Counter.value probes in
+  let s = Bvn.decompose a in
+  check_int "bvn.dfs_probes" 122_068 (Obs.Counter.value probes - before);
+  check_int "matchings" 2_394 (Bvn.matchings_used s)
 
 (* ---------- LP relaxation ---------- *)
 
@@ -2017,6 +2115,8 @@ let qprops =
       prop_brute_above_lp;
       prop_bvn_matches_oracle;
       prop_owner_index_is_sweep;
+      prop_augment_matches_oracle;
+      prop_schedule_is_decompose_augment;
     ]
 
 let () =
@@ -2039,6 +2139,10 @@ let () =
             test_restore_equals_augmented;
           Alcotest.test_case "allocation per matching" `Quick
             test_bvn_allocation;
+          Alcotest.test_case "DFS probes and matchings pinned" `Quick
+            test_bvn_dfs_work;
+          Alcotest.test_case "augmented total past max_int refused" `Quick
+            test_augment_total_past_max_int;
         ] );
       ( "lp",
         [ Alcotest.test_case "values partition" `Quick
