@@ -80,7 +80,9 @@ let run ?max_slots priority dag =
     in
     (Policy.greedy_matching sim ~priority, 1)
   in
-  let (_ : int) = Simulator.run ?max_slots sim ~policy:decide in
+  let (_ : int) =
+    Simulator.run ?max_slots sim ~policy:decide ~committed:ignore
+  in
   let stage_completion =
     Array.init n (fun k -> Simulator.completion_time_exn sim k)
   in

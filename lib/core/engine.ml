@@ -60,13 +60,13 @@ let run ?max_slots ?sim inst (p : Policy.t) =
       Simulator.create ~ports:(Instance.ports inst) (Instance.demands inst)
   in
   let st = p.Policy.prepare sim in
-  let policy =
+  let policy, committed =
     match st.Policy.next_batch with
-    | Some next_batch -> next_batch
-    | None -> fun sim ~max_n:_ -> (st.Policy.next_slot sim, 1)
+    | Some next_batch -> (next_batch, st.Policy.committed)
+    | None -> ((fun sim ~max_n:_ -> (st.Policy.next_slot sim, 1)), ignore)
   in
   let t0 = Obs.Clock.now_ns () in
-  let decisions = Simulator.run ?max_slots sim ~policy in
+  let decisions = Simulator.run ?max_slots sim ~policy ~committed in
   let seconds =
     float_of_int (Obs.Clock.elapsed_ns ~since:t0) /. 1e9
   in

@@ -44,9 +44,11 @@ val run :
     to completion with {!Switchsim.Simulator.run}, the one loop.
     [max_slots] as there.
 
-    The loop gets the prepared stepper's batched decision when it offers
-    one — the event-driven decision that jumps the clock across runs of
-    identical slots — and its [next_slot] as a batch of one otherwise.
+    The loop gets the prepared stepper's batched decision and its
+    [committed] when it offers one — the event-driven decision that jumps
+    the clock across runs of identical slots, sized by the simulator
+    within the decision's cap — and its [next_slot] as a batch of one
+    otherwise.
     {!Policy.unbatched} gives the slot-by-slot reference; results are
     identical either way, only [decisions] and [seconds] differ.
     Wall-clock throughput of the run is published on the

@@ -4,6 +4,7 @@ type stepper = {
   next_slot : Simulator.t -> Simulator.transfer list;
   next_batch :
     (Simulator.t -> max_n:int -> Simulator.transfer list * int) option;
+  committed : int -> unit;
   matchings : unit -> int;
 }
 
@@ -13,7 +14,7 @@ type t = {
 }
 
 let stepper ?next_batch ?(matchings = fun () -> 0) next_slot =
-  { next_slot; next_batch; matchings }
+  { next_slot; next_batch; committed = ignore; matchings }
 
 let make ~describe prepare = { describe; prepare }
 
@@ -25,11 +26,14 @@ let stateless ~describe next_slot =
 let unbatched p =
   { p with prepare = (fun sim -> { (p.prepare sim) with next_batch = None }) }
 
+(* A per-slot decision is one slot when it is taken; a batched one is
+   added once the simulator has sized it. *)
 let recorded log p =
   { p with
     prepare =
       (fun sim ->
         let st = p.prepare sim in
+        let last = ref [] in
         { st with
           next_slot =
             (fun sim ->
@@ -39,10 +43,14 @@ let recorded log p =
           next_batch =
             Option.map
               (fun next_batch sim ~max_n ->
-                let ((transfers, slots) as decision) = next_batch sim ~max_n in
-                Recorder.add log transfers ~slots;
+                let ((transfers, _) as decision) = next_batch sim ~max_n in
+                last := transfers;
                 decision)
               st.next_batch;
+          committed =
+            (fun slots ->
+              Recorder.add log !last ~slots;
+              st.committed slots);
         });
   }
 
@@ -299,40 +307,6 @@ let greedy_matching ?(init = []) ?faults sim ~priority =
   Obs.Counter.incr c_visited ~by:!visited;
   !transfers
 
-(* How many consecutive slots [transfers] may be replayed for without any
-   risk of diverging from the slot-by-slot policy:
-
-     - no served pair may hit zero strictly inside the batch (zeros change
-       the nonzero structure greedy scans, and completions change the
-       candidate set), so the batch is capped at the minimum remaining
-       demand over the served pairs — an entry reaching zero exactly at the
-       batch's final slot is fine, the next decision sees it;
-     - no release boundary may fall inside the batch (a newly released
-       coflow changes the candidate set), so it is also capped at the gap
-       to the next pending release.
-
-   Any priority that is a pure function of (released set, completion set,
-   nonzero structure) — every fixed-order greedy, and the scheduler's BvN
-   matching replay — is invariant across such a batch.  For an idle slot
-   ([transfers = []]) while releases are pending this degenerates to the
-   classic event jump straight to the next release. *)
-let skip_bound sim transfers ~max_n =
-  let bound = ref max_n in
-  (match Simulator.next_release_gap sim with
-  | Some g -> if g < !bound then bound := g
-  | None -> ());
-  List.iter
-    (fun { Simulator.src; dst; coflow; fabric } ->
-      let r = Simulator.remaining_at sim coflow src dst in
-      (* on a rate-[v] fabric the pair survives [n] slots iff
-         [r > (n-1) * v]: the last batch slot may zero it, no earlier
-         slot may *)
-      let rate = Simulator.fabric_rate sim fabric in
-      let b = if rate = 1 then r else ((r - 1) / rate) + 1 in
-      if b < !bound then bound := b)
-    transfers;
-  max 1 !bound
-
 (* The released, unfinished entries of a priority slice, in order: the
    only coflows a greedy decision can serve, so deciding over them gives
    the same transfers as deciding over the whole slice.  The view is
@@ -392,9 +366,5 @@ let of_priority ~describe priority =
         let decide sim =
           greedy_matching sim ~priority:(live_slice v sim priority ~pos:0)
         in
-        stepper
-          ~next_batch:(fun sim ~max_n ->
-            let transfers = decide sim in
-            (transfers, skip_bound sim transfers ~max_n))
-          decide);
+        stepper ~next_batch:(fun sim ~max_n -> (decide sim, max_n)) decide);
   }

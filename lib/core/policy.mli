@@ -9,8 +9,8 @@
     state).  A new policy is ~30 lines: a [next_slot] function and,
     optionally, a batched [next_batch], instead of a hand-rolled copy of
     the slot loop and its result bookkeeping.  Work a policy does around
-    its decision (a fault clock and re-planning, as in {!Resilient}) lives
-    inside those functions; {!recorded} keeps its transcript. *)
+    its decision (a fault clock and re-planning, as in {!Resilient})
+    lives inside those functions; {!recorded} keeps its transcript. *)
 
 type stepper = {
   next_slot : Switchsim.Simulator.t -> Switchsim.Simulator.transfer list;
@@ -20,14 +20,20 @@ type stepper = {
     max_n:int ->
     Switchsim.Simulator.transfer list * int)
     option;
-      (** event-driven decision: the slot's transfers plus the number of
-          consecutive slots [n] ([1 <= n <= max_n]) they may be replayed
-          for without diverging from [next_slot] — see {!skip_bound} for
-          the safety argument.  When present the engine hands it to
-          {!Switchsim.Simulator.run}; otherwise [next_slot] runs as a
+      (** event-driven decision: the slot's transfers plus a cap
+          ([1 <= cap <= max_n]), the policy's own boundary only — a BvN
+          matching's slot budget, a fault window, [max_n] when nothing of
+          its own ends the batch.  When present the engine hands it to
+          {!Switchsim.Simulator.run}, whose batch step stops sooner at a
+          release or an emptied entry; otherwise [next_slot] runs as a
           batch of one.  Schedules, totals and events must come out
           identical either way ({!unbatched}); only the decision count
           differs. *)
+  committed : int -> unit;
+      (** called with the [n] slots the simulator committed each
+          [next_batch] decision for: where accounting that depends on [n]
+          (matching reuse, backfill, a transcript) lives.  A [next_slot]
+          decision covers one slot and accounts for itself. *)
   matchings : unit -> int;
       (** matchings built so far, folded into {!Engine.result} *)
 }
@@ -48,7 +54,8 @@ val stepper :
   (Switchsim.Simulator.t -> Switchsim.Simulator.transfer list) ->
   stepper
 (** Stepper with defaults: zero matchings, no batched decision (the
-    engine runs [next_slot] as a batch of one). *)
+    engine runs [next_slot] as a batch of one), nothing to do after a
+    commit. *)
 
 val describe : t -> string
 
@@ -60,9 +67,9 @@ val unbatched : t -> t
 
 val recorded : Switchsim.Recorder.log -> t -> t
 (** The same policy, with each decision a prepared stepper takes added to
-    [log]: [next_slot] adds one slot, [next_batch] the [n] slots it
-    covers.  A log serves one run, so prepare the result once;
-    {!Switchsim.Recorder.contents} is then the run's transcript. *)
+    [log]: [next_slot] adds one slot, [next_batch] the [n] slots
+    [committed] reports.  A log serves one run, so prepare the result
+    once; {!Switchsim.Recorder.contents} is then the run's transcript. *)
 
 val stateless :
   describe:string ->
@@ -111,23 +118,6 @@ val greedy_matching :
     so callers that can should pass only live coflows (see
     {!of_priority}). *)
 
-val skip_bound :
-  Switchsim.Simulator.t ->
-  Switchsim.Simulator.transfer list ->
-  max_n:int ->
-  int
-(** [skip_bound sim transfers ~max_n] — how many consecutive slots
-    [transfers] may be replayed for without any risk of diverging from the
-    slot-by-slot policy: the minimum of [max_n], the gap to the next
-    pending release, and the remaining demand on every served pair (at
-    least 1 — a single slot is always safe).  Within such a batch no served
-    entry hits zero strictly inside it and no coflow is released, so any
-    priority that is a pure function of (released set, completion set,
-    nonzero structure) — every fixed-order greedy, and the scheduler's BvN
-    matching replay — decides identically for all covered slots.  For an
-    idle slot ([transfers = []]) while releases are pending this
-    degenerates to the classic event jump straight to the next release. *)
-
 type live_view
 (** A per-run memo of the live part of a priority slice — see
     {!live_slice}.  Not shared between runs or domains. *)
@@ -149,8 +139,9 @@ val live_slice :
     not be mutated during a run. *)
 
 val of_priority : describe:string -> int array -> t
-(** The simplest policy: greedy matching under one fixed priority, batched
-    via {!skip_bound}.  Each run's stepper decides over a {!live_slice} of
-    the whole priority, so a decision costs O(live coflows + candidates)
-    while the transfers are those of {!greedy_matching} over the whole
-    array. *)
+(** The simplest policy: greedy matching under one fixed priority,
+    batched with cap [max_n] — nothing of its own ends a batch, so the
+    simulator's release and demand bounds size it.  Each run's stepper
+    decides over a {!live_slice} of the whole priority, so a decision
+    costs O(live coflows + candidates) while the transfers are those of
+    {!greedy_matching} over the whole array. *)

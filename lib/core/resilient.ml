@@ -150,7 +150,13 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     incr lp_failures;
     Obs.Counter.incr c_lp_failures
   in
-  let tier_counts = Array.make 3 0 in
+  (* the tier in force served every slot since it was planned *)
+  let tier_counts = Array.make 3 0 and planned_at = ref 0 in
+  let credit tier ~now =
+    let i = tier_index tier in
+    tier_counts.(i) <- tier_counts.(i) + (now - !planned_at);
+    planned_at := now
+  in
   let order = ref [||] in
   let tier = ref config.primary in
   let need_replan = ref true in
@@ -166,9 +172,9 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
       open_plan := None
   in
   (* One decision: tick, drain the due fault boundaries, re-plan if one was
-     crossed, serve greedily.  It holds for [skip_bound] slots up to the
-     next fault-state change and the next boundary (a solver-outage edge
-     changes no serving state but forces a re-plan). *)
+     crossed, serve greedily.  Its cap is the next fault-state change and
+     the next boundary (a solver-outage edge changes no serving state but
+     forces a re-plan). *)
   let decide s ~max_n =
     Injector.tick inj;
     let now = Simulator.now s in
@@ -185,6 +191,7 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
     drain ();
     if !need_replan then begin
       let t, o = replan config inj inst ~warm ~lp_stats ~on_lp_failure in
+      credit !tier ~now;
       tier := t;
       order := o;
       if Obs.Trace.enabled () then begin
@@ -204,13 +211,7 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
         ~priority:(Policy.live_slice view s !order ~pos:0)
     in
     let next = match !boundaries with b :: _ -> b | [] -> max_int in
-    let n =
-      Policy.skip_bound s transfers
-        ~max_n:(min max_n (min (Fault_plan.stable_until faults) next - now))
-    in
-    let i = tier_index !tier in
-    tier_counts.(i) <- tier_counts.(i) + n;
-    (transfers, n)
+    (transfers, min max_n (min (Fault_plan.stable_until faults) next - now))
   in
   let log = Recorder.log ~ports in
   let policy =
@@ -219,6 +220,7 @@ let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
            Policy.stepper ~next_batch:decide (fun s -> fst (decide s ~max_n:1))))
   in
   let er = Engine.run ~max_slots:config.max_slots ~sim inst policy in
+  credit !tier ~now:(Simulator.now sim);
   if Obs.Trace.enabled () then close_plan ~slot:(Simulator.now sim);
   { completion = er.Engine.completion;
     twct = er.Engine.twct;

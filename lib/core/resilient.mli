@@ -24,11 +24,12 @@
 
     Service itself is {!Policy.greedy_matching} over the injector's
     compiled fault state, batched like every other greedy policy: a
-    decision holds for {!Policy.skip_bound} slots, capped at the next
-    fault-state change ({!Faults.Fault_plan.stable_until}) and the next
-    fault boundary.  Every slot is checked by the simulator's validate
-    hook, and the run is recorded through {!Policy.recorded}: the
-    returned transcript can be re-certified independently with
+    decision's cap is the next fault-state change
+    ({!Faults.Fault_plan.stable_until}) and the next fault boundary, and
+    the simulator stops the batch sooner at a release or an emptied
+    entry.  Every slot is checked by the simulator's validate hook, and
+    the run is recorded through {!Policy.recorded}: the returned
+    transcript can be re-certified independently with
     {!Faults.Audit.check}.
 
     Determinism: with [lp_deadline = None] (or a deadline the solves never

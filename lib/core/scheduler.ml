@@ -24,9 +24,10 @@ type result = Engine.result = {
 
 (* Per-run buffers of the replay, made on first use: the owner index and
    the owner position per source of [owners], the cross-fabric dedupe
-   table, the identity order the leftover path scans, and the live views
-   of the two greedy slices.  Never a global: the engine runs steppers on
-   several domains.
+   table, the identity order the leftover path scans, the live views of
+   the two greedy slices, and what the last decision leaves for its
+   accounting, which waits for the slots the simulator commits it for.
+   Never a global: the engine runs steppers on several domains.
 
    The owner index lists, for every pair (i, j) at [i * m + j], the
    positions in [order] of the coflows that held demand on it when the
@@ -45,6 +46,13 @@ type scratch = {
   mutable ids : int array;
   suffix_view : Policy.live_view;
   fill_view : Policy.live_view;
+  mutable d_slot : int; (* the clock the last decision was taken at *)
+  mutable d_transfers : Simulator.transfer list;
+  mutable d_built : int; (* the matchings it built *)
+  mutable d_picks : int; (* its backfill transfers, in each covered slot *)
+  mutable d_forder : int array;
+      (* the fabrics of the queued matchings it served, fastest first;
+         [[||]] for none *)
 }
 
 type state = {
@@ -93,6 +101,11 @@ let make_state groups =
         ids = [||];
         suffix_view = Policy.live_view ();
         fill_view = Policy.live_view ();
+        d_slot = 0;
+        d_transfers = [];
+        d_built = 0;
+        d_picks = 0;
+        d_forder = [||];
       };
   }
 
@@ -238,16 +251,6 @@ let cap_core state net ~fabric matching ~mid ~m =
       done
     done
 
-(* Per-call accounting, folded into the state, the obs counters and the
-   slot-event stream by the [next_slot] wrapper below.  A batched call
-   accounts for every slot it covers, so the totals are identical to the
-   slot-by-slot loop's. *)
-type slot_meta = {
-  mutable m_built : int;
-  mutable m_reused : int;
-  mutable m_backfilled : int;
-}
-
 let c_built = Obs.Counter.make "sched.matchings_built"
 
 let c_reused = Obs.Counter.make "sched.matchings_reused"
@@ -255,12 +258,12 @@ let c_reused = Obs.Counter.make "sched.matchings_reused"
 let c_backfilled = Obs.Counter.make "sched.backfilled_units"
 
 (* Greedy over live candidates — the leftovers, or the suffix while a group
-   is gated by a release — and the batch it holds for. *)
-let greedy_slot sim ~meta ~max_n live =
+   is gated by a release: every transfer is backfill, and nothing of the
+   scheduler's own ends the batch. *)
+let greedy_slot sim sc ~max_n live =
   let transfers = Policy.greedy_matching sim ~priority:live in
-  let n = Policy.skip_bound sim transfers ~max_n in
-  meta.m_backfilled <- meta.m_backfilled + (n * List.length transfers);
-  (transfers, n)
+  sc.d_picks <- List.length transfers;
+  (transfers, max_n)
 
 (* The active queue entries that used up their slot budget leave; only the
    first [kf] entries are ever served, so only they can run out.  The queue
@@ -282,12 +285,12 @@ let drop_exhausted state kf =
   in
   state.queue <- drop 0 0 state.queue
 
-(* One decision covering [n] consecutive identical slots, [1 <= n <= max_n].
-   Every batch is bounded by {!Policy.skip_bound} (demand zeros and release
-   boundaries) plus the active matching's remaining slot budget, so the
-   transfers the slot-by-slot loop would pick at each covered slot are
-   exactly these. *)
-let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
+(* One decision: its transfers and the scheduler's own cap, [max_n] or
+   the served matchings' remaining slot budget.  Within the cap the
+   simulator stops the batch at demand zeros and release boundaries, so
+   the transfers the slot-by-slot loop would pick at each covered slot
+   are exactly these. *)
+let rec slot_impl state ~backfill ~aggressive ~max_n sim =
   let n_groups = group_count state in
   let sc = state.scratch in
   (* advance past finished groups *)
@@ -306,7 +309,7 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
        order, instead. *)
     let n = Simulator.num_coflows sim in
     if Array.length sc.ids <> n then sc.ids <- Array.init n Fun.id;
-    greedy_slot sim ~meta ~max_n
+    greedy_slot sim sc ~max_n
       (Policy.live_slice sc.suffix_view sim sc.ids ~pos:0)
   end
   else begin
@@ -316,18 +319,19 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
       if not (group_all state u (Simulator.released sim)) then begin
         (* gated by a release date *)
         if backfill then
-          greedy_slot sim ~meta ~max_n
+          greedy_slot sim sc ~max_n
             (Policy.live_slice sc.suffix_view sim state.order
                ~pos:state.start.(u + 1))
         else
-          (* idle until the gating release: the classic event jump *)
-          ([], Policy.skip_bound sim [] ~max_n)
+          (* idle until the gating release: the simulator's release
+             bound makes it the classic event jump *)
+          ([], max_n)
       end
       else begin
         let schedule = Bvn.schedule (aggregate_remaining sim state u) in
         let built = List.length schedule in
         state.matchings_built <- state.matchings_built + built;
-        meta.m_built <- meta.m_built + built;
+        sc.d_built <- sc.d_built + built;
         if built > 0 then Obs.Counter.incr c_built ~by:built;
         state.queue <- schedule;
         Array.fill state.spent 0 (Array.length state.spent) 0;
@@ -339,7 +343,7 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
              is deterministic — and spin until [max_slots]; advancing is
              the only progressing move. *)
           state.current <- state.current + 1;
-        slot_impl state ~backfill ~aggressive ~meta ~max_n sim
+        slot_impl state ~backfill ~aggressive ~max_n sim
       end
     | queue ->
       (* Serve up to one queued matching per fabric, the head of the queue
@@ -399,69 +403,85 @@ let rec slot_impl state ~backfill ~aggressive ~meta ~max_n sim =
         end
         else (!transfers, 0)
       in
-      let n = Policy.skip_bound sim transfers ~max_n:!budget_cap in
-      (* of the [n] covered slots, every one except a first use of a
-         fresh matching is a reuse — exactly what the slot-by-slot loop
-         counts one call at a time *)
-      let rec account fi = function
-        | _ :: tl when fi < kf ->
-          let rate = Simulator.fabric_rate sim forder.(fi) in
-          let reuses = n - (if state.spent.(fi) = 0 then 1 else 0) in
-          if reuses > 0 then begin
-            state.matchings_reused <- state.matchings_reused + reuses;
-            meta.m_reused <- meta.m_reused + reuses;
-            Obs.Counter.incr c_reused ~by:reuses
-          end;
-          state.spent.(fi) <- state.spent.(fi) + (n * rate);
-          account (fi + 1) tl
-        | _ -> ()
-      in
-      account 0 queue;
-      meta.m_backfilled <-
-        meta.m_backfilled + (n * (!backfill_picks + aggressive_picks));
-      drop_exhausted state kf;
-      (transfers, n)
+      sc.d_picks <- !backfill_picks + aggressive_picks;
+      sc.d_forder <- forder;
+      (transfers, !budget_cap)
   end
 
-let next_slot_batched state ~backfill ?(aggressive = false) ~max_n sim =
-  let meta = { m_built = 0; m_reused = 0; m_backfilled = 0 } in
-  let slot = Simulator.now sim in
-  let transfers, n = slot_impl state ~backfill ~aggressive ~meta ~max_n sim in
-  if meta.m_backfilled > 0 then
-    Obs.Counter.incr c_backfilled ~by:meta.m_backfilled;
+let decide state ~backfill ~aggressive ~max_n sim =
+  let sc = state.scratch in
+  sc.d_slot <- Simulator.now sim;
+  sc.d_built <- 0;
+  sc.d_picks <- 0;
+  sc.d_forder <- [||];
+  let ((transfers, _) as decision) =
+    slot_impl state ~backfill ~aggressive ~max_n sim
+  in
+  sc.d_transfers <- transfers;
+  decision
+
+(* The last decision's accounting, once the simulator has committed it
+   for [n] slots, folded into the state, the obs counters and the
+   slot-event stream: of the covered slots, every one except a first use
+   of a fresh matching is a reuse, and the backfill picks repeat in each
+   — exactly what the slot-by-slot loop counts one call at a time. *)
+let account state sim n =
+  let sc = state.scratch in
+  let forder = sc.d_forder in
+  let kf = Array.length forder in
+  let rec spend fi reused = function
+    | _ :: tl when fi < kf ->
+      let rate = Simulator.fabric_rate sim forder.(fi) in
+      let reuses = n - (if state.spent.(fi) = 0 then 1 else 0) in
+      state.spent.(fi) <- state.spent.(fi) + (n * rate);
+      spend (fi + 1) (reused + reuses) tl
+    | _ -> reused
+  in
+  let reused = spend 0 0 state.queue in
+  if kf > 0 then drop_exhausted state kf;
+  if reused > 0 then begin
+    state.matchings_reused <- state.matchings_reused + reused;
+    Obs.Counter.incr c_reused ~by:reused
+  end;
+  let backfilled = n * sc.d_picks in
+  if backfilled > 0 then Obs.Counter.incr c_backfilled ~by:backfilled;
+  let active_group =
+    if state.current < group_count state then state.current else -1
+  in
   if Obs.Events.enabled () then
     Obs.Events.record
-      { Obs.Events.slot;
-        transfers = List.length transfers;
-        active_group =
-          (if state.current < group_count state then state.current else -1);
-        built = meta.m_built;
-        reused = meta.m_reused;
-        backfilled = meta.m_backfilled;
+      { Obs.Events.slot = sc.d_slot;
+        transfers = List.length sc.d_transfers;
+        active_group;
+        built = sc.d_built;
+        reused;
+        backfilled;
       };
   if Obs.Trace.enabled () then
     (* which group was being cleared while other coflows waited, and how
        much of the slot was backfill — read next to the per-coflow "wait"
        tracks the simulator emits *)
-    Obs.Trace.counter ~name:"sched" ~slot
-      [ ( "active_group",
-          if state.current < group_count state then state.current else -1 );
-        ("built", meta.m_built);
-        ("backfilled", meta.m_backfilled);
-      ];
-  (transfers, n)
+    Obs.Trace.counter ~name:"sched" ~slot:sc.d_slot
+      [ ("active_group", active_group);
+        ("built", sc.d_built);
+        ("backfilled", backfilled);
+      ]
 
 let next_slot state ~backfill ?(aggressive = false) sim =
-  fst (next_slot_batched state ~backfill ~aggressive ~max_n:1 sim)
+  let transfers, _ = decide state ~backfill ~aggressive ~max_n:1 sim in
+  account state sim 1;
+  transfers
 
 let as_policy ?(backfill = false) ?(aggressive = false) ~describe groups =
-  Policy.make ~describe (fun _sim ->
+  Policy.make ~describe (fun sim ->
       let state = make_state groups in
-      Policy.stepper
-        ~next_batch:(fun sim ~max_n ->
-          next_slot_batched state ~backfill ~aggressive ~max_n sim)
-        ~matchings:(fun () -> state.matchings_built)
-        (fun sim -> next_slot state ~backfill ~aggressive sim))
+      { Policy.next_slot = next_slot state ~backfill ~aggressive;
+        next_batch =
+          Some
+            (fun sim ~max_n -> decide state ~backfill ~aggressive ~max_n sim);
+        committed = account state sim;
+        matchings = (fun () -> state.matchings_built);
+      })
 
 (* BvN augments a group's aggregate demand to a matrix whose rows and
    columns all sum to its load, a total of ports x load: refuse a group

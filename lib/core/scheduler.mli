@@ -37,7 +37,8 @@ type result = Engine.result = {
 
 type scratch
 (** Per-run buffers of the matching replay (the owner index, pair owners,
-    the dedupe table, the live candidate views), sized on first use. *)
+    the dedupe table, the live candidate views) and the last decision's
+    pending accounting, sized on first use. *)
 
 type state = {
   order : int array;
@@ -97,11 +98,13 @@ val next_slot :
     each growth of a support.
 
     The batched decision {!as_policy} offers answers the slot's transfers
-    plus how many consecutive slots they may be replayed for: at most
-    {!Policy.skip_bound} (demand zeros, release boundaries) and the active
-    BvN matching's remaining slot budget, so the covered slots are
-    exactly what that many calls of [next_slot] would decide; matching
-    reuse, backfill and event accounting cover all of them. *)
+    and the scheduler's own cap: the served BvN matchings' remaining slot
+    budget ([max_n] on the greedy paths).  The simulator stops the batch
+    sooner at a demand zero or a release, so the covered slots are
+    exactly what that many calls of [next_slot] would decide.  The
+    stepper's [committed] then accounts matching reuse, backfill and the
+    slot event for the [n] slots committed; [next_slot] accounts for its
+    one slot itself. *)
 
 val owners :
   state ->

@@ -1,8 +1,8 @@
-(** Low-overhead per-slot event stream.
+(** Low-overhead per-decision event stream.
 
-    One record per simulated slot, emitted by the scheduling policy, which
-    is the only layer that knows both the matching decisions and the group
-    context.  Recording is disabled by default: the hot path pays a single
+    One record per scheduling decision, which may cover several slots,
+    emitted by the scheduling policy, which is the only layer that knows
+    both the matching decisions and the group context.  Recording is disabled by default: the hot path pays a single
     atomic load and no allocation until {!set_enabled}[ true] (the
     [--profile] flag flips it).
 
@@ -13,12 +13,12 @@
     loss counter" instead of growing without limit. *)
 
 type slot_event = {
-  slot : int;  (** simulator clock before the slot executes *)
-  transfers : int;  (** data units moved this slot *)
+  slot : int;  (** simulator clock before the decision's first slot *)
+  transfers : int;  (** transfers the decision serves in each slot *)
   active_group : int;  (** index of the group being cleared, [-1] if none *)
-  built : int;  (** BvN matchings built (a rebuild happened this slot) *)
-  reused : int;  (** 1 when the slot was served from an existing queue *)
-  backfilled : int;  (** units served by backfilling / work conservation *)
+  built : int;  (** BvN matchings built (a rebuild happened) *)
+  reused : int;  (** slots served from a matching that had served before *)
+  backfilled : int;  (** backfill / work-conserving transfers times slots *)
 }
 
 val set_enabled : bool -> unit

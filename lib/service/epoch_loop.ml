@@ -507,11 +507,11 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     let serving = ref true in
     (* Event-driven serving: the greedy decision is a pure function of the
        released and completed sets, the residual demand structure and the
-       compiled fault state.  {!Core.Policy.skip_bound} covers the first
-       three (releases move only through the plan's release delays); the
-       fault state, stragglers included, holds still until
-       [stable_until], so the batch stops there too.  An empty plan never
-       changes state ([stable_until = max_int]). *)
+       compiled fault state.  The batch step stops at the first three's
+       changes (releases move only through the plan's release delays);
+       the fault state, stragglers included, holds still until
+       [stable_until], so the cap stops there and at the epoch's end.  An
+       empty plan never changes state ([stable_until = max_int]). *)
     let faults = Injector.faults inj in
     let view = Policy.live_view () in
     let units_served = ref 0 in
@@ -527,19 +527,18 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
       in
       let start = Simulator.now sim in
       let slots =
-        if batch then
-          Policy.skip_bound sim transfers
-            ~max_n:
-              (min (cfg.epoch_length - start)
-                 (Fault_plan.stable_until faults - start))
-        else 1
+        Simulator.step_batch sim transfers
+          ~cap:
+            (if batch then
+               min cfg.epoch_length (Fault_plan.stable_until faults) - start
+             else 1)
       in
-      Simulator.step_batch sim transfers ~slots;
       units_served := !units_served + (slots * List.length transfers);
       if slots > 1 then Obs.Counter.incr c_batched ~by:(slots - 1);
       let local_now = Simulator.now sim in
       (* first service lands in the batch's first slot, completions in its
-         last — the skip bound guarantees nothing happens in between *)
+         last — the batch step sizes it so that nothing happens in
+         between *)
       let abs_first = epoch_start + start + 1 in
       List.iter
         (fun { Simulator.coflow = k; _ } ->

@@ -198,10 +198,11 @@ val run :
 
     Each epoch is served by {!Core.Policy.greedy_matching} over a
     {!Core.Policy.live_slice} of its order and the injector's compiled
-    fault state.  [batch] (default on) enables event-driven serving: when
-    the greedy matching cannot change before the next demand zero,
-    release or fault-state change ({!Faults.Fault_plan.stable_until}),
-    the clock jumps the whole run of identical slots in one batch step,
+    fault state.  [batch] (default on) enables event-driven serving: the
+    clock jumps a whole run of identical slots in one
+    {!Switchsim.Simulator.step_batch}, capped at the epoch's end and the
+    next fault-state change ({!Faults.Fault_plan.stable_until}); the step
+    stops it sooner at a demand zero or a release and returns its size,
     and the incremental auditor certifies it via
     {!Faults.Audit.feed_many}, one fault window at a time.
     Stats, epoch views and fingerprint are identical either way —

@@ -61,6 +61,10 @@ let of_csv text =
     if header <> "slot,src,dst,coflow" then
       failwith "Recorder.of_csv: bad header";
     if nslots < 0 || ports <= 0 then failwith "Recorder.of_csv: bad geometry";
+    if nslots > Sys.max_array_length then
+      failwith
+        (Printf.sprintf "Recorder.of_csv: slots=%d is more than an array holds"
+           nslots);
     let slots = Array.make nslots [] in
     List.iter
       (fun (lineno, row) ->

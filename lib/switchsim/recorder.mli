@@ -45,7 +45,8 @@ val to_csv : t -> string
     the legacy 4-column shape byte for byte. *)
 
 val of_csv : string -> t
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, a slot count no array can hold
+    included. *)
 
 val save : string -> t -> unit
 

@@ -155,10 +155,6 @@ let released_count t = first_pending t
 
 let unfinished_count t = t.unfinished
 
-let next_release_gap t =
-  let p = first_pending t in
-  if p >= Array.length t.dates then None else Some (t.dates.(p) - t.clock)
-
 let remaining t k =
   check_coflow t k;
   Mat.copy t.demand.(k)
@@ -241,9 +237,8 @@ let h_flow = Obs.Histogram.make "coflow.flow_slots"
    in the slot about to execute: open their "wait" slice.  Called at the
    top of [step], which every driver (run, Recorder, Resilient, Injector)
    funnels through, so the trace sees releases regardless of the loop.
-   Batched steps never jump over a release (the caller's contract bounds
-   the batch at the next release boundary), so release instants still land
-   exactly once. *)
+   A batch never jumps over a release ([step_batch] stops it at the next
+   pending one), so release instants still land exactly once. *)
 let trace_releases t =
   Array.iteri
     (fun k r ->
@@ -258,29 +253,78 @@ let trace_first_service ~slot k =
 let trace_completion t k =
   Obs.Trace.async_end ~name:"serve" ~cat:"coflow" ~id:k ~slot:t.clock
 
-(* Commit [n] consecutive slots that all serve the same transfer list.
+(* Validate the slot's [transfers] from position [idx] on, keeping each
+   served entry's demand in [t.have]; returns [bound] lowered to the
+   slots every served pair survives, [ceil (have / rate)]: the batch's
+   last slot may zero a pair, no earlier one does. *)
+let rec check_slot t idx bound = function
+  | [] -> bound
+  | { src; dst; coflow; fabric } :: rest ->
+    if fabric < 0 || fabric >= t.kf then
+      raise (Invalid_slot (Printf.sprintf "fabric out of range: %d" fabric));
+    if src < 0 || src >= t.ports || dst < 0 || dst >= t.ports then
+      raise (Invalid_slot (Printf.sprintf "port out of range: %d->%d" src dst));
+    if coflow < 0 || coflow >= num_coflows t then
+      raise (Invalid_slot (Printf.sprintf "unknown coflow %d" coflow));
+    let fb = fabric * t.ports in
+    if t.src_pair.(fb + src) >= 0 then
+      raise
+        (Invalid_slot
+           (if t.kf = 1 then Printf.sprintf "ingress %d used twice" src
+            else
+              Printf.sprintf "fabric %d: ingress %d used twice" fabric src));
+    if t.dst_used.(fb + dst) then
+      raise
+        (Invalid_slot
+           (if t.kf = 1 then Printf.sprintf "egress %d used twice" dst
+            else Printf.sprintf "fabric %d: egress %d used twice" fabric dst));
+    (* the same (coflow, src, dst) entry may be drained by at most one
+       fabric per slot — parallel drains of one entry would race the
+       demand decrement.  A second fabric draining it serves the same
+       ingress there, so the other fabrics' [src_pair] slots tell; on
+       one fabric the loop reads only this transfer's own idle slot *)
+    let pair = (coflow * t.ports) + dst in
+    for g = 0 to t.kf - 1 do
+      if t.src_pair.((g * t.ports) + src) = pair then
+        raise
+          (Invalid_slot
+             (Printf.sprintf
+                "coflow %d pair (%d, %d) served on two fabrics in one slot"
+                coflow src dst))
+    done;
+    t.src_pair.(fb + src) <- pair;
+    t.dst_used.(fb + dst) <- true;
+    if t.releases.(coflow) > t.clock then
+      raise
+        (Invalid_slot
+           (Printf.sprintf "coflow %d served before release %d at time %d"
+              coflow t.releases.(coflow) t.clock));
+    let have = Mat.get t.demand.(coflow) src dst in
+    if have <= 0 then
+      raise
+        (Invalid_slot
+           (Printf.sprintf "coflow %d has no demand on (%d, %d)" coflow src
+              dst));
+    let rate = t.rates.(fabric) in
+    let survives = if rate = 1 then have else ((have - 1) / rate) + 1 in
+    (* the ingress check above bounds [idx] by [kf * ports] *)
+    t.have.(idx) <- have;
+    check_slot t (idx + 1) (min bound survives) rest
 
-   Slot-by-slot equivalence rests on one enforced invariant: no served
-   pair's entry may reach zero strictly inside the batch — on fabric [f]
-   a pair drains [rate f] units per slot, so every served pair must hold
-   strictly more than [(n-1) * rate] units (at rate 1 this is the classic
-   [have >= n]).  Then no coflow can complete mid-batch (a completion
-   requires its last served entries to hit zero), first service happens in
-   the first slot of the batch, and completions happen exactly at the
-   batch's final slot — the same slots, totals and histogram observations
-   the slot-by-slot loop would produce. *)
-let step_n t transfers n =
-  if n < 1 then invalid_arg "Simulator.step: batch size must be >= 1";
-  (* validate without mutating *)
-  (match t.validate ~slots:n transfers with
-  | Ok () -> ()
-  | Error msg -> raise (Invalid_slot msg));
+(* Commit one transfer list for [n] consecutive slots and return [n],
+   the smallest of [cap], the slots to the next pending release and the
+   slots each served pair survives, read by the validation pass.  No
+   coflow is then released, none completes and no entry empties strictly
+   inside the batch: first service lands in its first slot, completions
+   at its last, exactly as [n] calls of [step] would place them. *)
+let step_batch t transfers ~cap =
+  if cap < 1 then invalid_arg "Simulator.step_batch: cap must be >= 1";
   (* per-fabric core budgets from the topology (the two-tier
      oversubscription, now a per-fabric option of the net) *)
   for f = 0 to t.kf - 1 do
     match Net.core_capacity t.net f with
     | None -> ()
-    | Some cap ->
+    | Some limit ->
       let used =
         List.fold_left
           (fun acc tr ->
@@ -291,81 +335,32 @@ let step_n t transfers n =
             else acc)
           0 transfers
       in
-      if used > cap then
+      if used > limit then
         raise
           (Invalid_slot
              (if t.kf = 1 then
                 Printf.sprintf
                   "core capacity exceeded: %d inter-rack transfers > %d" used
-                  cap
+                  limit
               else
                 Printf.sprintf
                   "fabric %d: core capacity exceeded: %d inter-rack transfers \
                    > %d"
-                  f used cap))
+                  f used limit))
   done;
   Array.fill t.src_pair 0 (t.kf * t.ports) (-1);
   Array.fill t.dst_used 0 (t.kf * t.ports) false;
-  List.iteri
-    (fun idx { src; dst; coflow; fabric } ->
-      if fabric < 0 || fabric >= t.kf then
-        raise (Invalid_slot (Printf.sprintf "fabric out of range: %d" fabric));
-      if src < 0 || src >= t.ports || dst < 0 || dst >= t.ports then
-        raise (Invalid_slot (Printf.sprintf "port out of range: %d->%d" src dst));
-      if coflow < 0 || coflow >= num_coflows t then
-        raise (Invalid_slot (Printf.sprintf "unknown coflow %d" coflow));
-      let fb = fabric * t.ports in
-      if t.src_pair.(fb + src) >= 0 then
-        raise
-          (Invalid_slot
-             (if t.kf = 1 then Printf.sprintf "ingress %d used twice" src
-              else
-                Printf.sprintf "fabric %d: ingress %d used twice" fabric src));
-      if t.dst_used.(fb + dst) then
-        raise
-          (Invalid_slot
-             (if t.kf = 1 then Printf.sprintf "egress %d used twice" dst
-              else Printf.sprintf "fabric %d: egress %d used twice" fabric dst));
-      (* the same (coflow, src, dst) entry may be drained by at most one
-         fabric per slot — parallel drains of one entry would race the
-         demand decrement.  A second fabric draining it serves the same
-         ingress there, so the other fabrics' [src_pair] slots tell; on
-         one fabric the loop reads only this transfer's own idle slot *)
-      let pair = (coflow * t.ports) + dst in
-      for g = 0 to t.kf - 1 do
-        if t.src_pair.((g * t.ports) + src) = pair then
-          raise
-            (Invalid_slot
-               (Printf.sprintf
-                  "coflow %d pair (%d, %d) served on two fabrics in one slot"
-                  coflow src dst))
-      done;
-      t.src_pair.(fb + src) <- pair;
-      t.dst_used.(fb + dst) <- true;
-      if t.releases.(coflow) > t.clock then
-        raise
-          (Invalid_slot
-             (Printf.sprintf "coflow %d served before release %d at time %d"
-                coflow t.releases.(coflow) t.clock));
-      let have = Mat.get t.demand.(coflow) src dst in
-      if have <= 0 then
-        raise
-          (Invalid_slot
-             (Printf.sprintf "coflow %d has no demand on (%d, %d)" coflow src
-                dst));
-      let rate = t.rates.(fabric) in
-      if have <= (n - 1) * rate then
-        raise
-          (Invalid_slot
-             (Printf.sprintf
-                "coflow %d holds %d < %d units on (%d, %d): batch would cross \
-                 a zero"
-                coflow have
-                (((n - 1) * rate) + 1)
-                src dst));
-      (* the ingress check above bounds [idx] by [kf * ports] *)
-      t.have.(idx) <- have)
-    transfers;
+  (* a batch stops short of the next pending release; a per-slot step
+     skips the search *)
+  let p = if cap > 1 then first_pending t else Array.length t.dates in
+  let bound =
+    if p < Array.length t.dates then min cap (t.dates.(p) - t.clock) else cap
+  in
+  let n = check_slot t 0 bound transfers in
+  (* the caller's own constraints, on the batch as sized *)
+  (match t.validate ~slots:n transfers with
+  | Ok () -> ()
+  | Error msg -> raise (Invalid_slot msg));
   (* commit *)
   let tracing = Obs.Trace.enabled () in
   if tracing then trace_releases t;
@@ -402,11 +397,10 @@ let step_n t transfers n =
     (* one counter event per decision; Perfetto holds the value until the
        next event, which is exactly the batched slots' per-slot truth *)
     Obs.Trace.counter ~name:"slot" ~slot:t.clock
-      [ ("transfers", List.length transfers) ]
+      [ ("transfers", List.length transfers) ];
+  n
 
-let step t transfers = step_n t transfers 1
-
-let step_batch t transfers ~slots = step_n t transfers slots
+let step t transfers = ignore (step_batch t transfers ~cap:1)
 
 let c_slots = Obs.Counter.make "sim.slots"
 
@@ -419,14 +413,13 @@ let c_batched_slots = Obs.Counter.make "sim.batched_slots"
 let h_service = Obs.Histogram.make "slot.service_ns"
 
 (* The one loop that steps a run to completion.  Each decision answers
-   with the slot's transfers AND the number of consecutive slots they may
-   be replayed for (1 <= n <= max_n); a per-slot policy is a batch of one.
-   The policy owns the safety argument (no matched entry hits zero, no
-   release boundary, no internal schedule boundary inside the batch);
-   [step_n] independently enforces the demand part.  Budget accounting is
-   slot-exact: [max_n] never exceeds the remaining budget, so a run that
-   would exhaust [max_slots] slot-by-slot exhausts it here too. *)
-let run ?(max_slots = 10_000_000) t ~policy =
+   with the slot's transfers and a cap, the policy's own boundary
+   ([1 <= cap <= max_n]; a per-slot policy answers 1); [step_batch]
+   sizes the batch within the cap and commits it, and [committed] hears
+   how many slots it covered.  Budget accounting is slot-exact: [max_n] never
+   exceeds the remaining budget, so a run that would exhaust [max_slots]
+   slot by slot exhausts it here too. *)
+let run ?(max_slots = 10_000_000) t ~policy ~committed =
   Obs.Span.with_ "sim.run" @@ fun () ->
   let budget = ref max_slots and decisions = ref 0 in
   while not (all_complete t) do
@@ -434,13 +427,14 @@ let run ?(max_slots = 10_000_000) t ~policy =
     (* per-decision wall time (decision + commit), only measured while
        histograms are on: the disabled hot path stays one atomic load *)
     let t0 = if Obs.Histogram.enabled () then Obs.Clock.now_ns () else 0 in
-    let transfers, n = policy t ~max_n:!budget in
-    if n < 1 || n > !budget then
-      invalid_arg "Simulator.run: policy returned a bad batch size";
+    let transfers, cap = policy t ~max_n:!budget in
+    if cap < 1 || cap > !budget then
+      invalid_arg "Simulator.run: policy returned a bad batch cap";
+    let before = t.moved in
+    let n = step_batch t transfers ~cap in
     budget := !budget - n;
     incr decisions;
-    let before = t.moved in
-    step_n t transfers n;
+    committed n;
     if t0 > 0 then
       Obs.Histogram.observe h_service (Obs.Clock.elapsed_ns ~since:t0);
     Obs.Counter.incr c_slots ~by:n;

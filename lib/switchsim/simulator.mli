@@ -41,12 +41,12 @@ val create :
 
     [validate] adds extra feasibility on top of the matching and topology
     constraints — e.g. the fault injector restricts slots to the live
-    ports of its fault plan.  It receives the number of consecutive
-    slots the transfers are about to serve ([1] from {!step}, the batch
-    length from {!step_batch}), so a hook whose constraints vary with
-    time can reject a batch that would outlive them.  A [Error msg]
-    result makes {!step} raise [Invalid_slot msg] without mutating
-    state.
+    ports of its fault plan.  It is called once the simulator's own
+    checks have passed, with the number of consecutive slots the
+    transfers are about to serve ([1] from {!step}, the size
+    {!step_batch} chose), so a hook whose constraints vary with time can
+    reject a batch that would outlive them.  A [Error msg] result makes
+    the step raise [Invalid_slot msg] without mutating state.
 
     @raise Invalid_argument on dimension mismatch or negative release. *)
 
@@ -184,12 +184,6 @@ val completion_time : t -> int -> int option
 
 val completion_time_exn : t -> int -> int
 
-val next_release_gap : t -> int option
-(** Slots until the next still-pending release becomes serviceable ([None]
-    when every coflow is released).  The release-boundary half of the batch
-    bound used by event-driven policies; the same binary search as
-    {!released_count}. *)
-
 val first_service_time : t -> int -> int option
 (** Slot in which coflow [k]'s first unit moved, if any has — together
     with {!release_time} this is the coflow's waiting time, the tail
@@ -213,37 +207,39 @@ val step : t -> transfer list -> unit
     driver funnels through, so traces are complete no matter which loop
     runs the policy. *)
 
-val step_batch : t -> transfer list -> slots:int -> unit
-(** [step_batch sim transfers ~slots] commits [slots >= 1] consecutive
-    slots that all serve the same transfer list, in one O(transfers)
-    update.  Beyond {!step}'s checks, every served pair must hold strictly
-    more than [(slots - 1) * rate] units ([>= slots] at rate 1) — no entry
-    may reach zero strictly inside the batch, so
-    no completion, first service or structural change can fall between the
-    batch's first and last slot and the observable outcome (clock,
-    completion slots, first-service slots, totals, histograms) is identical
-    to calling {!step} [slots] times.  @raise Invalid_slot otherwise. *)
+val step_batch : t -> transfer list -> cap:int -> int
+(** [step_batch sim transfers ~cap] commits [transfers] for [n]
+    consecutive slots in one O(transfers) update and returns [n]: the
+    smallest of [cap >= 1], the slots until the next pending release, and
+    the slots each served pair survives, [ceil (have / rate)].  {!step}'s
+    validation pass reads each served entry once and takes that minimum;
+    the [validate] hook then sees [n].  No coflow is released, none
+    completes and no entry empties strictly inside the batch, so the
+    state is that of [n] calls of {!step}, and a decision that is a pure
+    function of the released set, the completion set and the nonzero
+    structure would serve the same transfers in every covered slot.  An
+    idle slot jumps to the next release, or by [cap] when none is pending.
+    @raise Invalid_slot as {!step}, [Invalid_argument] when [cap < 1]. *)
 
 val run :
   ?max_slots:int ->
   t ->
   policy:(t -> max_n:int -> transfer list * int) ->
+  committed:(int -> unit) ->
   int
-(** [run sim ~policy] steps [sim] until all coflows complete and returns
-    the number of decisions it took — the only loop that steps a run to
-    completion.  Each decision answers with the slot's transfers {e and}
-    the number of consecutive slots [n] they may be replayed for,
-    [1 <= n <= max_n]; the clock jumps [n] slots in one {!step_batch}.
-    A per-slot policy answers [n = 1].  The policy owns the full safety
-    argument (no release boundary or internal schedule boundary inside
-    the batch — the skip bound in the core policy layer); the demand half
-    is enforced independently by the batch step.  [max_slots] (default
-    [10_000_000]) guards against non-progressing policies; budget
-    accounting is slot-exact, so a run that would exhaust [max_slots]
-    slot by slot exhausts it here too.
+(** [run sim ~policy ~committed] steps [sim] until all coflows complete
+    and returns the number of decisions it took — the only loop that
+    steps a run to completion.  Each decision answers with the slot's
+    transfers and a cap, [1 <= cap <= max_n]: the policy's own boundary
+    (a matching's slot budget, a fault window), [max_n] when it has none,
+    [1] for a per-slot decision.  {!step_batch} sizes the batch within
+    the cap and commits it, and [committed n] hands back its size.
+    [max_slots] (default [10_000_000]) guards against non-progressing
+    policies; budget accounting is slot-exact, so a run that would
+    exhaust [max_slots] slot by slot exhausts it here too.
     @raise Invalid_slot on a bad policy decision, [Failure] when the
     budget is exhausted, [Invalid_argument] when the policy returns
-    [n < 1] or [n > max_n]. *)
+    [cap < 1] or [cap > max_n]. *)
 
 val total_weighted_completion : t -> float array -> float
 (** [total_weighted_completion sim w] is [sum_k w.(k) * C_k].

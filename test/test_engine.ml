@@ -496,14 +496,14 @@ let prop_live_view_is_full_sweep =
           | None -> ())
         | _ -> ());
         let full = Policy.greedy_matching sim ~priority in
-        let live, slots =
+        let live, cap =
           match stepper.Policy.next_batch with
           | Some decide when Random.State.bool st ->
             decide sim ~max_n:(1 + Random.State.int st 4)
           | _ -> (stepper.Policy.next_slot sim, 1)
         in
         if live <> full then ok := false
-        else Simulator.step_batch sim live ~slots
+        else ignore (Simulator.step_batch sim live ~cap)
       done;
       !ok)
 

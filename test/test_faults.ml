@@ -1102,9 +1102,9 @@ let test_plan_compiled_overlap () =
   check_int "off at 4 until the next multiple of 3" 6
     (Fault_plan.stable_until st)
 
-let rejected label sim transfers ~slots =
-  match Simulator.step_batch sim transfers ~slots with
-  | () -> Alcotest.failf "%s: batch accepted" label
+let rejected label sim transfers ~cap =
+  match Simulator.step_batch sim transfers ~cap with
+  | _ -> Alcotest.failf "%s: batch accepted" label
   | exception Simulator.Invalid_slot m ->
     Alcotest.(check bool) (label ^ ": names the fault-state change") true
       (Astring.String.is_infix ~affix:"crosses the fault-state change" m)
@@ -1120,9 +1120,10 @@ let test_injector_batch_crossing () =
   Injector.tick inj;
   check_int "stable until the outage" 3
     (Fault_plan.stable_until (Injector.faults inj));
-  rejected "batch over the outage's start" sim [ t 0 0 0 ] ~slots:4;
+  rejected "batch over the outage's start" sim [ t 0 0 0 ] ~cap:4;
   check_int "clock unchanged" 0 (Simulator.now sim);
-  Simulator.step_batch sim [ t 0 0 0 ] ~slots:3;
+  check_int "batch up to the outage" 3
+    (Simulator.step_batch sim [ t 0 0 0 ] ~cap:3);
   Injector.tick inj;
   expect_invalid_slot "port down at its start" (fun () ->
       Simulator.step sim [ t 0 0 0 ]);
@@ -1137,14 +1138,14 @@ let test_injector_batch_crossing () =
   let inj = Injector.create ~plan ~ports:2 [ (0, d) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
-  rejected "batch over an off-duty slot" sim [ t 0 1 0 ] ~slots:2;
+  rejected "batch over an off-duty slot" sim [ t 0 1 0 ] ~cap:2;
   Simulator.step sim [ t 0 1 0 ];
   Injector.tick inj;
   check_int "off duty until the next multiple" 3
     (Fault_plan.stable_until (Injector.faults inj));
-  Simulator.step_batch sim [] ~slots:2;
+  check_int "idle batch" 2 (Simulator.step_batch sim [] ~cap:2);
   Injector.tick inj;
-  rejected "batch from an on-duty slot" sim [ t 0 1 0 ] ~slots:2;
+  rejected "batch from an on-duty slot" sim [ t 0 1 0 ] ~cap:2;
   Simulator.step sim [ t 0 1 0 ];
   check_int "two units moved" 7 (Simulator.remaining_total sim 0)
 
@@ -1165,7 +1166,8 @@ let test_injector_uncarried_link () =
   check_int "no change in sight" max_int
     (Fault_plan.stable_until (Injector.faults inj));
   (* across the flips at slots 1, 3, 4 and 6 *)
-  Simulator.step_batch sim [ t 0 0 0; t 1 1 0 ] ~slots:7;
+  check_int "batch across the flips" 7
+    (Simulator.step_batch sim [ t 0 0 0; t 1 1 0 ] ~cap:7);
   check_int "batch served" 4 (Simulator.remaining_total sim 0);
   (match
      Audit.feed_many
@@ -1184,7 +1186,7 @@ let test_injector_uncarried_link () =
   Injector.tick inj;
   check_int "carried: stable until the first flip" 1
     (Fault_plan.stable_until (Injector.faults inj));
-  rejected "batch across a carried flip" sim [ t 0 0 0 ] ~slots:2
+  rejected "batch across a carried flip" sim [ t 0 0 0 ] ~cap:2
 
 (* Two oversubscribed fabrics with one core crossing each: a single pooled
    budget of 2 would put both crossings on the first fabric. *)

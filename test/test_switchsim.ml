@@ -134,7 +134,9 @@ let test_run_policy () =
       (Simulator.remaining s 0);
     !out
   in
-  let decisions = Simulator.run sim ~policy:(one_slot policy) in
+  let decisions =
+    Simulator.run sim ~policy:(one_slot policy) ~committed:ignore
+  in
   Alcotest.(check bool) "complete" true (Simulator.all_complete sim);
   Alcotest.(check bool) "no slower than total units" true
     (Simulator.now sim <= 6);
@@ -143,7 +145,10 @@ let test_run_policy () =
 let test_run_budget () =
   let sim = Simulator.create ~ports:2 [ (0, fig1 ()) ] in
   (try
-     ignore (Simulator.run ~max_slots:3 sim ~policy:(one_slot (fun _ -> [])));
+     ignore
+       (Simulator.run ~max_slots:3 sim
+          ~policy:(one_slot (fun _ -> []))
+          ~committed:ignore);
      Alcotest.fail "expected Failure"
    with Failure _ -> ())
 
@@ -276,16 +281,16 @@ let test_validate_hook () =
   check_int "state unchanged" 0 (Simulator.now sim);
   Simulator.step sim [ t 0 0 0 ];
   check_int "single ok" 1 (Simulator.now sim);
-  (* the hook sees the batch length: [step] passes 1, [step_batch] its
-     [slots] *)
+  (* the hook sees the batch length: [step] passes 1, [step_batch] the
+     size it chose within its cap (entry (0, 0) holds 4 units) *)
   (try
-     Simulator.step_batch sim [ t 0 0 0 ] ~slots:3;
+     ignore (Simulator.step_batch sim [ t 0 0 0 ] ~cap:3);
      Alcotest.fail "expected Invalid_slot"
    with Simulator.Invalid_slot m ->
      Alcotest.(check string) "batch length reached the hook"
        "batches of at most 2" m);
   check_int "rejected batch left the clock" 1 (Simulator.now sim);
-  Simulator.step_batch sim [ t 0 0 0 ] ~slots:2;
+  check_int "batch of 2" 2 (Simulator.step_batch sim [ t 0 0 0 ] ~cap:2);
   check_int "batch of 2 ok" 3 (Simulator.now sim)
 
 (* ---------- fabric: the two-tier oversubscribed Net ---------- *)
@@ -335,7 +340,8 @@ let test_fabric_greedy_respects_core () =
   let st = Random.State.make [| 5 |] in
   let d = Mat.random ~density:0.8 ~max_entry:3 st 4 in
   let sim = two_tier_sim ~core_capacity:1 d in
-  ignore (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])));
+  ignore
+    (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])) ~committed:ignore);
   Alcotest.(check bool) "completes" true (Simulator.all_complete sim)
 
 let test_fabric_nonblocking_equals_plain_greedy () =
@@ -343,7 +349,8 @@ let test_fabric_nonblocking_equals_plain_greedy () =
   let st = Random.State.make [| 6 |] in
   let d = Mat.random ~density:0.6 ~max_entry:3 st 4 in
   let sim = two_tier_sim ~core_capacity:4 d in
-  ignore (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])));
+  ignore
+    (Simulator.run sim ~policy:(one_slot (greedy [| 0 |])) ~committed:ignore);
   (* a single coflow under greedy completes in at most total units slots
      and at least rho slots *)
   let c = Simulator.completion_time_exn sim 0 in
@@ -432,7 +439,7 @@ let test_multi_fabric_batch_rate_aware () =
   Mat.set d 0 1 9;
   let net = Net.uniform ~ports:2 ~rates:[ 4 ] in
   let sim = Simulator.create ~net ~ports:2 [ (0, d) ] in
-  Simulator.step_batch sim [ tf 0 1 0 0 ] ~slots:3;
+  check_int "batch of 3" 3 (Simulator.step_batch sim [ tf 0 1 0 0 ] ~cap:3);
   check_int "all 9 units moved" 9 (Simulator.units_moved sim);
   Alcotest.(check bool) "complete" true (Simulator.all_complete sim);
   check_int "three slots" 3 (Simulator.now sim)
@@ -563,10 +570,12 @@ let greedy_single_policy s =
 let record sim =
   let log = Recorder.log ~ports:(Simulator.ports sim) in
   let (_ : int) =
-    Simulator.run sim ~policy:(fun s ~max_n:_ ->
+    Simulator.run sim
+      ~policy:(fun s ~max_n:_ ->
         let transfers = greedy_single_policy s in
         Recorder.add log transfers ~slots:1;
         (transfers, 1))
+      ~committed:ignore
   in
   Recorder.contents log
 
@@ -655,6 +664,7 @@ let test_recorder_bad_csv () =
       "# ports=2 slots=1\nwrong,header\n";
       "# ports=2 slots=1\nslot,src,dst,coflow\n9,0,0,0\n";
       "# ports=2 slots=1\nslot,src,dst,coflow\n1,0,x,0\n";
+      "# ports=2 slots=4611686018427387903\nslot,src,dst,coflow\n";
     ]
 
 (* Blank lines count: a bad row is named by its line in the file. *)
